@@ -20,8 +20,8 @@ use pama_workloads::Preset;
 /// slab-ledger line per window of `window_gets` GETs.
 fn run_kv(setup: &ScaledSetup, pcfg: PamaConfig) {
     let cache = pama_kv::CacheBuilder::new()
-        .total_bytes(setup.cache_sizes[0] as u64)
-        .slab_bytes(setup.slab_bytes as u64)
+        .total_bytes(setup.cache_sizes[0])
+        .slab_bytes(setup.slab_bytes)
         .shards(1)
         .pama(pcfg)
         .build();
@@ -43,7 +43,10 @@ fn run_kv(setup: &ScaledSetup, pcfg: PamaConfig) {
                     let _ = cache.set(&keybuf, value, &SetOptions::new().penalty(penalty));
                 }
                 if gets.is_multiple_of(setup.window_gets) {
-                    let s = cache.report().slabs.expect("kv probe runs with arena storage");
+                    let s = cache
+                        .report()
+                        .slabs
+                        .expect("the kv cache always reports its slab ledger");
                     let class_slabs: Vec<u64> = s.classes.iter().map(|c| c.slabs).collect();
                     println!(
                         "w{:>2} hit={:.3} items={} slabs={}/{} free_slots={} frag={:.1}% \
@@ -72,7 +75,7 @@ fn run_kv(setup: &ScaledSetup, pcfg: PamaConfig) {
             }
         }
     }
-    let s = cache.report().slabs.expect("kv probe runs with arena storage");
+    let s = cache.report().slabs.expect("the kv cache always reports its slab ledger");
     cache.check_invariants().expect("kv invariants after probe run");
     println!(
         "final: {} items, {} slabs, {} B resident, {} B requested, {} B slot, \

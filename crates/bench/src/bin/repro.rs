@@ -21,12 +21,15 @@
 //!   perf   kv GET/SET throughput (1/2/4/8 threads, zipfian keys),
 //!          batched ops, hit-latency percentiles; writes
 //!          BENCH_throughput.json at the repo root
-//!   memory kv per-item memory overhead and fragmentation, slab-arena
-//!          vs one-allocation-per-item baseline; writes
+//!   memory kv slab-arena accounting: per-item overhead, internal
+//!          fragmentation, slab transfers, bounded residency; writes
 //!          BENCH_memory.json at the repo root
 //!   net    loopback pamad server: serial vs pipelined vs multiget
 //!          throughput, latency percentiles, shutdown drain; writes
 //!          BENCH_net.json at the repo root
+//!   obs    penalty-band metrics registry: band sums, wire exposition,
+//!          instrumentation overhead; writes BENCH_obs.json at the
+//!          repo root
 //!   smoke  fast end-to-end sanity run
 //!   all    every figure experiment in sequence
 //! ```

@@ -1,32 +1,20 @@
 //! `repro memory` — per-item memory overhead and fragmentation for the
 //! slab-arena storage layer under a zipfian workload.
 //!
-//! Runs the *same* pre-generated request stream against two builds of
-//! `pama-kv`:
+//! Payloads live in fixed-size slab slots, and slabs move between size
+//! classes when PAMA rebalances. Value sizes are modal (a handful of
+//! discrete sizes, like memcached's ETC pool where same-type serialized
+//! objects share a size) with a small per-update jitter (object
+//! versions differ by a few percent, which a slot absorbs). The working
+//! set exceeds the cache budget so the run churns through evictions,
+//! and a mid-run regime shift grows the hot keys' objects so slab
+//! migrations physically fire.
 //!
-//! * `arena` — the shipping design: payloads live in fixed-size slab
-//!   slots, slabs move between size classes when PAMA rebalances;
-//! * `heap` — the one-allocation-per-item baseline this design
-//!   replaced ([`CacheBuilder::heap_storage`]): every key and value is
-//!   its own `Arc<[u8]>` allocation.
-//!
-//! Value sizes are modal (a handful of discrete sizes, like memcached's
-//! ETC pool where same-type serialized objects share a size) with a
-//! small per-update jitter (object versions differ by a few percent —
-//! a slot absorbs that, an exact-fit allocation re-binned every update
-//! does not). The working set exceeds the cache budget so both modes
-//! churn through evictions, and a mid-run regime shift grows the hot
-//! keys' objects so slab migrations physically fire in arena mode.
-//!
-//! Two measurements per mode:
+//! Two measurements:
 //!
 //! * **resident delta** — RSS growth from just before cache
 //!   construction to end of workload (`/proc/self/statm`), the
-//!   operating-system truth both modes pay. Each mode runs in its own
-//!   **child process** so neither inherits warm allocator pages from
-//!   the other — in-process back-to-back runs let the second mode
-//!   reuse pages the first freed, which skews the comparison by
-//!   megabytes.
+//!   operating-system truth, reported informationally;
 //! * **exact accounting** — the arena's own ledger (slabs, slots,
 //!   bytes requested vs resident, internal fragmentation),
 //!   cross-checked against the logical cache stats.
@@ -52,10 +40,6 @@ const SIZE_MODES: &[(usize, u64)] = &[(90, 35), (230, 25), (470, 20), (1000, 12)
 const SHIFTED_BYTES: usize = 1900;
 /// Assumed page size for `/proc/self/statm` (Linux x86-64 default).
 const PAGE_BYTES: u64 = 4096;
-/// Env var carrying the storage mode to a child process.
-const CHILD_ENV: &str = "PAMA_MEMORY_MODE";
-/// Marker prefixing the child's single-line JSON result on stdout.
-const CHILD_MARKER: &str = "MEMORY_CHILD_RESULT ";
 
 /// Resident set size in bytes, if the platform exposes it.
 fn rss_bytes() -> Option<u64> {
@@ -91,8 +75,8 @@ fn versioned_len(base: usize, key_index: u64, serial: u64) -> usize {
 }
 
 /// Deterministic regeneration penalty: larger objects cost more to
-/// rebuild. Explicit penalties on every SET keep both storage modes'
-/// policy decisions byte-identical — the live probe estimator measures
+/// rebuild. Explicit penalties on every SET keep the policy's decisions
+/// identical from run to run — the live probe estimator measures
 /// wall-clock gaps, which would diverge between runs.
 fn penalty_of(base: usize) -> SimDuration {
     SimDuration::from_millis(20 + base as u64 / 20)
@@ -150,16 +134,14 @@ fn build_setup(opts: &ExpOptions) -> Setup {
     }
 }
 
-/// Runs one storage mode over the full workload and returns the
-/// per-mode result object (plus the `arena_ledger` object in arena
-/// mode). This is the body of a child process.
-fn run_mode(setup: &Setup, heap: bool) -> Json {
+/// Runs the full workload and returns the result object, with the
+/// arena's ledger under `arena_ledger`.
+fn run_workload(setup: &Setup) -> Json {
     let rss_before = rss_bytes();
     let cache = CacheBuilder::new()
         .total_bytes(setup.total_bytes)
         .slab_bytes(setup.slab_bytes)
         .shards(SHARDS)
-        .heap_storage(heap)
         .pama(PamaConfig {
             value_window: setup.value_window,
             migration_cooldown: 64,
@@ -223,8 +205,24 @@ fn run_mode(setup: &Setup, heap: bool) -> Json {
     };
     let overhead = rss_delta
         .map(|d| (d.saturating_sub(stats.live_bytes)) as f64 / stats.items.max(1) as f64);
-    let mut fields = vec![
-        ("mode", Json::Str(if heap { "heap" } else { "arena" }.into())),
+    let slabs = cache.report().slabs.expect("the slab ledger is always reported");
+    let class_rows = Json::Arr(
+        slabs
+            .classes
+            .iter()
+            .map(|c| {
+                obj(vec![
+                    ("class", Json::U64(c.class as u64)),
+                    ("slot_bytes", Json::U64(c.slot_bytes)),
+                    ("slabs", Json::U64(c.slabs)),
+                    ("live_slots", Json::U64(c.live_slots)),
+                    ("free_slots", Json::U64(c.free_slots)),
+                    ("live_bytes", Json::U64(c.live_bytes)),
+                ])
+            })
+            .collect(),
+    );
+    obj(vec![
         ("items", Json::U64(stats.items)),
         ("live_bytes", Json::U64(stats.live_bytes)),
         ("evictions", Json::U64(stats.evictions)),
@@ -234,28 +232,7 @@ fn run_mode(setup: &Setup, heap: bool) -> Json {
         ("rejected", Json::U64(stats.rejected)),
         ("rss_delta_bytes", rss_delta.map_or(Json::Null, Json::U64)),
         ("overhead_per_item_bytes", overhead.map_or(Json::Null, Json::F64)),
-    ];
-    if heap {
-        assert!(cache.report().slabs.is_none(), "heap baseline must not report slab stats");
-    } else {
-        let slabs = cache.report().slabs.expect("arena mode reports slab stats");
-        let class_rows = Json::Arr(
-            slabs
-                .classes
-                .iter()
-                .map(|c| {
-                    obj(vec![
-                        ("class", Json::U64(c.class as u64)),
-                        ("slot_bytes", Json::U64(c.slot_bytes)),
-                        ("slabs", Json::U64(c.slabs)),
-                        ("live_slots", Json::U64(c.live_slots)),
-                        ("free_slots", Json::U64(c.free_slots)),
-                        ("live_bytes", Json::U64(c.live_bytes)),
-                    ])
-                })
-                .collect(),
-        );
-        fields.push((
+        (
             "arena_ledger",
             obj(vec![
                 ("slabs", Json::U64(slabs.slabs)),
@@ -275,31 +252,8 @@ fn run_mode(setup: &Setup, heap: bool) -> Json {
                 ),
                 ("classes", class_rows),
             ]),
-        ));
-    }
-    obj(fields)
-}
-
-/// Spawns this binary again with [`CHILD_ENV`] set, so the mode runs
-/// under a fresh allocator, and parses the marker line it prints.
-fn run_mode_in_child(mode: &str) -> Option<Json> {
-    let exe = std::env::current_exe().ok()?;
-    let out = std::process::Command::new(exe)
-        .args(std::env::args().skip(1))
-        .env(CHILD_ENV, mode)
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        eprintln!(
-            "memory child ({mode}) failed: {}\n{}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr)
-        );
-        return None;
-    }
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout.lines().find_map(|l| l.strip_prefix(CHILD_MARKER))?;
-    Json::parse(line).ok()
+        ),
+    ])
 }
 
 fn u(j: &Json, key: &str) -> u64 {
@@ -313,14 +267,6 @@ fn f(j: &Json, key: &str) -> Option<f64> {
 /// Runs the memory-overhead suite and writes `BENCH_memory.json` at
 /// the repo root.
 pub fn run(opts: &ExpOptions) -> ExpResult {
-    if let Ok(mode) = std::env::var(CHILD_ENV) {
-        // Child: run the one mode and hand the result line back.
-        let setup = build_setup(opts);
-        let result = run_mode(&setup, mode == "heap");
-        println!("{CHILD_MARKER}{result}");
-        return Vec::new();
-    }
-
     let key_count: usize = if opts.smoke { 40_000 } else { 150_000 };
     let mean_value: f64 =
         SIZE_MODES.iter().map(|&(len, w)| len as f64 * w as f64 / 100.0).sum();
@@ -334,30 +280,16 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
         if opts.smoke { " [smoke]" } else { "" }
     );
 
-    // One child per mode: fresh process, fresh allocator, no page
-    // reuse between modes. Fall back to in-process (still valid for
-    // the exact-accounting checks, noted in the report) if spawning
-    // is unavailable.
-    let (arena, heap, isolated) = match (run_mode_in_child("arena"), run_mode_in_child("heap"))
-    {
-        (Some(a), Some(h)) => (a, h, true),
-        _ => {
-            println!("  (child spawn unavailable; falling back to in-process runs)");
-            (run_mode(&setup, false), run_mode(&setup, true), false)
-        }
-    };
+    let arena = run_workload(&setup);
     let ledger = arena.get("arena_ledger").cloned().unwrap_or(Json::Null);
 
-    for m in [&arena, &heap] {
-        println!(
-            "  {:<5}: {} items, {} B live, rss Δ {} B, overhead/item {:.1} B",
-            m.get("mode").and_then(Json::as_str).unwrap_or("?"),
-            u(m, "items"),
-            u(m, "live_bytes"),
-            u(m, "rss_delta_bytes"),
-            f(m, "overhead_per_item_bytes").unwrap_or(f64::NAN),
-        );
-    }
+    println!(
+        "  arena: {} items, {} B live, rss Δ {} B, overhead/item {:.1} B",
+        u(&arena, "items"),
+        u(&arena, "live_bytes"),
+        u(&arena, "rss_delta_bytes"),
+        f(&arena, "overhead_per_item_bytes").unwrap_or(f64::NAN),
+    );
     println!(
         "  arena ledger: {} slabs, {} transfers, {} slot moves, {:.1}% internal frag, \
          {:.1} B/item accounting overhead",
@@ -370,9 +302,8 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
     );
 
     let report = obj(vec![
-        ("schema", Json::Str("pama-bench-memory/v1".into())),
+        ("schema", Json::Str("pama-bench-memory/v2".into())),
         ("smoke", Json::Bool(opts.smoke)),
-        ("process_isolated", Json::Bool(isolated)),
         (
             "config",
             obj(vec![
@@ -388,7 +319,6 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
             ]),
         ),
         ("arena", arena.clone()),
-        ("heap", heap.clone()),
     ]);
     let path = "BENCH_memory.json";
     std::fs::write(path, report.to_string_pretty() + "\n").expect("write BENCH_memory.json");
@@ -439,26 +369,5 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
             u(&ledger, "meta_bytes")
         ),
     ));
-    match (f(&arena, "overhead_per_item_bytes"), f(&heap, "overhead_per_item_bytes")) {
-        (Some(a), Some(h)) if isolated && !opts.smoke => checks.push(ShapeCheck::new(
-            "arena per-item resident overhead below the one-allocation-per-item baseline",
-            a < h,
-            format!("arena {a:.1} B/item vs heap {h:.1} B/item"),
-        )),
-        (Some(a), Some(h)) if isolated => checks.push(ShapeCheck::new(
-            "arena per-item resident overhead below the one-allocation-per-item baseline",
-            true,
-            format!(
-                "smoke scale: RSS deltas are inside the allocator noise floor, reported \
-                 informationally (arena {a:.1} B/item vs heap {h:.1} B/item); the full run \
-                 enforces the comparison"
-            ),
-        )),
-        _ => checks.push(ShapeCheck::new(
-            "arena per-item resident overhead below the one-allocation-per-item baseline",
-            true,
-            "RSS or process isolation unavailable; skipped (accounting checks still ran)",
-        )),
-    }
     checks
 }

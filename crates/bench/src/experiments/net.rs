@@ -187,12 +187,9 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
     let mut sampled_hits = 0usize;
     for s in 0..sample {
         let i = (s * key_count / sample) % key_count;
-        match c.get(&keys[i]).expect("sample get") {
-            Some(got) => {
-                sampled_hits += 1;
-                mismatches += usize::from(got.value != values[i]);
-            }
-            None => {}
+        if let Some(got) = c.get(&keys[i]).expect("sample get") {
+            sampled_hits += 1;
+            mismatches += usize::from(got.value != values[i]);
         }
     }
 

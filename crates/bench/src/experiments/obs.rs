@@ -206,9 +206,8 @@ fn run_overhead(
     let seq: Vec<u32> = (0..ops).map(|_| zipf.sample(&mut rng) as u32).collect();
     let keys: Vec<Vec<u8>> = (0..key_count).map(|i| key_of(0, i)).collect();
 
-    let mut rates = [[0.0f64; 2]; 8];
     let mut best = [0.0f64; 2]; // [off, on]
-    for trial in 0..trials.min(8) {
+    for _ in 0..trials {
         // Interleave off/on to damp thermal and scheduler drift.
         for (slot, metrics_on) in [(0usize, false), (1usize, true)] {
             let cache = metrics_cache(metrics_on);
@@ -217,7 +216,6 @@ fn run_overhead(
                 cache.set(key, &value_of(i), &opts).expect("preload set");
             }
             let rate = hot_loop_rate(&cache, &keys, &seq);
-            rates[trial][slot] = rate;
             best[slot] = best[slot].max(rate);
             cache.close();
         }

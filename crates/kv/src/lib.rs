@@ -42,9 +42,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![deny(deprecated)] // the old API lives on only inside `compat`
 
-mod compat;
 mod log;
 mod options;
 mod shard;
@@ -83,8 +81,6 @@ pub struct CacheBuilder {
     pama: PamaConfig,
     default_ttl: Option<SimDuration>,
     backend: Option<BackendConfig>,
-    exclusive_lock: bool,
-    heap_storage: bool,
     metrics: bool,
 }
 
@@ -104,8 +100,6 @@ impl CacheBuilder {
             pama: PamaConfig::default(),
             default_ttl: None,
             backend: None,
-            exclusive_lock: false,
-            heap_storage: false,
             metrics: false,
         }
     }
@@ -137,26 +131,6 @@ impl CacheBuilder {
     /// Default TTL applied to `set` calls without an explicit one.
     pub fn default_ttl(mut self, ttl: Option<SimDuration>) -> Self {
         self.default_ttl = ttl;
-        self
-    }
-
-    /// Routes every operation — GETs included — through the shard's
-    /// exclusive write lock with inline LRU promotion, disabling the
-    /// deferred-hit log. This reproduces the pre-concurrency design;
-    /// it exists as the benchmark baseline (`repro perf` measures both
-    /// modes in the same run) and has no production use.
-    pub fn exclusive_lock(mut self, on: bool) -> Self {
-        self.exclusive_lock = on;
-        self
-    }
-
-    /// Stores every value as an individual heap allocation instead of
-    /// in the slab arenas, disabling slab accounting and physical
-    /// migration. This reproduces the pre-arena design; it exists as
-    /// the memory-overhead baseline (`repro memory` measures both
-    /// modes in the same run) and has no production use.
-    pub fn heap_storage(mut self, on: bool) -> Self {
-        self.heap_storage = on;
         self
     }
 
@@ -203,8 +177,8 @@ impl CacheBuilder {
         });
         let shards = (0..self.shards)
             .map(|i| {
-                let mut shard = Shard::new(cfg.clone(), self.pama.clone(), self.heap_storage)
-                    .with_metrics(registry.clone());
+                let mut shard =
+                    Shard::new(cfg.clone(), self.pama.clone()).with_metrics(registry.clone());
                 if let Some(b) = &self.backend {
                     let mut b = b.clone();
                     // Decorrelate shard jitter streams; keep schedules.
@@ -213,7 +187,7 @@ impl CacheBuilder {
                         .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
                     shard = shard.with_backend(BackendSim::new(b));
                 }
-                ShardCell::new(shard, self.exclusive_lock, registry.clone())
+                ShardCell::new(shard, registry.clone())
             })
             .collect();
         Ok(PamaCache {
@@ -443,22 +417,17 @@ impl PamaCache {
     }
 
     /// One consolidated snapshot: aggregated operation counters
-    /// (lock-free atomic reads) plus, in arena mode, the detailed slab
-    /// ledger — slabs and free slots per class, resident vs requested
-    /// bytes, internal fragmentation, transfer counts, and an
-    /// occupancy histogram. `slabs` is `None` in heap-storage mode.
+    /// (lock-free atomic reads) plus the detailed slab ledger — slabs
+    /// and free slots per class, resident vs requested bytes, internal
+    /// fragmentation, transfer counts, and an occupancy histogram.
+    /// `slabs` is always `Some`.
     ///
     /// The slab walk takes each shard's read lock briefly, so call
     /// this at reporting cadence rather than per request. Both halves
     /// aggregate through the shared [`Merge`] trait.
     pub fn report(&self) -> CacheReport {
         let cache = merge_all(self.shards.iter().map(|cell| cell.stats())).unwrap_or_default();
-        let slabs = self
-            .shards
-            .iter()
-            .map(|cell| cell.slab_report())
-            .collect::<Option<Vec<_>>>()
-            .and_then(merge_all);
+        let slabs = merge_all(self.shards.iter().map(|cell| cell.slab_report()));
         // Gauges aggregate across shards, so they are refreshed here —
         // at reporting cadence, from the merged view — rather than by
         // each shard racing to publish its own share.
@@ -691,19 +660,8 @@ mod tests {
         c.set(b"a", b"1", &SetOptions::default()).unwrap();
         let r = c.report();
         assert_eq!(r.cache.items, 1);
-        let slabs = r.slabs.expect("arena mode reports slabs");
+        let slabs = r.slabs.expect("the slab ledger is always reported");
         assert_eq!(slabs.live_items, 1);
-        // Heap mode: same call, no slab half.
-        let h = CacheBuilder::new()
-            .total_bytes(4 << 20)
-            .slab_bytes(64 << 10)
-            .shards(2)
-            .heap_storage(true)
-            .build();
-        h.set(b"a", b"1", &SetOptions::default()).unwrap();
-        let hr = h.report();
-        assert_eq!(hr.cache.items, 1);
-        assert!(hr.slabs.is_none());
     }
 
     #[test]
@@ -875,25 +833,6 @@ mod tests {
         let s = c.report().cache;
         assert_eq!(s.hits, 10);
         assert_eq!(s.deferred_hits, 10, "flush must apply every logged hit");
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn exclusive_mode_promotes_inline() {
-        let c = CacheBuilder::new()
-            .total_bytes(4 << 20)
-            .slab_bytes(64 << 10)
-            .shards(1)
-            .exclusive_lock(true)
-            .build();
-        c.set(b"k", b"v", &SetOptions::default()).unwrap();
-        for _ in 0..5 {
-            assert!(c.get(b"k").is_some());
-        }
-        let s = c.report().cache;
-        assert_eq!(s.hits, 5);
-        assert_eq!(s.deferred_hits, 0, "exclusive mode never defers");
-        assert_eq!(s.deferred_dropped, 0);
         c.check_invariants().unwrap();
     }
 }

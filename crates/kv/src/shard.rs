@@ -5,10 +5,11 @@
 //! Concurrency model (see DESIGN.md): the mutable state lives in
 //! [`Shard`] behind a [`ShardCell`]'s `RwLock`. A cache-hit GET runs
 //! entirely under the *shared* read lock — hash lookup, key
-//! verification, TTL check, value clone — and records the hit in the
+//! verification, TTL check, value copy-out — and records the hit in the
 //! cell's lock-free [`AccessLog`] instead of promoting the entry
 //! inline. Every path that takes the write lock (SET, DELETE, a GET
-//! miss, TTL sweeps, explicit flush) drains the log first, so deferred
+//! miss, TTL sweeps, explicit flush) takes it through
+//! [`ShardCell::write`], which drains the log first, so deferred
 //! promotions are applied in recorded order before any state change.
 //! The read path itself never drains: applying a deferred hit to the
 //! policy costs as much as the inline promotion it replaced, so a
@@ -18,8 +19,7 @@
 //! and by the time one runs, every hit recorded before it (up to ring
 //! capacity) has been applied in order. In a single-threaded sequence
 //! whose read bursts fit the ring, the drained promotions land in
-//! exactly the order and counts the old lock-everything design
-//! produced.
+//! exactly the order and counts inline promotion would produce.
 
 use crate::log::AccessLog;
 use crate::options::{CacheError, CacheValue};
@@ -33,7 +33,7 @@ use pama_slab::{SlabArena, SlotRef};
 use pama_trace::penalty::{DEFAULT_PENALTY, PENALTY_CAP};
 use pama_trace::Request;
 use pama_util::{FastMap, SimDuration, SimTime};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,28 +43,13 @@ use std::time::Instant;
 /// lock, short enough not to stall the writer that triggers it.
 const ACCESS_LOG_CAPACITY: usize = 4096;
 
-/// Where an entry's bytes live.
-///
-/// The default is a [`SlotRef`] into the shard's slab arena — the
-/// physical counterpart of the policy's slab ledger. The `Heap`
-/// variant (one `Bytes` allocation per key and value) is kept as the
-/// measurable baseline the `repro memory` experiment compares against,
-/// exactly like `exclusive_lock` preserves the pre-concurrency lock
-/// design for `repro perf`.
-#[derive(Debug, Clone)]
-enum EntryLoc {
-    /// `key ‖ value` bytes in the slab arena.
-    Slot(SlotRef),
-    /// Individually heap-allocated key and value (baseline mode).
-    Heap { key: Bytes, value: Bytes },
-}
-
-/// A stored entry: where its bytes live (the slot stores the full key
-/// for collision rejection), the expiry, if any, and the wire-protocol
-/// metadata (opaque flags, store-order CAS stamp).
+/// A stored entry: the arena slot holding its `key ‖ value` bytes
+/// (the slot stores the full key for collision rejection), the expiry,
+/// if any, and the wire-protocol metadata (opaque flags, store-order
+/// CAS stamp).
 #[derive(Debug, Clone)]
 struct Entry {
-    loc: EntryLoc,
+    slot: SlotRef,
     expires: Option<SimTime>,
     flags: u32,
     cas: u64,
@@ -74,12 +59,8 @@ struct Entry {
     band: u8,
 }
 
-/// The shard's byte store: a slab arena kept in lockstep with the
-/// policy ledger, or the per-item-allocation baseline.
-enum Storage {
-    Arena(SlabArena),
-    Heap,
-}
+// The pre-sized entry map pays for every byte of `Entry` up to 2^19 times per shard.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 40);
 
 /// An open penalty-probe window: the key missed at `miss_at`; a `set`
 /// arriving before the cap closes the window and records the gap as
@@ -115,7 +96,9 @@ enum EntryState {
 pub(crate) struct Shard {
     policy: Pama,
     entries: FastMap<u64, Entry>,
-    storage: Storage,
+    /// The shard's byte store, kept in lockstep with the policy's slab
+    /// ledger.
+    arena: SlabArena,
     estimates: FastMap<u64, SimDuration>,
     probes: FastMap<u64, Probe>,
     /// Shard geometry, kept so `set` can tell "can never fit"
@@ -135,7 +118,7 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub fn new(mut cfg: CacheConfig, pama: PamaConfig, heap_storage: bool) -> Self {
+    pub fn new(mut cfg: CacheConfig, pama: PamaConfig) -> Self {
         // Pre-size the maps from slab geometry: the shard can never
         // hold more items than total_bytes / min_slot, so reserving
         // that up front avoids rehash storms during warm-up. Capped so
@@ -144,19 +127,16 @@ impl Shard {
         // The shard drives inserts explicitly through `set`; the
         // policy must never phantom-fill on its own.
         cfg.demand_fill = false;
-        let storage =
-            if heap_storage { Storage::Heap } else { Storage::Arena(SlabArena::new(&cfg)) };
+        let arena = SlabArena::new(&cfg);
         let mut policy = Pama::with_config(cfg.clone(), pama);
-        // Both storage modes replay the policy's decisions: the arena
-        // acts on all of them, the heap baseline only on evictions
-        // (grants and moves are physical-layout events it doesn't
-        // have). Without the replay, policy-evicted keys would linger
-        // in the store map.
+        // The arena replays the policy's decisions (evictions, slab
+        // grants, slab moves); without the replay, policy-evicted keys
+        // would linger in the store map.
         policy.set_record_events(true);
         Self {
             policy,
             entries: FastMap::with_capacity_and_hasher(max_items, Default::default()),
-            storage,
+            arena,
             estimates: FastMap::with_capacity_and_hasher(max_items, Default::default()),
             probes: FastMap::with_capacity_and_hasher(max_items.min(4096), Default::default()),
             cfg,
@@ -210,44 +190,23 @@ impl Shard {
 
     /// Whether the stored entry's key bytes equal `key`.
     fn key_matches(&self, e: &Entry, key: &[u8]) -> bool {
-        match &e.loc {
-            EntryLoc::Heap { key: k, .. } => k.as_ref() == key,
-            EntryLoc::Slot(r) => match &self.storage {
-                Storage::Arena(a) => a.read(*r).is_some_and(|(k, _)| k == key),
-                Storage::Heap => false,
-            },
-        }
+        self.arena.read(e.slot).is_some_and(|(k, _)| k == key)
     }
 
-    /// The entry's value, copied out of its slot (or cheaply cloned
-    /// from the heap baseline's refcounted allocation).
+    /// The entry's value, copied out of its slot.
     fn value_of(&self, e: &Entry) -> Option<Bytes> {
-        match &e.loc {
-            EntryLoc::Heap { value, .. } => Some(value.clone()),
-            EntryLoc::Slot(r) => match &self.storage {
-                Storage::Arena(a) => a.read(*r).map(|(_, v)| Bytes::copy_from_slice(v)),
-                Storage::Heap => None,
-            },
-        }
+        self.arena.read(e.slot).map(|(_, v)| Bytes::copy_from_slice(v))
     }
 
     /// `key + value` length of the stored entry.
     fn stored_len(&self, e: &Entry) -> u64 {
-        match &e.loc {
-            EntryLoc::Heap { key, value } => (key.len() + value.len()) as u64,
-            EntryLoc::Slot(r) => match &self.storage {
-                Storage::Arena(a) => a.locate(*r).map_or(0, |(_, _, kl, vl)| (kl + vl) as u64),
-                Storage::Heap => 0,
-            },
-        }
+        self.arena.locate(e.slot).map_or(0, |(_, _, kl, vl)| (kl + vl) as u64)
     }
 
-    /// Releases an entry's bytes (frees its arena slot, if any).
-    fn release(storage: &mut Storage, e: &Entry) {
-        if let (EntryLoc::Slot(r), Storage::Arena(a)) = (&e.loc, storage) {
-            let freed = a.remove(*r);
-            debug_assert!(freed.is_ok(), "stale slot handle in index: {freed:?}");
-        }
+    /// Frees an entry's arena slot.
+    fn release(arena: &mut SlabArena, e: &Entry) {
+        let freed = arena.remove(e.slot);
+        debug_assert!(freed.is_ok(), "stale slot handle in index: {freed:?}");
     }
 
     /// Drops an entry from the store, the arena, and the policy
@@ -256,11 +215,17 @@ impl Shard {
         if let Some(e) = self.entries.remove(&h) {
             ShardCounters::sub(&c.items, 1);
             ShardCounters::sub(&c.live_bytes, self.stored_len(&e));
-            Self::release(&mut self.storage, &e);
+            Self::release(&mut self.arena, &e);
             let t = Tick { now, serial: self.serial };
             // Width of the delete request is irrelevant to removal.
             self.policy.on_delete(&Request::delete(now, h, 0), t);
         }
+    }
+
+    /// Drops an entry whose TTL lapsed, counting it as expired.
+    fn drop_expired(&mut self, h: u64, now: SimTime, c: &ShardCounters) {
+        self.drop_entry(h, now, c);
+        ShardCounters::bump(&c.expired);
     }
 
     /// The shared-lock hit path: lookup, key check, TTL check, value
@@ -297,15 +262,16 @@ impl Shard {
     fn expire_if_dead(&mut self, h: u64, key: &[u8], now: SimTime, c: &ShardCounters) {
         if let Some(e) = self.entries.get(&h) {
             if self.key_matches(e, key) && Self::expired(e, now) {
-                self.drop_entry(h, now, c);
+                self.drop_expired(h, now, c);
                 self.publish_storage_gauges(c);
             }
         }
     }
 
-    /// The write-lock GET: identical to the pre-concurrency design —
-    /// a hit promotes inline through the policy; a miss (or collision
-    /// or expiry) opens a penalty probe / drives the backend.
+    /// The write-lock GET, run after a read-lock miss. A hit here means
+    /// the key was written between the two locks; it promotes inline
+    /// through the policy. A miss (or collision or expiry) opens a
+    /// penalty probe / drives the backend.
     pub fn get_locked(
         &mut self,
         h: u64,
@@ -329,10 +295,15 @@ impl Shard {
                 }
                 Some(CacheValue { value, flags, cas })
             }
-            Some(_) => {
-                // Hash collision with a different key, or expired: treat
-                // as a miss and make room for the incoming generation.
-                self.drop_entry(h, now, c);
+            Some(e) => {
+                // Expired, or a hash collision with a different key:
+                // treat as a miss and make room for the incoming
+                // generation. Only the former is a TTL lapse.
+                if self.key_matches(e, key) {
+                    self.drop_expired(h, now, c);
+                } else {
+                    self.drop_entry(h, now, c);
+                }
                 self.miss(h, key, tick, c);
                 self.publish_storage_gauges(c);
                 None
@@ -446,14 +417,14 @@ impl Shard {
         self.apply_policy_events(c);
         if self.policy.cache().contains(h) {
             match self.store_bytes(h, key, value) {
-                Some(loc) => {
+                Some(slot) => {
                     ShardCounters::bump(&c.items);
                     ShardCounters::add(&c.live_bytes, item_bytes);
                     let band = self.cfg.band_of(penalty) as u8;
                     self.entries.insert(
                         h,
                         Entry {
-                            loc,
+                            slot,
                             expires: ttl.map(|d| now + d),
                             flags,
                             cas: self.serial,
@@ -533,7 +504,7 @@ impl Shard {
                 true
             }
             EntryState::Expired => {
-                self.drop_entry(h, now, c);
+                self.drop_expired(h, now, c);
                 self.publish_storage_gauges(c);
                 false
             }
@@ -554,21 +525,14 @@ impl Shard {
         n
     }
 
-    /// Writes `key ‖ value` into storage, returning where it landed.
-    fn store_bytes(&mut self, h: u64, key: &[u8], value: &[u8]) -> Option<EntryLoc> {
-        match &mut self.storage {
-            Storage::Heap => Some(EntryLoc::Heap {
-                key: Bytes::copy_from_slice(key),
-                value: Bytes::copy_from_slice(value),
-            }),
-            Storage::Arena(arena) => {
-                // The class the ledger stored the item under; identical
-                // to `cfg.class_of(key, value)` but read back from the
-                // policy so the two can never disagree.
-                let class = self.policy.cache().peek(h)?.class as usize;
-                arena.insert(class, h, key, value).ok().map(EntryLoc::Slot)
-            }
-        }
+    /// Writes `key ‖ value` into the arena, returning the slot it
+    /// landed in.
+    fn store_bytes(&mut self, h: u64, key: &[u8], value: &[u8]) -> Option<SlotRef> {
+        // The class the ledger stored the item under; identical to
+        // `cfg.class_of(key, value)` but read back from the policy so
+        // the two can never disagree.
+        let class = self.policy.cache().peek(h)?.class as usize;
+        self.arena.insert(class, h, key, value).ok()
     }
 
     /// Replays the policy's recorded storage events into the arena and
@@ -587,7 +551,7 @@ impl Shard {
                         ShardCounters::bump(&c.evictions);
                         ShardCounters::sub(&c.items, 1);
                         ShardCounters::sub(&c.live_bytes, self.stored_len(&entry));
-                        Self::release(&mut self.storage, &entry);
+                        Self::release(&mut self.arena, &entry);
                         if let Some(m) = &self.metrics {
                             m.band(band as usize).evictions.inc();
                         }
@@ -596,37 +560,31 @@ impl Shard {
                     }
                 }
                 PolicyEvent::SlabGranted { class } => {
-                    if let Storage::Arena(arena) = &mut self.storage {
-                        let granted = arena.grant_slab(class as usize);
-                        debug_assert!(granted.is_ok(), "slab grant drifted: {granted:?}");
-                    }
+                    let granted = self.arena.grant_slab(class as usize);
+                    debug_assert!(granted.is_ok(), "slab grant drifted: {granted:?}");
                     if let Some(m) = &self.metrics {
                         m.slab_grants.inc();
                     }
                 }
                 PolicyEvent::SlabMoved { src_class, src_band, dst_class } => {
-                    if let Storage::Arena(arena) = &mut self.storage {
-                        let entries = &mut self.entries;
-                        let t0 = self.metrics.is_some().then(Instant::now);
-                        let moved = arena.transfer_slab(
-                            src_class as usize,
-                            dst_class as usize,
-                            |hash, old, new| {
-                                if let Some(entry) = entries.get_mut(&hash) {
-                                    debug_assert!(
-                                        matches!(entry.loc, EntryLoc::Slot(r) if r == old),
-                                        "compaction moved a slot the index didn't own"
-                                    );
-                                    entry.loc = EntryLoc::Slot(new);
-                                }
-                            },
-                        );
-                        debug_assert!(moved.is_ok(), "slab transfer drifted: {moved:?}");
-                        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-                            m.slab_move_us.record(t0.elapsed().as_micros() as u64);
-                        }
-                    }
-                    if let Some(m) = &self.metrics {
+                    let entries = &mut self.entries;
+                    let t0 = self.metrics.is_some().then(Instant::now);
+                    let moved = self.arena.transfer_slab(
+                        src_class as usize,
+                        dst_class as usize,
+                        |hash, old, new| {
+                            if let Some(entry) = entries.get_mut(&hash) {
+                                debug_assert!(
+                                    entry.slot == old,
+                                    "compaction moved a slot the index didn't own"
+                                );
+                                entry.slot = new;
+                            }
+                        },
+                    );
+                    debug_assert!(moved.is_ok(), "slab transfer drifted: {moved:?}");
+                    if let (Some(m), Some(t0)) = (&self.metrics, t0) {
+                        m.slab_move_us.record(t0.elapsed().as_micros() as u64);
                         m.band(src_band as usize).slab_moves.inc();
                     }
                 }
@@ -635,26 +593,23 @@ impl Shard {
     }
 
     /// Publishes the arena's aggregate gauges to the shard counters so
-    /// `stats()` stays lock-free. Cheap: a handful of atomic stores.
+    /// `report()`'s counter half stays lock-free. Cheap: a handful of
+    /// atomic stores.
     fn publish_storage_gauges(&self, c: &ShardCounters) {
-        if let Storage::Arena(arena) = &self.storage {
-            let st = arena.stats();
-            ShardCounters::set(&c.slabs_in_use, st.slabs);
-            ShardCounters::set(&c.arena_resident_bytes, st.resident_bytes);
-            ShardCounters::set(&c.arena_free_slots, st.free_slots);
-            ShardCounters::set(&c.arena_slot_bytes, st.live_slot_bytes);
-            ShardCounters::set(&c.slab_transfers, st.transfers);
-            ShardCounters::set(&c.slot_moves, st.slot_moves);
-        }
+        let st = self.arena.stats();
+        ShardCounters::set(&c.slabs_in_use, st.slabs);
+        ShardCounters::set(&c.arena_resident_bytes, st.resident_bytes);
+        ShardCounters::set(&c.arena_free_slots, st.free_slots);
+        ShardCounters::set(&c.arena_slot_bytes, st.live_slot_bytes);
+        ShardCounters::set(&c.slab_transfers, st.transfers);
+        ShardCounters::set(&c.slot_moves, st.slot_moves);
     }
 
-    /// Detailed slab-arena accounting for probes and benchmarks, or
-    /// `None` in heap-baseline mode. Walks the metadata arrays; meant
-    /// to be called at reporting cadence, not per operation.
-    pub fn slab_report(&self) -> Option<SlabReport> {
-        let Storage::Arena(arena) = &self.storage else {
-            return None;
-        };
+    /// Detailed slab-arena accounting for probes and benchmarks. Walks
+    /// the metadata arrays; meant to be called at reporting cadence,
+    /// not per operation.
+    pub fn slab_report(&self) -> SlabReport {
+        let arena = &self.arena;
         let st = arena.stats();
         let mut occupancy_deciles = [0u64; 10];
         for fill in arena.slab_fills() {
@@ -662,7 +617,7 @@ impl Shard {
                 (fill.live * 10).checked_div(fill.capacity).map_or(0, |d| d.min(9) as usize);
             occupancy_deciles[decile] += 1;
         }
-        Some(SlabReport {
+        SlabReport {
             slab_bytes: st.slab_bytes,
             max_slabs: st.max_slabs,
             slabs: st.slabs,
@@ -687,7 +642,7 @@ impl Shard {
                     live_bytes: cs.live_bytes,
                 })
                 .collect(),
-        })
+        }
     }
 
     pub fn delete(&mut self, h: u64, key: &[u8], c: &ShardCounters) -> bool {
@@ -710,10 +665,9 @@ impl Shard {
             .filter(|(_, e)| Self::expired(e, now))
             .map(|(&h, _)| h)
             .collect();
-        for h in &expired {
-            self.drop_entry(*h, now, c);
+        for &h in &expired {
+            self.drop_expired(h, now, c);
         }
-        ShardCounters::add(&c.expired, expired.len() as u64);
         self.publish_storage_gauges(c);
         expired.len()
     }
@@ -730,8 +684,8 @@ impl Shard {
     }
 
     /// Cross-checks the byte store against the policy's accounting,
-    /// and — in arena mode — the physical slab ledger against both:
-    /// every live index entry must point at an allocated slot carved
+    /// and the physical slab ledger against both: every live index
+    /// entry must point at an allocated slot carved
     /// for the class the policy filed the item under, per-class slab
     /// counts must match the policy's, and inside the arena free-list
     /// plus live slots must cover every slab's capacity (the arena's
@@ -745,9 +699,7 @@ impl Shard {
             ));
         }
         self.policy.cache().check_invariants()?;
-        let Storage::Arena(arena) = &self.storage else {
-            return Ok(());
-        };
+        let arena = &self.arena;
         arena.check()?;
         let st = arena.stats();
         if st.live_items != self.entries.len() as u64 {
@@ -758,9 +710,7 @@ impl Shard {
             ));
         }
         for (&h, e) in &self.entries {
-            let EntryLoc::Slot(r) = e.loc else {
-                return Err(format!("entry {h:#x} has heap bytes in arena mode"));
-            };
+            let r = e.slot;
             let Some((slab_class, hash, key_len, val_len)) = arena.locate(r) else {
                 return Err(format!("entry {h:#x} points at dead slot {r:?}"));
             };
@@ -804,44 +754,40 @@ pub(crate) struct ShardCell {
     inner: RwLock<Shard>,
     log: AccessLog,
     counters: ShardCounters,
-    /// Benchmark baseline: route every operation (GETs included)
-    /// through the write lock with inline promotion, reproducing the
-    /// pre-concurrency exclusive-Mutex design.
-    exclusive: bool,
     /// Observability registry shared by every shard of the cache.
     /// `None` keeps the hot path free of even the sampling branch.
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl ShardCell {
-    pub fn new(shard: Shard, exclusive: bool, metrics: Option<Arc<MetricsRegistry>>) -> Self {
+    pub fn new(shard: Shard, metrics: Option<Arc<MetricsRegistry>>) -> Self {
         Self {
             inner: RwLock::new(shard),
             log: AccessLog::new(ACCESS_LOG_CAPACITY),
             counters: ShardCounters::default(),
-            exclusive,
             metrics,
         }
     }
 
-    /// Drains the log into the locked shard. Called with the write
-    /// lock held, before any mutation, so deferred promotions are
-    /// applied in recorded order ahead of the new operation.
-    fn drain_into(&self, shard: &mut Shard, now: SimTime) {
-        if self.log.is_empty() {
-            return;
+    /// Takes the write lock and drains the access log into the shard
+    /// before handing it out. Every write-lock path goes through here,
+    /// so deferred promotions are always applied in recorded order
+    /// ahead of the mutation that follows.
+    fn write(&self, now: SimTime) -> RwLockWriteGuard<'_, Shard> {
+        let mut shard = self.inner.write();
+        if !self.log.is_empty() {
+            let mut buf = Vec::with_capacity(self.log.len() + 8);
+            self.log.drain_into(&mut buf);
+            if !buf.is_empty() {
+                shard.apply_deferred(&buf, now, &self.counters);
+            }
         }
-        let mut buf = Vec::with_capacity(self.log.len() + 8);
-        self.log.drain_into(&mut buf);
-        if !buf.is_empty() {
-            shard.apply_deferred(&buf, now, &self.counters);
-        }
+        shard
     }
 
-    /// Unconditional drain (SET/DELETE/miss paths and explicit flush).
+    /// Applies every pending deferred promotion.
     pub fn flush(&self, now: SimTime) {
-        let mut shard = self.inner.write();
-        self.drain_into(&mut shard, now);
+        drop(self.write(now));
     }
 
     pub fn get(&self, h: u64, key: &[u8], now: SimTime) -> Option<CacheValue> {
@@ -865,7 +811,7 @@ impl ShardCell {
     }
 
     fn get_inner(&self, h: u64, key: &[u8], now: SimTime) -> Option<CacheValue> {
-        if !self.exclusive {
+        {
             let shard = self.inner.read();
             if let Some(value) = shard.read_hit(h, key, now) {
                 ShardCounters::bump(&self.counters.hits);
@@ -873,13 +819,8 @@ impl ShardCell {
                 return Some(value);
             }
         }
-        // Miss / collision / expiry — or exclusive mode: full path
-        // under the write lock.
-        let mut shard = self.inner.write();
-        if !self.exclusive {
-            self.drain_into(&mut shard, now);
-        }
-        shard.get_locked(h, key, now, &self.counters)
+        // Miss / collision / expiry: full path under the write lock.
+        self.write(now).get_locked(h, key, now, &self.counters)
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the shard call it forwards
@@ -893,11 +834,7 @@ impl ShardCell {
         flags: u32,
         now: SimTime,
     ) -> Result<(), CacheError> {
-        let mut shard = self.inner.write();
-        if !self.exclusive {
-            self.drain_into(&mut shard, now);
-        }
-        shard.set(h, key, value, ttl, explicit_penalty, flags, now, &self.counters)
+        self.write(now).set(h, key, value, ttl, explicit_penalty, flags, now, &self.counters)
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the shard call it forwards
@@ -911,35 +848,19 @@ impl ShardCell {
         flags: u32,
         now: SimTime,
     ) -> Result<bool, CacheError> {
-        let mut shard = self.inner.write();
-        if !self.exclusive {
-            self.drain_into(&mut shard, now);
-        }
-        shard.add(h, key, value, ttl, explicit_penalty, flags, now, &self.counters)
+        self.write(now).add(h, key, value, ttl, explicit_penalty, flags, now, &self.counters)
     }
 
     pub fn touch(&self, h: u64, key: &[u8], ttl: Option<SimDuration>, now: SimTime) -> bool {
-        let mut shard = self.inner.write();
-        if !self.exclusive {
-            self.drain_into(&mut shard, now);
-        }
-        shard.touch(h, key, ttl, now, &self.counters)
+        self.write(now).touch(h, key, ttl, now, &self.counters)
     }
 
     pub fn clear(&self, now: SimTime) -> u64 {
-        let mut shard = self.inner.write();
-        if !self.exclusive {
-            self.drain_into(&mut shard, now);
-        }
-        shard.clear(now, &self.counters)
+        self.write(now).clear(now, &self.counters)
     }
 
     pub fn delete(&self, h: u64, key: &[u8], now: SimTime) -> bool {
-        let mut shard = self.inner.write();
-        if !self.exclusive {
-            self.drain_into(&mut shard, now);
-        }
-        shard.delete(h, key, &self.counters)
+        self.write(now).delete(h, key, &self.counters)
     }
 
     pub fn contains(&self, h: u64, key: &[u8], now: SimTime) -> bool {
@@ -949,22 +870,14 @@ impl ShardCell {
             EntryState::Absent => false,
             EntryState::Expired => {
                 drop(shard);
-                let mut shard = self.inner.write();
-                if !self.exclusive {
-                    self.drain_into(&mut shard, now);
-                }
-                shard.expire_if_dead(h, key, now, &self.counters);
+                self.write(now).expire_if_dead(h, key, now, &self.counters);
                 false
             }
         }
     }
 
     pub fn sweep_expired(&self, now: SimTime) -> usize {
-        let mut shard = self.inner.write();
-        if !self.exclusive {
-            self.drain_into(&mut shard, now);
-        }
-        shard.sweep_expired(now, &self.counters)
+        self.write(now).sweep_expired(now, &self.counters)
     }
 
     /// Batched GET for keys mapping to this shard: one read-lock pass
@@ -977,13 +890,6 @@ impl ShardCell {
         out: &mut [Option<CacheValue>],
         now: SimTime,
     ) {
-        if self.exclusive {
-            let mut shard = self.inner.write();
-            for &(i, h) in group {
-                out[i] = shard.get_locked(h, keys[i], now, &self.counters);
-            }
-            return;
-        }
         let mut misses: Vec<(usize, u64)> = Vec::new();
         {
             let shard = self.inner.read();
@@ -999,8 +905,7 @@ impl ShardCell {
             }
         }
         if !misses.is_empty() {
-            let mut shard = self.inner.write();
-            self.drain_into(&mut shard, now);
+            let mut shard = self.write(now);
             for (i, h) in misses {
                 out[i] = shard.get_locked(h, keys[i], now, &self.counters);
             }
@@ -1020,10 +925,7 @@ impl ShardCell {
         flags: u32,
         now: SimTime,
     ) -> Option<(usize, CacheError)> {
-        let mut shard = self.inner.write();
-        if !self.exclusive {
-            self.drain_into(&mut shard, now);
-        }
+        let mut shard = self.write(now);
         let mut first_err = None;
         for &(i, h) in group {
             let (key, value) = items[i];
@@ -1044,17 +946,14 @@ impl ShardCell {
         s
     }
 
-    /// Detailed slab accounting (takes the read lock; `None` in heap
-    /// mode).
-    pub fn slab_report(&self) -> Option<SlabReport> {
+    /// Detailed slab accounting (takes the read lock).
+    pub fn slab_report(&self) -> SlabReport {
         self.inner.read().slab_report()
     }
 
     /// Flushes, then cross-checks store vs policy accounting.
     pub fn check_consistency(&self, now: SimTime) -> Result<(), String> {
-        let mut shard = self.inner.write();
-        self.drain_into(&mut shard, now);
-        shard.check_consistency()
+        self.write(now).check_consistency()
     }
 }
 
@@ -1068,7 +967,7 @@ mod tests {
             slab_bytes: 64 << 10,
             ..CacheConfig::default()
         };
-        Shard::new(cfg, PamaConfig::default(), false)
+        Shard::new(cfg, PamaConfig::default())
     }
 
     fn t(ms: u64) -> SimTime {
@@ -1123,10 +1022,16 @@ mod tests {
         );
         s.expire_if_dead(4, b"k4", t(150), &c);
         assert!(matches!(s.entry_state(4, b"k4", t(150)), EntryState::Absent));
+        assert_eq!(c.snapshot().expired, 1, "a lazy drop counts as an expiry");
+        // a GET that finds the lapsed entry drops and counts it too
+        s.set(6, b"k6", b"v", Some(SimDuration::from_millis(10)), None, 0, t(160), &c).unwrap();
+        assert!(s.get_locked(6, b"k6", t(180), &c).is_none());
+        let st = c.snapshot();
+        assert_eq!((st.expired, st.misses), (2, 1));
         // sweep path
         s.set(5, b"k5", b"v", Some(SimDuration::from_millis(10)), None, 0, t(200), &c).unwrap();
         assert_eq!(s.sweep_expired(t(500), &c), 1);
-        assert_eq!(c.snapshot().expired, 1);
+        assert_eq!(c.snapshot().expired, 3);
     }
 
     #[test]
@@ -1144,6 +1049,7 @@ mod tests {
         assert!(s.get_locked(7, b"first", t(4), &c).is_none());
         // collisions never reach the read-hit fast path either
         assert!(s.read_hit(7, b"first", t(5)).is_none());
+        assert_eq!(c.snapshot().expired, 0, "a collision drop is not an expiry");
     }
 
     #[test]

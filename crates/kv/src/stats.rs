@@ -2,9 +2,10 @@
 //!
 //! Each shard maintains a [`ShardCounters`] block of atomics, updated
 //! with `Relaxed` operations from whichever thread holds (or, for the
-//! read path, does not hold) the shard lock. [`crate::PamaCache::stats`]
+//! read path, does not hold) the shard lock. [`crate::PamaCache::report`]
 //! snapshots them without locking, so a stats poller never stalls
-//! writers.
+//! writers; only its slab half ([`CacheReport::slabs`]) takes each
+//! shard's read lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,19 +33,20 @@ pub fn merge_all<T: Merge, I: IntoIterator<Item = T>>(parts: I) -> Option<T> {
 }
 
 /// Everything [`crate::PamaCache::report`] knows, in one snapshot:
-/// the lock-free counter block plus (in arena mode) the detailed slab
-/// ledger. Replaces the old `stats()` / `slab_stats()` split — one
+/// the lock-free counter block plus the detailed slab ledger — one
 /// call, one consistent reporting cadence.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheReport {
     /// Aggregated operation counters and gauges.
     pub cache: CacheStats,
-    /// Slab-arena accounting; `None` in heap-storage mode.
+    /// Slab-arena accounting. Always `Some`; the `Option` is kept so
+    /// existing callers need no change.
     pub slabs: Option<SlabReport>,
 }
 
-/// Counters reported by [`crate::PamaCache::stats`]. All counters are
-/// cumulative since cache creation except `items` / `live_bytes`
+/// Counters reported in [`crate::PamaCache::report`]'s
+/// [`CacheReport::cache`]. All counters are cumulative since cache
+/// creation except `items` / `live_bytes` and the arena gauges
 /// (point-in-time).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheStats {
@@ -82,18 +84,15 @@ pub struct CacheStats {
     /// Total simulated time spent in backend fetches, µs.
     pub backend_time_us: u64,
     /// Read-path hits whose LRU/policy bookkeeping was applied later
-    /// from the deferred access log (0 in exclusive-lock mode, where
-    /// promotion is inline).
+    /// from the deferred access log.
     pub deferred_hits: u64,
     /// Read-path hit records discarded because the access log was full;
     /// each costs one recency refresh, never correctness.
     pub deferred_dropped: u64,
-    /// Slabs carved in the physical arenas (0 in heap-baseline mode,
-    /// where values are individually allocated).
+    /// Slabs carved in the physical arenas.
     pub slabs_in_use: u64,
     /// Arena-resident bytes: slab backing memory plus per-slot
-    /// metadata. Bounded by the configured cache size (plus metadata),
-    /// unlike the heap baseline's unaccounted allocator overhead.
+    /// metadata. Bounded by the configured cache size plus metadata.
     pub arena_resident_bytes: u64,
     /// Free slots across all carved slabs.
     pub arena_free_slots: u64,
@@ -120,7 +119,7 @@ impl CacheStats {
     }
 
     /// Internal fragmentation in the arenas: slot-rounding waste on
-    /// live items (0 in heap mode).
+    /// live items.
     pub fn internal_frag_bytes(&self) -> u64 {
         self.arena_slot_bytes.saturating_sub(self.live_bytes)
     }

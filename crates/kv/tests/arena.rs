@@ -1,6 +1,6 @@
 //! Integration tests for the physical slab-arena storage layer: slab
-//! accounting surfaces, heap-baseline parity, and — the point of the
-//! whole design — policy migrations moving *real* memory.
+//! accounting surfaces and — the point of the whole design — policy
+//! migrations moving *real* memory.
 
 use pama_core::policy::PamaConfig;
 use pama_kv::{CacheBuilder, SetOptions};
@@ -14,10 +14,10 @@ fn key(i: u64) -> Vec<u8> {
 fn slab_stats_account_for_resident_memory() {
     let cache = CacheBuilder::new().total_bytes(1 << 20).slab_bytes(64 << 10).shards(2).build();
     for i in 0..4_000u64 {
-        let _ = cache.set(&key(i), &vec![0xCD; 100], &SetOptions::default());
+        let _ = cache.set(&key(i), &[0xCD; 100], &SetOptions::default());
     }
     let stats = cache.report().cache;
-    let slabs = cache.report().slabs.expect("arena mode reports slab stats");
+    let slabs = cache.report().slabs.expect("the slab ledger is always reported");
     assert!(stats.items > 0);
     assert_eq!(slabs.live_items, stats.items);
     assert_eq!(slabs.requested_bytes, stats.live_bytes);
@@ -33,30 +33,6 @@ fn slab_stats_account_for_resident_memory() {
     // at this density the per-item overhead is slot rounding (14 B) +
     // slot metadata (16 B) + partial-slab slack — well under one item.
     assert!(slabs.overhead_per_item() < 114.0, "overhead {}", slabs.overhead_per_item());
-    cache.check_invariants().unwrap();
-}
-
-#[test]
-fn heap_baseline_has_no_arena_and_same_semantics() {
-    let cache = CacheBuilder::new()
-        .total_bytes(1 << 20)
-        .slab_bytes(64 << 10)
-        .shards(2)
-        .heap_storage(true)
-        .build();
-    for i in 0..200u64 {
-        cache.set(&key(i), &vec![0xEE; 64], &SetOptions::default()).unwrap();
-    }
-    assert!(cache.report().slabs.is_none(), "heap mode must not report slab stats");
-    let stats = cache.report().cache;
-    assert_eq!(stats.slabs_in_use, 0);
-    assert_eq!(stats.arena_resident_bytes, 0);
-    assert!(stats.items > 0);
-    for i in 0..200u64 {
-        if let Some(v) = cache.get(&key(i)) {
-            assert_eq!(v.as_ref(), &[0xEE; 64][..]);
-        }
-    }
     cache.check_invariants().unwrap();
 }
 
@@ -78,7 +54,7 @@ fn policy_migration_moves_physical_slabs() {
     // items so the large class cannot simply be granted a free slab —
     // the only way it can grow is by taking one from the small class.
     for i in 0..9_000u64 {
-        let _ = cache.set(&key(i), &vec![1u8; 50], &SetOptions::default());
+        let _ = cache.set(&key(i), &[1u8; 50], &SetOptions::default());
     }
     let before = cache.report().cache;
     assert!(before.slabs_in_use > 0);

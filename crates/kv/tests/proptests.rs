@@ -297,7 +297,7 @@ proptest! {
         // lock-free stats gauges and with a full recount.
         let r = cache.report();
         let stats = r.cache;
-        let slabs = r.slabs.expect("arena mode must report slab stats");
+        let slabs = r.slabs.expect("the slab ledger is always reported");
         prop_assert_eq!(slabs.live_items, stats.items);
         prop_assert_eq!(slabs.requested_bytes, stats.live_bytes);
         prop_assert_eq!(slabs.slabs, stats.slabs_in_use);

@@ -403,6 +403,9 @@ fn negative_exptime_stores_are_immediately_expired() {
     c.set(b"alive", b"v", 0, 0).unwrap();
     assert!(c.touch(b"alive", -1).unwrap());
     assert!(c.get(b"alive").unwrap().is_none(), "negative-exptime touch served live");
+    let stats: HashMap<String, String> = c.stats().unwrap().into_iter().collect();
+    let expired: u64 = stats["expired"].parse().unwrap();
+    assert!(expired >= 1, "lazy expiry on GET must show in `stats expired`");
     srv.shutdown();
 }
 

@@ -269,7 +269,7 @@ fn cmd_metrics(args: &Args) {
     let mut described: Vec<String> = Vec::new();
     for (name, value) in &pairs {
         let family = pama_metrics::family_of(name).to_string();
-        if !described.iter().any(|f| *f == family) {
+        if !described.contains(&family) {
             described.push(family.clone());
             if let Some((help, kind)) = pama_metrics::describe_family(&family) {
                 println!("# HELP {family} {help}\n# TYPE {family} {kind}");
