@@ -27,9 +27,8 @@
 //!   net    loopback pamad server: serial vs pipelined vs multiget
 //!          throughput, latency percentiles, shutdown drain; writes
 //!          BENCH_net.json at the repo root
-//!   obs    penalty-band metrics registry: band sums, wire exposition,
-//!          instrumentation overhead; writes BENCH_obs.json at the
-//!          repo root
+//!   obs    penalty-band metrics registry: band sums, band attribution,
+//!          wire exposition; writes BENCH_obs.json at the repo root
 //!   smoke  fast end-to-end sanity run
 //!   all    every figure experiment in sequence
 //! ```

@@ -16,7 +16,7 @@
 //! | `perf` | kv GET/SET throughput + hit latency (extension) | [`perf`] |
 //! | `memory` | kv per-item overhead & fragmentation (extension) | [`memory`] |
 //! | `net` | loopback pamad throughput & pipelining (extension) | [`net`] |
-//! | `obs` | metrics-registry consistency & overhead (extension) | [`obs`] |
+//! | `obs` | metrics-registry consistency & wire exposition (extension) | [`obs`] |
 //! | `smoke` | 30-second end-to-end sanity run | [`smoke`] |
 
 pub mod ablation;

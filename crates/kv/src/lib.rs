@@ -25,7 +25,12 @@
 //!   write lock (see DESIGN.md, "Concurrency model");
 //! * **batched operations**: [`PamaCache::multi_get`] /
 //!   [`PamaCache::multi_set`] group keys by shard and take each shard
-//!   lock once.
+//!   lock once;
+//! * **per-penalty-band accounting**, always on: every cache carries a
+//!   lock-free [`MetricsRegistry`] with per-band hit, miss,
+//!   penalty-cost, eviction and slab-move counters. These are the only
+//!   hit/miss/eviction counts; [`PamaCache::report`] sums them into the
+//!   aggregate [`CacheStats`].
 //!
 //! ```
 //! use pama_kv::{CacheBuilder, PamaCache, SetOptions};
@@ -81,7 +86,6 @@ pub struct CacheBuilder {
     pama: PamaConfig,
     default_ttl: Option<SimDuration>,
     backend: Option<BackendConfig>,
-    metrics: bool,
 }
 
 impl Default for CacheBuilder {
@@ -100,7 +104,6 @@ impl CacheBuilder {
             pama: PamaConfig::default(),
             default_ttl: None,
             backend: None,
-            metrics: false,
         }
     }
 
@@ -134,17 +137,6 @@ impl CacheBuilder {
         self
     }
 
-    /// Attaches a [`MetricsRegistry`] sized to the configured penalty
-    /// bands: per-band hit/miss/penalty-cost/eviction/slab-move
-    /// counters, arena gauges, and sampled hit/miss latency
-    /// histograms, all lock-free. Off by default so the bare hot path
-    /// stays the measurable baseline (`repro obs` compares the two);
-    /// reach the registry afterwards through [`PamaCache::metrics`].
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.metrics = on;
-        self
-    }
-
     /// Attaches a simulated backend: every miss triggers a fetch whose
     /// (simulated) latency, retries and failures are tracked in
     /// [`CacheStats`], and whose measured latency seeds the key's
@@ -168,17 +160,12 @@ impl CacheBuilder {
         };
         cfg.validate()?;
         self.pama.validate()?;
-        // One registry shared by every shard, its bands mirroring the
-        // config's penalty-band split so `band_of` indices line up.
-        let registry = self.metrics.then(|| {
-            Arc::new(MetricsRegistry::new(
-                cfg.penalty_bands.iter().map(|d| d.as_micros()).collect(),
-            ))
-        });
+        // One registry shared by every shard.
+        let metrics = shard::registry_for(&cfg);
         let shards = (0..self.shards)
             .map(|i| {
                 let mut shard =
-                    Shard::new(cfg.clone(), self.pama.clone()).with_metrics(registry.clone());
+                    Shard::new(cfg.clone(), self.pama.clone(), Arc::clone(&metrics));
                 if let Some(b) = &self.backend {
                     let mut b = b.clone();
                     // Decorrelate shard jitter streams; keep schedules.
@@ -187,7 +174,7 @@ impl CacheBuilder {
                         .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
                     shard = shard.with_backend(BackendSim::new(b));
                 }
-                ShardCell::new(shard, registry.clone())
+                ShardCell::new(shard)
             })
             .collect();
         Ok(PamaCache {
@@ -196,7 +183,7 @@ impl CacheBuilder {
             epoch: Instant::now(),
             default_ttl: self.default_ttl,
             closed: AtomicBool::new(false),
-            metrics: registry,
+            metrics,
         })
     }
 
@@ -223,9 +210,9 @@ pub struct PamaCache {
     /// Set by [`PamaCache::close`]: mutations are refused with
     /// [`CacheError::ShuttingDown`] while reads keep draining.
     closed: AtomicBool,
-    /// Shared observability registry; `None` unless the builder's
-    /// [`CacheBuilder::metrics`] flag was set.
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// Shared observability registry: per-band counters (the only
+    /// hit/miss/eviction counts), arena gauges, latency histograms.
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl PamaCache {
@@ -416,27 +403,34 @@ impl PamaCache {
         }
     }
 
-    /// One consolidated snapshot: aggregated operation counters
-    /// (lock-free atomic reads) plus the detailed slab ledger — slabs
-    /// and free slots per class, resident vs requested bytes, internal
-    /// fragmentation, transfer counts, and an occupancy histogram.
-    /// `slabs` is always `Some`.
+    /// One consolidated snapshot: aggregated operation counters plus
+    /// the detailed slab ledger — slabs and free slots per class,
+    /// resident vs requested bytes, internal fragmentation, transfer
+    /// counts, and an occupancy histogram. `slabs` is always `Some`.
     ///
-    /// The slab walk takes each shard's read lock briefly, so call
-    /// this at reporting cadence rather than per request. Both halves
-    /// aggregate through the shared [`Merge`] trait.
+    /// Hits, misses and evictions are the registry's band sums; the
+    /// arena fields of [`CacheStats`] come from the merged slab ledger,
+    /// whose walk takes each shard's read lock briefly — so call this
+    /// at reporting cadence rather than per request. This is also when
+    /// the registry's arena gauges are refreshed.
     pub fn report(&self) -> CacheReport {
-        let cache = merge_all(self.shards.iter().map(|cell| cell.stats())).unwrap_or_default();
-        let slabs = merge_all(self.shards.iter().map(|cell| cell.slab_report()));
-        // Gauges aggregate across shards, so they are refreshed here —
-        // at reporting cadence, from the merged view — rather than by
-        // each shard racing to publish its own share.
-        if let Some(m) = &self.metrics {
-            m.arena_slabs.set(cache.slabs_in_use);
-            m.arena_free_slots.set(cache.arena_free_slots);
-            m.arena_resident_bytes.set(cache.arena_resident_bytes);
-        }
-        CacheReport { cache, slabs }
+        let mut cache = merge_all(self.shards.iter().map(ShardCell::stats)).unwrap_or_default();
+        let slabs =
+            merge_all(self.shards.iter().map(ShardCell::slab_report)).unwrap_or_default();
+        let bands = self.metrics.snapshot();
+        cache.hits = bands.total_hits();
+        cache.misses = bands.total_misses();
+        cache.evictions = bands.total_evictions();
+        cache.slabs_in_use = slabs.slabs;
+        cache.arena_resident_bytes = slabs.resident_bytes;
+        cache.arena_free_slots = slabs.free_slots;
+        cache.arena_slot_bytes = slabs.slot_bytes;
+        cache.slab_transfers = slabs.transfers;
+        cache.slot_moves = slabs.slot_moves;
+        self.metrics.arena_slabs.set(slabs.slabs);
+        self.metrics.arena_free_slots.set(slabs.free_slots);
+        self.metrics.arena_resident_bytes.set(slabs.resident_bytes);
+        CacheReport { cache, slabs: Some(slabs) }
     }
 
     /// Number of shards.
@@ -444,12 +438,12 @@ impl PamaCache {
         self.shards.len()
     }
 
-    /// The observability registry attached at build time, or `None`
-    /// when [`CacheBuilder::metrics`] was off. Snapshot it for
-    /// per-band counters and latency histograms; the same `Arc` can be
-    /// shared with a front end for wire exposition.
+    /// The cache's observability registry. Snapshot it for per-band
+    /// counters and latency histograms; the same `Arc` can be shared
+    /// with a front end for wire exposition. Always `Some`; the
+    /// `Option` is kept so existing callers need no change.
     pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref()
+        Some(&self.metrics)
     }
 
     /// Drops every entry in every shard — Memcached `flush_all`.
@@ -545,9 +539,19 @@ mod tests {
         for i in 0..2_000u32 {
             c.set(format!("bulk-{i}").as_bytes(), &value, &SetOptions::default()).unwrap();
         }
+        assert!(c.get(b"bulk-1999").is_some());
+        assert!(c.get(b"bulk-0").is_none(), "the oldest item was evicted");
         let s = c.report().cache;
         assert!(s.items < 300, "items {} should be bounded by 1 MiB", s.items);
         assert!(s.evictions > 0);
+        // A cache built with no knob carries the band registry, and the
+        // aggregate counts are its band sums.
+        let bands = c.metrics().expect("the registry is always attached").snapshot();
+        assert_eq!(
+            (bands.total_hits(), bands.total_misses(), bands.total_evictions()),
+            (s.hits, s.misses, s.evictions)
+        );
+        assert_eq!((s.hits, s.misses), (1, 1));
         // freshest items survive
         assert!(c.contains(b"bulk-1999"));
         c.check_invariants().unwrap();

@@ -111,14 +111,20 @@ pub(crate) struct Shard {
     /// included — and a successful fetch's latency becomes the key's
     /// penalty estimate (ground truth observed, not probed).
     backend: Option<BackendSim>,
-    /// Shared observability registry (per-band counters, slab-move
-    /// timing). `None` keeps the hot paths free of even the branch's
-    /// atomic traffic — the baseline `repro obs` measures against.
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// Observability registry shared by every shard of the cache. Its
+    /// per-band cells are the only hit/miss/eviction counts: `report()`
+    /// sums them into the aggregates.
+    metrics: Arc<MetricsRegistry>,
+}
+
+/// A registry whose bands mirror the config's penalty-band split, so
+/// `band_of` indices line up.
+pub(crate) fn registry_for(cfg: &CacheConfig) -> Arc<MetricsRegistry> {
+    Arc::new(MetricsRegistry::new(cfg.penalty_bands.iter().map(|d| d.as_micros()).collect()))
 }
 
 impl Shard {
-    pub fn new(mut cfg: CacheConfig, pama: PamaConfig) -> Self {
+    pub fn new(mut cfg: CacheConfig, pama: PamaConfig, metrics: Arc<MetricsRegistry>) -> Self {
         // Pre-size the maps from slab geometry: the shard can never
         // hold more items than total_bytes / min_slot, so reserving
         // that up front avoids rehash storms during warm-up. Capped so
@@ -142,7 +148,7 @@ impl Shard {
             cfg,
             serial: 0,
             backend: None,
-            metrics: None,
+            metrics,
         }
     }
 
@@ -151,17 +157,14 @@ impl Shard {
         self
     }
 
-    pub fn with_metrics(mut self, metrics: Option<Arc<MetricsRegistry>>) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
     fn tick(&mut self, now: SimTime) -> Tick {
         self.serial += 1;
         Tick { now, serial: self.serial }
     }
 
-    /// The penalty to attribute to a key on insert.
+    /// The penalty to attribute to a key on insert. Any SET closes the
+    /// key's probe window, so a later SET cannot mistake a stale
+    /// miss→SET gap for a measurement.
     fn penalty_for(
         &mut self,
         h: u64,
@@ -169,10 +172,11 @@ impl Shard {
         now: SimTime,
         c: &ShardCounters,
     ) -> SimDuration {
+        let probe = self.probes.remove(&h);
         if let Some(p) = explicit {
             return p.min(PENALTY_CAP);
         }
-        if let Some(probe) = self.probes.remove(&h) {
+        if let Some(probe) = probe {
             let gap = now.saturating_since(probe.miss_at);
             if gap <= PENALTY_CAP && gap > SimDuration::ZERO {
                 ShardCounters::bump(&c.penalty_samples);
@@ -236,11 +240,7 @@ impl Shard {
         match self.entries.get(&h) {
             Some(e) if self.key_matches(e, key) && !Self::expired(e, now) => {
                 let value = self.value_of(e)?;
-                // 1:1 with the caller's aggregate-hit bump, so band
-                // sums always equal the aggregate (repro obs asserts).
-                if let Some(m) = &self.metrics {
-                    m.band(e.band as usize).hits.inc();
-                }
+                self.metrics.band(e.band as usize).hits.inc();
                 Some(CacheValue { value, flags: e.flags, cas: e.cas })
             }
             _ => None,
@@ -263,7 +263,6 @@ impl Shard {
         if let Some(e) = self.entries.get(&h) {
             if self.key_matches(e, key) && Self::expired(e, now) {
                 self.drop_expired(h, now, c);
-                self.publish_storage_gauges(c);
             }
         }
     }
@@ -289,10 +288,7 @@ impl Shard {
                 let req = Request::get(now, h, key.len() as u32, value.len() as u32);
                 let out = self.policy.on_get(&req, tick);
                 debug_assert!(out.hit, "policy lost a stored key");
-                ShardCounters::bump(&c.hits);
-                if let Some(m) = &self.metrics {
-                    m.band(band as usize).hits.inc();
-                }
+                self.metrics.band(band as usize).hits.inc();
                 Some(CacheValue { value, flags, cas })
             }
             Some(e) => {
@@ -305,7 +301,6 @@ impl Shard {
                     self.drop_entry(h, now, c);
                 }
                 self.miss(h, key, tick, c);
-                self.publish_storage_gauges(c);
                 None
             }
             None => {
@@ -317,7 +312,6 @@ impl Shard {
 
     fn miss(&mut self, h: u64, key: &[u8], tick: Tick, c: &ShardCounters) {
         let now = tick.now;
-        ShardCounters::bump(&c.misses);
         // Tell the policy about the miss: with demand-fill off nothing
         // is inserted, but the access advances the value window and —
         // crucially for slab rebalance — a ghosted key credits its
@@ -363,13 +357,11 @@ impl Shard {
         // regeneration penalty (the backend's just-measured latency,
         // a prior estimate, or the default) and accumulate the
         // penalty-weighted miss cost — the paper's service-time
-        // integrand. 1:1 with the `misses` bump above.
-        if let Some(m) = &self.metrics {
-            let penalty = self.estimates.get(&h).copied().unwrap_or(DEFAULT_PENALTY);
-            let cells = m.band(self.cfg.band_of(penalty));
-            cells.misses.inc();
-            cells.penalty_cost_us.add(penalty.as_micros());
-        }
+        // integrand.
+        let penalty = self.estimates.get(&h).copied().unwrap_or(DEFAULT_PENALTY);
+        let cells = self.metrics.band(self.cfg.band_of(penalty));
+        cells.misses.inc();
+        cells.penalty_cost_us.add(penalty.as_micros());
     }
 
     #[allow(clippy::too_many_arguments)] // internal; mirrors the public set() signature plus shard context
@@ -401,7 +393,6 @@ impl Shard {
         let footprint = item_bytes + u64::from(self.cfg.item_overhead);
         if footprint > self.cfg.slab_bytes {
             ShardCounters::bump(&c.rejected);
-            self.publish_storage_gauges(c);
             return Err(CacheError::ValueTooLarge {
                 item_bytes: footprint,
                 max_bytes: self.cfg.slab_bytes,
@@ -431,7 +422,6 @@ impl Shard {
                             band,
                         },
                     );
-                    self.publish_storage_gauges(c);
                     Ok(())
                 }
                 None => {
@@ -443,13 +433,11 @@ impl Shard {
                     let t = Tick { now, serial: self.serial };
                     self.policy.on_delete(&Request::delete(now, h, 0), t);
                     ShardCounters::bump(&c.rejected);
-                    self.publish_storage_gauges(c);
                     Err(CacheError::CapacityExhausted { item_bytes })
                 }
             }
         } else {
             ShardCounters::bump(&c.rejected);
-            self.publish_storage_gauges(c);
             Err(CacheError::CapacityExhausted { item_bytes })
         }
     }
@@ -505,7 +493,6 @@ impl Shard {
             }
             EntryState::Expired => {
                 self.drop_expired(h, now, c);
-                self.publish_storage_gauges(c);
                 false
             }
             EntryState::Absent => false,
@@ -521,7 +508,6 @@ impl Shard {
         for h in keys {
             self.drop_entry(h, now, c);
         }
-        self.publish_storage_gauges(c);
         n
     }
 
@@ -548,13 +534,10 @@ impl Shard {
             match e {
                 PolicyEvent::Evicted { key, band, .. } => {
                     if let Some(entry) = self.entries.remove(&key) {
-                        ShardCounters::bump(&c.evictions);
                         ShardCounters::sub(&c.items, 1);
                         ShardCounters::sub(&c.live_bytes, self.stored_len(&entry));
                         Self::release(&mut self.arena, &entry);
-                        if let Some(m) = &self.metrics {
-                            m.band(band as usize).evictions.inc();
-                        }
+                        self.metrics.band(band as usize).evictions.inc();
                     } else {
                         debug_assert!(false, "policy evicted a key the store never held");
                     }
@@ -562,13 +545,11 @@ impl Shard {
                 PolicyEvent::SlabGranted { class } => {
                     let granted = self.arena.grant_slab(class as usize);
                     debug_assert!(granted.is_ok(), "slab grant drifted: {granted:?}");
-                    if let Some(m) = &self.metrics {
-                        m.slab_grants.inc();
-                    }
+                    self.metrics.slab_grants.inc();
                 }
                 PolicyEvent::SlabMoved { src_class, src_band, dst_class } => {
                     let entries = &mut self.entries;
-                    let t0 = self.metrics.is_some().then(Instant::now);
+                    let t0 = Instant::now();
                     let moved = self.arena.transfer_slab(
                         src_class as usize,
                         dst_class as usize,
@@ -583,26 +564,11 @@ impl Shard {
                         },
                     );
                     debug_assert!(moved.is_ok(), "slab transfer drifted: {moved:?}");
-                    if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-                        m.slab_move_us.record(t0.elapsed().as_micros() as u64);
-                        m.band(src_band as usize).slab_moves.inc();
-                    }
+                    self.metrics.slab_move_us.record(t0.elapsed().as_micros() as u64);
+                    self.metrics.band(src_band as usize).slab_moves.inc();
                 }
             }
         }
-    }
-
-    /// Publishes the arena's aggregate gauges to the shard counters so
-    /// `report()`'s counter half stays lock-free. Cheap: a handful of
-    /// atomic stores.
-    fn publish_storage_gauges(&self, c: &ShardCounters) {
-        let st = self.arena.stats();
-        ShardCounters::set(&c.slabs_in_use, st.slabs);
-        ShardCounters::set(&c.arena_resident_bytes, st.resident_bytes);
-        ShardCounters::set(&c.arena_free_slots, st.free_slots);
-        ShardCounters::set(&c.arena_slot_bytes, st.live_slot_bytes);
-        ShardCounters::set(&c.slab_transfers, st.transfers);
-        ShardCounters::set(&c.slot_moves, st.slot_moves);
     }
 
     /// Detailed slab-arena accounting for probes and benchmarks. Walks
@@ -651,7 +617,6 @@ impl Shard {
                 ShardCounters::bump(&c.deletes);
                 let now = SimTime::ZERO; // recency is irrelevant for removal
                 self.drop_entry(h, now, c);
-                self.publish_storage_gauges(c);
                 true
             }
             _ => false,
@@ -668,7 +633,6 @@ impl Shard {
         for &h in &expired {
             self.drop_expired(h, now, c);
         }
-        self.publish_storage_gauges(c);
         expired.len()
     }
 
@@ -754,18 +718,18 @@ pub(crate) struct ShardCell {
     inner: RwLock<Shard>,
     log: AccessLog,
     counters: ShardCounters,
-    /// Observability registry shared by every shard of the cache.
-    /// `None` keeps the hot path free of even the sampling branch.
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// The shard's registry, reachable without the lock for latency
+    /// timing.
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl ShardCell {
-    pub fn new(shard: Shard, metrics: Option<Arc<MetricsRegistry>>) -> Self {
+    pub fn new(shard: Shard) -> Self {
         Self {
+            metrics: Arc::clone(&shard.metrics),
             inner: RwLock::new(shard),
             log: AccessLog::new(ACCESS_LOG_CAPACITY),
             counters: ShardCounters::default(),
-            metrics,
         }
     }
 
@@ -791,20 +755,15 @@ impl ShardCell {
     }
 
     pub fn get(&self, h: u64, key: &[u8], now: SimTime) -> Option<CacheValue> {
-        // Sampled latency timing (1 op in `LATENCY_SAMPLE`): two clock
-        // reads per sampled op keep the measured overhead well inside
-        // the <5% budget `repro obs` enforces.
-        let timer = self
-            .metrics
-            .as_deref()
-            .filter(|m| m.sample_latency(h))
-            .map(|m| (m, Instant::now()));
+        // Sampled latency timing (1 op in `LATENCY_SAMPLE`): the two
+        // clock reads stay off all but a sliver of the hot path.
+        let t0 = self.metrics.sample_latency(h).then(Instant::now);
         let result = self.get_inner(h, key, now);
-        if let Some((m, t0)) = timer {
+        if let Some(t0) = t0 {
             let us = t0.elapsed().as_micros() as u64;
             match &result {
-                Some(_) => m.hit_latency_us.record(us),
-                None => m.miss_latency_us.record(us),
+                Some(_) => self.metrics.hit_latency_us.record(us),
+                None => self.metrics.miss_latency_us.record(us),
             }
         }
         result
@@ -814,7 +773,6 @@ impl ShardCell {
         {
             let shard = self.inner.read();
             if let Some(value) = shard.read_hit(h, key, now) {
-                ShardCounters::bump(&self.counters.hits);
                 self.log.record(h);
                 return Some(value);
             }
@@ -896,7 +854,6 @@ impl ShardCell {
             for &(i, h) in group {
                 match shard.read_hit(h, keys[i], now) {
                     Some(value) => {
-                        ShardCounters::bump(&self.counters.hits);
                         self.log.record(h);
                         out[i] = Some(value);
                     }
@@ -967,7 +924,7 @@ mod tests {
             slab_bytes: 64 << 10,
             ..CacheConfig::default()
         };
-        Shard::new(cfg, PamaConfig::default())
+        Shard::new(cfg.clone(), PamaConfig::default(), registry_for(&cfg))
     }
 
     fn t(ms: u64) -> SimTime {
@@ -1001,6 +958,19 @@ mod tests {
     }
 
     #[test]
+    fn explicit_set_closes_the_probe_window() {
+        let mut s = shard();
+        let c = ShardCounters::default();
+        assert!(s.get_locked(8, b"k8", t(0), &c).is_none());
+        s.set(8, b"k8", b"v", None, Some(SimDuration::from_secs(2)), 0, t(10), &c).unwrap();
+        // A later plain SET must not measure the stale 0 → 50 ms gap.
+        s.set(8, b"k8", b"v", None, None, 0, t(50), &c).unwrap();
+        assert_eq!(c.snapshot().measured_penalties, 0);
+        assert_eq!(s.estimates.get(&8), None);
+        assert_eq!(s.policy.cache().peek(8).unwrap().penalty, DEFAULT_PENALTY);
+    }
+
+    #[test]
     fn over_cap_gap_falls_back_to_default() {
         let mut s = shard();
         let c = ShardCounters::default();
@@ -1026,8 +996,7 @@ mod tests {
         // a GET that finds the lapsed entry drops and counts it too
         s.set(6, b"k6", b"v", Some(SimDuration::from_millis(10)), None, 0, t(160), &c).unwrap();
         assert!(s.get_locked(6, b"k6", t(180), &c).is_none());
-        let st = c.snapshot();
-        assert_eq!((st.expired, st.misses), (2, 1));
+        assert_eq!((c.snapshot().expired, s.metrics.snapshot().total_misses()), (2, 1));
         // sweep path
         s.set(5, b"k5", b"v", Some(SimDuration::from_millis(10)), None, 0, t(200), &c).unwrap();
         assert_eq!(s.sweep_expired(t(500), &c), 1);
@@ -1062,7 +1031,7 @@ mod tests {
         }
         let st = c.snapshot();
         assert!(st.items < 40, "1 MiB can't hold 200×30 KB: items {}", st.items);
-        assert!(st.evictions > 0);
+        assert!(s.metrics.snapshot().total_evictions() > 0);
         // store and policy agree exactly, incremental counters included
         assert_eq!(st.items as usize, s.policy.cache().len());
         assert_eq!(st.items as usize, s.entries.len());

@@ -1,11 +1,13 @@
 //! Cache-wide statistics.
 //!
-//! Each shard maintains a [`ShardCounters`] block of atomics, updated
-//! with `Relaxed` operations from whichever thread holds (or, for the
-//! read path, does not hold) the shard lock. [`crate::PamaCache::report`]
-//! snapshots them without locking, so a stats poller never stalls
-//! writers; only its slab half ([`CacheReport::slabs`]) takes each
-//! shard's read lock.
+//! Every number has one owner. Each shard's [`ShardCounters`] block of
+//! `Relaxed` atomics counts operations (sets, deletes, expiries, …);
+//! hits, misses and evictions live only in the cache's penalty-band
+//! registry; arena gauges live only in each shard's slab arena.
+//! [`crate::PamaCache::report`] assembles [`CacheStats`] from all
+//! three: it sums the band cells into `hits`/`misses`/`evictions` and
+//! takes each shard's read lock to build the slab ledger, from which it
+//! fills the arena fields.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,7 +35,7 @@ pub fn merge_all<T: Merge, I: IntoIterator<Item = T>>(parts: I) -> Option<T> {
 }
 
 /// Everything [`crate::PamaCache::report`] knows, in one snapshot:
-/// the lock-free counter block plus the detailed slab ledger — one
+/// aggregate counters and gauges plus the detailed slab ledger — one
 /// call, one consistent reporting cadence.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheReport {
@@ -50,15 +52,18 @@ pub struct CacheReport {
 /// (point-in-time).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheStats {
-    /// GETs that returned a value.
+    /// GETs that returned a value: the sum of the registry's per-band
+    /// hits.
     pub hits: u64,
-    /// GETs that found nothing (including expiries and collisions).
+    /// GETs that found nothing (including expiries and collisions): the
+    /// sum of the registry's per-band misses.
     pub misses: u64,
     /// SET calls.
     pub sets: u64,
     /// Successful DELETE calls.
     pub deletes: u64,
-    /// Items evicted by the allocator to make room.
+    /// Items evicted by the allocator to make room: the sum of the
+    /// registry's per-band evictions.
     pub evictions: u64,
     /// Items dropped by TTL expiry (lazy or swept).
     pub expired: u64,
@@ -89,7 +94,9 @@ pub struct CacheStats {
     /// Read-path hit records discarded because the access log was full;
     /// each costs one recency refresh, never correctness.
     pub deferred_dropped: u64,
-    /// Slabs carved in the physical arenas.
+    /// Slabs carved in the physical arenas. This and the other arena
+    /// fields below are read from the slab ledger at `report()` time
+    /// (they equal the matching [`SlabReport`] fields).
     pub slabs_in_use: u64,
     /// Arena-resident bytes: slab backing memory plus per-slot
     /// metadata. Bounded by the configured cache size plus metadata.
@@ -260,17 +267,15 @@ impl Merge for SlabReport {
     }
 }
 
-/// Per-shard live counters. `items` and `live_bytes` are maintained
-/// incrementally at every insert/remove so a snapshot never has to walk
-/// the entry map; the penalty mean is kept as (sum, count) so it can be
-/// read atomically piecewise.
+/// Per-shard operation counters: the [`CacheStats`] fields that
+/// neither the band registry nor the slab arena owns. `items` and
+/// `live_bytes` are maintained incrementally at every insert/remove so
+/// a snapshot never has to walk the entry map; the penalty mean is kept
+/// as (sum, count) so it can be read atomically piecewise.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
     pub sets: AtomicU64,
     pub deletes: AtomicU64,
-    pub evictions: AtomicU64,
     pub expired: AtomicU64,
     pub rejected: AtomicU64,
     pub items: AtomicU64,
@@ -282,27 +287,21 @@ pub(crate) struct ShardCounters {
     pub backend_failures: AtomicU64,
     pub backend_time_us: AtomicU64,
     pub deferred_hits: AtomicU64,
-    pub slabs_in_use: AtomicU64,
-    pub arena_resident_bytes: AtomicU64,
-    pub arena_free_slots: AtomicU64,
-    pub arena_slot_bytes: AtomicU64,
-    pub slab_transfers: AtomicU64,
-    pub slot_moves: AtomicU64,
 }
 
 impl ShardCounters {
     /// Point-in-time snapshot via `Relaxed` loads. Individually each
     /// counter is exact; cross-counter consistency is best-effort,
-    /// which is the usual contract for live cache stats.
+    /// which is the usual contract for live cache stats. Fields this
+    /// block does not own — the band-registry counts, the arena gauges
+    /// and `deferred_dropped` (the access log's) — stay zero for the
+    /// cell and `report()` to fill in.
     pub fn snapshot(&self) -> CacheStats {
         let samples = self.penalty_samples.load(Ordering::Relaxed);
         let sum_us = self.penalty_sum_us.load(Ordering::Relaxed);
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
             sets: self.sets.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             items: self.items.load(Ordering::Relaxed),
@@ -318,13 +317,7 @@ impl ShardCounters {
             backend_failures: self.backend_failures.load(Ordering::Relaxed),
             backend_time_us: self.backend_time_us.load(Ordering::Relaxed),
             deferred_hits: self.deferred_hits.load(Ordering::Relaxed),
-            deferred_dropped: 0, // owned by the access log; the cell fills it in
-            slabs_in_use: self.slabs_in_use.load(Ordering::Relaxed),
-            arena_resident_bytes: self.arena_resident_bytes.load(Ordering::Relaxed),
-            arena_free_slots: self.arena_free_slots.load(Ordering::Relaxed),
-            arena_slot_bytes: self.arena_slot_bytes.load(Ordering::Relaxed),
-            slab_transfers: self.slab_transfers.load(Ordering::Relaxed),
-            slot_moves: self.slot_moves.load(Ordering::Relaxed),
+            ..CacheStats::default()
         }
     }
 
@@ -341,13 +334,6 @@ impl ShardCounters {
     #[inline]
     pub fn sub(counter: &AtomicU64, n: u64) {
         counter.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Gauge store: the arena publishes its aggregates wholesale after
-    /// each mutation instead of tracking deltas.
-    #[inline]
-    pub fn set(counter: &AtomicU64, v: u64) {
-        counter.store(v, Ordering::Relaxed);
     }
 }
 
@@ -419,14 +405,14 @@ mod tests {
     #[test]
     fn counters_snapshot_matches_updates() {
         let c = ShardCounters::default();
-        ShardCounters::bump(&c.hits);
-        ShardCounters::bump(&c.hits);
+        ShardCounters::bump(&c.sets);
+        ShardCounters::bump(&c.sets);
         ShardCounters::add(&c.items, 3);
         ShardCounters::sub(&c.items, 1);
         ShardCounters::add(&c.penalty_samples, 2);
         ShardCounters::add(&c.penalty_sum_us, 300);
         let s = c.snapshot();
-        assert_eq!(s.hits, 2);
+        assert_eq!(s.sets, 2);
         assert_eq!(s.items, 2);
         assert_eq!(s.measured_penalties, 2);
         assert!((s.mean_measured_penalty_us - 150.0).abs() < 1e-9);

@@ -293,8 +293,8 @@ proptest! {
             }
             cache.check_invariants().map_err(TestCaseError::fail)?;
         }
-        // End state: the arena's own aggregates agree with the
-        // lock-free stats gauges and with a full recount.
+        // End state: the slab ledger agrees with the arena fields
+        // `report()` fills into the stats, and with a full recount.
         let r = cache.report();
         let stats = r.cache;
         let slabs = r.slabs.expect("the slab ledger is always reported");

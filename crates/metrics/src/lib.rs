@@ -17,9 +17,8 @@
 //! Overhead budget (see DESIGN.md §8): band counters are one or two
 //! relaxed `fetch_add`s per operation; latency timing — the expensive
 //! part, two clock reads — is *sampled* (1 in [`LATENCY_SAMPLE`]
-//! operations) so the instrumented hot path stays within a few
-//! percent of the bare one. The `repro obs` experiment enforces the
-//! budget (< 5 % on the throughput benchmark).
+//! operations). `pama-kv` attaches a registry to every cache, and its
+//! band cells are the cache's only hit/miss/eviction counts.
 //!
 //! ```
 //! use pama_metrics::MetricsRegistry;
@@ -184,10 +183,9 @@ impl HistogramSnapshot {
     }
 }
 
-/// One penalty band's live cells. Each is 1:1 with the cache's
-/// aggregate counters: every counted hit/miss/eviction records into
-/// exactly one band, so band sums always equal the aggregates (the
-/// invariant `repro obs` asserts).
+/// One penalty band's live cells. Every hit/miss/eviction records into
+/// exactly one band, and the cache's aggregate counts are the band
+/// sums.
 #[derive(Debug, Default)]
 pub struct BandCells {
     /// GETs served from cache for items in this band.
@@ -391,17 +389,17 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Sum of per-band hits — must equal the cache's aggregate.
+    /// Sum of per-band hits — the cache's aggregate hit count.
     pub fn total_hits(&self) -> u64 {
         self.bands.iter().map(|b| b.hits).sum()
     }
 
-    /// Sum of per-band misses — must equal the cache's aggregate.
+    /// Sum of per-band misses — the cache's aggregate miss count.
     pub fn total_misses(&self) -> u64 {
         self.bands.iter().map(|b| b.misses).sum()
     }
 
-    /// Sum of per-band evictions — must equal the cache's aggregate.
+    /// Sum of per-band evictions — the cache's aggregate eviction count.
     pub fn total_evictions(&self) -> u64 {
         self.bands.iter().map(|b| b.evictions).sum()
     }

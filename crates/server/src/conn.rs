@@ -11,7 +11,7 @@
 
 use crate::proto::{Command, Parser, Step, Store};
 use crate::Shared;
-use pama_kv::{CacheError, SetOptions};
+use pama_kv::{CacheError, MetricsRegistry, SetOptions};
 use pama_util::SimDuration;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -286,12 +286,10 @@ fn emit_stats(shared: &Shared, out: &mut Vec<u8>) {
 /// suffixes and contain no spaces, so they survive the framing — the
 /// same lines `pamactl metrics` re-renders as an exposition document.
 fn emit_stats_metrics(shared: &Shared, out: &mut Vec<u8>) {
-    if let Some(m) = shared.cache.metrics() {
-        // `report()` refreshes the arena gauges from the merged view.
-        let _ = shared.cache.report();
-        for (name, value) in m.snapshot().prometheus_lines() {
-            out.extend_from_slice(format!("STAT {name} {value}\r\n").as_bytes());
-        }
+    // `report()` refreshes the arena gauges from the merged view.
+    let _ = shared.cache.report();
+    for (name, value) in registry(shared).snapshot().prometheus_lines() {
+        out.extend_from_slice(format!("STAT {name} {value}\r\n").as_bytes());
     }
     out.extend_from_slice(b"END\r\n");
 }
@@ -300,10 +298,12 @@ fn emit_stats_metrics(shared: &Shared, out: &mut Vec<u8>) {
 /// `BandSnapshot::render` format (`lo_us=… hi_us=… hits=… misses=…
 /// penalty_cost_us=… evictions=… slab_moves=…`).
 fn emit_stats_bands(shared: &Shared, out: &mut Vec<u8>) {
-    if let Some(m) = shared.cache.metrics() {
-        for (i, band) in m.snapshot().bands.iter().enumerate() {
-            out.extend_from_slice(format!("STAT band_{i} {}\r\n", band.render()).as_bytes());
-        }
+    for (i, band) in registry(shared).snapshot().bands.iter().enumerate() {
+        out.extend_from_slice(format!("STAT band_{i} {}\r\n", band.render()).as_bytes());
     }
     out.extend_from_slice(b"END\r\n");
+}
+
+fn registry(shared: &Shared) -> &MetricsRegistry {
+    shared.cache.metrics().expect("pama-kv always attaches a metrics registry")
 }

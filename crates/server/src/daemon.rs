@@ -55,12 +55,7 @@ impl Default for DaemonOptions {
 pub fn build_cache(opts: &DaemonOptions) -> Result<Arc<PamaCache>, String> {
     let mut builder = CacheBuilder::new()
         .total_bytes(opts.memory_mb.max(1) << 20)
-        .slab_bytes(opts.slab_kb.max(1) << 10)
-        // Always-on observability: `stats metrics` / `stats bands` and
-        // `pamactl metrics` must work against any running daemon, and
-        // the sampled registry costs well under the 5% budget the
-        // `repro obs` experiment enforces.
-        .metrics(true);
+        .slab_bytes(opts.slab_kb.max(1) << 10);
     if opts.shards > 0 {
         builder = builder.shards(opts.shards);
     }

@@ -305,15 +305,10 @@ fn stats_lines_arrive_in_deterministic_order() {
     srv.shutdown();
 }
 
+/// The default test server plus a handle on its cache, whose registry
+/// is always attached.
 fn metrics_server() -> (Arc<PamaCache>, Server) {
-    let cache = Arc::new(
-        CacheBuilder::new()
-            .total_bytes(8 << 20)
-            .slab_bytes(64 << 10)
-            .shards(2)
-            .metrics(true)
-            .build(),
-    );
+    let cache = cache();
     let srv = Server::bind(cache.clone(), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback");
     (cache, srv)
@@ -375,18 +370,6 @@ fn stats_metrics_exposes_labelled_prometheus_families() {
         assert!(!name.contains(' '), "metric name {name:?} would break STAT framing");
         assert!(!value.contains(' '), "metric value {value:?} would break STAT framing");
     }
-    srv.shutdown();
-}
-
-#[test]
-fn stats_without_metrics_registry_yields_bare_end() {
-    // The default test server has no registry: both subcommands must
-    // answer an empty (but well-formed) response, not an error.
-    let srv = server();
-    let mut c = Client::connect(srv.local_addr()).unwrap();
-    assert!(c.stats_of(Some("metrics")).unwrap().is_empty());
-    assert!(c.stats_of(Some("bands")).unwrap().is_empty());
-    assert!(c.version().unwrap().starts_with("pama-"), "connection survives");
     srv.shutdown();
 }
 
