@@ -4,10 +4,12 @@
 //!
 //! Two phases:
 //!
-//! 1. **bands** — in-process traffic with explicit per-band penalties;
-//!    asserts the aggregate hit/miss totals (the band sums) match the
-//!    traffic sent and that attribution lands in the band the paper's
-//!    five-way split predicts;
+//! 1. **bands** — in-process traffic with explicit per-band penalties,
+//!    its GETs issued from `GET_THREADS` threads across every shard so
+//!    the registry's per-shard stripes are written concurrently;
+//!    asserts the aggregate hit/miss totals (the sums over bands and
+//!    stripes) match the traffic sent and that attribution lands in the
+//!    band the paper's five-way split predicts;
 //! 2. **wire** — the same registry read back over loopback via
 //!    `stats bands`; every parsed line must equal the in-process
 //!    snapshot byte-for-byte.
@@ -37,6 +39,8 @@ const BAND_PENALTIES_US: [u64; 5] = [500, 5_000, 50_000, 500_000, 3_000_000];
 /// Misses on never-seen keys attribute to the default penalty
 /// (100 ms), which the five-way split places in band 2.
 const DEFAULT_PENALTY_BAND: usize = 2;
+/// Threads issuing phase 1's GETs.
+const GET_THREADS: usize = 2;
 
 fn key_of(band: usize, i: usize) -> Vec<u8> {
     format!("band{band}:key:{i:06}").into_bytes()
@@ -61,23 +65,36 @@ fn metrics_cache() -> Arc<PamaCache> {
 /// Phase 1: in-process traffic with known per-band composition.
 fn run_bands(keys_per_band: usize, gets_per_key: usize, miss_ops: usize) -> Vec<ShapeCheck> {
     let cache = metrics_cache();
-    // (i+1) GET hits per key of band i — a distinct, non-uniform count
-    // per band so a cross-attribution bug cannot cancel out.
     for (band, &penalty_us) in BAND_PENALTIES_US.iter().enumerate() {
         let opts = SetOptions::new().penalty(SimDuration::from_micros(penalty_us));
         for i in 0..keys_per_band {
             let key = key_of(band, i);
             cache.set(&key, &value_of(i), &opts).expect("preload set");
         }
-        for _ in 0..(band + 1) * gets_per_key {
-            for i in 0..keys_per_band {
-                assert!(cache.get(&key_of(band, i)).is_some(), "resident key missed");
-            }
+    }
+    // (i+1) GET hits per key of band i — a distinct, non-uniform count
+    // per band so a cross-attribution bug cannot cancel out. The rounds
+    // and the misses are dealt round-robin to the threads.
+    std::thread::scope(|s| {
+        for t in 0..GET_THREADS {
+            let cache = &cache;
+            s.spawn(move || {
+                for band in 0..BAND_PENALTIES_US.len() {
+                    for _ in (t..(band + 1) * gets_per_key).step_by(GET_THREADS) {
+                        for i in 0..keys_per_band {
+                            assert!(
+                                cache.get(&key_of(band, i)).is_some(),
+                                "resident key missed"
+                            );
+                        }
+                    }
+                }
+                for i in (t..miss_ops).step_by(GET_THREADS) {
+                    assert!(cache.get(format!("ghost:{i:06}").as_bytes()).is_none());
+                }
+            });
         }
-    }
-    for i in 0..miss_ops {
-        assert!(cache.get(format!("ghost:{i:06}").as_bytes()).is_none());
-    }
+    });
 
     let snap = cache.metrics().expect("registry attached").snapshot();
     let report = cache.report();
@@ -191,7 +208,7 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
     let seed = opts.seed.unwrap_or(0x0B5E_7AB1);
 
     println!(
-        "obs: {keys_per_band} keys/band, {wire_ops} wire ops{}",
+        "obs: {keys_per_band} keys/band from {GET_THREADS} threads, {wire_ops} wire ops{}",
         if opts.smoke { " [smoke]" } else { "" }
     );
 
@@ -207,6 +224,7 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
                 ("keys_per_band", Json::U64(keys_per_band as u64)),
                 ("gets_per_key", Json::U64(gets_per_key as u64)),
                 ("miss_ops", Json::U64(miss_ops as u64)),
+                ("get_threads", Json::U64(GET_THREADS as u64)),
                 ("wire_keys", Json::U64(wire_keys as u64)),
                 ("wire_ops", Json::U64(wire_ops as u64)),
                 ("total_bytes", Json::U64(TOTAL_BYTES)),

@@ -266,8 +266,9 @@ impl Pama {
     }
 
     /// Turns [`PolicyEvent`] recording on or off. A caller that backs
-    /// this policy with physical storage turns it on and drains
-    /// [`take_events`](Self::take_events) after every mutating call.
+    /// this policy with physical storage turns it on and calls
+    /// [`drain_events_into`](Self::drain_events_into) after every
+    /// mutating call.
     pub fn set_record_events(&mut self, on: bool) {
         self.record_events = on;
         if !on {
@@ -275,10 +276,12 @@ impl Pama {
         }
     }
 
-    /// Takes the storage events recorded since the last drain, in the
-    /// order the decisions happened.
-    pub fn take_events(&mut self) -> Vec<PolicyEvent> {
-        std::mem::take(&mut self.events)
+    /// Moves the storage events recorded since the last drain onto the
+    /// end of `buf`, in the order the decisions happened. Both vectors
+    /// keep their capacity, so a caller that reuses `buf` drains
+    /// without allocating.
+    pub fn drain_events_into(&mut self, buf: &mut Vec<PolicyEvent>) {
+        buf.append(&mut self.events);
     }
 
     #[inline]

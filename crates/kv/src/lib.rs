@@ -22,15 +22,20 @@
 //! * a **read-mostly hot path**: a cache-hit GET runs entirely under a
 //!   shared read lock; LRU promotion and PAMA bookkeeping are recorded
 //!   in a per-shard lock-free log and applied in batches under the
-//!   write lock (see DESIGN.md, "Concurrency model");
+//!   write lock (see DESIGN.md, "Concurrency model"). A hit touches
+//!   only shard-local memory: one bucket of an index sized by the keys
+//!   actually resident (32-byte entries), one arena read for the key
+//!   check and the value copy, the shard's own stripe of band counters,
+//!   and the clock only when the entry has a TTL;
 //! * **batched operations**: [`PamaCache::multi_get`] /
 //!   [`PamaCache::multi_set`] group keys by shard and take each shard
 //!   lock once;
 //! * **per-penalty-band accounting**, always on: every cache carries a
 //!   lock-free [`MetricsRegistry`] with per-band hit, miss,
-//!   penalty-cost, eviction and slab-move counters. These are the only
-//!   hit/miss/eviction counts; [`PamaCache::report`] sums them into the
-//!   aggregate [`CacheStats`].
+//!   penalty-cost, eviction and slab-move counters, striped so each
+//!   shard writes its own cache lines. These are the only
+//!   hit/miss/eviction counts; [`PamaCache::report`] sums them (over
+//!   bands and stripes) into the aggregate [`CacheStats`].
 //!
 //! ```
 //! use pama_kv::{CacheBuilder, PamaCache, SetOptions};
@@ -160,12 +165,12 @@ impl CacheBuilder {
         };
         cfg.validate()?;
         self.pama.validate()?;
-        // One registry shared by every shard.
-        let metrics = shard::registry_for(&cfg);
+        // One registry shared by every shard, one stripe per shard.
+        let metrics = shard::registry_for(&cfg, self.shards);
         let shards = (0..self.shards)
             .map(|i| {
                 let mut shard =
-                    Shard::new(cfg.clone(), self.pama.clone(), Arc::clone(&metrics));
+                    Shard::new(cfg.clone(), self.pama.clone(), Arc::clone(&metrics), i);
                 if let Some(b) = &self.backend {
                     let mut b = b.clone();
                     // Decorrelate shard jitter streams; keep schedules.
@@ -254,7 +259,7 @@ impl PamaCache {
     /// command reports.
     pub fn lookup(&self, key: &[u8]) -> Option<CacheValue> {
         let h = hash_key(key);
-        self.shard_of(h).get(h, key, self.now())
+        self.shard_of(h).get(h, key, || self.now())
     }
 
     /// Inserts or updates a key. TTL, explicit penalty, and flags come
@@ -612,6 +617,29 @@ mod tests {
         c.set(b"dying", b"x", &SetOptions::new().ttl(SimDuration::ZERO)).unwrap();
         assert!(c.add(b"dying", b"fresh", &SetOptions::default()).unwrap());
         assert_eq!(c.get(b"dying").as_deref(), Some(&b"fresh"[..]));
+    }
+
+    #[test]
+    fn lapsed_ttl_is_never_served_and_counts_as_expired() {
+        let c = small();
+        let opts = |ttl| SetOptions::new().ttl(ttl);
+        c.set(b"lapsed-a", b"v", &opts(SimDuration::ZERO)).unwrap();
+        c.set(b"lapsed-b", b"v", &opts(SimDuration::ZERO)).unwrap();
+        c.set(b"live", b"v", &opts(SimDuration::from_secs(3600))).unwrap();
+        c.set(b"forever", b"v", &SetOptions::default()).unwrap();
+        assert_eq!(c.report().cache.expired, 0, "expiry is lazy");
+        // Neither the single-key nor the batched read path serves a
+        // lapsed entry; each drop counts once, as a miss and an expiry.
+        assert!(c.get(b"lapsed-a").is_none());
+        assert_eq!(c.report().cache.expired, 1);
+        let keys: [&[u8]; 3] = [b"lapsed-b", b"live", b"forever"];
+        let got: Vec<Option<Vec<u8>>> =
+            c.multi_get(&keys).into_iter().map(|v| v.map(|v| v.to_vec())).collect();
+        assert_eq!(got, [None, Some(b"v".to_vec()), Some(b"v".to_vec())]);
+        assert!(c.get(b"lapsed-a").is_none(), "a dropped entry is a plain miss");
+        let s = c.report().cache;
+        assert_eq!((s.expired, s.hits, s.misses, s.items), (2, 2, 3, 2));
+        c.check_invariants().unwrap();
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl AccessLog {
         self.ring.is_empty()
     }
 
-    /// Approximate number of pending records.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Total hits discarded on a full ring since creation.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -86,7 +81,6 @@ mod tests {
         log.drain_into(&mut buf);
         assert_eq!(buf, vec![1, 2, 3, 4]);
         assert!(log.is_empty());
-        assert_eq!(log.len(), 0);
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //!
 //! Concurrency model (see DESIGN.md): the mutable state lives in
 //! [`Shard`] behind a [`ShardCell`]'s `RwLock`. A cache-hit GET runs
-//! entirely under the *shared* read lock — hash lookup, key
-//! verification, TTL check, value copy-out — and records the hit in the
-//! cell's lock-free [`AccessLog`] instead of promoting the entry
-//! inline. Every path that takes the write lock (SET, DELETE, a GET
-//! miss, TTL sweeps, explicit flush) takes it through
-//! [`ShardCell::write`], which drains the log first, so deferred
-//! promotions are applied in recorded order before any state change.
+//! entirely under the *shared* read lock — one index probe, one arena
+//! read for both the key check and the value copy-out, a clock read
+//! only if the entry has a TTL, and a hit count in the shard's own
+//! stripe of the band registry — and records the hit in the cell's
+//! lock-free [`AccessLog`] instead of promoting the entry inline.
+//! Every path that takes the write lock (SET, DELETE, a GET miss, TTL
+//! sweeps, explicit flush) takes it through [`ShardCell::write`], which
+//! drains the log first, so deferred promotions are applied in recorded
+//! order before any state change.
 //! The read path itself never drains: applying a deferred hit to the
 //! policy costs as much as the inline promotion it replaced, so a
 //! reader-side drain would hand the saved cost right back. Instead the
@@ -43,14 +45,17 @@ use std::time::Instant;
 /// lock, short enough not to stall the writer that triggers it.
 const ACCESS_LOG_CAPACITY: usize = 4096;
 
+/// The expiry of an entry without a TTL: later than any clock reading.
+const NEVER: SimTime = SimTime(u64::MAX);
+
 /// A stored entry: the arena slot holding its `key ‖ value` bytes
-/// (the slot stores the full key for collision rejection), the expiry,
-/// if any, and the wire-protocol metadata (opaque flags, store-order
-/// CAS stamp).
+/// (the slot stores the full key for collision rejection), the expiry
+/// ([`NEVER`] without a TTL), and the wire-protocol metadata (opaque
+/// flags, store-order CAS stamp).
 #[derive(Debug, Clone)]
 struct Entry {
     slot: SlotRef,
-    expires: Option<SimTime>,
+    expires: SimTime,
     flags: u32,
     cas: u64,
     /// Penalty band at insert time. Stable while resident (an item's
@@ -59,8 +64,24 @@ struct Entry {
     band: u8,
 }
 
-// The pre-sized entry map pays for every byte of `Entry` up to 2^19 times per shard.
-const _: () = assert!(std::mem::size_of::<Entry>() <= 40);
+// Every resident key costs one `(hash, Entry)` index bucket, and each hit
+// probes one: at 32 B, two entries fit a cache line.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
+
+impl Entry {
+    /// Whether the TTL has lapsed. `now` is only called for an entry
+    /// that has a TTL, so the hit path skips the clock for the rest.
+    #[inline]
+    fn expired(&self, now: impl FnOnce() -> SimTime) -> bool {
+        self.expires != NEVER && now() >= self.expires
+    }
+}
+
+/// The expiry of an entry stored at `now` with `ttl`; saturates to
+/// [`NEVER`] rather than overflow.
+fn expiry(now: SimTime, ttl: Option<SimDuration>) -> SimTime {
+    ttl.map_or(NEVER, |d| SimTime(now.as_micros().saturating_add(d.as_micros())))
+}
 
 /// An open penalty-probe window: the key missed at `miss_at`; a `set`
 /// arriving before the cap closes the window and records the gap as
@@ -113,23 +134,32 @@ pub(crate) struct Shard {
     backend: Option<BackendSim>,
     /// Observability registry shared by every shard of the cache. Its
     /// per-band cells are the only hit/miss/eviction counts: `report()`
-    /// sums them into the aggregates.
+    /// sums them into the aggregates. This shard writes only the cells
+    /// of its own `stripe`.
     metrics: Arc<MetricsRegistry>,
+    stripe: usize,
+    /// Reused drain buffers for the access log and the policy's
+    /// storage events, so write-lock paths do not allocate per drain.
+    hit_buf: Vec<u64>,
+    event_buf: Vec<PolicyEvent>,
 }
 
 /// A registry whose bands mirror the config's penalty-band split, so
-/// `band_of` indices line up.
-pub(crate) fn registry_for(cfg: &CacheConfig) -> Arc<MetricsRegistry> {
-    Arc::new(MetricsRegistry::new(cfg.penalty_bands.iter().map(|d| d.as_micros()).collect()))
+/// `band_of` indices line up, with one stripe per shard.
+pub(crate) fn registry_for(cfg: &CacheConfig, shards: usize) -> Arc<MetricsRegistry> {
+    let bounds = cfg.penalty_bands.iter().map(|d| d.as_micros()).collect();
+    Arc::new(MetricsRegistry::new(bounds, shards))
 }
 
 impl Shard {
-    pub fn new(mut cfg: CacheConfig, pama: PamaConfig, metrics: Arc<MetricsRegistry>) -> Self {
-        // Pre-size the maps from slab geometry: the shard can never
-        // hold more items than total_bytes / min_slot, so reserving
-        // that up front avoids rehash storms during warm-up. Capped so
-        // a huge shard doesn't pay for pathological pre-allocation.
-        let max_items = (cfg.total_bytes / cfg.min_slot.max(1)).min(1 << 18) as usize;
+    /// A shard that records into stripe `stripe` of `metrics`. The
+    /// index maps start empty and grow with the keys actually resident.
+    pub fn new(
+        mut cfg: CacheConfig,
+        pama: PamaConfig,
+        metrics: Arc<MetricsRegistry>,
+        stripe: usize,
+    ) -> Self {
         // The shard drives inserts explicitly through `set`; the
         // policy must never phantom-fill on its own.
         cfg.demand_fill = false;
@@ -141,14 +171,17 @@ impl Shard {
         policy.set_record_events(true);
         Self {
             policy,
-            entries: FastMap::with_capacity_and_hasher(max_items, Default::default()),
+            entries: FastMap::default(),
             arena,
-            estimates: FastMap::with_capacity_and_hasher(max_items, Default::default()),
-            probes: FastMap::with_capacity_and_hasher(max_items.min(4096), Default::default()),
+            estimates: FastMap::default(),
+            probes: FastMap::default(),
             cfg,
             serial: 0,
             backend: None,
             metrics,
+            stripe,
+            hit_buf: Vec::new(),
+            event_buf: Vec::new(),
         }
     }
 
@@ -188,18 +221,21 @@ impl Shard {
         self.estimates.get(&h).copied().unwrap_or(DEFAULT_PENALTY)
     }
 
-    fn expired(e: &Entry, now: SimTime) -> bool {
-        e.expires.is_some_and(|t| now >= t)
-    }
-
     /// Whether the stored entry's key bytes equal `key`.
     fn key_matches(&self, e: &Entry, key: &[u8]) -> bool {
         self.arena.read(e.slot).is_some_and(|(k, _)| k == key)
     }
 
-    /// The entry's value, copied out of its slot.
-    fn value_of(&self, e: &Entry) -> Option<Bytes> {
-        self.arena.read(e.slot).map(|(_, v)| Bytes::copy_from_slice(v))
+    /// The entry's value bytes if it stores `key` and is not expired:
+    /// one arena read serves both the key check and the value.
+    fn live_value(
+        &self,
+        e: &Entry,
+        key: &[u8],
+        now: impl FnOnce() -> SimTime,
+    ) -> Option<&[u8]> {
+        let (k, v) = self.arena.read(e.slot)?;
+        (k == key && !e.expired(now)).then_some(v)
     }
 
     /// `key + value` length of the stored entry.
@@ -235,23 +271,29 @@ impl Shard {
     /// The shared-lock hit path: lookup, key check, TTL check, value
     /// copy-out. No mutation — recency bookkeeping is the caller's job
     /// (via the access log), and reading a slot never touches the
-    /// ledger.
-    pub fn read_hit(&self, h: u64, key: &[u8], now: SimTime) -> Option<CacheValue> {
-        match self.entries.get(&h) {
-            Some(e) if self.key_matches(e, key) && !Self::expired(e, now) => {
-                let value = self.value_of(e)?;
-                self.metrics.band(e.band as usize).hits.inc();
-                Some(CacheValue { value, flags: e.flags, cas: e.cas })
-            }
-            _ => None,
-        }
+    /// ledger. `now` is called only when the entry has a TTL.
+    pub fn read_hit(
+        &self,
+        h: u64,
+        key: &[u8],
+        now: impl FnOnce() -> SimTime,
+    ) -> Option<CacheValue> {
+        let e = self.entries.get(&h)?;
+        let value = self.live_value(e, key, now)?;
+        self.metrics.band(self.stripe, e.band as usize).hits.inc();
+        Some(CacheValue { value: Bytes::copy_from_slice(value), flags: e.flags, cas: e.cas })
     }
 
     /// Immutable classification of a key's state (for `contains`).
     fn entry_state(&self, h: u64, key: &[u8], now: SimTime) -> EntryState {
         match self.entries.get(&h) {
-            Some(e) if self.key_matches(e, key) && !Self::expired(e, now) => EntryState::Live,
-            Some(e) if self.key_matches(e, key) => EntryState::Expired,
+            Some(e) if self.key_matches(e, key) => {
+                if e.expired(|| now) {
+                    EntryState::Expired
+                } else {
+                    EntryState::Live
+                }
+            }
             _ => EntryState::Absent,
         }
     }
@@ -261,7 +303,7 @@ impl Shard {
     /// lock this runs under).
     fn expire_if_dead(&mut self, h: u64, key: &[u8], now: SimTime, c: &ShardCounters) {
         if let Some(e) = self.entries.get(&h) {
-            if self.key_matches(e, key) && Self::expired(e, now) {
+            if self.key_matches(e, key) && e.expired(|| now) {
                 self.drop_expired(h, now, c);
             }
         }
@@ -279,35 +321,30 @@ impl Shard {
         c: &ShardCounters,
     ) -> Option<CacheValue> {
         let tick = self.tick(now);
-        match self.entries.get(&h) {
-            Some(e) if self.key_matches(e, key) && !Self::expired(e, now) => {
-                let (flags, cas, band) = (e.flags, e.cas, e.band);
-                let value = self.value_of(e)?;
+        if let Some(e) = self.entries.get(&h) {
+            if let Some(v) = self.live_value(e, key, || now) {
+                let hit =
+                    CacheValue { value: Bytes::copy_from_slice(v), flags: e.flags, cas: e.cas };
+                let band = e.band as usize;
                 // Keep the policy's recency bookkeeping in step. The
                 // request's sizes mirror the stored entry.
-                let req = Request::get(now, h, key.len() as u32, value.len() as u32);
+                let req = Request::get(now, h, key.len() as u32, hit.value.len() as u32);
                 let out = self.policy.on_get(&req, tick);
                 debug_assert!(out.hit, "policy lost a stored key");
-                self.metrics.band(band as usize).hits.inc();
-                Some(CacheValue { value, flags, cas })
+                self.metrics.band(self.stripe, band).hits.inc();
+                return Some(hit);
             }
-            Some(e) => {
-                // Expired, or a hash collision with a different key:
-                // treat as a miss and make room for the incoming
-                // generation. Only the former is a TTL lapse.
-                if self.key_matches(e, key) {
-                    self.drop_expired(h, now, c);
-                } else {
-                    self.drop_entry(h, now, c);
-                }
-                self.miss(h, key, tick, c);
-                None
-            }
-            None => {
-                self.miss(h, key, tick, c);
-                None
+            // Expired, or a hash collision with a different key: treat
+            // as a miss and make room for the incoming generation. Only
+            // the former is a TTL lapse.
+            if self.key_matches(e, key) {
+                self.drop_expired(h, now, c);
+            } else {
+                self.drop_entry(h, now, c);
             }
         }
+        self.miss(h, key, tick, c);
+        None
     }
 
     fn miss(&mut self, h: u64, key: &[u8], tick: Tick, c: &ShardCounters) {
@@ -359,7 +396,7 @@ impl Shard {
         // penalty-weighted miss cost — the paper's service-time
         // integrand.
         let penalty = self.estimates.get(&h).copied().unwrap_or(DEFAULT_PENALTY);
-        let cells = self.metrics.band(self.cfg.band_of(penalty));
+        let cells = self.metrics.band(self.stripe, self.cfg.band_of(penalty));
         cells.misses.inc();
         cells.penalty_cost_us.add(penalty.as_micros());
     }
@@ -416,7 +453,7 @@ impl Shard {
                         h,
                         Entry {
                             slot,
-                            expires: ttl.map(|d| now + d),
+                            expires: expiry(now, ttl),
                             flags,
                             cas: self.serial,
                             band,
@@ -487,7 +524,7 @@ impl Shard {
                 let out = self.policy.on_get(&req, tick);
                 debug_assert!(out.hit, "policy lost a touched key");
                 if let Some(e) = self.entries.get_mut(&h) {
-                    e.expires = ttl.map(|d| now + d);
+                    e.expires = expiry(now, ttl);
                 }
                 true
             }
@@ -526,18 +563,16 @@ impl Shard {
     /// index and free their slots, grants carve fresh slabs, and slab
     /// moves compact + re-carve (repointing every relocated handle).
     fn apply_policy_events(&mut self, c: &ShardCounters) {
-        let events = self.policy.take_events();
-        if events.is_empty() {
-            return;
-        }
-        for e in events {
+        let mut events = std::mem::take(&mut self.event_buf);
+        self.policy.drain_events_into(&mut events);
+        for e in events.drain(..) {
             match e {
                 PolicyEvent::Evicted { key, band, .. } => {
                     if let Some(entry) = self.entries.remove(&key) {
                         ShardCounters::sub(&c.items, 1);
                         ShardCounters::sub(&c.live_bytes, self.stored_len(&entry));
                         Self::release(&mut self.arena, &entry);
-                        self.metrics.band(band as usize).evictions.inc();
+                        self.metrics.band(self.stripe, band as usize).evictions.inc();
                     } else {
                         debug_assert!(false, "policy evicted a key the store never held");
                     }
@@ -565,10 +600,11 @@ impl Shard {
                     );
                     debug_assert!(moved.is_ok(), "slab transfer drifted: {moved:?}");
                     self.metrics.slab_move_us.record(t0.elapsed().as_micros() as u64);
-                    self.metrics.band(src_band as usize).slab_moves.inc();
+                    self.metrics.band(self.stripe, src_band as usize).slab_moves.inc();
                 }
             }
         }
+        self.event_buf = events;
     }
 
     /// Detailed slab-arena accounting for probes and benchmarks. Walks
@@ -624,12 +660,8 @@ impl Shard {
     }
 
     pub fn sweep_expired(&mut self, now: SimTime, c: &ShardCounters) -> usize {
-        let expired: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| Self::expired(e, now))
-            .map(|(&h, _)| h)
-            .collect();
+        let expired: Vec<u64> =
+            self.entries.iter().filter(|(_, e)| e.expired(|| now)).map(|(&h, _)| h).collect();
         for &h in &expired {
             self.drop_expired(h, now, c);
         }
@@ -645,6 +677,18 @@ impl Shard {
         let tick = Tick { now, serial: self.serial };
         self.policy.on_batch_access(hits, tick);
         ShardCounters::add(&c.deferred_hits, hits.len() as u64);
+    }
+
+    /// Drains `log` through the shard's reused buffer and applies the
+    /// hits with [`Self::apply_deferred`].
+    fn drain_log(&mut self, log: &AccessLog, now: SimTime, c: &ShardCounters) {
+        let mut hits = std::mem::take(&mut self.hit_buf);
+        log.drain_into(&mut hits);
+        if !hits.is_empty() {
+            self.apply_deferred(&hits, now, c);
+            hits.clear();
+        }
+        self.hit_buf = hits;
     }
 
     /// Cross-checks the byte store against the policy's accounting,
@@ -740,11 +784,7 @@ impl ShardCell {
     fn write(&self, now: SimTime) -> RwLockWriteGuard<'_, Shard> {
         let mut shard = self.inner.write();
         if !self.log.is_empty() {
-            let mut buf = Vec::with_capacity(self.log.len() + 8);
-            self.log.drain_into(&mut buf);
-            if !buf.is_empty() {
-                shard.apply_deferred(&buf, now, &self.counters);
-            }
+            shard.drain_log(&self.log, now, &self.counters);
         }
         shard
     }
@@ -754,11 +794,14 @@ impl ShardCell {
         drop(self.write(now));
     }
 
-    pub fn get(&self, h: u64, key: &[u8], now: SimTime) -> Option<CacheValue> {
+    /// Single-key GET. `clock` is read only when needed: on a hit to
+    /// an entry with a TTL, and once before taking the write lock on a
+    /// miss.
+    pub fn get(&self, h: u64, key: &[u8], clock: impl Fn() -> SimTime) -> Option<CacheValue> {
         // Sampled latency timing (1 op in `LATENCY_SAMPLE`): the two
         // clock reads stay off all but a sliver of the hot path.
         let t0 = self.metrics.sample_latency(h).then(Instant::now);
-        let result = self.get_inner(h, key, now);
+        let result = self.get_inner(h, key, clock);
         if let Some(t0) = t0 {
             let us = t0.elapsed().as_micros() as u64;
             match &result {
@@ -769,15 +812,16 @@ impl ShardCell {
         result
     }
 
-    fn get_inner(&self, h: u64, key: &[u8], now: SimTime) -> Option<CacheValue> {
+    fn get_inner(&self, h: u64, key: &[u8], clock: impl Fn() -> SimTime) -> Option<CacheValue> {
         {
             let shard = self.inner.read();
-            if let Some(value) = shard.read_hit(h, key, now) {
+            if let Some(value) = shard.read_hit(h, key, &clock) {
                 self.log.record(h);
                 return Some(value);
             }
         }
         // Miss / collision / expiry: full path under the write lock.
+        let now = clock();
         self.write(now).get_locked(h, key, now, &self.counters)
     }
 
@@ -852,7 +896,7 @@ impl ShardCell {
         {
             let shard = self.inner.read();
             for &(i, h) in group {
-                match shard.read_hit(h, keys[i], now) {
+                match shard.read_hit(h, keys[i], || now) {
                     Some(value) => {
                         self.log.record(h);
                         out[i] = Some(value);
@@ -924,7 +968,7 @@ mod tests {
             slab_bytes: 64 << 10,
             ..CacheConfig::default()
         };
-        Shard::new(cfg.clone(), PamaConfig::default(), registry_for(&cfg))
+        Shard::new(cfg.clone(), PamaConfig::default(), registry_for(&cfg, 1), 0)
     }
 
     fn t(ms: u64) -> SimTime {
@@ -1017,8 +1061,52 @@ mod tests {
         );
         assert!(s.get_locked(7, b"first", t(4), &c).is_none());
         // collisions never reach the read-hit fast path either
-        assert!(s.read_hit(7, b"first", t(5)).is_none());
+        assert!(s.read_hit(7, b"first", || t(5)).is_none());
         assert_eq!(c.snapshot().expired, 0, "a collision drop is not an expiry");
+    }
+
+    #[test]
+    fn index_grows_with_residency_not_geometry() {
+        // 1 GiB holds up to 2^24 minimum-size items; the index must not
+        // reserve for that before a single key arrives.
+        let cfg =
+            CacheConfig { total_bytes: 1 << 30, slab_bytes: 1 << 20, ..CacheConfig::default() };
+        let mut s = Shard::new(cfg.clone(), PamaConfig::default(), registry_for(&cfg, 1), 0);
+        assert!(
+            s.entries.capacity() + s.estimates.capacity() < 64,
+            "empty shard reserved {} entries and {} estimates",
+            s.entries.capacity(),
+            s.estimates.capacity()
+        );
+        let c = ShardCounters::default();
+        const N: u64 = 1_000;
+        for i in 0..N {
+            s.set(i, format!("k{i}").as_bytes(), b"v", None, None, 0, t(i), &c).unwrap();
+        }
+        assert_eq!(s.entries.len(), N as usize);
+        assert!(s.entries.capacity() < 4 * N as usize, "capacity {}", s.entries.capacity());
+    }
+
+    #[test]
+    fn read_hit_reads_the_clock_only_for_ttl_entries() {
+        let mut s = shard();
+        let c = ShardCounters::default();
+        s.set(1, b"plain", b"v", None, None, 0, t(0), &c).unwrap();
+        s.set(2, b"ttl", b"v", Some(SimDuration::from_millis(10)), None, 0, t(0), &c).unwrap();
+        let reads = std::cell::Cell::new(0);
+        let clock = |ms| {
+            reads.set(reads.get() + 1);
+            t(ms)
+        };
+        assert!(s.read_hit(1, b"plain", || clock(5)).is_some());
+        assert_eq!(reads.get(), 0, "an entry without a TTL needs no clock");
+        assert!(s.read_hit(2, b"ttl", || clock(5)).is_some());
+        assert!(s.read_hit(2, b"ttl", || clock(10)).is_none(), "lapsed at exactly its expiry");
+        assert_eq!(reads.get(), 2);
+        // A TTL too long to represent never expires rather than wrapping.
+        s.set(3, b"far", b"v", Some(SimDuration::from_micros(u64::MAX)), None, 0, t(9), &c)
+            .unwrap();
+        assert!(s.read_hit(3, b"far", || t(u64::MAX / 2_000)).is_some());
     }
 
     #[test]
@@ -1058,7 +1146,7 @@ mod tests {
             assert!(inline
                 .get_locked(i, format!("k{i}").as_bytes(), t(100 + i), &ci)
                 .is_some());
-            assert!(deferred.read_hit(i, format!("k{i}").as_bytes(), t(100 + i)).is_some());
+            assert!(deferred.read_hit(i, format!("k{i}").as_bytes(), || t(100 + i)).is_some());
         }
         deferred.apply_deferred(&[0, 1, 2, 3], t(104), &cd);
         // Same serial consumed, same access count.

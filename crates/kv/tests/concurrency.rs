@@ -2,8 +2,10 @@
 //! APIs must be observationally equivalent to the single-key ones, and
 //! concurrent use must converge to the sequential outcome.
 
-use pama_kv::{CacheBuilder, PamaCache, SetOptions};
+use pama_kv::{BandSnapshot, CacheBuilder, PamaCache, SetOptions};
+use pama_util::SimDuration;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 /// Geometry with no eviction pressure for the key counts used here, so
 /// equivalence can be asserted exactly (every write must survive).
@@ -60,6 +62,61 @@ fn batched_ops_match_sequential_ops() {
         );
         assert_eq!(slabs.free_slots, stats.arena_free_slots, "{label}: gauge out of date");
     }
+}
+
+#[test]
+fn striped_band_hits_sum_to_the_hits_sent() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 50;
+    const KEYS_PER_BAND: usize = 64;
+    // One representative penalty per paper band.
+    const PENALTIES_US: [u64; 5] = [500, 5_000, 50_000, 500_000, 3_000_000];
+
+    let cache = roomy(4);
+    let keys: Vec<Vec<u8>> = (0..PENALTIES_US.len() * KEYS_PER_BAND)
+        .map(|i| format!("band{}-{i}", i / KEYS_PER_BAND).into_bytes())
+        .collect();
+    for (i, k) in keys.iter().enumerate() {
+        let penalty = SimDuration::from_micros(PENALTIES_US[i / KEYS_PER_BAND]);
+        cache.set(k, k, &SetOptions::new().penalty(penalty)).unwrap();
+    }
+    // Every thread reads every key (320 keys cover all four shards),
+    // half singly and half batched, all starting together so the
+    // threads hit the same shards at once.
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (cache, keys, start) = (&cache, &keys, &start);
+            s.spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    if (round + t) % 2 == 0 {
+                        for k in keys {
+                            assert!(cache.get(k).is_some(), "resident key missed");
+                        }
+                    } else {
+                        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+                        assert!(cache.multi_get(&refs).iter().all(Option::is_some));
+                    }
+                }
+            });
+        }
+    });
+
+    let sent = (THREADS * ROUNDS * KEYS_PER_BAND) as u64;
+    let snap = cache.metrics().expect("the registry is always attached").snapshot();
+    let band_hits: Vec<u64> = snap.bands.iter().map(|b| b.hits).collect();
+    assert_eq!(band_hits, vec![sent; PENALTIES_US.len()], "a stripe lost or misfiled hits");
+    assert_eq!(snap.total_hits(), cache.report().cache.hits);
+    assert_eq!(snap.total_misses(), 0);
+    // `stats bands` renders each band's summed line; parsing the lines
+    // back gives the same counts.
+    let parsed: Vec<u64> = snap
+        .bands
+        .iter()
+        .map(|b| BandSnapshot::parse(&b.render()).expect("renderable band line").hits)
+        .collect();
+    assert_eq!(parsed, band_hits);
 }
 
 #[test]

@@ -7,28 +7,39 @@
 //! miss penalty (paper §III), yet aggregate hit/miss counters cannot
 //! show which band is absorbing misses or whether slab grants flow
 //! toward high-penalty subclasses. The [`MetricsRegistry`] answers
-//! that: one fixed block of `AtomicU64` cells per penalty band
-//! (hits, misses, penalty-weighted miss cost, evictions, slab moves),
-//! plus aggregate histograms for hit/miss latency and slab-move
-//! duration. Everything is updated with `Relaxed` atomics from the
-//! cache's hot paths and snapshotted without locking, the same
-//! contract as `pama-kv`'s shard counters.
+//! that: a block of `AtomicU64` cells per penalty band (hits, misses,
+//! penalty-weighted miss cost, evictions, slab moves), plus aggregate
+//! histograms for hit/miss latency and slab-move duration. Everything
+//! is updated with `Relaxed` atomics from the cache's hot paths and
+//! snapshotted without locking, the same contract as `pama-kv`'s shard
+//! counters.
+//!
+//! The band cells are **striped**: the registry holds one
+//! cache-line-aligned stripe of cells per writer (in `pama-kv`, per
+//! shard), each writer bumps only its own stripe, and
+//! [`MetricsRegistry::snapshot`] sums the stripes. Threads hitting
+//! different shards therefore never write the same cache line, while
+//! every snapshot — and so every rendering of it — reads exactly as an
+//! unstriped registry would.
 //!
 //! Overhead budget (see DESIGN.md §8): band counters are one or two
-//! relaxed `fetch_add`s per operation; latency timing — the expensive
-//! part, two clock reads — is *sampled* (1 in [`LATENCY_SAMPLE`]
-//! operations). `pama-kv` attaches a registry to every cache, and its
-//! band cells are the cache's only hit/miss/eviction counts.
+//! relaxed `fetch_add`s per operation on a writer-local line; latency
+//! timing — the expensive part, two clock reads — is *sampled* (1 in
+//! [`LATENCY_SAMPLE`] operations). `pama-kv` attaches a registry to
+//! every cache, and its band cells are the cache's only
+//! hit/miss/eviction counts.
 //!
 //! ```
 //! use pama_metrics::MetricsRegistry;
 //!
-//! let reg = MetricsRegistry::new(vec![1_000, 10_000, 100_000, 1_000_000, 5_000_000]);
-//! reg.band(2).hits.inc();
-//! reg.band(2).penalty_cost_us.add(50_000);
+//! // Five bands, two stripes.
+//! let reg = MetricsRegistry::new(vec![1_000, 10_000, 100_000, 1_000_000, 5_000_000], 2);
+//! reg.band(0, 2).hits.inc();
+//! reg.band(1, 2).hits.inc();
+//! reg.band(1, 2).penalty_cost_us.add(50_000);
 //! let snap = reg.snapshot();
-//! assert_eq!(snap.bands[2].hits, 1);
-//! assert_eq!(snap.total_hits(), 1);
+//! assert_eq!(snap.bands[2].hits, 2);
+//! assert_eq!(snap.total_hits(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -183,10 +194,14 @@ impl HistogramSnapshot {
     }
 }
 
-/// One penalty band's live cells. Every hit/miss/eviction records into
-/// exactly one band, and the cache's aggregate counts are the band
-/// sums.
+/// One penalty band's live cells in one stripe. Every hit/miss/eviction
+/// records into exactly one band of one stripe, and the cache's
+/// aggregate counts are the sums over bands and stripes.
+///
+/// Aligned to a cache line so that cells of different stripes never
+/// share one.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct BandCells {
     /// GETs served from cache for items in this band.
     pub hits: Counter,
@@ -261,15 +276,18 @@ impl BandSnapshot {
     }
 }
 
-/// The cache-wide observability registry: per-band counter blocks,
-/// aggregate counters/gauges, and sampled latency histograms. One
-/// instance is shared (via `Arc`) by every shard of a cache and by
+/// The cache-wide observability registry: striped per-band counter
+/// blocks, aggregate counters/gauges, and sampled latency histograms.
+/// One instance is shared (via `Arc`) by every shard of a cache and by
 /// whatever front end exposes it.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     /// Inclusive upper penalty edge of each band, µs, ascending.
     band_bounds_us: Vec<u64>,
-    bands: Vec<BandCells>,
+    /// Stripe-major band cells: stripe `s` owns
+    /// `cells[s * bands .. (s + 1) * bands]`.
+    cells: Vec<BandCells>,
+    stripes: usize,
     /// Slabs granted from the free pool (class-level event; grants are
     /// not band-attributed because a fresh slab has no band yet).
     pub slab_grants: Counter,
@@ -290,17 +308,20 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// A registry over the given ascending inclusive band upper edges
-    /// (µs). The paper's five-band split is
+    /// (µs), with `stripes` independent stripes of band cells (at least
+    /// one). The paper's five-band split is
     /// `[1_000, 10_000, 100_000, 1_000_000, 5_000_000]`.
     ///
     /// # Panics
     /// Panics when `band_bounds_us` is empty.
-    pub fn new(band_bounds_us: Vec<u64>) -> Self {
+    pub fn new(band_bounds_us: Vec<u64>, stripes: usize) -> Self {
         assert!(!band_bounds_us.is_empty(), "at least one penalty band required");
-        let bands = band_bounds_us.iter().map(|_| BandCells::default()).collect();
+        let stripes = stripes.max(1);
+        let cells = (0..stripes * band_bounds_us.len()).map(|_| BandCells::default()).collect();
         Self {
             band_bounds_us,
-            bands,
+            cells,
+            stripes,
             slab_grants: Counter::default(),
             hit_latency_us: AtomicHistogram::new(),
             miss_latency_us: AtomicHistogram::new(),
@@ -313,15 +334,16 @@ impl MetricsRegistry {
 
     /// Number of penalty bands.
     pub fn num_bands(&self) -> usize {
-        self.bands.len()
+        self.band_bounds_us.len()
     }
 
-    /// The live cells of band `i`, clamped to the last band (so an
-    /// out-of-range index from a foreign config cannot panic a hot
-    /// path).
+    /// The live cells of band `band` in stripe `stripe`. Both indices
+    /// clamp to the last band / stripe, so an out-of-range index from a
+    /// foreign config cannot panic a hot path.
     #[inline]
-    pub fn band(&self, i: usize) -> &BandCells {
-        &self.bands[i.min(self.bands.len() - 1)]
+    pub fn band(&self, stripe: usize, band: usize) -> &BandCells {
+        let bands = self.band_bounds_us.len();
+        &self.cells[stripe.min(self.stripes - 1) * bands + band.min(bands - 1)]
     }
 
     /// Whether this operation should pay for latency timing: 1 in
@@ -338,22 +360,28 @@ impl MetricsRegistry {
         tag.is_multiple_of(LATENCY_SAMPLE)
     }
 
-    /// Point-in-time plain-data copy of everything.
+    /// Point-in-time plain-data copy of everything; each band's
+    /// counters are the sums over all stripes.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let bands = self
-            .bands
+        let mut bands: Vec<BandSnapshot> = self
+            .band_bounds_us
             .iter()
             .enumerate()
-            .map(|(i, b)| BandSnapshot {
+            .map(|(i, &hi_us)| BandSnapshot {
                 lo_us: if i == 0 { 0 } else { self.band_bounds_us[i - 1] },
-                hi_us: self.band_bounds_us[i],
-                hits: b.hits.get(),
-                misses: b.misses.get(),
-                penalty_cost_us: b.penalty_cost_us.get(),
-                evictions: b.evictions.get(),
-                slab_moves: b.slab_moves.get(),
+                hi_us,
+                ..BandSnapshot::default()
             })
             .collect();
+        for stripe in self.cells.chunks(bands.len()) {
+            for (b, c) in bands.iter_mut().zip(stripe) {
+                b.hits += c.hits.get();
+                b.misses += c.misses.get();
+                b.penalty_cost_us += c.penalty_cost_us.get();
+                b.evictions += c.evictions.get();
+                b.slab_moves += c.slab_moves.get();
+            }
+        }
         MetricsSnapshot {
             bands,
             slab_grants: self.slab_grants.get(),
@@ -568,18 +596,20 @@ mod tests {
     #[test]
     fn concurrent_increment_oracle() {
         // N threads × M increments against one registry; every update
-        // must land (the lock-free path loses nothing).
+        // must land (the lock-free path loses nothing). Threads share
+        // stripes (8 threads over 3 stripes) and bands, so both the
+        // striped sum and same-cell contention are exercised.
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 10_000;
-        let reg = Arc::new(MetricsRegistry::new(five_bands()));
+        let reg = Arc::new(MetricsRegistry::new(five_bands(), 3));
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let reg = Arc::clone(&reg);
                 s.spawn(move || {
                     let band = t % 5;
                     for i in 0..PER_THREAD {
-                        reg.band(band).hits.inc();
-                        reg.band(band).penalty_cost_us.add(i);
+                        reg.band(t % 3, band).hits.inc();
+                        reg.band(t % 3, band).penalty_cost_us.add(i);
                         reg.hit_latency_us.record(i % 1024);
                     }
                 });
@@ -597,14 +627,57 @@ mod tests {
 
     #[test]
     fn band_index_clamps_instead_of_panicking() {
-        let reg = MetricsRegistry::new(five_bands());
-        reg.band(99).hits.inc();
-        assert_eq!(reg.snapshot().bands[4].hits, 1);
+        let reg = MetricsRegistry::new(five_bands(), 2);
+        reg.band(0, 99).hits.inc();
+        reg.band(99, 0).hits.inc();
+        let snap = reg.snapshot();
+        assert_eq!((snap.bands[4].hits, snap.bands[0].hits), (1, 1));
+        // Zero stripes means one.
+        let one = MetricsRegistry::new(five_bands(), 0);
+        one.band(3, 0).hits.inc();
+        assert_eq!(one.snapshot().total_hits(), 1);
+    }
+
+    #[test]
+    fn snapshot_sums_every_stripe() {
+        let reg = MetricsRegistry::new(five_bands(), 4);
+        for stripe in 0..4 {
+            reg.band(stripe, 1).hits.add(stripe as u64 + 1);
+            reg.band(stripe, 3).misses.inc();
+            reg.band(stripe, 3).penalty_cost_us.add(10);
+            reg.band(stripe, 4).evictions.inc();
+            reg.band(stripe, 0).slab_moves.inc();
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.bands[1].hits, 1 + 2 + 3 + 4);
+        assert_eq!((snap.bands[3].misses, snap.bands[3].penalty_cost_us), (4, 40));
+        assert_eq!((snap.bands[4].evictions, snap.bands[0].slab_moves), (4, 4));
+        // Striping is invisible to the rendered form: the same totals in
+        // one stripe render identically.
+        let flat = MetricsRegistry::new(five_bands(), 1);
+        flat.band(0, 1).hits.add(10);
+        flat.band(0, 3).misses.add(4);
+        flat.band(0, 3).penalty_cost_us.add(40);
+        flat.band(0, 4).evictions.add(4);
+        flat.band(0, 0).slab_moves.add(4);
+        assert_eq!(flat.snapshot().prometheus_lines(), snap.prometheus_lines());
+        let render =
+            |s: &MetricsSnapshot| s.bands.iter().map(BandSnapshot::render).collect::<Vec<_>>();
+        assert_eq!(render(&flat.snapshot()), render(&snap));
+    }
+
+    #[test]
+    fn stripes_sit_on_separate_cache_lines() {
+        let reg = MetricsRegistry::new(five_bands(), 2);
+        let a = reg.band(0, 4) as *const BandCells as usize;
+        let b = reg.band(1, 0) as *const BandCells as usize;
+        assert_eq!(a % 64, 0);
+        assert!(b - a >= 64, "adjacent stripes share a line");
     }
 
     #[test]
     fn snapshot_bounds_follow_the_paper_five_band_split() {
-        let reg = MetricsRegistry::new(five_bands());
+        let reg = MetricsRegistry::new(five_bands(), 1);
         let snap = reg.snapshot();
         assert_eq!(snap.bands.len(), 5);
         assert_eq!((snap.bands[0].lo_us, snap.bands[0].hi_us), (0, 1_000));
@@ -613,12 +686,12 @@ mod tests {
 
     #[test]
     fn band_line_round_trips() {
-        let reg = MetricsRegistry::new(five_bands());
-        reg.band(1).hits.add(3);
-        reg.band(1).misses.add(2);
-        reg.band(1).penalty_cost_us.add(12_345);
-        reg.band(1).evictions.inc();
-        reg.band(1).slab_moves.inc();
+        let reg = MetricsRegistry::new(five_bands(), 1);
+        reg.band(0, 1).hits.add(3);
+        reg.band(0, 1).misses.add(2);
+        reg.band(0, 1).penalty_cost_us.add(12_345);
+        reg.band(0, 1).evictions.inc();
+        reg.band(0, 1).slab_moves.inc();
         let snap = reg.snapshot();
         let line = snap.bands[1].render();
         assert_eq!(BandSnapshot::parse(&line), Some(snap.bands[1].clone()));
@@ -628,7 +701,7 @@ mod tests {
 
     #[test]
     fn latency_sampling_fires_once_per_period() {
-        let reg = MetricsRegistry::new(five_bands());
+        let reg = MetricsRegistry::new(five_bands(), 1);
         // Uniform tags (hashes) fire exactly 1 in LATENCY_SAMPLE.
         let fired =
             (0..LATENCY_SAMPLE * 4).filter(|&tag| reg.sample_latency(tag)).count() as u64;
@@ -639,8 +712,8 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_has_labels_and_families() {
-        let reg = MetricsRegistry::new(five_bands());
-        reg.band(0).hits.inc();
+        let reg = MetricsRegistry::new(five_bands(), 1);
+        reg.band(0, 0).hits.inc();
         reg.hit_latency_us.record(100);
         reg.arena_slabs.set(9);
         let text = reg.snapshot().render_prometheus();

@@ -47,18 +47,20 @@ pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
         // Phase 1: consume every complete command in the buffer.
         // Consecutive gets accumulate in `pending` and flush as one
         // batched lookup when a non-get (or the buffer's end) breaks
-        // the run, preserving response order.
+        // the run, preserving response order. Parsing advances a cursor;
+        // the consumed prefix is dropped once per read, not per command.
         let mut pending: Vec<(Vec<Vec<u8>>, bool)> = Vec::new();
         let mut close = false;
+        let mut pos = 0;
         loop {
-            match parser.step(&buf) {
+            match parser.step(&buf[pos..]) {
                 Step::Incomplete => break,
                 Step::Swallowed { n } => {
-                    buf.drain(..n);
+                    pos += n;
                     last_activity = Instant::now();
                 }
                 Step::Cmd { cmd, consumed } => {
-                    buf.drain(..consumed);
+                    pos += consumed;
                     shared.commands.fetch_add(1, Ordering::Relaxed);
                     match cmd {
                         Command::Get { keys, with_cas } => pending.push((keys, with_cas)),
@@ -73,7 +75,7 @@ pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
                     }
                 }
                 Step::Bad { reply, consumed, fatal } => {
-                    buf.drain(..consumed);
+                    pos += consumed;
                     shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
                     flush_gets(shared, &mut pending, &mut out);
                     out.extend_from_slice(reply.as_bytes());
@@ -85,6 +87,7 @@ pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
             }
         }
         flush_gets(shared, &mut pending, &mut out);
+        buf.drain(..pos);
 
         // Phase 2: one write for the whole burst.
         if !out.is_empty() {

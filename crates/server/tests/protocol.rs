@@ -345,6 +345,42 @@ fn stats_bands_renders_one_line_per_paper_band() {
 }
 
 #[test]
+fn stats_bands_sums_hits_from_concurrent_connections() {
+    const CONNS: usize = 4;
+    const ROUNDS: usize = 20;
+    let (cache, srv) = metrics_server();
+    let keys: Vec<Vec<u8>> = (0..128u32).map(|i| format!("spread-{i}").into_bytes()).collect();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let items: Vec<(&[u8], &[u8])> =
+        keys.iter().map(|k| (k.as_slice(), b"v".as_slice())).collect();
+    c.pipeline_sets(&items, 0, 0).unwrap();
+    let start = std::sync::Barrier::new(CONNS);
+    std::thread::scope(|s| {
+        for _ in 0..CONNS {
+            let (keys, start, addr) = (&keys, &start, srv.local_addr());
+            s.spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+                start.wait();
+                for _ in 0..ROUNDS {
+                    assert!(c.pipeline_gets(&refs).unwrap().iter().all(Option::is_some));
+                }
+            });
+        }
+    });
+    let sent = (CONNS * ROUNDS * keys.len()) as u64;
+    let wire_hits: u64 = c
+        .stats_of(Some("bands"))
+        .unwrap()
+        .iter()
+        .map(|(_, line)| BandSnapshot::parse(line).expect("parseable band line").hits)
+        .sum();
+    assert_eq!(wire_hits, sent);
+    assert_eq!(cache.report().cache.hits, sent);
+    srv.shutdown();
+}
+
+#[test]
 fn stats_metrics_exposes_labelled_prometheus_families() {
     let (_cache, srv) = metrics_server();
     let mut c = Client::connect(srv.local_addr()).unwrap();
