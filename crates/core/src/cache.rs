@@ -167,6 +167,23 @@ impl BaseCache {
     /// `last_access`. Returns the (updated) metadata.
     pub fn touch(&mut self, key: u64, now: SimTime) -> Option<ItemMeta> {
         let loc = self.lookup(key)?;
+        self.touch_at(loc, key, now)
+    }
+
+    /// The metadata at a handle held outside the index, if the handle
+    /// still names a live node that holds `key`. A handle to a removed
+    /// node, or to a node since reused by another key, answers `None`.
+    pub fn meta_at(&self, loc: Loc, key: u64) -> Option<&ItemMeta> {
+        let q = self.classes.get(loc.class as usize)?.queues.get(loc.band as usize)?;
+        q.try_get(loc.node).filter(|m| m.key == key)
+    }
+
+    /// [`touch`](Self::touch) by handle, without the index probe: when
+    /// [`meta_at`](Self::meta_at) accepts the handle, moves the node to
+    /// its queue's front, stamps `last_access`, and returns the updated
+    /// metadata. A stale handle changes nothing and answers `None`.
+    pub(crate) fn touch_at(&mut self, loc: Loc, key: u64, now: SimTime) -> Option<ItemMeta> {
+        self.meta_at(loc, key)?;
         let q = &mut self.classes[loc.class as usize].queues[loc.band as usize];
         q.move_to_front(loc.node);
         let meta = q.get_mut(loc.node);
@@ -425,6 +442,40 @@ mod tests {
         let tail = c.evict_tail(0, 0).unwrap();
         assert_eq!(tail.key, 2, "touched key must not be LRU");
         assert!(c.touch(42, SimTime::ZERO).is_none());
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn touch_at_skips_removed_and_reused_nodes() {
+        let mut c = BaseCache::new(small_cfg(), 1);
+        for k in 1..=3 {
+            c.insert(meta(k, 0));
+        }
+        let order =
+            |c: &BaseCache| c.class(0).queues[0].iter().map(|m| m.key).collect::<Vec<_>>();
+        // A live handle promotes without the index.
+        let loc1 = c.lookup(1).unwrap();
+        assert_eq!(c.touch_at(loc1, 1, SimTime::from_millis(4)).unwrap().key, 1);
+        assert_eq!(order(&c), vec![1, 3, 2]);
+        // The same handle under another key is refused.
+        assert!(c.touch_at(loc1, 2, SimTime::ZERO).is_none());
+        // A removed node is refused and the order is left alone.
+        let loc2 = c.lookup(2).unwrap();
+        c.remove(2);
+        assert!(c.meta_at(loc2, 2).is_none());
+        assert!(c.touch_at(loc2, 2, SimTime::ZERO).is_none());
+        assert_eq!(order(&c), vec![1, 3]);
+        // The freed node reused by key 9: the old handle no longer
+        // reaches key 2, and key 9 keeps its place.
+        c.insert(meta(9, 0));
+        assert_eq!(c.lookup(9).unwrap(), loc2, "the arena reuses the freed node");
+        c.touch_at(loc1, 1, SimTime::ZERO).unwrap();
+        let before = order(&c);
+        assert!(c.touch_at(loc2, 2, SimTime::ZERO).is_none());
+        assert_eq!(order(&c), before);
+        // A handle outside the geometry is refused, not a panic.
+        let bogus = Loc { class: 99, band: 0, node: loc1.node };
+        assert!(c.touch_at(bogus, 1, SimTime::ZERO).is_none());
         c.check_invariants().unwrap();
     }
 

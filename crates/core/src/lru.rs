@@ -9,7 +9,9 @@
 //!
 //! Handles ([`NodeRef`]) are indices plus nothing else — the caller
 //! (the cache index) guarantees it never uses a handle after removing
-//! it. Debug builds verify liveness on every operation.
+//! it. Debug builds verify liveness on every operation. A holder that
+//! cannot make that guarantee checks the handle first with
+//! [`LruList::try_get`].
 
 /// Handle to a node in an [`LruList`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -197,6 +199,14 @@ impl<T> LruList<T> {
         &self.nodes[r.0 as usize].value
     }
 
+    /// Borrows a node's value if the handle names a live node, in
+    /// release builds too. For handles held outside the list's owner,
+    /// which may have gone stale: a freed node answers `None`, and a
+    /// reused one answers with its new value.
+    pub fn try_get(&self, r: NodeRef) -> Option<&T> {
+        self.nodes.get(r.0 as usize).filter(|n| n.live).map(|n| &n.value)
+    }
+
     /// Mutably borrows a node's value.
     pub fn get_mut(&mut self, r: NodeRef) -> &mut T {
         self.check(r);
@@ -360,6 +370,19 @@ mod tests {
         // The freed slot is reused: same raw index.
         assert_eq!(a.0, b.0);
         assert_eq!(*l.get(b), 2);
+    }
+
+    #[test]
+    fn try_get_rejects_freed_and_out_of_range_handles() {
+        let mut l = LruList::new();
+        let a = l.push_front(1);
+        assert_eq!(l.try_get(a), Some(&1));
+        l.remove(a);
+        assert_eq!(l.try_get(a), None, "freed node");
+        assert_eq!(l.try_get(NodeRef(7)), None, "never allocated");
+        let b = l.push_front(2);
+        assert_eq!(l.try_get(a), Some(&2), "a reused node answers with its new value");
+        assert_eq!(a, b);
     }
 
     #[test]

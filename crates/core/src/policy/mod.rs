@@ -113,21 +113,6 @@ pub trait Policy {
         }
     }
 
-    /// Handles a batch of deferred hit notifications: keys that were
-    /// already served from the cache, whose recency/value bookkeeping
-    /// was postponed (e.g. by `pama-kv`'s lock-free access log). Keys
-    /// no longer resident are skipped — each was a *hit* when recorded,
-    /// so routing it through the miss path now would wrongly credit
-    /// ghost segments or trigger demand-fill.
-    fn on_batch_access(&mut self, keys: &[u64], tick: Tick) {
-        for &key in keys {
-            let Some(meta) = self.cache().peek(key) else { continue };
-            let req = Request::get(tick.now, key, meta.key_size, meta.value_size)
-                .with_penalty(meta.penalty);
-            self.on_get(&req, tick);
-        }
-    }
-
     /// Read access to the underlying cache (metrics, tests).
     fn cache(&self) -> &BaseCache;
 

@@ -24,12 +24,12 @@
 //! turning the scheme into a purely locality/size-aware allocator.
 
 use super::{meta_for, GetOutcome, Policy, PolicyEvent};
-use crate::cache::{BaseCache, InsertOutcome, ItemMeta};
+use crate::cache::{BaseCache, InsertOutcome, ItemMeta, Loc};
 use crate::config::{CacheConfig, Tick};
 use crate::lru::{LruList, NodeRef};
 use crate::segments::{chunk_segments, MembershipMode, SubclassTracker};
 use pama_trace::Request;
-use pama_util::{FastMap, SimDuration};
+use pama_util::{FastMap, SimDuration, SimTime};
 
 /// PAMA tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -515,6 +515,65 @@ impl Pama {
         Some(meta)
     }
 
+    /// Promotes the item at `loc` if it still holds `key` and credits
+    /// its segment value; the shared tail of every hit path. Returns
+    /// whether the handle was current.
+    fn promote(&mut self, loc: Loc, key: u64, now: SimTime) -> bool {
+        let Some(meta) = self.cache.touch_at(loc, key, now) else {
+            return false;
+        };
+        let w = self.weight(meta.penalty);
+        let s = self.sub(meta.class as usize, meta.band as usize);
+        self.trackers[s].on_hit(key, w);
+        true
+    }
+
+    /// A GET hit served by a caller that holds the item's handle (the
+    /// kv store keeps it in its own entry): `on_get`'s hit branch
+    /// without the index probe. The access always counts — it happened
+    /// when the hit was served — but a handle that no longer names
+    /// `key`'s node (the item left, or its node was reused) promotes
+    /// nothing: it was a hit when served, so a miss-path ghost credit
+    /// now would double-count it. Returns whether the handle was
+    /// current.
+    pub fn on_hit(&mut self, key: u64, loc: Loc, tick: Tick) -> bool {
+        self.note_access();
+        self.promote(loc, key, tick.now)
+    }
+
+    /// Applies a batch of deferred hits, oldest first, each through
+    /// [`on_hit`](Self::on_hit).
+    pub fn on_hits(&mut self, hits: &[(u64, Loc)], tick: Tick) {
+        for &(key, loc) in hits {
+            self.on_hit(key, loc, tick);
+        }
+    }
+
+    /// A GET miss reported by a caller whose own index already found
+    /// the key absent: exactly `on_get`'s miss branch with demand-fill
+    /// off — one access plus the ghost credit — without probing the
+    /// index for a key known to be missing.
+    pub fn on_miss(&mut self, key: u64) {
+        debug_assert!(!self.cache.contains(key), "policy holds a key the store lost");
+        self.note_access();
+        self.credit_ghost_miss(key);
+    }
+
+    /// A SET of a key the caller knows is not resident (the kv store
+    /// drops an old generation first): `on_set` without its index
+    /// probe. Returns the stored item's handle, or `None` when the item
+    /// could not be cached (too large for any class, or no room).
+    pub fn on_insert(&mut self, req: &Request, tick: Tick) -> Option<Loc> {
+        debug_assert!(!self.cache.contains(req.key), "on_insert of a resident key");
+        self.note_access();
+        let meta = self.meta_with_band(req, tick)?;
+        if self.pama_insert(meta) {
+            self.cache.lookup(meta.key)
+        } else {
+            None
+        }
+    }
+
     fn note_access(&mut self) {
         self.accesses += 1;
         if self.accesses.is_multiple_of(self.pcfg.value_window) {
@@ -563,10 +622,8 @@ impl Policy for Pama {
 
     fn on_get(&mut self, req: &Request, tick: Tick) -> GetOutcome {
         self.note_access();
-        if let Some(meta) = self.cache.touch(req.key, tick.now) {
-            let w = self.weight(meta.penalty);
-            let s = self.sub(meta.class as usize, meta.band as usize);
-            self.trackers[s].on_hit(req.key, w);
+        if let Some(loc) = self.cache.lookup(req.key) {
+            self.promote(loc, req.key, tick.now);
             return GetOutcome::HIT;
         }
         self.credit_ghost_miss(req.key);
@@ -597,22 +654,6 @@ impl Policy for Pama {
             self.trackers[s].on_remove(meta.key);
         }
         self.pama_insert(meta);
-    }
-
-    fn on_batch_access(&mut self, keys: &[u64], tick: Tick) {
-        for &key in keys {
-            // The access happened when the hit was served, so it counts
-            // toward the value window even if the key has since left.
-            self.note_access();
-            if let Some(meta) = self.cache.touch(key, tick.now) {
-                let w = self.weight(meta.penalty);
-                let s = self.sub(meta.class as usize, meta.band as usize);
-                self.trackers[s].on_hit(key, w);
-            }
-            // A key evicted between the recorded hit and this drain is
-            // skipped: it was a hit when recorded, so a miss-path ghost
-            // credit now would double-count it.
-        }
     }
 
     fn on_delete(&mut self, req: &Request, _tick: Tick) {
@@ -847,6 +888,63 @@ mod tests {
     fn get_set(key: u64, vs: u32, penalty_ms: u64) -> Request {
         Request::set(SimTime::ZERO, key, 8, vs)
             .with_penalty(SimDuration::from_millis(penalty_ms))
+    }
+
+    #[test]
+    fn handle_entry_points_decide_like_the_request_ones() {
+        // One stream fed two ways: by key through the `Policy` methods
+        // (demand-fill off, a miss followed by a SET), and by handle
+        // through `on_hit` / `on_miss` / `on_insert` as the kv store
+        // drives it. Every decision must agree.
+        let mut c = cfg();
+        c.demand_fill = false;
+        let pc = PamaConfig { value_window: 7, migration_cooldown: 3, ..pcfg() };
+        let mut by_key = Pama::with_config(c.clone(), pc.clone());
+        let mut by_handle = Pama::with_config(c, pc);
+        let mut rng = pama_util::Xoshiro256StarStar::from_seed(5);
+        use pama_util::Rng;
+        for i in 0..3_000u64 {
+            let key = rng.gen_range(40);
+            let vs = [40, 900, 2000][(key % 3) as usize];
+            let penalty_ms = [2, 40, 3000][(key / 3 % 3) as usize];
+            let t = tick(i);
+            if !by_key.on_get(&get_p(key, vs, penalty_ms), t).hit {
+                by_key.on_set(&get_set(key, vs, penalty_ms), t);
+            }
+            match by_handle.cache().lookup(key) {
+                Some(loc) => assert!(by_handle.on_hit(key, loc, t)),
+                None => {
+                    by_handle.on_miss(key);
+                    by_handle.on_insert(&get_set(key, vs, penalty_ms), t);
+                }
+            }
+        }
+        assert!(by_key.migrations() > 0, "the stream must move slabs");
+        assert_eq!(by_key.migrations(), by_handle.migrations());
+        assert_eq!(by_key.rebuilds(), by_handle.rebuilds());
+        for class in 0..by_key.cache().num_classes() {
+            let (a, b) = (by_key.cache().class(class), by_handle.cache().class(class));
+            assert_eq!(a.slabs, b.slabs, "class {class} slabs");
+            for (qa, qb) in a.queues.iter().zip(&b.queues) {
+                assert!(qa.iter().eq(qb.iter()), "class {class}: LRU order diverged");
+            }
+        }
+        by_handle.cache().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn on_insert_returns_the_stored_handle() {
+        let mut p = Pama::with_config(cfg(), pcfg());
+        let loc = p.on_insert(&get_set(1, 40, 5), tick(0)).unwrap();
+        assert_eq!(p.cache().lookup(1), Some(loc));
+        assert_eq!(p.cache().meta_at(loc, 1).unwrap().band, 1);
+        // No class holds a 9000-byte item.
+        assert_eq!(p.on_insert(&get_set(2, 9000, 5), tick(1)), None);
+        // A stale handle counts the access but promotes nothing.
+        p.on_delete(&Request::delete(SimTime::ZERO, 1, 8), tick(2));
+        let before = p.accesses;
+        assert!(!p.on_hit(1, loc, tick(3)));
+        assert_eq!(p.accesses, before + 1);
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //! * a **read-mostly hot path**: a cache-hit GET runs entirely under a
 //!   shared read lock; LRU promotion and PAMA bookkeeping are recorded
 //!   in a per-shard lock-free log and applied in batches under the
-//!   write lock (see DESIGN.md, "Concurrency model"). A hit touches
-//!   only shard-local memory: one bucket of an index sized by the keys
-//!   actually resident (32-byte entries), one arena read for the key
-//!   check and the value copy, the shard's own stripe of band counters,
-//!   and the clock only when the entry has a TTL;
+//!   write lock, each straight to the item's LRU node through the
+//!   policy handle its entry carries (see DESIGN.md, "Concurrency
+//!   model"). A hit touches only shard-local memory: one bucket of an
+//!   index sized by the keys actually resident (32-byte entries), one
+//!   arena read for the key check and the value copy, the shard's own
+//!   stripe of band counters, and the clock only when the entry has a
+//!   TTL;
 //! * **batched operations**: [`PamaCache::multi_get`] /
 //!   [`PamaCache::multi_set`] group keys by shard and take each shard
 //!   lock once;

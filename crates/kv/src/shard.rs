@@ -22,12 +22,22 @@
 //! capacity) has been applied in order. In a single-threaded sequence
 //! whose read bursts fit the ring, the drained promotions land in
 //! exactly the order and counts inline promotion would produce.
+//!
+//! Each entry carries its item's policy handle ([`Loc`]): the LRU node
+//! and the penalty band live in the entry, and the size class is the
+//! slab header of the entry's slot. Deferred hits, the write-lock hit
+//! and `touch` promote through that handle, a miss reports only the
+//! hash, and an insert hands the new handle back, so none of these
+//! probes the policy's key index. A record whose node no longer holds
+//! its key (the item left before the drain) is skipped.
 
-use crate::log::AccessLog;
+use crate::log::{AccessLog, HitRecord};
 use crate::options::{CacheError, CacheValue};
 use crate::stats::{ShardCounters, SlabClassReport, SlabReport};
 use bytes::Bytes;
+use pama_core::cache::Loc;
 use pama_core::config::{CacheConfig, Tick};
+use pama_core::lru::NodeRef;
 use pama_core::policy::{Pama, PamaConfig, Policy, PolicyEvent};
 use pama_faults::BackendSim;
 use pama_metrics::MetricsRegistry;
@@ -48,20 +58,28 @@ const ACCESS_LOG_CAPACITY: usize = 4096;
 /// The expiry of an entry without a TTL: later than any clock reading.
 const NEVER: SimTime = SimTime(u64::MAX);
 
+/// Bits of [`Entry::stamp`] that hold the penalty band.
+const BAND_BITS: u32 = 8;
+
 /// A stored entry: the arena slot holding its `key ‖ value` bytes
 /// (the slot stores the full key for collision rejection), the expiry
-/// ([`NEVER`] without a TTL), and the wire-protocol metadata (opaque
-/// flags, store-order CAS stamp).
+/// ([`NEVER`] without a TTL), the wire-protocol metadata (opaque flags,
+/// store-order CAS stamp), and the item's policy handle less its class,
+/// which the slot's slab header supplies.
 #[derive(Debug, Clone)]
 struct Entry {
     slot: SlotRef,
     expires: SimTime,
+    /// `serial << BAND_BITS | band`: the store-order serial, which is
+    /// the CAS value, above the penalty band the policy filed the item
+    /// under. The band is stable while resident (an item's penalty is
+    /// fixed until overwritten), so the read path attributes hits per
+    /// band and builds the handle without asking the policy. The CAS
+    /// value equals the serial while the serial stays below 2^56.
+    stamp: u64,
     flags: u32,
-    cas: u64,
-    /// Penalty band at insert time. Stable while resident (an item's
-    /// penalty is fixed until overwritten), so the read path can
-    /// attribute hits per band without a second policy-ledger lookup.
-    band: u8,
+    /// The item's node in its (class, band) LRU queue.
+    node: NodeRef,
 }
 
 // Every resident key costs one `(hash, Entry)` index bucket, and each hit
@@ -69,6 +87,37 @@ struct Entry {
 const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
 
 impl Entry {
+    /// An entry stored at serial `serial` for the item the policy filed
+    /// at `loc`.
+    fn new(slot: SlotRef, expires: SimTime, flags: u32, serial: u64, loc: Loc) -> Self {
+        debug_assert!(loc.band < 1 << BAND_BITS, "band {} does not fit the stamp", loc.band);
+        Self {
+            slot,
+            expires,
+            stamp: serial << BAND_BITS | u64::from(loc.band),
+            flags,
+            node: loc.node,
+        }
+    }
+
+    /// The CAS stamp: the serial of the SET that stored the entry.
+    #[inline]
+    fn cas(&self) -> u64 {
+        self.stamp >> BAND_BITS
+    }
+
+    /// The penalty band the policy filed the item under.
+    #[inline]
+    fn band(&self) -> usize {
+        (self.stamp & ((1 << BAND_BITS) - 1)) as usize
+    }
+
+    /// The item's policy handle, given the class of its slot's slab.
+    #[inline]
+    fn loc(&self, class: usize) -> Loc {
+        Loc { class: class as u32, band: self.band() as u32, node: self.node }
+    }
+
     /// Whether the TTL has lapsed. `now` is only called for an entry
     /// that has a TTL, so the hit path skips the clock for the rest.
     #[inline]
@@ -140,7 +189,7 @@ pub(crate) struct Shard {
     stripe: usize,
     /// Reused drain buffers for the access log and the policy's
     /// storage events, so write-lock paths do not allocate per drain.
-    hit_buf: Vec<u64>,
+    hit_buf: Vec<HitRecord>,
     event_buf: Vec<PolicyEvent>,
 }
 
@@ -226,16 +275,20 @@ impl Shard {
         self.arena.read(e.slot).is_some_and(|(k, _)| k == key)
     }
 
-    /// The entry's value bytes if it stores `key` and is not expired:
-    /// one arena read serves both the key check and the value.
+    /// The entry's value bytes and policy handle if it stores `key` and
+    /// is not expired: one arena read serves both the key check and the
+    /// value, and the handle's class is the header of the same slab.
     fn live_value(
         &self,
         e: &Entry,
         key: &[u8],
         now: impl FnOnce() -> SimTime,
-    ) -> Option<&[u8]> {
+    ) -> Option<(&[u8], Loc)> {
         let (k, v) = self.arena.read(e.slot)?;
-        (k == key && !e.expired(now)).then_some(v)
+        if k != key || e.expired(now) {
+            return None;
+        }
+        Some((v, e.loc(self.arena.slab_class(e.slot)?)))
     }
 
     /// `key + value` length of the stored entry.
@@ -270,18 +323,21 @@ impl Shard {
 
     /// The shared-lock hit path: lookup, key check, TTL check, value
     /// copy-out. No mutation — recency bookkeeping is the caller's job
-    /// (via the access log), and reading a slot never touches the
-    /// ledger. `now` is called only when the entry has a TTL.
+    /// (via the access log, with the item's policy handle returned
+    /// here), and reading a slot never touches the ledger. `now` is
+    /// called only when the entry has a TTL.
     pub fn read_hit(
         &self,
         h: u64,
         key: &[u8],
         now: impl FnOnce() -> SimTime,
-    ) -> Option<CacheValue> {
+    ) -> Option<(CacheValue, Loc)> {
         let e = self.entries.get(&h)?;
-        let value = self.live_value(e, key, now)?;
-        self.metrics.band(self.stripe, e.band as usize).hits.inc();
-        Some(CacheValue { value: Bytes::copy_from_slice(value), flags: e.flags, cas: e.cas })
+        let (value, loc) = self.live_value(e, key, now)?;
+        self.metrics.band(self.stripe, e.band()).hits.inc();
+        let value =
+            CacheValue { value: Bytes::copy_from_slice(value), flags: e.flags, cas: e.cas() };
+        Some((value, loc))
     }
 
     /// Immutable classification of a key's state (for `contains`).
@@ -322,15 +378,17 @@ impl Shard {
     ) -> Option<CacheValue> {
         let tick = self.tick(now);
         if let Some(e) = self.entries.get(&h) {
-            if let Some(v) = self.live_value(e, key, || now) {
-                let hit =
-                    CacheValue { value: Bytes::copy_from_slice(v), flags: e.flags, cas: e.cas };
-                let band = e.band as usize;
-                // Keep the policy's recency bookkeeping in step. The
-                // request's sizes mirror the stored entry.
-                let req = Request::get(now, h, key.len() as u32, hit.value.len() as u32);
-                let out = self.policy.on_get(&req, tick);
-                debug_assert!(out.hit, "policy lost a stored key");
+            if let Some((v, loc)) = self.live_value(e, key, || now) {
+                let hit = CacheValue {
+                    value: Bytes::copy_from_slice(v),
+                    flags: e.flags,
+                    cas: e.cas(),
+                };
+                let band = e.band();
+                // Keep the policy's recency bookkeeping in step, by
+                // the entry's handle.
+                let current = self.policy.on_hit(h, loc, tick);
+                debug_assert!(current, "policy lost a stored key");
                 self.metrics.band(self.stripe, band).hits.inc();
                 return Some(hit);
             }
@@ -343,21 +401,19 @@ impl Shard {
                 self.drop_entry(h, now, c);
             }
         }
-        self.miss(h, key, tick, c);
+        self.miss(h, now, c);
         None
     }
 
-    fn miss(&mut self, h: u64, key: &[u8], tick: Tick, c: &ShardCounters) {
-        let now = tick.now;
-        // Tell the policy about the miss: with demand-fill off nothing
-        // is inserted, but the access advances the value window and —
-        // crucially for slab rebalance — a ghosted key credits its
-        // subclass's *incoming value*. Without this signal a physical
-        // store would never accumulate the evidence that triggers the
-        // paper's cross-class migrations.
-        let req = Request::get(now, h, key.len() as u32, 0);
-        let out = self.policy.on_get(&req, tick);
-        debug_assert!(!out.hit, "policy holds a key the store lost");
+    fn miss(&mut self, h: u64, now: SimTime, c: &ShardCounters) {
+        // Tell the policy about the miss: nothing is inserted, but the
+        // access advances the value window and — crucially for slab
+        // rebalance — a ghosted key credits its subclass's *incoming
+        // value*. Without this signal a physical store would never
+        // accumulate the evidence that triggers the paper's cross-class
+        // migrations. The entry index has just reported the key absent,
+        // so the policy skips its own index probe.
+        self.policy.on_miss(h);
         if let Some(backend) = self.backend.as_mut() {
             let out = backend.fetch(h, self.serial);
             ShardCounters::bump(&c.backend_fetches);
@@ -435,47 +491,40 @@ impl Shard {
                 max_bytes: self.cfg.slab_bytes,
             });
         }
+        // The key is absent from the policy now (any old generation
+        // was dropped above), so the policy inserts without probing its
+        // index and hands back the stored item's handle.
         let req =
             Request::set(now, h, key.len() as u32, value.len() as u32).with_penalty(penalty);
-        self.policy.on_set(&req, tick);
+        let stored = self.policy.on_insert(&req, tick);
         // Replay the policy's storage decisions (evictions, slab
         // grants, slab migrations) into the arena *before* writing the
         // new item: an eviction or transfer is exactly what frees the
         // slot the item lands in.
         self.apply_policy_events(c);
-        if self.policy.cache().contains(h) {
-            match self.store_bytes(h, key, value) {
-                Some(slot) => {
-                    ShardCounters::bump(&c.items);
-                    ShardCounters::add(&c.live_bytes, item_bytes);
-                    let band = self.cfg.band_of(penalty) as u8;
-                    self.entries.insert(
-                        h,
-                        Entry {
-                            slot,
-                            expires: expiry(now, ttl),
-                            flags,
-                            cas: self.serial,
-                            band,
-                        },
-                    );
-                    Ok(())
-                }
-                None => {
-                    // The arena disagreed with the ledger — impossible
-                    // while the two are in lockstep (debug builds
-                    // assert). Roll the policy back so store and
-                    // ledger stay consistent, and refuse the set.
-                    debug_assert!(false, "arena refused a ledger-approved insert");
-                    let t = Tick { now, serial: self.serial };
-                    self.policy.on_delete(&Request::delete(now, h, 0), t);
-                    ShardCounters::bump(&c.rejected);
-                    Err(CacheError::CapacityExhausted { item_bytes })
-                }
-            }
-        } else {
+        let Some(loc) = stored else {
             ShardCounters::bump(&c.rejected);
-            Err(CacheError::CapacityExhausted { item_bytes })
+            return Err(CacheError::CapacityExhausted { item_bytes });
+        };
+        match self.store_bytes(h, loc, key, value) {
+            Some(slot) => {
+                ShardCounters::bump(&c.items);
+                ShardCounters::add(&c.live_bytes, item_bytes);
+                self.entries
+                    .insert(h, Entry::new(slot, expiry(now, ttl), flags, self.serial, loc));
+                Ok(())
+            }
+            None => {
+                // The arena disagreed with the ledger — impossible
+                // while the two are in lockstep (debug builds
+                // assert). Roll the policy back so store and
+                // ledger stay consistent, and refuse the set.
+                debug_assert!(false, "arena refused a ledger-approved insert");
+                let t = Tick { now, serial: self.serial };
+                self.policy.on_delete(&Request::delete(now, h, 0), t);
+                ShardCounters::bump(&c.rejected);
+                Err(CacheError::CapacityExhausted { item_bytes })
+            }
         }
     }
 
@@ -516,16 +565,13 @@ impl Shard {
         match self.entry_state(h, key, now) {
             EntryState::Live => {
                 let tick = self.tick(now);
-                let vlen = self
-                    .entries
-                    .get(&h)
-                    .map_or(0, |e| self.stored_len(e).saturating_sub(key.len() as u64));
-                let req = Request::get(now, h, key.len() as u32, vlen as u32);
-                let out = self.policy.on_get(&req, tick);
-                debug_assert!(out.hit, "policy lost a touched key");
-                if let Some(e) = self.entries.get_mut(&h) {
-                    e.expires = expiry(now, ttl);
-                }
+                let Some(e) = self.entries.get_mut(&h) else {
+                    return false;
+                };
+                e.expires = expiry(now, ttl);
+                let loc = self.arena.slab_class(e.slot).map(|class| e.loc(class));
+                let current = loc.is_some_and(|loc| self.policy.on_hit(h, loc, tick));
+                debug_assert!(current, "policy lost a touched key");
                 true
             }
             EntryState::Expired => {
@@ -549,13 +595,11 @@ impl Shard {
     }
 
     /// Writes `key ‖ value` into the arena, returning the slot it
-    /// landed in.
-    fn store_bytes(&mut self, h: u64, key: &[u8], value: &[u8]) -> Option<SlotRef> {
-        // The class the ledger stored the item under; identical to
-        // `cfg.class_of(key, value)` but read back from the policy so
-        // the two can never disagree.
-        let class = self.policy.cache().peek(h)?.class as usize;
-        self.arena.insert(class, h, key, value).ok()
+    /// landed in. The class is the one the policy stored the item under
+    /// (`loc`, from the insert): identical to `cfg.class_of(key, value)`
+    /// but taken from the policy so the two can never disagree.
+    fn store_bytes(&mut self, h: u64, loc: Loc, key: &[u8], value: &[u8]) -> Option<SlotRef> {
+        self.arena.insert(loc.class as usize, h, key, value).ok()
     }
 
     /// Replays the policy's recorded storage events into the arena and
@@ -668,14 +712,15 @@ impl Shard {
         expired.len()
     }
 
-    /// Applies a batch of deferred hit records, oldest first. Each
-    /// record counts as one access (serial and PAMA value-window
-    /// cadence match the inline design); keys evicted since the hit
-    /// are skipped by the policy.
-    pub fn apply_deferred(&mut self, hits: &[u64], now: SimTime, c: &ShardCounters) {
+    /// Applies a batch of deferred hit records, oldest first, through
+    /// each record's policy handle. Each record counts as one access
+    /// (serial and PAMA value-window cadence match the inline design);
+    /// a record whose node no longer holds its key is skipped by the
+    /// policy.
+    pub fn apply_deferred(&mut self, hits: &[HitRecord], now: SimTime, c: &ShardCounters) {
         self.serial += hits.len() as u64;
         let tick = Tick { now, serial: self.serial };
-        self.policy.on_batch_access(hits, tick);
+        self.policy.on_hits(hits, tick);
         ShardCounters::add(&c.deferred_hits, hits.len() as u64);
     }
 
@@ -693,11 +738,13 @@ impl Shard {
 
     /// Cross-checks the byte store against the policy's accounting,
     /// and the physical slab ledger against both: every live index
-    /// entry must point at an allocated slot carved
-    /// for the class the policy filed the item under, per-class slab
-    /// counts must match the policy's, and inside the arena free-list
-    /// plus live slots must cover every slab's capacity (the arena's
-    /// own full-recount `check`).
+    /// entry must point at an allocated slot carved for the class the
+    /// policy filed the item under, and its policy handle must reach a
+    /// live node that holds the entry's hash in that class and the
+    /// entry's band — the node the policy's own index names. Per-class
+    /// slab counts must match the policy's, and inside the arena
+    /// free-list plus live slots must cover every slab's capacity (the
+    /// arena's own full-recount `check`).
     pub fn check_consistency(&self) -> Result<(), String> {
         if self.entries.len() != self.policy.cache().len() {
             return Err(format!(
@@ -727,13 +774,25 @@ impl Shard {
                     "slot {r:?} stores hash {hash:#x} but is indexed as {h:#x}"
                 ));
             }
-            let Some(meta) = self.policy.cache().peek(h) else {
-                return Err(format!("entry {h:#x} missing from the policy ledger"));
-            };
-            if meta.class as usize != slab_class {
+            let loc = e.loc(slab_class);
+            let Some(meta) = self.policy.cache().meta_at(loc, h) else {
                 return Err(format!(
-                    "entry {h:#x}: ledger class {} but stored in a class-{slab_class} slab",
-                    meta.class
+                    "entry {h:#x}: handle {loc:?} reaches no live policy node holding it"
+                ));
+            };
+            if meta.class as usize != slab_class || meta.band as usize != e.band() {
+                return Err(format!(
+                    "entry {h:#x}: ledger class {} band {} but stored in a class-{slab_class} \
+                     slab with band {}",
+                    meta.class,
+                    meta.band,
+                    e.band()
+                ));
+            }
+            let filed = self.policy.cache().lookup(h);
+            if filed != Some(loc) {
+                return Err(format!(
+                    "entry {h:#x}: handle {loc:?} but the policy index files it at {filed:?}"
                 ));
             }
             if meta.key_size as usize != key_len || meta.value_size as usize != val_len {
@@ -815,8 +874,8 @@ impl ShardCell {
     fn get_inner(&self, h: u64, key: &[u8], clock: impl Fn() -> SimTime) -> Option<CacheValue> {
         {
             let shard = self.inner.read();
-            if let Some(value) = shard.read_hit(h, key, &clock) {
-                self.log.record(h);
+            if let Some((value, loc)) = shard.read_hit(h, key, &clock) {
+                self.log.record((h, loc));
                 return Some(value);
             }
         }
@@ -897,8 +956,8 @@ impl ShardCell {
             let shard = self.inner.read();
             for &(i, h) in group {
                 match shard.read_hit(h, keys[i], || now) {
-                    Some(value) => {
-                        self.log.record(h);
+                    Some((value, loc)) => {
+                        self.log.record((h, loc));
                         out[i] = Some(value);
                     }
                     None => misses.push((i, h)),
@@ -1142,13 +1201,16 @@ mod tests {
             deferred.set(i, format!("k{i}").as_bytes(), &v, None, None, 0, t(i), &cd).unwrap();
         }
         // Touch keys 0..4 (oldest first) — inline promotes immediately.
+        let mut hits = Vec::new();
         for i in 0..4u64 {
             assert!(inline
                 .get_locked(i, format!("k{i}").as_bytes(), t(100 + i), &ci)
                 .is_some());
-            assert!(deferred.read_hit(i, format!("k{i}").as_bytes(), || t(100 + i)).is_some());
+            let (_, loc) =
+                deferred.read_hit(i, format!("k{i}").as_bytes(), || t(100 + i)).unwrap();
+            hits.push((i, loc));
         }
-        deferred.apply_deferred(&[0, 1, 2, 3], t(104), &cd);
+        deferred.apply_deferred(&hits, t(104), &cd);
         // Same serial consumed, same access count.
         assert_eq!(inline.serial, deferred.serial);
         // Same LRU state: evict pressure must pick the same victims.
@@ -1184,5 +1246,47 @@ mod tests {
         }
         inline.check_consistency().unwrap();
         deferred.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_hit_recorded_on_an_evicted_item_promotes_nothing() {
+        // A hit recorded, then its item evicted and the item's LRU node
+        // reused by another key before the drain — possible only when
+        // something mutates the shard between the record and the
+        // drain. The drain must skip the record, not promote whichever
+        // item now owns the node.
+        let mut s = shard();
+        let c = ShardCounters::default();
+        let v = vec![0u8; 30_000];
+        let key = |i: u64| format!("key{i}").into_bytes();
+        s.set(0, &key(0), &v, None, None, 0, t(0), &c).unwrap();
+        let (_, loc) = s.read_hit(0, &key(0), || t(1)).unwrap();
+        // Fill the class until key 0, the LRU item, is evicted; the SET
+        // that evicts it takes its node.
+        let mut i = 1;
+        while s.entries.contains_key(&0) {
+            s.set(i, &key(i), &v, None, None, 0, t(1 + i), &c).unwrap();
+            i += 1;
+        }
+        let queue = |s: &Shard| -> Vec<u64> {
+            let q = &s.policy.cache().class(loc.class as usize).queues[loc.band as usize];
+            q.iter().map(|m| m.key).collect()
+        };
+        let owner = s.policy.cache().class(loc.class as usize).queues[loc.band as usize]
+            .try_get(loc.node)
+            .map(|m| m.key);
+        assert!(owner.is_some_and(|k| k != 0), "node not reused: {owner:?}");
+        // Promote another item, so that promoting the node's new owner
+        // would show in the order.
+        assert!(s.get_locked(1, &key(1), t(400), &c).is_some());
+        let before = queue(&s);
+        assert_ne!(Some(before[0]), owner);
+        let serial = s.serial;
+        s.apply_deferred(&[(0, loc)], t(500), &c);
+        let after = queue(&s);
+        assert_eq!(before, after, "a stale record moved an LRU node");
+        assert_eq!(s.serial, serial + 1, "the access still counts");
+        assert_eq!(c.snapshot().deferred_hits, 1);
+        s.check_consistency().unwrap();
     }
 }

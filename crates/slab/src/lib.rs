@@ -420,6 +420,14 @@ impl SlabArena {
         Some((&slab.data[off..key_end], &slab.data[key_end..val_end]))
     }
 
+    /// The class that the slab holding `r` is carved for, read from
+    /// the slab header that [`read`](Self::read) touches too; `None`
+    /// for a slab the arena never carved. The answer holds for every
+    /// live slot of the slab.
+    pub fn slab_class(&self, r: SlotRef) -> Option<usize> {
+        self.slabs.get(r.slab as usize).map(|s| s.class as usize)
+    }
+
     /// The `(class, hash, key_len, val_len)` recorded for a live
     /// slot, for index cross-checks.
     pub fn locate(&self, r: SlotRef) -> Option<(usize, u64, usize, usize)> {
@@ -737,6 +745,8 @@ mod tests {
         let (k, v) = a.read(r).unwrap();
         assert_eq!((k, v), (&b"hello"[..], &b"world"[..]));
         assert_eq!(a.locate(r), Some((0, 42, 5, 5)));
+        assert_eq!(a.slab_class(r), Some(0));
+        assert_eq!(a.slab_class(SlotRef { slab: 9, slot: 0 }), None);
         let st = a.stats();
         assert_eq!(st.live_items, 1);
         assert_eq!(st.live_item_bytes, 10);
