@@ -28,7 +28,8 @@
 //!   index sized by the keys actually resident (32-byte entries), one
 //!   arena read for the key check and the value copy, the shard's own
 //!   stripe of band counters, and the clock only when the entry has a
-//!   TTL;
+//!   TTL. [`PamaCache::lookup_with`] hands the hit's bytes, as stored
+//!   in the arena, to a caller's visitor instead of copying them out;
 //! * **batched operations**: [`PamaCache::multi_get`] /
 //!   [`PamaCache::multi_set`] group keys by shard and take each shard
 //!   lock once;
@@ -60,7 +61,7 @@ mod options;
 mod shard;
 mod stats;
 
-pub use options::{CacheError, CacheValue, SetOptions};
+pub use options::{CacheError, CacheValue, SetOptions, ValueRef};
 pub use pama_metrics::{BandSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use shard::LivePenaltyProbe;
 pub use stats::{merge_all, CacheReport, CacheStats, Merge, SlabClassReport, SlabReport};
@@ -260,8 +261,23 @@ impl PamaCache {
     /// opaque `flags` word and the CAS stamp the Memcached `gets`
     /// command reports.
     pub fn lookup(&self, key: &[u8]) -> Option<CacheValue> {
+        self.lookup_with(key, |v| v.to_value())
+    }
+
+    /// Like [`Self::lookup`], but hands a hit to `f` as it is stored
+    /// instead of copying it out, and returns what `f` returns. A front
+    /// end can thus write a reply straight from the slab arena.
+    ///
+    /// The hit is counted, recorded for deferred promotion and sampled
+    /// for latency exactly as in [`Self::get`]; a miss opens the same
+    /// penalty probe and never calls `f`. On a read-lock hit, `f` runs
+    /// under the shard's read lock, so it must be short and must not
+    /// call back into this cache: a write on the same shard would
+    /// deadlock. A hit found only under the write lock (the key was
+    /// written between the two locks) is passed to `f` as a copy.
+    pub fn lookup_with<R>(&self, key: &[u8], f: impl FnOnce(ValueRef<'_>) -> R) -> Option<R> {
         let h = hash_key(key);
-        self.shard_of(h).get(h, key, || self.now())
+        self.shard_of(h).get(h, key, || self.now(), f)
     }
 
     /// Inserts or updates a key. TTL, explicit penalty, and flags come
@@ -603,7 +619,9 @@ mod tests {
         let second = c.lookup(b"k").unwrap();
         assert_eq!(second.flags, 7);
         assert!(second.cas > first.cas, "CAS must advance on rewrite");
-        // multi_lookup agrees with lookup.
+        // lookup_with and multi_lookup agree with lookup.
+        assert_eq!(c.lookup_with(b"k", |v| v.to_value()), Some(second.clone()));
+        assert_eq!(c.lookup_with(b"absent", |v| v.to_value()), None);
         let got = c.multi_lookup(&[b"k".as_slice(), b"absent".as_slice()]);
         assert_eq!(got[0].as_ref(), Some(&second));
         assert!(got[1].is_none());

@@ -121,6 +121,36 @@ pub struct CacheValue {
     pub cas: u64,
 }
 
+/// A lookup hit as stored: the value borrowed from the cache's own
+/// storage, handed to the visitor of [`crate::PamaCache::lookup_with`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValueRef<'a> {
+    /// The stored value bytes.
+    pub value: &'a [u8],
+    /// The opaque flags word given at `set` time.
+    pub flags: u32,
+    /// Store-order stamp, as in [`CacheValue::cas`].
+    pub cas: u64,
+}
+
+impl ValueRef<'_> {
+    /// Copies the hit out of the cache's storage.
+    pub fn to_value(self) -> CacheValue {
+        CacheValue {
+            value: Bytes::copy_from_slice(self.value),
+            flags: self.flags,
+            cas: self.cas,
+        }
+    }
+}
+
+impl CacheValue {
+    /// Borrows the hit in the form a lookup visitor receives.
+    pub(crate) fn as_ref(&self) -> ValueRef<'_> {
+        ValueRef { value: &self.value, flags: self.flags, cas: self.cas }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,8 @@
 //! Concurrency model (see DESIGN.md): the mutable state lives in
 //! [`Shard`] behind a [`ShardCell`]'s `RwLock`. A cache-hit GET runs
 //! entirely under the *shared* read lock — one index probe, one arena
-//! read for both the key check and the value copy-out, a clock read
+//! read for both the key check and the value (handed to the caller's
+//! visitor in place, or copied out), a clock read
 //! only if the entry has a TTL, and a hit count in the shard's own
 //! stripe of the band registry — and records the hit in the cell's
 //! lock-free [`AccessLog`] instead of promoting the entry inline.
@@ -32,7 +33,7 @@
 //! its key (the item left before the drain) is skipped.
 
 use crate::log::{AccessLog, HitRecord};
-use crate::options::{CacheError, CacheValue};
+use crate::options::{CacheError, CacheValue, ValueRef};
 use crate::stats::{ShardCounters, SlabClassReport, SlabReport};
 use bytes::Bytes;
 use pama_core::cache::Loc;
@@ -321,23 +322,32 @@ impl Shard {
         ShardCounters::bump(&c.expired);
     }
 
-    /// The shared-lock hit path: lookup, key check, TTL check, value
-    /// copy-out. No mutation — recency bookkeeping is the caller's job
-    /// (via the access log, with the item's policy handle returned
-    /// here), and reading a slot never touches the ledger. `now` is
-    /// called only when the entry has a TTL.
+    /// The shared-lock hit path: lookup, key check, TTL check, and a
+    /// band hit count; the value is borrowed from the arena. No other
+    /// mutation — recency bookkeeping is the caller's job (via the
+    /// access log, with the item's policy handle returned here), and
+    /// reading a slot never touches the ledger. `now` is called only
+    /// when the entry has a TTL.
+    pub fn read_hit_ref(
+        &self,
+        h: u64,
+        key: &[u8],
+        now: impl FnOnce() -> SimTime,
+    ) -> Option<(ValueRef<'_>, Loc)> {
+        let e = self.entries.get(&h)?;
+        let (value, loc) = self.live_value(e, key, now)?;
+        self.metrics.band(self.stripe, e.band()).hits.inc();
+        Some((ValueRef { value, flags: e.flags, cas: e.cas() }, loc))
+    }
+
+    /// [`Self::read_hit_ref`] with the value copied out.
     pub fn read_hit(
         &self,
         h: u64,
         key: &[u8],
         now: impl FnOnce() -> SimTime,
     ) -> Option<(CacheValue, Loc)> {
-        let e = self.entries.get(&h)?;
-        let (value, loc) = self.live_value(e, key, now)?;
-        self.metrics.band(self.stripe, e.band()).hits.inc();
-        let value =
-            CacheValue { value: Bytes::copy_from_slice(value), flags: e.flags, cas: e.cas() };
-        Some((value, loc))
+        self.read_hit_ref(h, key, now).map(|(v, loc)| (v.to_value(), loc))
     }
 
     /// Immutable classification of a key's state (for `contains`).
@@ -853,14 +863,22 @@ impl ShardCell {
         drop(self.write(now));
     }
 
-    /// Single-key GET. `clock` is read only when needed: on a hit to
-    /// an entry with a TTL, and once before taking the write lock on a
-    /// miss.
-    pub fn get(&self, h: u64, key: &[u8], clock: impl Fn() -> SimTime) -> Option<CacheValue> {
+    /// Single-key GET: a hit is handed to `f`, whose result is
+    /// returned. `clock` is read only when needed: on a hit to an entry
+    /// with a TTL, and once before taking the write lock on a miss. A
+    /// read-lock hit runs `f` under the read lock on the arena's bytes;
+    /// the rare hit found under the write lock runs it on a copy.
+    pub fn get<R>(
+        &self,
+        h: u64,
+        key: &[u8],
+        clock: impl Fn() -> SimTime,
+        f: impl FnOnce(ValueRef<'_>) -> R,
+    ) -> Option<R> {
         // Sampled latency timing (1 op in `LATENCY_SAMPLE`): the two
         // clock reads stay off all but a sliver of the hot path.
         let t0 = self.metrics.sample_latency(h).then(Instant::now);
-        let result = self.get_inner(h, key, clock);
+        let result = self.get_inner(h, key, clock, f);
         if let Some(t0) = t0 {
             let us = t0.elapsed().as_micros() as u64;
             match &result {
@@ -871,17 +889,24 @@ impl ShardCell {
         result
     }
 
-    fn get_inner(&self, h: u64, key: &[u8], clock: impl Fn() -> SimTime) -> Option<CacheValue> {
+    fn get_inner<R>(
+        &self,
+        h: u64,
+        key: &[u8],
+        clock: impl Fn() -> SimTime,
+        f: impl FnOnce(ValueRef<'_>) -> R,
+    ) -> Option<R> {
         {
             let shard = self.inner.read();
-            if let Some((value, loc)) = shard.read_hit(h, key, &clock) {
+            if let Some((value, loc)) = shard.read_hit_ref(h, key, &clock) {
                 self.log.record((h, loc));
-                return Some(value);
+                return Some(f(value));
             }
         }
         // Miss / collision / expiry: full path under the write lock.
         let now = clock();
-        self.write(now).get_locked(h, key, now, &self.counters)
+        let hit = self.write(now).get_locked(h, key, now, &self.counters);
+        hit.map(|v| f(v.as_ref()))
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the shard call it forwards
@@ -1288,5 +1313,32 @@ mod tests {
         assert_eq!(s.serial, serial + 1, "the access still counts");
         assert_eq!(c.snapshot().deferred_hits, 1);
         s.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn visitor_get_sees_the_stored_hit_and_defers_it_once() {
+        let cell = ShardCell::new(shard());
+        let now = t(1);
+        cell.set(1, b"k", b"value", None, None, 0xBEEF, now).unwrap();
+        cell.set(2, b"ttl", b"v", Some(SimDuration::from_millis(10)), None, 0, now).unwrap();
+        let hits = || cell.metrics.snapshot().total_hits();
+        let deferred = || cell.stats().deferred_hits;
+
+        let seen = cell.get(1, b"k", || now, |v| (v.value.to_vec(), v.flags, v.cas)).unwrap();
+        assert_eq!((hits(), deferred()), (1, 0), "one band hit, promotion still pending");
+        assert!(!cell.log.is_empty(), "the hit was not logged for deferred promotion");
+        cell.flush(now);
+        assert_eq!(deferred(), 1, "the write-lock drain applies the logged hit");
+        let copied = cell.get(1, b"k", || now, |v| v.to_value()).unwrap();
+        assert_eq!(seen, (copied.value.to_vec(), copied.flags, copied.cas));
+        assert_eq!(seen.1, 0xBEEF);
+
+        // A miss, a hash collision and a lapsed TTL never reach the
+        // visitor.
+        let never = |_: ValueRef<'_>| panic!("visitor called without a live hit");
+        assert!(cell.get(3, b"absent", || now, never).is_none());
+        assert!(cell.get(1, b"collides", || now, never).is_none());
+        assert!(cell.get(2, b"ttl", || t(20), never).is_none());
+        assert_eq!(hits(), 2);
     }
 }

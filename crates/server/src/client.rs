@@ -27,6 +27,9 @@ pub struct GetValue {
 pub struct Client {
     stream: TcpStream,
     rbuf: Vec<u8>,
+    /// Start of the unparsed bytes in `rbuf`. Replies are parsed by
+    /// advancing it; the parsed prefix is dropped once per `fill`.
+    pos: usize,
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -45,7 +48,7 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        Ok(Client { stream, rbuf: Vec::with_capacity(4 << 10) })
+        Ok(Client { stream, rbuf: Vec::with_capacity(4 << 10), pos: 0 })
     }
 
     /// Sends raw bytes as-is (escape hatch for protocol tests).
@@ -55,24 +58,41 @@ impl Client {
 
     /// Reads one `\r\n`-terminated line, terminator stripped.
     pub fn read_line(&mut self) -> io::Result<String> {
+        let mut from = self.pos;
         loop {
-            if let Some(pos) = self.rbuf.windows(2).position(|w| w == b"\r\n") {
-                let line: Vec<u8> = self.rbuf.drain(..pos + 2).take(pos).collect();
-                return String::from_utf8(line).map_err(|_| bad("non-UTF-8 response line"));
+            let unread = &self.rbuf[from..];
+            if let Some(i) = unread.iter().position(|&b| b == b'\n') {
+                let nl = from + i;
+                if nl > self.pos && self.rbuf[nl - 1] == b'\r' {
+                    let line = self.rbuf[self.pos..nl - 1].to_vec();
+                    self.pos = nl + 1;
+                    return String::from_utf8(line).map_err(|_| bad("non-UTF-8 response line"));
+                }
+                from = nl + 1;
+                continue;
             }
+            // `fill` moves the unread bytes to the front of the buffer.
+            from = self.rbuf.len() - self.pos;
             self.fill()?;
         }
     }
 
-    /// Reads exactly `n` bytes plus the `\r\n` terminator.
-    fn read_block(&mut self, n: usize) -> io::Result<Vec<u8>> {
-        while self.rbuf.len() < n + 2 {
+    /// Reads exactly `n` bytes plus the `\r\n` terminator, which it
+    /// strips: the data block of a `VALUE` line read with
+    /// [`Self::read_line`].
+    pub fn read_block(&mut self, n: usize) -> io::Result<Vec<u8>> {
+        while self.rbuf.len() - self.pos < n + 2 {
             self.fill()?;
         }
-        Ok(self.rbuf.drain(..n + 2).take(n).collect())
+        let block = self.rbuf[self.pos..self.pos + n].to_vec();
+        self.pos += n + 2;
+        Ok(block)
     }
 
+    /// Drops the parsed prefix, then appends one read's bytes.
     fn fill(&mut self) -> io::Result<()> {
+        self.rbuf.drain(..self.pos);
+        self.pos = 0;
         let mut tmp = [0u8; 16 << 10];
         let n = self.stream.read(&mut tmp)?;
         if n == 0 {

@@ -1,26 +1,35 @@
-//! Per-connection request loop: incremental parse, batched dispatch,
+//! Per-connection request loop: incremental parse, in-place replies,
 //! one write per burst.
 //!
 //! Pipelining is handled structurally: every complete command sitting
-//! in the read buffer is parsed before anything is written, runs of
-//! consecutive `get`/`gets` commands collapse into a single
-//! shard-grouped `multi_lookup`, and the whole burst of responses
-//! leaves in one `write_all`. A client that sends 32 gets back to
-//! back therefore costs one cache dispatch and one syscall each way,
-//! not 32.
+//! in the read buffer is parsed and answered before anything is
+//! written, and the whole burst of responses leaves in one
+//! `write_all`. A client that sends 32 gets back to back therefore
+//! costs one syscall each way, not 32.
+//!
+//! The request path allocates nothing per command. Commands borrow
+//! their keys and data blocks from the read buffer; each `get` key is
+//! looked up with [`pama_kv::PamaCache::lookup_with`], whose visitor
+//! writes the `VALUE` line and the data straight from the slab arena
+//! into the burst's output buffer; and the command counter shared by
+//! every connection is bumped once per read, not once per command.
 
-use crate::proto::{Command, Parser, Step, Store};
+use crate::proto::{Command, Keys, Parser, Step, Store};
 use crate::Shared;
 use pama_kv::{CacheError, MetricsRegistry, SetOptions};
 use pama_util::SimDuration;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Read wake-up quantum: how often an idle connection re-checks the
 /// shutdown flag and its idle deadline.
 const READ_POLL: Duration = Duration::from_millis(25);
+
+/// The largest `exptime` Memcached reads as relative seconds (30
+/// days); anything above it is an absolute Unix time.
+const MAX_RELATIVE_EXPTIME: i64 = 30 * 24 * 60 * 60;
 
 /// Decrements the live-connection gauge however the thread exits.
 struct ConnGuard<'a>(&'a Shared);
@@ -44,14 +53,15 @@ pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
     let mut last_activity = Instant::now();
 
     loop {
-        // Phase 1: consume every complete command in the buffer.
-        // Consecutive gets accumulate in `pending` and flush as one
-        // batched lookup when a non-get (or the buffer's end) breaks
-        // the run, preserving response order. Parsing advances a cursor;
-        // the consumed prefix is dropped once per read, not per command.
-        let mut pending: Vec<(Vec<Vec<u8>>, bool)> = Vec::new();
+        // Phase 1: answer every complete command in the buffer, in
+        // order, into `out`. Parsing advances a cursor; the consumed
+        // prefix is dropped once per read, not per command. Commands
+        // are counted locally and published before any `stats*` reply
+        // and before the burst is written, so every count a client can
+        // observe is exact.
         let mut close = false;
         let mut pos = 0;
+        let mut commands = 0;
         loop {
             match parser.step(&buf[pos..]) {
                 Step::Incomplete => break,
@@ -61,23 +71,23 @@ pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
                 }
                 Step::Cmd { cmd, consumed } => {
                     pos += consumed;
-                    shared.commands.fetch_add(1, Ordering::Relaxed);
+                    commands += 1;
                     match cmd {
-                        Command::Get { keys, with_cas } => pending.push((keys, with_cas)),
                         Command::Quit => {
                             close = true;
                             break;
                         }
-                        other => {
-                            flush_gets(shared, &mut pending, &mut out);
-                            execute(shared, other, &mut out);
+                        Command::Stats | Command::StatsMetrics | Command::StatsBands => {
+                            shared.commands.fetch_add(commands, Ordering::Relaxed);
+                            commands = 0;
+                            execute(shared, cmd, &mut out);
                         }
+                        cmd => execute(shared, cmd, &mut out),
                     }
                 }
                 Step::Bad { reply, consumed, fatal } => {
                     pos += consumed;
                     shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    flush_gets(shared, &mut pending, &mut out);
                     out.extend_from_slice(reply.as_bytes());
                     if fatal {
                         close = true;
@@ -86,7 +96,7 @@ pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
                 }
             }
         }
-        flush_gets(shared, &mut pending, &mut out);
+        shared.commands.fetch_add(commands, Ordering::Relaxed);
         buf.drain(..pos);
 
         // Phase 2: one write for the whole burst.
@@ -124,12 +134,20 @@ pub(crate) fn serve(mut stream: TcpStream, shared: &Shared) {
 }
 
 /// Memcached `exptime` → TTL: `0` never expires, negative expires
-/// immediately, positive counts relative seconds.
+/// immediately, up to [`MAX_RELATIVE_EXPTIME`] counts relative
+/// seconds, and anything larger is an absolute Unix time, which
+/// expires immediately unless it is in the future.
 fn ttl_of(exptime: i64) -> Option<SimDuration> {
     match exptime {
         0 => None,
         e if e < 0 => Some(SimDuration::ZERO),
-        e => Some(SimDuration::from_secs(e as u64)),
+        e if e <= MAX_RELATIVE_EXPTIME => Some(SimDuration::from_secs(e as u64)),
+        e => {
+            let now =
+                SystemTime::now().duration_since(SystemTime::UNIX_EPOCH).unwrap_or_default();
+            let left = Duration::from_secs(e as u64).saturating_sub(now);
+            Some(SimDuration::from_micros(u64::try_from(left.as_micros()).unwrap_or(u64::MAX)))
+        }
     }
 }
 
@@ -146,32 +164,45 @@ fn error_line(e: CacheError) -> &'static [u8] {
     }
 }
 
-/// Answers a run of consecutive `get`/`gets` commands with one
-/// shard-grouped lookup.
-fn flush_gets(shared: &Shared, pending: &mut Vec<(Vec<Vec<u8>>, bool)>, out: &mut Vec<u8>) {
-    if pending.is_empty() {
-        return;
+/// Appends `n` in decimal.
+fn put_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
-    let refs: Vec<&[u8]> =
-        pending.iter().flat_map(|(keys, _)| keys.iter().map(|k| k.as_slice())).collect();
-    let mut found = shared.cache.multi_lookup(&refs).into_iter();
-    for (keys, with_cas) in pending.drain(..) {
-        for key in &keys {
-            let Some(v) = found.next().flatten() else { continue };
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Answers one `get`/`gets` line: each key is looked up in request
+/// order, and a hit's `VALUE <key> <flags> <bytes> [<cas>]` line and
+/// data are written into `out` by the lookup's visitor, straight from
+/// the cache's storage.
+fn answer_get(shared: &Shared, keys: Keys<'_>, with_cas: bool, out: &mut Vec<u8>) {
+    for key in keys {
+        shared.cache.lookup_with(key, |v| {
+            out.reserve(key.len() + v.value.len() + 64);
             out.extend_from_slice(b"VALUE ");
             out.extend_from_slice(key);
+            out.push(b' ');
+            put_decimal(out, u64::from(v.flags));
+            out.push(b' ');
+            put_decimal(out, v.value.len() as u64);
             if with_cas {
-                out.extend_from_slice(
-                    format!(" {} {} {}\r\n", v.flags, v.value.len(), v.cas).as_bytes(),
-                );
-            } else {
-                out.extend_from_slice(format!(" {} {}\r\n", v.flags, v.value.len()).as_bytes());
+                out.push(b' ');
+                put_decimal(out, v.cas);
             }
-            out.extend_from_slice(&v.value);
             out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(b"END\r\n");
+            out.extend_from_slice(v.value);
+            out.extend_from_slice(b"\r\n");
+        });
     }
+    out.extend_from_slice(b"END\r\n");
 }
 
 fn store_reply(out: &mut Vec<u8>, noreply: bool, res: Result<bool, CacheError>) {
@@ -185,26 +216,26 @@ fn store_reply(out: &mut Vec<u8>, noreply: bool, res: Result<bool, CacheError>) 
     });
 }
 
-fn execute(shared: &Shared, cmd: Command, out: &mut Vec<u8>) {
+fn execute(shared: &Shared, cmd: Command<'_>, out: &mut Vec<u8>) {
     match cmd {
-        // Runs of gets never reach here (batched in the caller).
-        Command::Get { .. } | Command::Quit => unreachable!("handled by the connection loop"),
+        Command::Get { keys, with_cas } => answer_get(shared, keys, with_cas, out),
+        Command::Quit => unreachable!("handled by the connection loop"),
         Command::Set(Store { key, flags, exptime, data, noreply }) => {
             let opts = opts_for(flags, exptime);
-            store_reply(out, noreply, shared.cache.set(&key, &data, &opts).map(|()| true));
+            store_reply(out, noreply, shared.cache.set(key, data, &opts).map(|()| true));
         }
         Command::Add(Store { key, flags, exptime, data, noreply }) => {
             let opts = opts_for(flags, exptime);
-            store_reply(out, noreply, shared.cache.add(&key, &data, &opts));
+            store_reply(out, noreply, shared.cache.add(key, data, &opts));
         }
         Command::Delete { key, noreply } => {
-            let hit = shared.cache.delete(&key);
+            let hit = shared.cache.delete(key);
             if !noreply {
                 out.extend_from_slice(if hit { b"DELETED\r\n" } else { b"NOT_FOUND\r\n" });
             }
         }
         Command::Touch { key, exptime, noreply } => {
-            let hit = shared.cache.touch(&key, ttl_of(exptime));
+            let hit = shared.cache.touch(key, ttl_of(exptime));
             if !noreply {
                 out.extend_from_slice(if hit { b"TOUCHED\r\n" } else { b"NOT_FOUND\r\n" });
             }
@@ -217,7 +248,7 @@ fn execute(shared: &Shared, cmd: Command, out: &mut Vec<u8>) {
         }
         Command::Version => {
             out.extend_from_slice(
-                format!("VERSION pama-{}\r\n", env!("CARGO_PKG_VERSION")).as_bytes(),
+                concat!("VERSION pama-", env!("CARGO_PKG_VERSION"), "\r\n").as_bytes(),
             );
         }
         Command::Stats => emit_stats(shared, out),

@@ -8,10 +8,14 @@
 //! reproduction targets (tens, not tens of thousands), and it keeps
 //! every request on one stack from socket to shard.
 //!
-//! * **Pipelining** — each connection parses *every* complete command
-//!   sitting in its read buffer before writing, batches consecutive
-//!   `get`s into one sharded [`PamaCache::multi_lookup`], and answers
-//!   the whole burst with a single `write`.
+//! * **Pipelining** — each connection parses and answers *every*
+//!   complete command sitting in its read buffer before writing, and
+//!   sends the whole burst's replies with a single `write`.
+//! * **No per-command allocation** — [`proto::Command`] borrows its
+//!   keys and data blocks from the read buffer, and each `get` key is
+//!   served by [`PamaCache::lookup_with`], whose visitor writes the
+//!   `VALUE` line and data from the slab arena straight into the
+//!   burst's reply buffer.
 //! * **Backpressure** — past `max_conns`, new sockets are shed with
 //!   `SERVER_ERROR too many connections` and closed; per-connection
 //!   read/write timeouts bound what a stalled peer can hold.

@@ -260,6 +260,20 @@ fn stats_reports_server_and_cache_counters() {
     assert_eq!(stats["get_misses"], "1");
     assert_eq!(stats["cmd_set"], "1");
     assert_eq!(stats["curr_connections"], "1");
+    // `cmd_total` counts the `stats` command itself, and every command
+    // of a pipelined burst ahead of it.
+    assert_eq!(stats["cmd_total"], "4");
+    c.send_raw(b"get a\r\nget b\r\nstats\r\n").unwrap();
+    assert_eq!((c.read_line().unwrap(), c.read_line().unwrap()), ("END".into(), "END".into()));
+    let total = loop {
+        let line = c.read_line().unwrap();
+        if let Some(n) = line.strip_prefix("STAT cmd_total ") {
+            break n.to_string();
+        }
+    };
+    assert_eq!(total, "7");
+    while c.read_line().unwrap() != "END" {}
+    assert_eq!(srv.stats().commands, 7);
     srv.shutdown();
 }
 
@@ -410,6 +424,93 @@ fn stats_metrics_exposes_labelled_prometheus_families() {
 }
 
 #[test]
+fn stats_metrics_latency_histograms_fill_from_wire_gets() {
+    let (_cache, srv) = metrics_server();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    // Latency is sampled by key hash, so a few hundred distinct keys
+    // land some samples on both the hit and the miss path.
+    let keys: Vec<Vec<u8>> = (0..300u32).map(|i| format!("lat-{i}").into_bytes()).collect();
+    let items: Vec<(&[u8], &[u8])> =
+        keys.iter().map(|k| (k.as_slice(), b"v".as_slice())).collect();
+    c.pipeline_sets(&items, 0, 0).unwrap();
+    let hits: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+    assert!(c.pipeline_gets(&hits).unwrap().iter().all(Option::is_some));
+    let absent: Vec<Vec<u8>> = (0..300u32).map(|i| format!("nope-{i}").into_bytes()).collect();
+    let misses: Vec<&[u8]> = absent.iter().map(|k| k.as_slice()).collect();
+    assert!(c.pipeline_gets(&misses).unwrap().iter().all(Option::is_none));
+
+    let pairs: HashMap<String, String> =
+        c.stats_of(Some("metrics")).unwrap().into_iter().collect();
+    for family in ["pama_hit_latency_us_count", "pama_miss_latency_us_count"] {
+        let count: u64 = pairs[family].parse().unwrap();
+        assert!(count > 0, "{family} is {count} after 300 distinct-key gets");
+    }
+    srv.shutdown();
+}
+
+#[test]
+fn gets_formats_flags_extremes_and_multi_digit_cas() {
+    let (cache, srv) = metrics_server();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    // Rewrites advance the key's shard serial, so the CAS value grows
+    // past one digit.
+    for _ in 0..20 {
+        c.set(b"hi", b"xy", u32::MAX, 0).unwrap();
+    }
+    c.set(b"lo", b"", 0, 0).unwrap();
+    let (hi_cas, lo_cas) = (cache.lookup(b"hi").unwrap().cas, cache.lookup(b"lo").unwrap().cas);
+    assert!(hi_cas >= 10, "cas {hi_cas} has one digit");
+    c.send_raw(b"gets hi lo\r\nget hi\r\n").unwrap();
+    let expect = [
+        format!("VALUE hi 4294967295 2 {hi_cas}"),
+        "xy".into(),
+        format!("VALUE lo 0 0 {lo_cas}"),
+        String::new(),
+        "END".into(),
+        "VALUE hi 4294967295 2".into(),
+        "xy".into(),
+        "END".into(),
+    ];
+    for line in expect {
+        assert_eq!(c.read_line().unwrap(), line);
+    }
+    srv.shutdown();
+}
+
+/// Seconds since the Unix epoch, for absolute `exptime` values.
+fn unix_now() -> i64 {
+    let since = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap();
+    since.as_secs() as i64
+}
+
+#[test]
+fn exptime_above_thirty_days_is_an_absolute_unix_time() {
+    let srv = server();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    let now = unix_now();
+    // A past absolute time has already expired, on set, add and touch.
+    assert_eq!(c.set(b"past", b"v", 0, now - 3600).unwrap(), "STORED");
+    assert!(c.get(b"past").unwrap().is_none(), "a past absolute exptime served live");
+    assert_eq!(c.add(b"past-add", b"v", 0, now - 1).unwrap(), "STORED");
+    assert!(c.get(b"past-add").unwrap().is_none(), "a past absolute add served live");
+    c.set(b"touched", b"v", 0, 0).unwrap();
+    assert!(c.touch(b"touched", now - 60).unwrap());
+    assert!(c.get(b"touched").unwrap().is_none(), "a past absolute touch served live");
+    // A near-future absolute time is live.
+    assert_eq!(c.set(b"soon", b"v", 0, now + 3600).unwrap(), "STORED");
+    assert_eq!(c.get(b"soon").unwrap().unwrap().value, b"v");
+    assert_eq!(c.add(b"soon-add", b"v", 0, now + 3600).unwrap(), "STORED");
+    assert!(c.get(b"soon-add").unwrap().is_some());
+    assert!(c.touch(b"soon", now + 60).unwrap());
+    assert!(c.get(b"soon").unwrap().is_some());
+    // Exactly 30 days is still relative: live for a month, not a time
+    // in 1970.
+    assert_eq!(c.set(b"month", b"v", 0, 2_592_000).unwrap(), "STORED");
+    assert!(c.get(b"month").unwrap().is_some(), "2592000 s must read as relative");
+    srv.shutdown();
+}
+
+#[test]
 fn negative_exptime_stores_are_immediately_expired() {
     let srv = server();
     let mut c = Client::connect(srv.local_addr()).unwrap();
@@ -432,14 +533,23 @@ fn negative_exptime_stores_are_immediately_expired() {
 enum WireOp {
     Set { key: u8, len: u16 },
     Get { key: u8 },
+    MultiGet { keys: Vec<u8>, with_cas: bool },
     Delete { key: u8 },
+}
+
+/// Keys come from a small space, so multi-key gets return several
+/// hits and the reply order is checked.
+fn wire_key() -> impl Strategy<Value = u8> {
+    0u8..48
 }
 
 fn wire_op() -> impl Strategy<Value = WireOp> {
     prop_oneof![
-        3 => (any::<u8>(), 1u16..1500).prop_map(|(key, len)| WireOp::Set { key, len }),
-        4 => any::<u8>().prop_map(|key| WireOp::Get { key }),
-        1 => any::<u8>().prop_map(|key| WireOp::Delete { key }),
+        3 => (wire_key(), 1u16..1500).prop_map(|(key, len)| WireOp::Set { key, len }),
+        4 => wire_key().prop_map(|key| WireOp::Get { key }),
+        2 => (prop::collection::vec(wire_key(), 1..6), any::<bool>())
+            .prop_map(|(keys, with_cas)| WireOp::MultiGet { keys, with_cas }),
+        1 => wire_key().prop_map(|key| WireOp::Delete { key }),
     ]
 }
 
@@ -447,46 +557,133 @@ fn key_bytes(k: u8) -> Vec<u8> {
     format!("key-{k:03}").into_bytes()
 }
 
+/// The request bytes of `op`. A delete is followed by a `get` of the
+/// same key, which must miss.
+fn encode(op: &WireOp, req: &mut Vec<u8>) {
+    match op {
+        WireOp::Set { key, len } => {
+            let value = vec![key ^ 0x3C; usize::from(*len)];
+            req.extend_from_slice(format!("set key-{key:03} {key} 0 {len}\r\n").as_bytes());
+            req.extend_from_slice(&value);
+            req.extend_from_slice(b"\r\n");
+        }
+        WireOp::Get { key } => {
+            req.extend_from_slice(format!("get key-{key:03}\r\n").as_bytes())
+        }
+        WireOp::MultiGet { keys, with_cas } => {
+            req.extend_from_slice(if *with_cas { b"gets" } else { b"get" });
+            for key in keys {
+                req.extend_from_slice(format!(" key-{key:03}").as_bytes());
+            }
+            req.extend_from_slice(b"\r\n");
+        }
+        WireOp::Delete { key } => {
+            req.extend_from_slice(
+                format!("delete key-{key:03}\r\nget key-{key:03}\r\n").as_bytes(),
+            );
+        }
+    }
+}
+
+type Oracle = HashMap<u8, (Vec<u8>, u32)>;
+
+/// Reads `op`'s replies and checks them against the oracle, then
+/// applies `op` to it. Every hit must carry the oracle's bytes and
+/// flags (a miss is allowed: eviction may drop a key), and a `gets`
+/// hit carries a CAS stamp.
+fn check(op: &WireOp, c: &mut Client, oracle: &mut Oracle) -> Result<(), TestCaseError> {
+    let read_get = |c: &mut Client, keys: &[u8], with_cas: bool| {
+        let mut lines = Vec::new();
+        loop {
+            let line = c.read_line().unwrap();
+            if line == "END" {
+                return lines;
+            }
+            let fields: Vec<String> = line.split(' ').map(str::to_string).collect();
+            let len: usize = fields[3].parse().unwrap();
+            let value = c.read_block(len).unwrap();
+            assert_eq!(fields.len(), 4 + usize::from(with_cas), "fields of {line:?}");
+            lines.push((fields[1].clone(), fields[2].parse::<u32>().unwrap(), value));
+            assert!(lines.len() <= keys.len(), "more VALUE lines than keys");
+        }
+    };
+    match op {
+        WireOp::Set { key, len } => {
+            prop_assert_eq!(c.read_line().unwrap(), "STORED");
+            oracle.insert(*key, (vec![key ^ 0x3C; usize::from(*len)], u32::from(*key)));
+        }
+        WireOp::Get { key } => check_values(&read_get(c, &[*key], false), &[*key], oracle)?,
+        WireOp::MultiGet { keys, with_cas } => {
+            check_values(&read_get(c, keys, *with_cas), keys, oracle)?;
+        }
+        WireOp::Delete { key } => {
+            let reply = c.read_line().unwrap();
+            prop_assert!(
+                reply == "DELETED" || reply == "NOT_FOUND",
+                "delete answered {}",
+                reply
+            );
+            oracle.remove(key);
+            prop_assert!(read_get(c, &[*key], false).is_empty(), "key {} after delete", key);
+        }
+    }
+    Ok(())
+}
+
+/// Hits must come in request order, each with the oracle's value.
+fn check_values(
+    got: &[(String, u32, Vec<u8>)],
+    keys: &[u8],
+    oracle: &Oracle,
+) -> Result<(), TestCaseError> {
+    let mut want = keys.iter();
+    for (name, flags, value) in got {
+        let key = want.find(|&&k| String::from_utf8(key_bytes(k)).unwrap() == *name);
+        prop_assert!(key.is_some(), "{} out of request order", name);
+        let expect = oracle.get(key.unwrap());
+        prop_assert!(expect.is_some(), "{} returned after delete", name);
+        let (v, f) = expect.unwrap();
+        prop_assert_eq!(value, v);
+        prop_assert_eq!(flags, f);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random get/set/delete sequences through the loopback server
-    /// match an in-process oracle: every wire GET that hits returns
-    /// the oracle's bytes and flags, deletes stick, and the server
+    /// Random get/multi-get/set/delete sequences through the loopback
+    /// server match an in-process oracle, sent one request at a time
+    /// and again as one pipelined burst: every hit returns the oracle's
+    /// bytes and flags in request order, deletes stick, and the server
     /// survives with zero protocol errors.
     #[test]
     fn random_ops_round_trip_against_the_oracle(
         ops in prop::collection::vec(wire_op(), 1..80)
     ) {
-        let srv = server();
-        let mut c = Client::connect(srv.local_addr()).unwrap();
-        let mut oracle: HashMap<u8, (Vec<u8>, u32)> = HashMap::new();
-        for op in ops {
-            match op {
-                WireOp::Set { key, len } => {
-                    let value = vec![key ^ 0x3C; usize::from(len)];
-                    let reply = c.set(&key_bytes(key), &value, u32::from(key), 0).unwrap();
-                    prop_assert_eq!(reply.as_str(), "STORED");
-                    oracle.insert(key, (value, u32::from(key)));
+        for pipelined in [false, true] {
+            let srv = server();
+            let mut c = Client::connect(srv.local_addr()).unwrap();
+            let mut oracle = Oracle::new();
+            if pipelined {
+                let mut req = Vec::new();
+                for op in &ops {
+                    encode(op, &mut req);
                 }
-                WireOp::Get { key } => {
-                    if let Some(got) = c.get(&key_bytes(key)).unwrap() {
-                        let expect = oracle.get(&key);
-                        prop_assert!(expect.is_some(), "key {} returned after delete", key);
-                        let (value, flags) = expect.unwrap();
-                        prop_assert_eq!(&got.value, value);
-                        prop_assert_eq!(got.flags, *flags);
-                    }
+                c.send_raw(&req).unwrap();
+                for op in &ops {
+                    check(op, &mut c, &mut oracle)?;
                 }
-                WireOp::Delete { key } => {
-                    let existed = c.delete(&key_bytes(key)).unwrap();
-                    let _ = existed; // eviction may beat the delete
-                    oracle.remove(&key);
-                    prop_assert!(c.get(&key_bytes(key)).unwrap().is_none());
+            } else {
+                for op in &ops {
+                    let mut req = Vec::new();
+                    encode(op, &mut req);
+                    c.send_raw(&req).unwrap();
+                    check(op, &mut c, &mut oracle)?;
                 }
             }
+            prop_assert_eq!(srv.stats().protocol_errors, 0);
+            srv.shutdown();
         }
-        prop_assert_eq!(srv.stats().protocol_errors, 0);
-        srv.shutdown();
     }
 }
