@@ -8,7 +8,8 @@
 //!   slabs × slots_per_slab`), and one or more LRU **queues**
 //!   (subclasses — plain policies use one queue per class, PAMA one
 //!   per penalty band);
-//! * a key → location **index**.
+//! * a key → location **index**, unless the owner keeps each item's
+//!   handle itself ([`BaseCache::unindexed`]).
 //!
 //! Physical slot addresses are *not* modelled: evicting the bottom
 //! "virtual slab" of a queue frees slots scattered over physical
@@ -19,7 +20,8 @@
 //! All mutation goes through methods that preserve the central
 //! invariants, checked by [`BaseCache::check_invariants`]:
 //! `used_slots(c) ≤ capacity(c)` for every class, the slab ledger sums
-//! to the total, and the index agrees bijectively with queue contents.
+//! to the total, and the index (when there is one) agrees bijectively
+//! with queue contents.
 
 use crate::config::CacheConfig;
 use crate::lru::{LruList, NodeRef};
@@ -59,6 +61,10 @@ pub struct Loc {
 /// Per-class state: slab count and the subclass queues.
 #[derive(Debug, Clone)]
 pub struct ClassState {
+    /// Slots in one of this class's slabs (the config's
+    /// `slots_per_slab`, kept here so that capacity checks on every
+    /// evicting insert need no division).
+    pub slots_per_slab: usize,
     /// Slabs currently assigned to this class.
     pub slabs: usize,
     /// Live items (each occupies one slot).
@@ -74,38 +80,78 @@ pub struct BaseCache {
     bands: usize,
     free_slabs: usize,
     classes: Vec<ClassState>,
-    index: FastMap<u64, Loc>,
+    /// `None` for an owner that reaches every item through the handle
+    /// the insert returned; the by-key methods then have nothing to
+    /// consult.
+    index: Option<FastMap<u64, Loc>>,
+    /// Live items, index or not.
+    len: usize,
 }
 
 /// Outcome of an insert attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertOutcome {
-    /// Stored in an existing free slot.
-    Stored,
+    /// Stored in an existing free slot, at the given location.
+    Stored(Loc),
     /// Stored after the class received a slab from the free pool.
-    StoredWithNewSlab,
+    StoredWithNewSlab(Loc),
     /// No slot, no free slab: the caller's policy must make room first.
     NoSpace,
 }
 
+impl InsertOutcome {
+    /// The stored item's location, unless nothing was stored.
+    pub fn loc(self) -> Option<Loc> {
+        match self {
+            InsertOutcome::Stored(loc) | InsertOutcome::StoredWithNewSlab(loc) => Some(loc),
+            InsertOutcome::NoSpace => None,
+        }
+    }
+}
+
+const UNINDEXED: &str = "by-key call on a BaseCache built without an index";
+
 impl BaseCache {
-    /// Creates an empty cache with `bands` queues per class.
+    /// Creates an empty cache with `bands` queues per class and a key
+    /// index.
     ///
     /// # Panics
     /// Panics when the config fails validation or `bands == 0`.
     pub fn new(cfg: CacheConfig, bands: usize) -> Self {
+        Self { index: Some(FastMap::default()), ..Self::unindexed(cfg, bands) }
+    }
+
+    /// [`new`](Self::new) without the key index, for an owner that
+    /// keeps the [`Loc`] every insert returns and addresses items only
+    /// through it ([`meta_at`](Self::meta_at),
+    /// [`remove_at`](Self::remove_at), …). The by-key methods
+    /// ([`lookup`](Self::lookup), [`contains`](Self::contains),
+    /// [`peek`](Self::peek), [`touch`](Self::touch),
+    /// [`remove`](Self::remove), [`update_in_place`](Self::update_in_place))
+    /// debug-assert that an index exists and find nothing without one.
+    ///
+    /// # Panics
+    /// Panics when the config fails validation or `bands == 0`.
+    pub fn unindexed(cfg: CacheConfig, bands: usize) -> Self {
         cfg.validate().expect("invalid cache config");
         assert!(bands > 0, "need at least one band");
         let nc = cfg.num_classes();
         let classes = (0..nc)
-            .map(|_| ClassState {
+            .map(|c| ClassState {
+                slots_per_slab: cfg.slots_per_slab(c),
                 slabs: 0,
                 used_slots: 0,
                 queues: (0..bands).map(|_| LruList::new()).collect(),
             })
             .collect();
         let free_slabs = cfg.total_slabs();
-        Self { cfg, bands, free_slabs, classes, index: FastMap::default() }
+        Self { cfg, bands, free_slabs, classes, index: None, len: 0 }
+    }
+
+    /// Whether the cache keeps a key index (see
+    /// [`unindexed`](Self::unindexed)).
+    pub fn is_indexed(&self) -> bool {
+        self.index.is_some()
     }
 
     /// The configuration.
@@ -130,12 +176,12 @@ impl BaseCache {
 
     /// Total live items.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// True when the cache holds no items.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Borrow a class's state.
@@ -145,7 +191,7 @@ impl BaseCache {
 
     /// Slot capacity of class `c`.
     pub fn capacity(&self, c: usize) -> usize {
-        self.classes[c].slabs * self.cfg.slots_per_slab(c)
+        self.classes[c].slabs * self.classes[c].slots_per_slab
     }
 
     /// Free slots in class `c`.
@@ -155,12 +201,13 @@ impl BaseCache {
 
     /// Location of a key, if cached.
     pub fn lookup(&self, key: u64) -> Option<Loc> {
-        self.index.get(&key).copied()
+        debug_assert!(self.is_indexed(), "{UNINDEXED}");
+        self.index.as_ref()?.get(&key).copied()
     }
 
     /// Whether a key is cached.
     pub fn contains(&self, key: u64) -> bool {
-        self.index.contains_key(&key)
+        self.lookup(key).is_some()
     }
 
     /// Touches a cached key: moves it to its queue's front and stamps
@@ -218,44 +265,85 @@ impl BaseCache {
 
     /// Attempts to insert a new item (the key must not be cached).
     /// Tries a free slot, then a free slab from the pool; returns
-    /// [`InsertOutcome::NoSpace`] when neither exists.
+    /// [`InsertOutcome::NoSpace`] when neither exists. A stored
+    /// outcome carries the item's location.
     ///
     /// # Panics
-    /// Panics (debug) when the key is already present.
+    /// Panics (debug) when an indexed cache already holds the key.
     pub fn insert(&mut self, meta: ItemMeta) -> InsertOutcome {
-        debug_assert!(!self.contains(meta.key), "insert of cached key {}", meta.key);
+        debug_assert!(
+            self.index.as_ref().is_none_or(|ix| !ix.contains_key(&meta.key)),
+            "insert of cached key {}",
+            meta.key
+        );
         let c = meta.class as usize;
-        let mut outcome = InsertOutcome::Stored;
+        let mut new_slab = false;
         if self.free_slots(c) == 0 {
             if self.free_slabs == 0 {
                 return InsertOutcome::NoSpace;
             }
             self.free_slabs -= 1;
             self.classes[c].slabs += 1;
-            outcome = InsertOutcome::StoredWithNewSlab;
+            new_slab = true;
         }
         let b = meta.band as usize;
         let node = self.classes[c].queues[b].push_front(meta);
         self.classes[c].used_slots += 1;
-        self.index.insert(meta.key, Loc { class: meta.class, band: meta.band, node });
-        outcome
+        self.len += 1;
+        let loc = Loc { class: meta.class, band: meta.band, node };
+        if let Some(ix) = &mut self.index {
+            ix.insert(meta.key, loc);
+        }
+        if new_slab {
+            InsertOutcome::StoredWithNewSlab(loc)
+        } else {
+            InsertOutcome::Stored(loc)
+        }
     }
 
     /// Removes a key, returning its metadata.
     pub fn remove(&mut self, key: u64) -> Option<ItemMeta> {
-        let loc = self.index.remove(&key)?;
+        debug_assert!(self.is_indexed(), "{UNINDEXED}");
+        let loc = self.index.as_mut()?.remove(&key)?;
+        Some(self.unlink(loc))
+    }
+
+    /// [`remove`](Self::remove) by handle: when
+    /// [`meta_at`](Self::meta_at) accepts `loc` for `key`, removes the
+    /// item and returns its metadata. A stale handle changes nothing
+    /// and answers `None`.
+    pub fn remove_at(&mut self, loc: Loc, key: u64) -> Option<ItemMeta> {
+        self.meta_at(loc, key)?;
+        if let Some(ix) = &mut self.index {
+            ix.remove(&key);
+        }
+        Some(self.unlink(loc))
+    }
+
+    /// Frees the node at a live `loc`, index aside.
+    fn unlink(&mut self, loc: Loc) -> ItemMeta {
         let c = loc.class as usize;
         let meta = self.classes[c].queues[loc.band as usize].remove(loc.node);
         self.classes[c].used_slots -= 1;
-        Some(meta)
+        self.len -= 1;
+        meta
     }
 
     /// Evicts the LRU item of `(class, band)`, returning it.
     pub fn evict_tail(&mut self, class: usize, band: usize) -> Option<ItemMeta> {
         let meta = self.classes[class].queues[band].pop_back()?;
         self.classes[class].used_slots -= 1;
-        self.index.remove(&meta.key);
+        self.len -= 1;
+        if let Some(ix) = &mut self.index {
+            ix.remove(&meta.key);
+        }
         Some(meta)
+    }
+
+    /// Mutable access to one subclass queue, for node tags only: the
+    /// caller must not push, remove or reorder nodes.
+    pub(crate) fn queue_mut(&mut self, class: usize, band: usize) -> &mut LruList<ItemMeta> {
+        &mut self.classes[class].queues[band]
     }
 
     /// Takes one slab away from `class`, evicting LRU items of `band`
@@ -273,7 +361,7 @@ impl BaseCache {
         if self.classes[class].slabs == 0 {
             return false;
         }
-        let spslab = self.cfg.slots_per_slab(class);
+        let spslab = self.classes[class].slots_per_slab;
         while self.free_slots(class) < spslab {
             let victim_band = if !self.classes[class].queues[band].is_empty() {
                 band
@@ -375,8 +463,8 @@ impl BaseCache {
                     if m.class as usize != ci {
                         return Err(format!("item {} in wrong class {ci}", m.key));
                     }
-                    let loc = self
-                        .index
+                    let Some(index) = &self.index else { continue };
+                    let loc = index
                         .get(&m.key)
                         .ok_or_else(|| format!("item {} missing from index", m.key))?;
                     if loc.class as usize != ci {
@@ -393,8 +481,11 @@ impl BaseCache {
                 self.cfg.total_slabs()
             ));
         }
-        if item_sum != self.index.len() {
-            return Err(format!("items {item_sum} != index {}", self.index.len()));
+        if item_sum != self.len {
+            return Err(format!("items {item_sum} != count {}", self.len));
+        }
+        if let Some(index) = self.index.as_ref().filter(|ix| ix.len() != item_sum) {
+            return Err(format!("items {item_sum} != index {}", index.len()));
         }
         Ok(())
     }
@@ -421,8 +512,9 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let mut c = BaseCache::new(small_cfg(), 1);
-        assert_eq!(c.insert(meta(1, 0)), InsertOutcome::StoredWithNewSlab);
-        assert_eq!(c.insert(meta(2, 0)), InsertOutcome::Stored);
+        assert!(matches!(c.insert(meta(1, 0)), InsertOutcome::StoredWithNewSlab(_)));
+        let InsertOutcome::Stored(loc) = c.insert(meta(2, 0)) else { panic!("no slot") };
+        assert_eq!(c.lookup(2), Some(loc), "insert returns the indexed location");
         assert!(c.contains(1));
         assert_eq!(c.len(), 2);
         assert_eq!(c.free_slabs(), 3);
@@ -485,9 +577,37 @@ mod tests {
         cfg.total_bytes = 4 << 10; // one slab
         let mut c = BaseCache::new(cfg, 1);
         // fill class 6 (slot 4096, 1 per slab)
-        assert_eq!(c.insert(meta(1, 6)), InsertOutcome::StoredWithNewSlab);
+        assert!(matches!(c.insert(meta(1, 6)), InsertOutcome::StoredWithNewSlab(_)));
         assert_eq!(c.insert(meta(2, 6)), InsertOutcome::NoSpace);
         assert_eq!(c.insert(meta(3, 0)), InsertOutcome::NoSpace);
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn unindexed_cache_is_addressed_by_handle() {
+        let mut c = BaseCache::unindexed(small_cfg(), 1);
+        assert!(!c.is_indexed());
+        let locs: Vec<Loc> = (1..=3).map(|k| c.insert(meta(k, 0)).loc().unwrap()).collect();
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.meta_at(locs[1], 2).unwrap().key, 2);
+        // A handle under the wrong key removes nothing.
+        assert!(c.remove_at(locs[1], 3).is_none());
+        assert_eq!(c.remove_at(locs[1], 2).unwrap().key, 2);
+        assert!(c.remove_at(locs[1], 2).is_none(), "a removed node is refused");
+        assert_eq!((c.len(), c.free_slots(0)), (2, 62));
+        c.check_invariants().unwrap();
+        assert_eq!(c.evict_tail(0, 0).unwrap().key, 1);
+        assert_eq!(c.len(), 1);
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn remove_at_keeps_the_index_in_step() {
+        let mut c = BaseCache::new(small_cfg(), 1);
+        let loc = c.insert(meta(1, 0)).loc().unwrap();
+        assert_eq!(c.remove_at(loc, 1).unwrap().key, 1);
+        assert!(!c.contains(1));
+        assert!(c.is_empty());
         c.check_invariants().unwrap();
     }
 

@@ -12,6 +12,11 @@
 //! it. Debug builds verify liveness on every operation. A holder that
 //! cannot make that guarantee checks the handle first with
 //! [`LruList::try_get`].
+//!
+//! Each node also carries a one-byte **tag** for the list's owner,
+//! stored in padding the node has anyway. Every push resets it to 0;
+//! PAMA's segment tracker uses it to mark which snapshot segment a
+//! node sat in (see [`crate::segments`]).
 
 /// Handle to a node in an [`LruList`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,8 +30,14 @@ struct Node<T> {
     next: u32,
     /// Live flag doubles as free-list membership marker.
     live: bool,
+    /// The owner's tag; 0 after every push.
+    tag: u8,
     value: T,
 }
+
+// The tag sits in padding: a node of a 40-byte value (the simulator's
+// `ItemMeta`) stays 56 bytes.
+const _: () = assert!(std::mem::size_of::<Node<[u64; 5]>>() == 56);
 
 /// A doubly-linked LRU list in an arena. Front = most recently used,
 /// back = least recently used (the paper's "stack bottom").
@@ -74,12 +85,13 @@ impl<T> LruList<T> {
             n.prev = NIL;
             n.next = NIL;
             n.live = true;
+            n.tag = 0;
             n.value = value;
             i
         } else {
             let i = self.nodes.len() as u32;
             assert!(i != NIL, "LruList arena exhausted");
-            self.nodes.push(Node { prev: NIL, next: NIL, live: true, value });
+            self.nodes.push(Node { prev: NIL, next: NIL, live: true, tag: 0, value });
             i
         }
     }
@@ -191,6 +203,39 @@ impl<T> LruList<T> {
     /// Handle of the front (MRU) node.
     pub fn front(&self) -> Option<NodeRef> {
         (self.head != NIL).then_some(NodeRef(self.head))
+    }
+
+    /// Handle of the node one step toward the front (more recently
+    /// used) from `r`, if any: walking from [`back`](Self::back) with
+    /// this visits the stack bottom-up.
+    pub fn prev(&self, r: NodeRef) -> Option<NodeRef> {
+        self.check(r);
+        let p = self.nodes[r.0 as usize].prev;
+        (p != NIL).then_some(NodeRef(p))
+    }
+
+    /// Sets a live node's tag. Moving the node keeps it; only a push
+    /// (of this or a reused node) or [`take_tag`](Self::take_tag)
+    /// resets it.
+    pub fn set_tag(&mut self, r: NodeRef, tag: u8) {
+        self.check(r);
+        self.nodes[r.0 as usize].tag = tag;
+    }
+
+    /// Reads a live node's tag and resets it to 0.
+    pub fn take_tag(&mut self, r: NodeRef) -> u8 {
+        self.check(r);
+        std::mem::take(&mut self.nodes[r.0 as usize].tag)
+    }
+
+    /// Resets the tag of the node at `r` whether or not it is still
+    /// live, for an owner clearing tags it set earlier on nodes that
+    /// may have been freed or reused since. A handle past the arena is
+    /// ignored.
+    pub fn clear_tag(&mut self, r: NodeRef) {
+        if let Some(n) = self.nodes.get_mut(r.0 as usize) {
+            n.tag = 0;
+        }
     }
 
     /// Borrows a node's value.
@@ -383,6 +428,29 @@ mod tests {
         let b = l.push_front(2);
         assert_eq!(l.try_get(a), Some(&2), "a reused node answers with its new value");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn tags_survive_moves_and_reset_on_push() {
+        let mut l = LruList::new();
+        let a = l.push_front(1);
+        let b = l.push_front(2);
+        assert_eq!(l.prev(b), None);
+        assert_eq!(l.prev(a), Some(b));
+        l.set_tag(a, 3);
+        l.move_to_front(a);
+        assert_eq!(l.prev(b), Some(a));
+        assert_eq!(l.take_tag(a), 3, "a move keeps the tag");
+        assert_eq!(l.take_tag(a), 0, "take resets");
+        l.set_tag(b, 7);
+        l.remove(b);
+        l.clear_tag(b); // freed: allowed
+        l.clear_tag(NodeRef(99)); // past the arena: ignored
+        l.set_tag(a, 5);
+        l.remove(a);
+        let c = l.push_front(9);
+        assert_eq!(c, a, "the freed node is reused");
+        assert_eq!(l.take_tag(c), 0, "a push resets a reused node's tag");
     }
 
     #[test]

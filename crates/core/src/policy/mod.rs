@@ -159,16 +159,8 @@ pub fn insert_with_room(
     mut make_room: impl FnMut(&mut BaseCache) -> bool,
 ) -> bool {
     match cache.insert(meta) {
-        InsertOutcome::Stored | InsertOutcome::StoredWithNewSlab => true,
-        InsertOutcome::NoSpace => {
-            if !make_room(cache) {
-                return false;
-            }
-            matches!(
-                cache.insert(meta),
-                InsertOutcome::Stored | InsertOutcome::StoredWithNewSlab
-            )
-        }
+        InsertOutcome::Stored(_) | InsertOutcome::StoredWithNewSlab(_) => true,
+        InsertOutcome::NoSpace => make_room(cache) && cache.insert(meta).loc().is_some(),
     }
 }
 

@@ -27,7 +27,7 @@ use super::{meta_for, GetOutcome, Policy, PolicyEvent};
 use crate::cache::{BaseCache, InsertOutcome, ItemMeta, Loc};
 use crate::config::{CacheConfig, Tick};
 use crate::lru::{LruList, NodeRef};
-use crate::segments::{chunk_segments, MembershipMode, SubclassTracker};
+use crate::segments::{MembershipMode, SubclassTracker};
 use pama_trace::Request;
 use pama_util::{FastMap, SimDuration, SimTime};
 
@@ -135,46 +135,14 @@ impl Default for GhostEntry {
 /// the receiving segment and its measured incoming value dwarfs any
 /// candidate's outgoing value — the slab-hoarding failure mode the
 /// harness measured before the fix.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct GhostList {
     list: LruList<GhostEntry>,
-    index: FastMap<u64, NodeRef>,
     cap: usize,
     spslab: usize,
 }
 
 impl GhostList {
-    fn new(cap: usize, spslab: usize) -> Self {
-        Self {
-            list: LruList::new(),
-            index: FastMap::default(),
-            cap: cap.max(1),
-            spslab: spslab.max(1),
-        }
-    }
-
-    /// Pushes an evictee; returns the entry that aged out, if any.
-    fn push(&mut self, key: u64, penalty: SimDuration) -> Option<GhostEntry> {
-        if let Some(node) = self.index.remove(&key) {
-            // Re-evicted while still ghosted: refresh position.
-            self.list.remove(node);
-        }
-        let e = GhostEntry { key, penalty, snap_seg: GHOST_UNSNAPPED };
-        let node = self.list.push_front(e);
-        self.index.insert(key, node);
-        if self.list.len() > self.cap {
-            let old = self.list.pop_back()?;
-            self.index.remove(&old.key);
-            return Some(old);
-        }
-        None
-    }
-
-    fn remove(&mut self, key: u64) -> Option<GhostEntry> {
-        let node = self.index.remove(&key)?;
-        Some(self.list.remove(node))
-    }
-
     /// Window-boundary stamp: every entry gets its current
     /// position-derived segment.
     fn snapshot(&mut self) {
@@ -189,15 +157,64 @@ impl GhostList {
     fn segment_of(e: &GhostEntry) -> Option<usize> {
         (e.snap_seg != GHOST_UNSNAPPED).then_some(e.snap_seg as usize)
     }
+}
 
-    #[cfg(test)]
-    fn contains(&self, key: u64) -> bool {
-        self.index.contains_key(&key)
+/// Every subclass's ghost list behind one index: a ghosted key maps to
+/// its subclass and its node in that subclass's list. A key has at most
+/// one ghost entry — every insert forgets the key's ghost before any
+/// push can happen — so a push is one index insert plus, when the list
+/// overflows, one removal of the entry that aged out.
+#[derive(Debug, Clone, Default)]
+struct Ghosts {
+    lists: Vec<GhostList>,
+    index: FastMap<u64, (u32, NodeRef)>,
+}
+
+impl Ghosts {
+    /// Adds a list for the next subclass, holding up to `cap` entries
+    /// stamped in segments of `spslab`.
+    fn add_list(&mut self, cap: usize, spslab: usize) {
+        self.lists.push(GhostList {
+            list: LruList::new(),
+            cap: cap.max(1),
+            spslab: spslab.max(1),
+        });
     }
 
-    #[cfg(test)]
+    /// Pushes an evictee of subclass `s`, which must not be ghosted
+    /// already; returns the entry that aged out of the list, if any.
+    fn push(&mut self, s: usize, key: u64, penalty: SimDuration) -> Option<GhostEntry> {
+        let g = &mut self.lists[s];
+        let node = g.list.push_front(GhostEntry { key, penalty, snap_seg: GHOST_UNSNAPPED });
+        let prior = self.index.insert(key, (s as u32, node));
+        debug_assert!(prior.is_none(), "key {key} ghosted twice");
+        if g.list.len() > g.cap {
+            let old = g.list.pop_back()?;
+            self.index.remove(&old.key);
+            return Some(old);
+        }
+        None
+    }
+
+    /// Removes a key's ghost entry, returning its subclass and entry.
+    fn remove(&mut self, key: u64) -> Option<(usize, GhostEntry)> {
+        let (s, node) = self.index.remove(&key)?;
+        Some((s as usize, self.lists[s as usize].list.remove(node)))
+    }
+
+    /// Stamps subclass `s`'s entries with their segments.
+    fn snapshot(&mut self, s: usize) {
+        self.lists[s].snapshot();
+    }
+
+    /// Ghost entries held, over every subclass.
     fn len(&self) -> usize {
-        self.list.len()
+        self.index.len()
+    }
+
+    /// The most ghost entries the lists can hold together.
+    fn capacity(&self) -> usize {
+        self.lists.iter().map(|g| g.cap).sum()
     }
 }
 
@@ -208,10 +225,8 @@ pub struct Pama {
     pcfg: PamaConfig,
     /// One tracker per (class, band), row-major by class.
     trackers: Vec<SubclassTracker>,
-    /// One ghost list per (class, band).
-    ghosts: Vec<GhostList>,
-    /// Which keys are ghosted where: key → subclass index.
-    ghost_where: FastMap<u64, u32>,
+    /// One ghost list per (class, band), row-major by class.
+    ghosts: Ghosts,
     accesses: u64,
     migrations: u64,
     rebuilds: u64,
@@ -237,17 +252,33 @@ impl Pama {
 
     /// Creates PAMA with explicit tuning.
     pub fn with_config(cache_cfg: CacheConfig, pcfg: PamaConfig) -> Self {
-        pcfg.validate().expect("invalid pama config");
         let bands = cache_cfg.num_bands();
-        let cache = BaseCache::new(cache_cfg, bands);
-        let nc = cache.num_classes();
+        Self::over(BaseCache::new(cache_cfg, bands), pcfg)
+    }
+
+    /// PAMA for a store that keeps each item's handle ([`Loc`]) itself,
+    /// as the kv store's entries do: the policy's cache keeps no key
+    /// index ([`BaseCache::unindexed`]), so the store's own map is the
+    /// only per-key map of resident items. Such a policy is driven
+    /// through the handle entry points only — [`on_hit`](Self::on_hit),
+    /// [`on_miss`](Self::on_miss), [`on_insert`](Self::on_insert) and
+    /// [`on_remove`](Self::on_remove) — never through the by-key
+    /// [`Policy`] methods.
+    pub fn for_store(cache_cfg: CacheConfig, pcfg: PamaConfig) -> Self {
+        let bands = cache_cfg.num_bands();
+        Self::over(BaseCache::unindexed(cache_cfg, bands), pcfg)
+    }
+
+    fn over(cache: BaseCache, pcfg: PamaConfig) -> Self {
+        pcfg.validate().expect("invalid pama config");
+        let (nc, bands) = (cache.num_classes(), cache.bands());
         let mut trackers = Vec::with_capacity(nc * bands);
-        let mut ghosts = Vec::with_capacity(nc * bands);
+        let mut ghosts = Ghosts::default();
         for c in 0..nc {
             let spslab = cache.cfg().slots_per_slab(c);
             for _ in 0..bands {
                 trackers.push(SubclassTracker::new(pcfg.m, spslab, pcfg.membership));
-                ghosts.push(GhostList::new((pcfg.m + 1) * spslab, spslab));
+                ghosts.add_list((pcfg.m + 1) * spslab, spslab);
             }
         }
         Self {
@@ -255,7 +286,6 @@ impl Pama {
             pcfg,
             trackers,
             ghosts,
-            ghost_where: FastMap::default(),
             accesses: 0,
             migrations: 0,
             rebuilds: 0,
@@ -306,6 +336,18 @@ impl Pama {
         self.rebuilds
     }
 
+    /// Ghost entries held, over every subclass: the size of the one
+    /// ghost index.
+    pub fn ghost_len(&self) -> usize {
+        self.ghosts.len()
+    }
+
+    /// The most ghost entries the policy can hold: the sum of its
+    /// ghost lists' caps, `(m + 1)` slabs' worth of slots per subclass.
+    pub fn ghost_capacity(&self) -> usize {
+        self.ghosts.capacity()
+    }
+
     #[inline]
     fn bands(&self) -> usize {
         self.cache.bands()
@@ -337,30 +379,21 @@ impl Pama {
     fn ghost_push(&mut self, class: usize, band: usize, meta: &ItemMeta) {
         let s = self.sub(class, band);
         self.trackers[s].on_evict(meta.key);
-        if let Some(aged) = self.ghosts[s].push(meta.key, meta.penalty) {
-            self.ghost_where.remove(&aged.key);
-        }
-        self.ghost_where.insert(meta.key, s as u32);
+        self.ghosts.push(s, meta.key, meta.penalty);
     }
 
     fn ghost_forget(&mut self, key: u64) {
-        if let Some(s) = self.ghost_where.remove(&key) {
-            self.ghosts[s as usize].remove(key);
-        }
+        self.ghosts.remove(key);
     }
 
     /// A GET missed in the cache: credit the ghost segment that held
     /// the key, if any, with the would-have-been-saved penalty.
     fn credit_ghost_miss(&mut self, key: u64) {
-        if let Some(&s) = self.ghost_where.get(&key) {
-            let s = s as usize;
-            if let Some(entry) = self.ghosts[s].remove(key) {
-                if let Some(seg) = GhostList::segment_of(&entry) {
-                    let w = self.weight(entry.penalty);
-                    self.trackers[s].credit_ghost(seg, w);
-                }
+        if let Some((s, entry)) = self.ghosts.remove(key) {
+            if let Some(seg) = GhostList::segment_of(&entry) {
+                let w = self.weight(entry.penalty);
+                self.trackers[s].credit_ghost(seg, w);
             }
-            self.ghost_where.remove(&key);
         }
     }
 
@@ -375,14 +408,14 @@ impl Pama {
     fn cheapest_candidate(&self, req_class: usize) -> Option<(usize, usize, f64)> {
         let mut best: Option<(usize, usize, f64)> = None;
         for c in 0..self.cache.num_classes() {
-            let spslab = self.cache.cfg().slots_per_slab(c);
+            let cs = self.cache.class(c);
             let free = self.cache.free_slots(c);
             for b in 0..self.bands() {
-                let qlen = self.cache.class(c).queues[b].len();
+                let qlen = cs.queues[b].len();
                 let eligible = if c == req_class {
                     qlen > 0
                 } else {
-                    self.cache.class(c).slabs > 0 && qlen + free >= spslab
+                    cs.slabs > 0 && qlen + free >= cs.slots_per_slab
                 };
                 if !eligible {
                     continue;
@@ -485,12 +518,18 @@ impl Pama {
     /// evidence. This also bootstraps starved classes, which otherwise
     /// could never accumulate incoming value (ghosts normally come
     /// from evictions, and a slabless class never evicts).
-    fn pama_insert(&mut self, meta: ItemMeta) -> bool {
+    /// Returns the stored item's handle, or `None` when it could not
+    /// be stored.
+    fn pama_insert(&mut self, meta: ItemMeta) -> Option<Loc> {
         self.ghost_forget(meta.key);
-        let stored = self.insert_tracked(meta)
-            || (self.make_room(meta.class as usize, meta.band as usize)
-                && self.insert_tracked(meta));
-        if !stored {
+        let stored = self.insert_tracked(meta).or_else(|| {
+            if self.make_room(meta.class as usize, meta.band as usize) {
+                self.insert_tracked(meta)
+            } else {
+                None
+            }
+        });
+        if stored.is_none() {
             self.ghost_push(meta.class as usize, meta.band as usize, &meta);
         }
         stored
@@ -498,15 +537,12 @@ impl Pama {
 
     /// One `BaseCache::insert` attempt, emitting a grant event when
     /// the store pulled a fresh slab from the free pool.
-    fn insert_tracked(&mut self, meta: ItemMeta) -> bool {
-        match self.cache.insert(meta) {
-            InsertOutcome::Stored => true,
-            InsertOutcome::StoredWithNewSlab => {
-                self.emit(PolicyEvent::SlabGranted { class: meta.class });
-                true
-            }
-            InsertOutcome::NoSpace => false,
+    fn insert_tracked(&mut self, meta: ItemMeta) -> Option<Loc> {
+        let outcome = self.cache.insert(meta);
+        if let InsertOutcome::StoredWithNewSlab(_) = outcome {
+            self.emit(PolicyEvent::SlabGranted { class: meta.class });
         }
+        outcome.loc()
     }
 
     fn meta_with_band(&self, req: &Request, tick: Tick) -> Option<ItemMeta> {
@@ -523,8 +559,9 @@ impl Pama {
             return false;
         };
         let w = self.weight(meta.penalty);
-        let s = self.sub(meta.class as usize, meta.band as usize);
-        self.trackers[s].on_hit(key, w);
+        let (class, band) = (loc.class as usize, loc.band as usize);
+        let s = self.sub(class, band);
+        self.trackers[s].on_hit(self.cache.queue_mut(class, band), loc.node, key, w);
         true
     }
 
@@ -554,7 +591,10 @@ impl Pama {
     /// off — one access plus the ghost credit — without probing the
     /// index for a key known to be missing.
     pub fn on_miss(&mut self, key: u64) {
-        debug_assert!(!self.cache.contains(key), "policy holds a key the store lost");
+        debug_assert!(
+            !self.cache.is_indexed() || !self.cache.contains(key),
+            "policy holds a key the store lost"
+        );
         self.note_access();
         self.credit_ghost_miss(key);
     }
@@ -564,13 +604,30 @@ impl Pama {
     /// probe. Returns the stored item's handle, or `None` when the item
     /// could not be cached (too large for any class, or no room).
     pub fn on_insert(&mut self, req: &Request, tick: Tick) -> Option<Loc> {
-        debug_assert!(!self.cache.contains(req.key), "on_insert of a resident key");
+        debug_assert!(
+            !self.cache.is_indexed() || !self.cache.contains(req.key),
+            "on_insert of a resident key"
+        );
         self.note_access();
         let meta = self.meta_with_band(req, tick)?;
-        if self.pama_insert(meta) {
-            self.cache.lookup(meta.key)
+        self.pama_insert(meta)
+    }
+
+    /// A DELETE (or the removal of an overwritten generation) of the
+    /// item the caller holds at `loc`: `on_delete` addressed by handle —
+    /// one access, the item's removal, and the key's ghost forgotten.
+    /// A key that was resident has no ghost (every insert forgets the
+    /// key's ghost first, and only keys that are not resident are
+    /// ghosted), so only a stale handle, which removes nothing, needs
+    /// the ghost index probed.
+    pub fn on_remove(&mut self, key: u64, loc: Loc) {
+        self.note_access();
+        if self.cache.remove_at(loc, key).is_some() {
+            let s = self.sub(loc.class as usize, loc.band as usize);
+            self.trackers[s].on_remove(key);
+            debug_assert!(!self.ghosts.index.contains_key(&key), "resident key {key} ghosted");
         } else {
-            None
+            self.ghost_forget(key);
         }
     }
 
@@ -586,17 +643,10 @@ impl Pama {
     fn rebuild_snapshots(&mut self) {
         self.rebuilds += 1;
         for c in 0..self.cache.num_classes() {
-            let spslab = self.cache.cfg().slots_per_slab(c);
             for b in 0..self.bands() {
                 let s = self.sub(c, b);
-                let take = (self.pcfg.m + 1) * spslab;
-                let stack: Vec<Vec<u64>> = chunk_segments(
-                    self.cache.class(c).queues[b].iter_from_back(take).map(|m| m.key),
-                    self.pcfg.m,
-                    spslab,
-                );
-                self.trackers[s].rebuild(&stack);
-                self.ghosts[s].snapshot();
+                self.trackers[s].rebuild(self.cache.queue_mut(c, b), |m| m.key);
+                self.ghosts.snapshot(s);
             }
         }
     }
@@ -630,7 +680,7 @@ impl Policy for Pama {
         let mut filled = false;
         if self.cache.cfg().demand_fill {
             if let Some(meta) = self.meta_with_band(req, tick) {
-                filled = self.pama_insert(meta);
+                filled = self.pama_insert(meta).is_some();
             }
         }
         GetOutcome { hit: false, filled }
@@ -707,44 +757,53 @@ mod tests {
 
     #[test]
     fn ghost_list_bounds_and_refreshes() {
-        let mut g = GhostList::new(3, 1);
+        let mut g = Ghosts::default();
+        g.add_list(3, 1);
+        g.add_list(3, 1);
+        assert_eq!(g.capacity(), 6);
         for k in 1..=3u64 {
-            assert!(g.push(k, SimDuration::from_millis(k)).is_none());
+            assert!(g.push(0, k, SimDuration::from_millis(k)).is_none());
         }
         assert_eq!(g.len(), 3);
-        // overflow drops the oldest (key 1)
-        let aged = g.push(4, SimDuration::ZERO).unwrap();
+        // overflow drops the oldest (key 1) from the list and the index
+        let aged = g.push(0, 4, SimDuration::ZERO).unwrap();
         assert_eq!(aged.key, 1);
-        assert!(!g.contains(1));
-        assert!(g.contains(4));
-        // re-push of a resident key refreshes, no overflow
-        assert!(g.push(2, SimDuration::ZERO).is_none());
-        assert_eq!(g.len(), 3);
+        assert!(!g.index.contains_key(&1));
+        assert_eq!(g.index[&4].0, 0);
+        assert_eq!((g.len(), g.lists[0].list.len()), (3, 3));
+        // a key forgotten and re-ghosted moves to the front, no overflow
+        assert_eq!(g.remove(2).map(|(s, e)| (s, e.key)), Some((0, 2)));
+        assert!(g.push(0, 2, SimDuration::ZERO).is_none());
+        assert_eq!(g.lists[0].list.iter().map(|e| e.key).collect::<Vec<_>>(), vec![2, 4, 3]);
+        // a key moves between subclasses only through a removal
+        assert_eq!(g.remove(3).map(|(s, e)| (s, e.key)), Some((0, 3)));
+        assert!(g.push(1, 3, SimDuration::from_millis(9)).is_none());
+        assert_eq!(g.index[&3].0, 1);
         // removal
-        assert_eq!(g.remove(3).unwrap().key, 3);
+        let (s, e) = g.remove(3).unwrap();
+        assert_eq!((s, e.key, e.penalty), (1, 3, SimDuration::from_millis(9)));
         assert!(g.remove(3).is_none());
         assert_eq!(g.len(), 2);
+        assert_eq!(g.len(), g.lists.iter().map(|l| l.list.len()).sum::<usize>());
     }
 
     #[test]
     fn ghost_segments_stamp_at_snapshot() {
-        let mut g = GhostList::new(12, 4);
+        let mut g = Ghosts::default();
+        g.add_list(12, 4);
         for k in 0..9u64 {
-            g.push(k, SimDuration::ZERO);
+            g.push(0, k, SimDuration::ZERO);
         }
+        let seg = |g: &mut Ghosts, k: u64| GhostList::segment_of(&g.remove(k).unwrap().1);
         // before any snapshot nothing is creditable
-        let e8 = g.remove(8).unwrap();
-        assert_eq!(GhostList::segment_of(&e8), None);
-        g.snapshot();
+        assert_eq!(seg(&mut g, 8), None);
+        g.snapshot(0);
         // newest 4 present entries → segment 0; next 4 → segment 1
-        let e7 = g.remove(7).unwrap();
-        assert_eq!(GhostList::segment_of(&e7), Some(0));
-        let e0 = g.remove(0).unwrap();
-        assert_eq!(GhostList::segment_of(&e0), Some(1));
+        assert_eq!(seg(&mut g, 7), Some(0));
+        assert_eq!(seg(&mut g, 0), Some(1));
         // a post-snapshot evictee is unstamped until the next snapshot
-        g.push(100, SimDuration::ZERO);
-        let e100 = g.remove(100).unwrap();
-        assert_eq!(GhostList::segment_of(&e100), None);
+        g.push(0, 100, SimDuration::ZERO);
+        assert_eq!(seg(&mut g, 100), None);
     }
 
     #[test]
@@ -847,6 +906,35 @@ mod tests {
             0.0,
             "deleted key still credited the ghost region"
         );
+    }
+
+    #[test]
+    fn on_remove_is_on_delete_by_handle() {
+        let mut c = cfg();
+        c.total_bytes = 4 << 10;
+        c.demand_fill = false;
+        let mut p = Pama::for_store(c, PamaConfig { value_window: 1, ..pcfg() });
+        assert!(!p.cache().is_indexed());
+        let set = |k| get_set(k, 2000, 1000);
+        let loc1 = p.on_insert(&set(1), tick(0)).unwrap();
+        let loc2 = p.on_insert(&set(2), tick(1)).unwrap();
+        p.on_remove(2, loc2);
+        assert_eq!(p.cache().len(), 1);
+        assert!(p.cache().meta_at(loc2, 2).is_none());
+        // Key 1 is evicted into the ghost list by two more inserts; its
+        // stale handle removes nothing but still forgets the ghost, as
+        // `on_delete` would.
+        p.on_insert(&set(3), tick(2)).unwrap();
+        p.on_insert(&set(4), tick(3)).unwrap();
+        assert!(p.cache().meta_at(loc1, 1).is_none(), "key 1 still resident");
+        assert_eq!(p.ghost_len(), 1);
+        let before = p.accesses;
+        p.on_remove(1, loc1);
+        assert_eq!((p.accesses, p.ghost_len(), p.cache().len()), (before + 1, 0, 2));
+        p.on_miss(1);
+        let s = p.sub(5, p.band_of(SimDuration::from_millis(1000)));
+        assert_eq!(p.trackers[s].incoming(), 0.0, "a forgotten ghost was credited");
+        p.cache().check_invariants().unwrap();
     }
 
     #[test]

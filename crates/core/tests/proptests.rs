@@ -20,6 +20,29 @@ enum LruOp {
     PopBack,
 }
 
+/// Ops for the node-tag model check.
+#[derive(Debug, Clone)]
+enum TagOp {
+    Push,
+    Hit(usize, f64),
+    Evict,
+    Remove(usize),
+    Update(usize),
+    Rebuild,
+}
+
+fn tag_op() -> impl Strategy<Value = TagOp> {
+    prop_oneof![
+        4 => Just(TagOp::Push),
+        4 => (any::<prop::sample::Index>(), 0.001f64..10.0)
+            .prop_map(|(i, w)| TagOp::Hit(i.index(64), w)),
+        1 => Just(TagOp::Evict),
+        1 => any::<prop::sample::Index>().prop_map(|i| TagOp::Remove(i.index(64))),
+        2 => any::<prop::sample::Index>().prop_map(|i| TagOp::Update(i.index(64))),
+        1 => Just(TagOp::Rebuild),
+    ]
+}
+
 fn lru_op() -> impl Strategy<Value = LruOp> {
     prop_oneof![
         4 => any::<u32>().prop_map(LruOp::PushFront),
@@ -153,10 +176,13 @@ proptest! {
         hits in prop::collection::vec((0usize..3, 0.001f64..10.0), 0..50)
     ) {
         let mut t = SubclassTracker::new(2, 8, MembershipMode::Exact);
-        // Segments: seg i holds keys [i*100, i*100+8)
-        let segs: Vec<Vec<u64>> =
-            (0..3).map(|i| (0..8).map(|j| (i * 100 + j) as u64).collect()).collect();
-        t.rebuild(&segs);
+        // Segments bottom-up: seg i holds keys [i*100, i*100+8).
+        let mut queue = LruList::new();
+        let mut nodes = HashMap::new();
+        for k in (0..3u64).flat_map(|i| (0..8).map(move |j| i * 100 + j)) {
+            nodes.insert(k, queue.push_front(k));
+        }
+        t.rebuild(&mut queue, |&k| k);
         let mut expect = [0.0f64; 3];
         let mut used: HashMap<u64, bool> = HashMap::new();
         for (seg, w) in hits {
@@ -164,7 +190,8 @@ proptest! {
             let key = (0..8).map(|j| (seg * 100 + j) as u64).find(|k| !used.contains_key(k));
             if let Some(k) = key {
                 used.insert(k, true);
-                let got = t.on_hit(k, w);
+                queue.move_to_front(nodes[&k]);
+                let got = t.on_hit(&mut queue, nodes[&k], k, w);
                 prop_assert_eq!(got, Some(seg));
                 expect[seg] += w;
             }
@@ -172,6 +199,76 @@ proptest! {
         let want: f64 =
             expect.iter().enumerate().map(|(i, v)| v / f64::from(1u32 << (i + 1))).sum();
         prop_assert!((t.outgoing() - want).abs() < 1e-9);
+    }
+
+    #[test]
+    fn node_tags_credit_like_a_key_map(
+        ops in prop::collection::vec(tag_op(), 1..300),
+        m in 0usize..3,
+        spslab in 1usize..5,
+    ) {
+        // One subclass driven the way PAMA drives it, against the
+        // key → segment map the tags replaced: the map is refilled at
+        // each rebuild from the bottom (m+1)·spslab keys, and a key
+        // leaves it on a hit, an eviction or a removal — not on an
+        // in-place update.
+        let mut t = SubclassTracker::new(m, spslab, MembershipMode::Exact);
+        let mut queue: LruList<u64> = LruList::new();
+        let mut live: Vec<(u64, pama_core::lru::NodeRef)> = Vec::new();
+        let mut model: HashMap<u64, usize> = HashMap::new();
+        let mut vals = vec![0.0f64; m + 1];
+        let mut next_key = 0u64;
+        for op in ops {
+            match op {
+                TagOp::Push => {
+                    live.push((next_key, queue.push_front(next_key)));
+                    next_key += 1;
+                }
+                TagOp::Hit(i, w) if !live.is_empty() => {
+                    let (k, node) = live[i % live.len()];
+                    queue.move_to_front(node);
+                    let got = t.on_hit(&mut queue, node, k, w);
+                    let want = model.remove(&k);
+                    prop_assert_eq!(got, want, "key {}", k);
+                    if let Some(seg) = want {
+                        vals[seg] += w;
+                    }
+                }
+                TagOp::Evict => {
+                    if let Some(k) = queue.pop_back() {
+                        live.retain(|&(lk, _)| lk != k);
+                        t.on_evict(k);
+                        model.remove(&k);
+                    }
+                }
+                TagOp::Remove(i) if !live.is_empty() => {
+                    let (k, node) = live.swap_remove(i % live.len());
+                    queue.remove(node);
+                    t.on_remove(k);
+                    model.remove(&k);
+                }
+                TagOp::Update(i) if !live.is_empty() => {
+                    queue.move_to_front(live[i % live.len()].1);
+                }
+                TagOp::Rebuild => {
+                    t.rebuild(&mut queue, |&k| k);
+                    model = queue
+                        .iter_from_back((m + 1) * spslab)
+                        .enumerate()
+                        .map(|(pos, &k)| (k, pos / spslab))
+                        .collect();
+                    for v in &mut vals {
+                        *v *= 0.5;
+                    }
+                }
+                _ => {}
+            }
+            prop_assert_eq!(t.stack_values(), &vals[..]);
+            let want: f64 =
+                vals.iter().enumerate().map(|(i, v)| v / f64::from(1u32 << (i + 1))).sum();
+            prop_assert_eq!(t.outgoing().to_bits(), want.to_bits());
+        }
+        queue.check_invariants().map_err(TestCaseError::fail)?;
     }
 
     #[test]

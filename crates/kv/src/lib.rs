@@ -640,6 +640,19 @@ mod tests {
     }
 
     #[test]
+    fn delete_and_add_count_a_lapsed_entry_as_expired() {
+        let c = small();
+        c.set(b"lapsed", b"v", &SetOptions::new().ttl(SimDuration::ZERO)).unwrap();
+        assert!(!c.delete(b"lapsed"), "a lapsed key was deleted");
+        let s = c.report().cache;
+        assert_eq!((s.deletes, s.expired, s.items), (0, 1, 0));
+        c.set(b"dying", b"x", &SetOptions::new().ttl(SimDuration::ZERO)).unwrap();
+        assert!(c.add(b"dying", b"fresh", &SetOptions::default()).unwrap());
+        assert_eq!(c.report().cache.expired, 2, "add overwrote a lapse uncounted");
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
     fn lapsed_ttl_is_never_served_and_counts_as_expired() {
         let c = small();
         let opts = |ttl| SetOptions::new().ttl(ttl);

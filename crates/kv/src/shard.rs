@@ -27,10 +27,12 @@
 //! Each entry carries its item's policy handle ([`Loc`]): the LRU node
 //! and the penalty band live in the entry, and the size class is the
 //! slab header of the entry's slot. Deferred hits, the write-lock hit
-//! and `touch` promote through that handle, a miss reports only the
-//! hash, and an insert hands the new handle back, so none of these
-//! probes the policy's key index. A record whose node no longer holds
-//! its key (the item left before the drain) is skipped.
+//! and `touch` promote through that handle, DELETE, overwrite and
+//! expiry remove through it, a miss reports only the hash, and an
+//! insert hands the new handle back. The policy is built with
+//! [`Pama::for_store`], so it keeps no key index at all: the entry map
+//! is the only per-key map of resident items. A record whose node no
+//! longer holds its key (the item left before the drain) is skipped.
 
 use crate::log::{AccessLog, HitRecord};
 use crate::options::{CacheError, CacheValue, ValueRef};
@@ -214,7 +216,9 @@ impl Shard {
         // policy must never phantom-fill on its own.
         cfg.demand_fill = false;
         let arena = SlabArena::new(&cfg);
-        let mut policy = Pama::with_config(cfg.clone(), pama);
+        // The entries keep every item's handle, so the policy keeps no
+        // key index of its own.
+        let mut policy = Pama::for_store(cfg.clone(), pama);
         // The arena replays the policy's decisions (evictions, slab
         // grants, slab moves); without the replay, policy-evicted keys
         // would linger in the store map.
@@ -304,21 +308,25 @@ impl Shard {
     }
 
     /// Drops an entry from the store, the arena, and the policy
-    /// bookkeeping.
-    fn drop_entry(&mut self, h: u64, now: SimTime, c: &ShardCounters) {
+    /// bookkeeping, which it reaches through the entry's handle.
+    fn drop_entry(&mut self, h: u64, c: &ShardCounters) {
         if let Some(e) = self.entries.remove(&h) {
             ShardCounters::sub(&c.items, 1);
             ShardCounters::sub(&c.live_bytes, self.stored_len(&e));
+            // The class is the slot's slab header: read it before the
+            // slot is freed.
+            let loc = self.arena.slab_class(e.slot).map(|class| e.loc(class));
             Self::release(&mut self.arena, &e);
-            let t = Tick { now, serial: self.serial };
-            // Width of the delete request is irrelevant to removal.
-            self.policy.on_delete(&Request::delete(now, h, 0), t);
+            debug_assert!(loc.is_some(), "entry {h:#x} names no live slab");
+            if let Some(loc) = loc {
+                self.policy.on_remove(h, loc);
+            }
         }
     }
 
     /// Drops an entry whose TTL lapsed, counting it as expired.
-    fn drop_expired(&mut self, h: u64, now: SimTime, c: &ShardCounters) {
-        self.drop_entry(h, now, c);
+    fn drop_expired(&mut self, h: u64, c: &ShardCounters) {
+        self.drop_entry(h, c);
         ShardCounters::bump(&c.expired);
     }
 
@@ -370,7 +378,7 @@ impl Shard {
     fn expire_if_dead(&mut self, h: u64, key: &[u8], now: SimTime, c: &ShardCounters) {
         if let Some(e) = self.entries.get(&h) {
             if self.key_matches(e, key) && e.expired(|| now) {
-                self.drop_expired(h, now, c);
+                self.drop_expired(h, c);
             }
         }
     }
@@ -406,9 +414,9 @@ impl Shard {
             // as a miss and make room for the incoming generation. Only
             // the former is a TTL lapse.
             if self.key_matches(e, key) {
-                self.drop_expired(h, now, c);
+                self.drop_expired(h, c);
             } else {
-                self.drop_entry(h, now, c);
+                self.drop_entry(h, c);
             }
         }
         self.miss(h, now, c);
@@ -484,9 +492,7 @@ impl Shard {
         // Replace any previous generation (also resolves collisions in
         // favour of the newest writer). A refused set therefore leaves
         // the key absent, never stale.
-        if self.entries.contains_key(&h) {
-            self.drop_entry(h, now, c);
-        }
+        self.drop_entry(h, c);
         ShardCounters::bump(&c.sets);
         // Geometry check first: an item no slab class can hold would
         // be refused by the policy anyway, but the caller deserves to
@@ -530,8 +536,7 @@ impl Shard {
                 // assert). Roll the policy back so store and
                 // ledger stay consistent, and refuse the set.
                 debug_assert!(false, "arena refused a ledger-approved insert");
-                let t = Tick { now, serial: self.serial };
-                self.policy.on_delete(&Request::delete(now, h, 0), t);
+                self.policy.on_remove(h, loc);
                 ShardCounters::bump(&c.rejected);
                 Err(CacheError::CapacityExhausted { item_bytes })
             }
@@ -539,8 +544,9 @@ impl Shard {
     }
 
     /// Memcached `add`: stores only when the key is absent (or its
-    /// previous generation expired). `Ok(false)` — the protocol's
-    /// `NOT_STORED` — when a live entry already exists.
+    /// previous generation expired, which counts as an expiry).
+    /// `Ok(false)` — the protocol's `NOT_STORED` — when a live entry
+    /// already exists.
     #[allow(clippy::too_many_arguments)] // mirrors set() plus shard context
     pub fn add(
         &mut self,
@@ -554,11 +560,12 @@ impl Shard {
         c: &ShardCounters,
     ) -> Result<bool, CacheError> {
         match self.entry_state(h, key, now) {
-            EntryState::Live => Ok(false),
-            // Absent, expired, or a colliding key: `set` already
-            // resolves each of those in favour of the new writer.
-            _ => self.set(h, key, value, ttl, explicit_penalty, flags, now, c).map(|()| true),
+            EntryState::Live => return Ok(false),
+            EntryState::Expired => self.drop_expired(h, c),
+            // Absent, or a colliding key: `set` replaces the latter.
+            EntryState::Absent => {}
         }
+        self.set(h, key, value, ttl, explicit_penalty, flags, now, c).map(|()| true)
     }
 
     /// Memcached `touch`: refreshes a live entry's TTL (`None` clears
@@ -585,7 +592,7 @@ impl Shard {
                 true
             }
             EntryState::Expired => {
-                self.drop_expired(h, now, c);
+                self.drop_expired(h, c);
                 false
             }
             EntryState::Absent => false,
@@ -595,11 +602,11 @@ impl Shard {
     /// Memcached `flush_all`: drops every entry, returning how many.
     /// Penalty estimates and probe windows survive — they are
     /// knowledge about keys, not about the flushed values.
-    pub fn clear(&mut self, now: SimTime, c: &ShardCounters) -> u64 {
+    pub fn clear(&mut self, c: &ShardCounters) -> u64 {
         let keys: Vec<u64> = self.entries.keys().copied().collect();
         let n = keys.len() as u64;
         for h in keys {
-            self.drop_entry(h, now, c);
+            self.drop_entry(h, c);
         }
         n
     }
@@ -701,15 +708,22 @@ impl Shard {
         }
     }
 
-    pub fn delete(&mut self, h: u64, key: &[u8], c: &ShardCounters) -> bool {
-        match self.entries.get(&h) {
-            Some(e) if self.key_matches(e, key) => {
+    /// Memcached `delete`: removes a live entry and returns `true`. A
+    /// lapsed entry is already gone to every reader: it is dropped as
+    /// an expiry, and the answer is `false` (`NOT_FOUND`), as for an
+    /// absent key.
+    pub fn delete(&mut self, h: u64, key: &[u8], now: SimTime, c: &ShardCounters) -> bool {
+        match self.entry_state(h, key, now) {
+            EntryState::Live => {
                 ShardCounters::bump(&c.deletes);
-                let now = SimTime::ZERO; // recency is irrelevant for removal
-                self.drop_entry(h, now, c);
+                self.drop_entry(h, c);
                 true
             }
-            _ => false,
+            EntryState::Expired => {
+                self.drop_expired(h, c);
+                false
+            }
+            EntryState::Absent => false,
         }
     }
 
@@ -717,7 +731,7 @@ impl Shard {
         let expired: Vec<u64> =
             self.entries.iter().filter(|(_, e)| e.expired(|| now)).map(|(&h, _)| h).collect();
         for &h in &expired {
-            self.drop_expired(h, now, c);
+            self.drop_expired(h, c);
         }
         expired.len()
     }
@@ -751,10 +765,13 @@ impl Shard {
     /// entry must point at an allocated slot carved for the class the
     /// policy filed the item under, and its policy handle must reach a
     /// live node that holds the entry's hash in that class and the
-    /// entry's band — the node the policy's own index names. Per-class
-    /// slab counts must match the policy's, and inside the arena
-    /// free-list plus live slots must cover every slab's capacity (the
-    /// arena's own full-recount `check`).
+    /// entry's band. With as many entries as policy items, the handles
+    /// are then a bijection between the two (a node holds one key, and
+    /// distinct entries hold distinct hashes); the policy keeps no key
+    /// index to compare against. Per-class slab counts must match the
+    /// policy's, and inside the arena free-list plus live slots must
+    /// cover every slab's capacity (the arena's own full-recount
+    /// `check`).
     pub fn check_consistency(&self) -> Result<(), String> {
         if self.entries.len() != self.policy.cache().len() {
             return Err(format!(
@@ -797,12 +814,6 @@ impl Shard {
                     meta.class,
                     meta.band,
                     e.band()
-                ));
-            }
-            let filed = self.policy.cache().lookup(h);
-            if filed != Some(loc) {
-                return Err(format!(
-                    "entry {h:#x}: handle {loc:?} but the policy index files it at {filed:?}"
                 ));
             }
             if meta.key_size as usize != key_len || meta.value_size as usize != val_len {
@@ -942,11 +953,11 @@ impl ShardCell {
     }
 
     pub fn clear(&self, now: SimTime) -> u64 {
-        self.write(now).clear(now, &self.counters)
+        self.write(now).clear(&self.counters)
     }
 
     pub fn delete(&self, h: u64, key: &[u8], now: SimTime) -> bool {
-        self.write(now).delete(h, key, &self.counters)
+        self.write(now).delete(h, key, now, &self.counters)
     }
 
     pub fn contains(&self, h: u64, key: &[u8], now: SimTime) -> bool {
@@ -1059,6 +1070,14 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    /// The policy's metadata for `h`, reached through its entry's
+    /// handle (the policy has no key index to ask).
+    fn meta(s: &Shard, h: u64) -> Option<pama_core::cache::ItemMeta> {
+        let e = s.entries.get(&h)?;
+        let loc = e.loc(s.arena.slab_class(e.slot)?);
+        s.policy.cache().meta_at(loc, h).copied()
+    }
+
     #[test]
     fn live_penalty_probe_measures_gap() {
         let mut s = shard();
@@ -1071,8 +1090,7 @@ mod tests {
         assert_eq!(st.measured_penalties, 1);
         assert!((st.mean_measured_penalty_us - 80_000.0).abs() < 1.0);
         // The stored item's penalty band reflects the measurement.
-        let meta: pama_core::cache::ItemMeta = s.policy.cache().peek(1).unwrap();
-        assert_eq!(meta.penalty, SimDuration::from_millis(80));
+        assert_eq!(meta(&s, 1).unwrap().penalty, SimDuration::from_millis(80));
     }
 
     #[test]
@@ -1081,8 +1099,7 @@ mod tests {
         let c = ShardCounters::default();
         assert!(s.get_locked(2, b"k2", t(0), &c).is_none());
         s.set(2, b"k2", b"v", None, Some(SimDuration::from_secs(2)), 0, t(50), &c).unwrap();
-        let meta = s.policy.cache().peek(2).unwrap();
-        assert_eq!(meta.penalty, SimDuration::from_secs(2));
+        assert_eq!(meta(&s, 2).unwrap().penalty, SimDuration::from_secs(2));
     }
 
     #[test]
@@ -1095,7 +1112,7 @@ mod tests {
         s.set(8, b"k8", b"v", None, None, 0, t(50), &c).unwrap();
         assert_eq!(c.snapshot().measured_penalties, 0);
         assert_eq!(s.estimates.get(&8), None);
-        assert_eq!(s.policy.cache().peek(8).unwrap().penalty, DEFAULT_PENALTY);
+        assert_eq!(meta(&s, 8).unwrap().penalty, DEFAULT_PENALTY);
     }
 
     #[test]
@@ -1104,8 +1121,7 @@ mod tests {
         let c = ShardCounters::default();
         assert!(s.get_locked(3, b"k3", t(0), &c).is_none());
         s.set(3, b"k3", b"v", None, None, 0, t(10_000), &c).unwrap(); // 10 s gap > cap
-        let meta = s.policy.cache().peek(3).unwrap();
-        assert_eq!(meta.penalty, DEFAULT_PENALTY);
+        assert_eq!(meta(&s, 3).unwrap().penalty, DEFAULT_PENALTY);
     }
 
     #[test]
@@ -1264,8 +1280,8 @@ mod tests {
         }
         for i in 0..8u64 {
             assert_eq!(
-                inline.policy.cache().contains(i),
-                deferred.policy.cache().contains(i),
+                meta(&inline, i).is_some(),
+                meta(&deferred, i).is_some(),
                 "key {i} diverged between inline and deferred promotion"
             );
         }
@@ -1312,6 +1328,61 @@ mod tests {
         assert_eq!(before, after, "a stale record moved an LRU node");
         assert_eq!(s.serial, serial + 1, "the access still counts");
         assert_eq!(c.snapshot().deferred_hits, 1);
+        s.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn per_resident_policy_state_is_bounded() {
+        // Ten times the shard's capacity in distinct keys, each missed
+        // and then SET: the policy files no `hash → Loc` entry (the
+        // entries hold the handles), and its one ghost index stays
+        // within the ghost lists' caps.
+        let mut s = shard();
+        let c = ShardCounters::default();
+        let v = [0u8; 100];
+        let mut i = 0u64;
+        let mut capacity = 0;
+        while i < 10 * capacity.max(1_000) as u64 {
+            let key = format!("churn{i}");
+            assert!(s.get_locked(i, key.as_bytes(), t(i), &c).is_none());
+            s.set(i, key.as_bytes(), &v, None, None, 0, t(i), &c).unwrap();
+            capacity = capacity.max(s.entries.len());
+            i += 1;
+        }
+        assert!(c.snapshot().items < i / 5, "the stream never evicted");
+        assert!(!s.policy.cache().is_indexed(), "the policy keeps a key index");
+        assert_eq!(s.policy.cache().len(), s.entries.len());
+        assert!(s.policy.ghost_len() > 0, "evictions left no ghosts");
+        assert!(
+            s.policy.ghost_len() <= s.policy.ghost_capacity(),
+            "ghost index {} over the lists' caps {}",
+            s.policy.ghost_len(),
+            s.policy.ghost_capacity()
+        );
+        s.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn delete_and_add_classify_a_lapsed_entry_as_expired() {
+        let mut s = shard();
+        let c = ShardCounters::default();
+        let ttl = Some(SimDuration::from_millis(5));
+        s.set(1, b"gone", b"v", ttl, None, 0, t(0), &c).unwrap();
+        // Lapsed: every reader already reports it absent, so DELETE
+        // finds nothing to delete and counts the expiry instead.
+        assert!(!s.delete(1, b"gone", t(20), &c));
+        let st = c.snapshot();
+        assert_eq!((st.deletes, st.expired, st.items), (0, 1, 0));
+        assert!(!s.delete(1, b"gone", t(21), &c), "the key stays absent");
+        // A live key is deleted and counted as a delete.
+        s.set(2, b"live", b"v", ttl, None, 0, t(30), &c).unwrap();
+        assert!(s.delete(2, b"live", t(31), &c));
+        assert_eq!((c.snapshot().deletes, c.snapshot().expired), (1, 1));
+        // ADD over a lapsed generation stores, and counts the lapse.
+        s.set(3, b"again", b"old", ttl, None, 0, t(40), &c).unwrap();
+        assert!(s.add(3, b"again", b"new", None, None, 0, t(60), &c).unwrap());
+        assert_eq!(c.snapshot().expired, 2);
+        assert_eq!(s.read_hit(3, b"again", || t(61)).unwrap().0.value.as_ref(), b"new");
         s.check_consistency().unwrap();
     }
 

@@ -511,6 +511,21 @@ fn exptime_above_thirty_days_is_an_absolute_unix_time() {
 }
 
 #[test]
+fn delete_of_a_lapsed_key_is_not_found() {
+    let srv = server();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    // Stored with a past absolute exptime: lapsed before the delete, so
+    // Memcached answers NOT_FOUND, and the drop counts as an expiry.
+    assert_eq!(c.set(b"lapsed", b"v", 0, unix_now() - 3600).unwrap(), "STORED");
+    assert!(!c.delete(b"lapsed").unwrap(), "a lapsed key answered DELETED");
+    c.set(b"live", b"v", 0, 0).unwrap();
+    assert!(c.delete(b"live").unwrap());
+    let stats: HashMap<String, String> = c.stats().unwrap().into_iter().collect();
+    assert_eq!(stats["expired"], "1");
+    srv.shutdown();
+}
+
+#[test]
 fn negative_exptime_stores_are_immediately_expired() {
     let srv = server();
     let mut c = Client::connect(srv.local_addr()).unwrap();
