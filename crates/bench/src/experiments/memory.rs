@@ -10,14 +10,20 @@
 //! and a mid-run regime shift grows the hot keys' objects so slab
 //! migrations physically fire.
 //!
-//! Two measurements:
+//! Three measurements:
 //!
 //! * **resident delta** — RSS growth from just before cache
 //!   construction to end of workload (`/proc/self/statm`), the
 //!   operating-system truth, reported informationally;
 //! * **exact accounting** — the arena's own ledger (slabs, slots,
 //!   bytes requested vs resident, internal fragmentation),
-//!   cross-checked against the logical cache stats.
+//!   cross-checked against the logical cache stats;
+//! * **churn** — a fresh cache of the same geometry takes a stream of
+//!   distinct keys, each missed and then SET with no explicit penalty,
+//!   so every key gets a measured miss→SET gap. Per-key state must be
+//!   bounded by the resident items and the policy's ghost lists, so
+//!   RSS sampled at each quarter of the stream must stay flat over its
+//!   second half, however many keys the cache has seen.
 //!
 //! Results land in `BENCH_memory.json` at the repo root.
 
@@ -40,6 +46,16 @@ const SIZE_MODES: &[(usize, u64)] = &[(90, 35), (230, 25), (470, 20), (1000, 12)
 const SHIFTED_BYTES: usize = 1900;
 /// Assumed page size for `/proc/self/statm` (Linux x86-64 default).
 const PAGE_BYTES: u64 = 4096;
+/// Churn: how many keys after its miss each key's SET arrives, as a
+/// refill from a slower source would. The lag makes each gap at least
+/// a few microseconds, so every SET whose miss window survived measures
+/// one; it keeps only about two windows per shard open at a time.
+const CHURN_LAG: u64 = 8;
+/// Churn value size: one small slot class, so the cache fills early.
+const CHURN_VALUE_BYTES: usize = 100;
+/// Most RSS growth per key over the churn's second half that still
+/// counts as flat. A map entry per key costs at least 16 B.
+const CHURN_FLAT_BYTES_PER_KEY: f64 = 2.0;
 
 /// Resident set size in bytes, if the platform exposes it.
 fn rss_bytes() -> Option<u64> {
@@ -256,6 +272,71 @@ fn run_workload(setup: &Setup) -> Json {
     ])
 }
 
+/// Runs the churn phase over `keys` distinct keys and returns its
+/// section: RSS at the start and after each quarter of the stream.
+fn run_churn(setup: &Setup, keys: u64) -> Json {
+    let cache = CacheBuilder::new()
+        .total_bytes(setup.total_bytes)
+        .slab_bytes(setup.slab_bytes)
+        .shards(SHARDS)
+        .build();
+    let key = |i: u64, buf: &mut String| {
+        use std::fmt::Write;
+        buf.clear();
+        let _ = write!(buf, "churn:{i:010}");
+    };
+    let (mut miss_key, mut set_key) = (String::new(), String::new());
+    let value = [0x5A; CHURN_VALUE_BYTES];
+    let mut rss = vec![rss_bytes()];
+    for i in 0..keys + CHURN_LAG {
+        if i < keys {
+            key(i, &mut miss_key);
+            let hit = cache.get(miss_key.as_bytes());
+            debug_assert!(hit.is_none(), "churn keys are distinct");
+        }
+        if let Some(j) = i.checked_sub(CHURN_LAG) {
+            key(j, &mut set_key);
+            let _ = cache.set(set_key.as_bytes(), &value, &SetOptions::default());
+            if (j + 1) % (keys / 4).max(1) == 0 && rss.len() < 5 {
+                rss.push(rss_bytes());
+            }
+        }
+    }
+    cache.check_invariants().expect("cache invariants after churn");
+    let stats = cache.report().cache;
+    let growth = match (rss[2], rss[4]) {
+        (Some(half), Some(end)) => Some(end.saturating_sub(half)),
+        _ => None,
+    };
+    let per_key = growth.map(|g| g as f64 / (keys / 2).max(1) as f64);
+    let mib: Vec<String> = rss
+        .iter()
+        .map(|r| r.map_or("?".into(), |b| format!("{:.1}", b as f64 / (1 << 20) as f64)))
+        .collect();
+    println!(
+        "  churn: {keys} distinct keys missed then SET, {} measured penalties, \
+         RSS by quarter {} MiB",
+        stats.measured_penalties,
+        mib.join(" → "),
+    );
+    obj(vec![
+        ("keys", Json::U64(keys)),
+        ("lag_keys", Json::U64(CHURN_LAG)),
+        ("value_bytes", Json::U64(CHURN_VALUE_BYTES as u64)),
+        ("items", Json::U64(stats.items)),
+        ("evictions", Json::U64(stats.evictions)),
+        ("measured_penalties", Json::U64(stats.measured_penalties)),
+        (
+            "rss_bytes_by_quarter",
+            Json::Arr(rss.iter().map(|r| r.map_or(Json::Null, Json::U64)).collect()),
+        ),
+        ("second_half_growth_bytes", growth.map_or(Json::Null, Json::U64)),
+        ("second_half_growth_per_key_bytes", per_key.map_or(Json::Null, Json::F64)),
+        ("flat_bytes_per_key", Json::F64(CHURN_FLAT_BYTES_PER_KEY)),
+        ("flat", Json::Bool(per_key.is_some_and(|b| b <= CHURN_FLAT_BYTES_PER_KEY))),
+    ])
+}
+
 fn u(j: &Json, key: &str) -> u64 {
     j.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
@@ -300,6 +381,8 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
             / u(&ledger, "slot_bytes").max(1) as f64,
         f(&ledger, "overhead_per_item_bytes").unwrap_or(f64::NAN),
     );
+    let churn_keys = if opts.smoke { 200_000 } else { 2_000_000 };
+    let churn = run_churn(&setup, churn_keys);
 
     let report = obj(vec![
         ("schema", Json::Str("pama-bench-memory/v2".into())),
@@ -319,6 +402,7 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
             ]),
         ),
         ("arena", arena.clone()),
+        ("churn", churn.clone()),
     ]);
     let path = "BENCH_memory.json";
     std::fs::write(path, report.to_string_pretty() + "\n").expect("write BENCH_memory.json");
@@ -367,6 +451,16 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
             u(&ledger, "resident_bytes"),
             setup.total_bytes,
             u(&ledger, "meta_bytes")
+        ),
+    ));
+    checks.push(ShapeCheck::new(
+        "RSS stays flat over the second half of a distinct-key churn",
+        churn.get("flat").and_then(Json::as_bool).unwrap_or(false),
+        format!(
+            "{} B over the last {} keys ({:.2} B/key, flat ≤ {CHURN_FLAT_BYTES_PER_KEY} B/key)",
+            u(&churn, "second_half_growth_bytes"),
+            churn_keys / 2,
+            f(&churn, "second_half_growth_per_key_bytes").unwrap_or(f64::NAN),
         ),
     ));
     checks

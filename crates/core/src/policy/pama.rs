@@ -382,19 +382,16 @@ impl Pama {
         self.ghosts.push(s, meta.key, meta.penalty);
     }
 
-    fn ghost_forget(&mut self, key: u64) {
-        self.ghosts.remove(key);
-    }
-
     /// A GET missed in the cache: credit the ghost segment that held
-    /// the key, if any, with the would-have-been-saved penalty.
-    fn credit_ghost_miss(&mut self, key: u64) {
-        if let Some((s, entry)) = self.ghosts.remove(key) {
-            if let Some(seg) = GhostList::segment_of(&entry) {
-                let w = self.weight(entry.penalty);
-                self.trackers[s].credit_ghost(seg, w);
-            }
+    /// the key, if any, with the would-have-been-saved penalty, and
+    /// return the penalty the key's ghost carried.
+    fn credit_ghost_miss(&mut self, key: u64) -> Option<SimDuration> {
+        let (s, entry) = self.ghosts.remove(key)?;
+        if let Some(seg) = GhostList::segment_of(&entry) {
+            let w = self.weight(entry.penalty);
+            self.trackers[s].credit_ghost(seg, w);
         }
+        Some(entry.penalty)
     }
 
     /// Eligibility + outgoing value of every candidate slab; returns
@@ -521,7 +518,7 @@ impl Pama {
     /// Returns the stored item's handle, or `None` when it could not
     /// be stored.
     fn pama_insert(&mut self, meta: ItemMeta) -> Option<Loc> {
-        self.ghost_forget(meta.key);
+        self.ghosts.remove(meta.key);
         let stored = self.insert_tracked(meta).or_else(|| {
             if self.make_room(meta.class as usize, meta.band as usize) {
                 self.insert_tracked(meta)
@@ -589,14 +586,22 @@ impl Pama {
     /// A GET miss reported by a caller whose own index already found
     /// the key absent: exactly `on_get`'s miss branch with demand-fill
     /// off — one access plus the ghost credit — without probing the
-    /// index for a key known to be missing.
-    pub fn on_miss(&mut self, key: u64) {
+    /// index for a key known to be missing. Returns the penalty the
+    /// key's ghost carried, if it had one.
+    pub fn on_miss(&mut self, key: u64) -> Option<SimDuration> {
         debug_assert!(
             !self.cache.is_indexed() || !self.cache.contains(key),
             "policy holds a key the store lost"
         );
         self.note_access();
-        self.credit_ghost_miss(key);
+        self.credit_ghost_miss(key)
+    }
+
+    /// The penalty a non-resident key carried when it was evicted, while
+    /// its ghost entry lasts.
+    pub fn ghost_penalty(&self, key: u64) -> Option<SimDuration> {
+        let &(s, node) = self.ghosts.index.get(&key)?;
+        Some(self.ghosts.lists[s as usize].list.get(node).penalty)
     }
 
     /// A SET of a key the caller knows is not resident (the kv store
@@ -619,16 +624,17 @@ impl Pama {
     /// A key that was resident has no ghost (every insert forgets the
     /// key's ghost first, and only keys that are not resident are
     /// ghosted), so only a stale handle, which removes nothing, needs
-    /// the ghost index probed.
-    pub fn on_remove(&mut self, key: u64, loc: Loc) {
+    /// the ghost index probed. Returns the removed item's penalty.
+    pub fn on_remove(&mut self, key: u64, loc: Loc) -> Option<SimDuration> {
         self.note_access();
-        if self.cache.remove_at(loc, key).is_some() {
-            let s = self.sub(loc.class as usize, loc.band as usize);
-            self.trackers[s].on_remove(key);
-            debug_assert!(!self.ghosts.index.contains_key(&key), "resident key {key} ghosted");
-        } else {
-            self.ghost_forget(key);
-        }
+        let Some(meta) = self.cache.remove_at(loc, key) else {
+            self.ghosts.remove(key);
+            return None;
+        };
+        let s = self.sub(loc.class as usize, loc.band as usize);
+        self.trackers[s].on_remove(key);
+        debug_assert!(!self.ghosts.index.contains_key(&key), "resident key {key} ghosted");
+        Some(meta.penalty)
     }
 
     fn note_access(&mut self) {
@@ -715,16 +721,11 @@ impl Policy for Pama {
         // A deleted key's value is invalidated: caching more space
         // could not have avoided a future miss on it, so any ghost
         // credit must vanish too.
-        self.ghost_forget(req.key);
+        self.ghosts.remove(req.key);
     }
 
     fn cache(&self) -> &BaseCache {
         &self.cache
-    }
-
-    fn end_window(&mut self) {
-        // Metrics windows and value windows are independent; nothing to
-        // do here (rebuilds are access-count driven).
     }
 }
 

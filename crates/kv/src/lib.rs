@@ -15,7 +15,11 @@
 //! * **live penalty estimation**: the cache measures each key's
 //!   GET-miss→SET gap (the paper's §IV estimator, run online) so
 //!   callers never need to supply costs — though they can, through
-//!   [`SetOptions::penalty`];
+//!   [`SetOptions::penalty`]. A key's penalty lives where the paper
+//!   keeps it: in the resident item, and, once evicted, in the bounded
+//!   ghost entry that records only keys and penalties. Open miss
+//!   windows sit in a fixed-size table per shard, so per-key memory is
+//!   bounded by the resident items plus the ghost lists' caps;
 //! * **TTL support** with lazy expiry;
 //! * **sharding** for concurrency: keys hash to independent shards,
 //!   each running its own PAMA instance;
@@ -63,7 +67,6 @@ mod stats;
 
 pub use options::{CacheError, CacheValue, SetOptions, ValueRef};
 pub use pama_metrics::{BandSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use shard::LivePenaltyProbe;
 pub use stats::{merge_all, CacheReport, CacheStats, Merge, SlabClassReport, SlabReport};
 
 use bytes::Bytes;
@@ -148,7 +151,7 @@ impl CacheBuilder {
     /// Attaches a simulated backend: every miss triggers a fetch whose
     /// (simulated) latency, retries and failures are tracked in
     /// [`CacheStats`], and whose measured latency seeds the key's
-    /// penalty estimate. Each shard gets its own [`BackendSim`] with a
+    /// penalty. Each shard gets its own [`BackendSim`] with a
     /// shard-derived seed, so fault schedules stay deterministic per
     /// shard without cross-shard lock contention.
     pub fn backend(mut self, cfg: BackendConfig) -> Self {
@@ -250,9 +253,9 @@ impl PamaCache {
 
     /// Looks a key up. A hit is served under the shard's shared read
     /// lock; its recency bookkeeping is deferred through the access
-    /// log. On a miss, the shard starts a penalty-probe window for the
-    /// key: if a `set` follows shortly, the gap becomes the key's
-    /// measured regeneration penalty (the paper's estimator, live).
+    /// log. On a miss, the shard opens a miss window for the key: if a
+    /// `set` follows shortly, the gap becomes the key's measured
+    /// regeneration penalty (the paper's estimator, live).
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
         self.lookup(key).map(|v| v.value)
     }
@@ -270,7 +273,7 @@ impl PamaCache {
     ///
     /// The hit is counted, recorded for deferred promotion and sampled
     /// for latency exactly as in [`Self::get`]; a miss opens the same
-    /// penalty probe and never calls `f`. On a read-lock hit, `f` runs
+    /// miss window and never calls `f`. On a read-lock hit, `f` runs
     /// under the shard's read lock, so it must be short and must not
     /// call back into this cache: a write on the same shard would
     /// deadlock. A hit found only under the write lock (the key was
@@ -283,9 +286,13 @@ impl PamaCache {
     /// Inserts or updates a key. TTL, explicit penalty, and flags come
     /// from `opts` ([`SetOptions::default`] = builder-default TTL,
     /// live-estimated penalty, zero flags). The regeneration penalty
-    /// is taken from `opts.penalty` when given, else the live
-    /// estimator's open probe window, else the key's previous
-    /// estimate, else the configured default (100 ms).
+    /// is taken from `opts.penalty` when given, else the gap since the
+    /// key's last miss (when at most 5 s), else the penalty known at
+    /// that miss (a backend fetch's latency, or the penalty the key
+    /// was evicted with), else the replaced generation's, else the
+    /// evicted key's while the policy still remembers it, else the
+    /// default (100 ms). A key that was deleted or flushed, or whose
+    /// eviction record has aged out, starts over at the default.
     ///
     /// On error the key is left **absent** (any previous generation is
     /// dropped before placement), so callers never read stale values
@@ -470,8 +477,9 @@ impl PamaCache {
     }
 
     /// Drops every entry in every shard — Memcached `flush_all`.
-    /// Returns the number of items removed. Penalty estimates survive:
-    /// they are knowledge about keys, not about the flushed values.
+    /// Returns the number of items removed. The flushed items'
+    /// penalties go with them; a key missed before the flush still
+    /// measures its miss→SET gap.
     pub fn clear(&self) -> u64 {
         let now = self.now();
         self.shards.iter().map(|cell| cell.clear(now)).sum()

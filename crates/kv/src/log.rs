@@ -8,7 +8,7 @@
 //! ([`crossbeam::queue::ArrayQueue`]) drained in batches whenever the
 //! write lock is taken anyway — SET, DELETE, a GET miss, a TTL sweep,
 //! or an explicit flush. The drain hands each record to the policy by
-//! handle, so promoting a hit never probes the policy's key index; a
+//! handle, so promoting a hit never looks up the policy's key index; a
 //! record whose node no longer holds its hash is skipped.
 //!
 //! The log is **lossy by design**: when the ring is full a hit is

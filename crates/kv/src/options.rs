@@ -30,9 +30,10 @@ pub struct SetOptions {
     /// Time-to-live. `None` falls back to the builder's default TTL
     /// (itself `None` = never expires).
     pub ttl: Option<SimDuration>,
-    /// Explicit regeneration penalty. `None` lets the live estimator
-    /// supply one (measured GET-miss→SET gap, previous estimate, or
-    /// the configured default).
+    /// Explicit regeneration penalty. `None` lets the cache supply one
+    /// (measured GET-miss→SET gap, the penalty known at the miss, the
+    /// replaced item's or the evicted key's, or the default; see
+    /// [`crate::PamaCache::set`]).
     pub penalty: Option<SimDuration>,
     /// Opaque caller flags, stored verbatim and returned on lookup —
     /// the Memcached `<flags>` field.

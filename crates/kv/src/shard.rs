@@ -1,6 +1,6 @@
 //! One cache shard: real byte storage + a PAMA policy instance for
 //! memory accounting and eviction decisions, plus the live penalty
-//! probe (the paper's GET-miss→SET estimator running online).
+//! estimator (the paper's GET-miss→SET gap, measured online).
 //!
 //! Concurrency model (see DESIGN.md): the mutable state lives in
 //! [`Shard`] behind a [`ShardCell`]'s `RwLock`. A cache-hit GET runs
@@ -33,6 +33,8 @@
 //! [`Pama::for_store`], so it keeps no key index at all: the entry map
 //! is the only per-key map of resident items. A record whose node no
 //! longer holds its key (the item left before the drain) is skipped.
+//! A key's penalty lives in the policy, in its LRU node or its ghost
+//! entry; open miss windows sit in a fixed table ([`MissWindow`]).
 
 use crate::log::{AccessLog, HitRecord};
 use crate::options::{CacheError, CacheValue, ValueRef};
@@ -86,7 +88,7 @@ struct Entry {
 }
 
 // Every resident key costs one `(hash, Entry)` index bucket, and each hit
-// probes one: at 32 B, two entries fit a cache line.
+// reads one: at 32 B, two entries fit a cache line.
 const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
 
 impl Entry {
@@ -135,24 +137,31 @@ fn expiry(now: SimTime, ttl: Option<SimDuration>) -> SimTime {
     ttl.map_or(NEVER, |d| SimTime(now.as_micros().saturating_add(d.as_micros())))
 }
 
-/// An open penalty-probe window: the key missed at `miss_at`; a `set`
-/// arriving before the cap closes the window and records the gap as
-/// the key's regeneration penalty.
+/// Slots in each shard's miss-window table: 16 KiB of 32 B slots. A few
+/// hundred keys that miss and are never stored touch every page of it.
+const WINDOW_SLOTS: usize = 512;
+
+/// An open miss window, one slot of a shard's direct-mapped table: key
+/// hash `key` missed at `miss_at`, and a SET within [`PENALTY_CAP`]
+/// records the gap as its penalty. `known` is a penalty known at the
+/// miss: the backend's fetch latency (with no gap: `miss_at` is
+/// [`NEVER`]) or the key's ghost's penalty. A miss overwrites its slot,
+/// and a slot keeps the full hash, so a key whose window a colliding
+/// key overwrote finds none rather than the other key's.
 #[derive(Debug, Clone, Copy)]
-struct Probe {
+struct MissWindow {
+    key: u64,
     miss_at: SimTime,
+    known: Option<SimDuration>,
 }
 
-/// Live per-key penalty knowledge: how many penalties have been
-/// measured and their running mean. The same numbers appear in
-/// [`crate::CacheStats`] as `measured_penalties` /
-/// `mean_measured_penalty_us`; this type names them for diagnostics.
-#[derive(Debug, Default, Clone)]
-pub struct LivePenaltyProbe {
-    /// Number of measured (miss→set) samples.
-    pub samples: u64,
-    /// Mean measured penalty in microseconds.
-    pub mean_us: f64,
+/// A slot that measures nothing and knows nothing.
+const CLOSED: MissWindow = MissWindow { key: 0, miss_at: NEVER, known: None };
+
+/// The window slot of hash `h`: the top bits of a multiplicative mix,
+/// not the low bits that pick the shard.
+fn window_slot(h: u64) -> usize {
+    (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - WINDOW_SLOTS.trailing_zeros())) as usize
 }
 
 /// What an immutable lookup found (drives the lock-upgrade decision).
@@ -172,8 +181,8 @@ pub(crate) struct Shard {
     /// The shard's byte store, kept in lockstep with the policy's slab
     /// ledger.
     arena: SlabArena,
-    estimates: FastMap<u64, SimDuration>,
-    probes: FastMap<u64, Probe>,
+    /// Open miss windows, allocated once and never resized or swept.
+    windows: Box<[MissWindow]>,
     /// Shard geometry, kept so `set` can tell "can never fit"
     /// ([`CacheError::ValueTooLarge`]) apart from "no room right now"
     /// before consulting the policy.
@@ -182,7 +191,7 @@ pub(crate) struct Shard {
     /// Optional simulated backing store. When present, every GET miss
     /// drives a fetch through it — retries, timeouts, and outages
     /// included — and a successful fetch's latency becomes the key's
-    /// penalty estimate (ground truth observed, not probed).
+    /// penalty (ground truth observed, not measured as a gap).
     backend: Option<BackendSim>,
     /// Observability registry shared by every shard of the cache. Its
     /// per-band cells are the only hit/miss/eviction counts: `report()`
@@ -227,8 +236,7 @@ impl Shard {
             policy,
             entries: FastMap::default(),
             arena,
-            estimates: FastMap::default(),
-            probes: FastMap::default(),
+            windows: vec![CLOSED; WINDOW_SLOTS].into_boxed_slice(),
             cfg,
             serial: 0,
             backend: None,
@@ -249,30 +257,35 @@ impl Shard {
         Tick { now, serial: self.serial }
     }
 
-    /// The penalty to attribute to a key on insert. Any SET closes the
-    /// key's probe window, so a later SET cannot mistake a stale
-    /// miss→SET gap for a measurement.
+    /// The penalty of a SET of `h` whose dropped old generation carried
+    /// `old`, in the order [`crate::PamaCache::set`] documents. Any SET
+    /// closes the key's window, so a later SET cannot take a stale gap.
     fn penalty_for(
         &mut self,
         h: u64,
         explicit: Option<SimDuration>,
+        old: Option<SimDuration>,
         now: SimTime,
         c: &ShardCounters,
     ) -> SimDuration {
-        let probe = self.probes.remove(&h);
+        let slot = &mut self.windows[window_slot(h)];
+        let window = (slot.key == h).then(|| std::mem::replace(slot, CLOSED));
         if let Some(p) = explicit {
             return p.min(PENALTY_CAP);
         }
-        if let Some(probe) = probe {
-            let gap = now.saturating_since(probe.miss_at);
+        if let Some(w) = window {
+            let gap = now.saturating_since(w.miss_at);
             if gap <= PENALTY_CAP && gap > SimDuration::ZERO {
                 ShardCounters::bump(&c.penalty_samples);
                 ShardCounters::add(&c.penalty_sum_us, gap.as_micros());
-                self.estimates.insert(h, gap);
                 return gap;
             }
         }
-        self.estimates.get(&h).copied().unwrap_or(DEFAULT_PENALTY)
+        window
+            .and_then(|w| w.known)
+            .or(old)
+            .or_else(|| self.policy.ghost_penalty(h))
+            .unwrap_or(DEFAULT_PENALTY)
     }
 
     /// Whether the stored entry's key bytes equal `key`.
@@ -309,19 +322,17 @@ impl Shard {
 
     /// Drops an entry from the store, the arena, and the policy
     /// bookkeeping, which it reaches through the entry's handle.
-    fn drop_entry(&mut self, h: u64, c: &ShardCounters) {
-        if let Some(e) = self.entries.remove(&h) {
-            ShardCounters::sub(&c.items, 1);
-            ShardCounters::sub(&c.live_bytes, self.stored_len(&e));
-            // The class is the slot's slab header: read it before the
-            // slot is freed.
-            let loc = self.arena.slab_class(e.slot).map(|class| e.loc(class));
-            Self::release(&mut self.arena, &e);
-            debug_assert!(loc.is_some(), "entry {h:#x} names no live slab");
-            if let Some(loc) = loc {
-                self.policy.on_remove(h, loc);
-            }
-        }
+    /// Returns the dropped item's penalty.
+    fn drop_entry(&mut self, h: u64, c: &ShardCounters) -> Option<SimDuration> {
+        let e = self.entries.remove(&h)?;
+        ShardCounters::sub(&c.items, 1);
+        ShardCounters::sub(&c.live_bytes, self.stored_len(&e));
+        // The class is the slot's slab header: read it before the slot
+        // is freed.
+        let loc = self.arena.slab_class(e.slot).map(|class| e.loc(class));
+        Self::release(&mut self.arena, &e);
+        debug_assert!(loc.is_some(), "entry {h:#x} names no live slab");
+        self.policy.on_remove(h, loc?)
     }
 
     /// Drops an entry whose TTL lapsed, counting it as expired.
@@ -386,7 +397,7 @@ impl Shard {
     /// The write-lock GET, run after a read-lock miss. A hit here means
     /// the key was written between the two locks; it promotes inline
     /// through the policy. A miss (or collision or expiry) opens a
-    /// penalty probe / drives the backend.
+    /// miss window / drives the backend.
     pub fn get_locked(
         &mut self,
         h: u64,
@@ -430,46 +441,34 @@ impl Shard {
         // value*. Without this signal a physical store would never
         // accumulate the evidence that triggers the paper's cross-class
         // migrations. The entry index has just reported the key absent,
-        // so the policy skips its own index probe.
-        self.policy.on_miss(h);
+        // so the policy skips its own index probe. A credited ghost
+        // hands back the penalty the key was evicted with.
+        let mut window = MissWindow { key: h, miss_at: now, known: self.policy.on_miss(h) };
         if let Some(backend) = self.backend.as_mut() {
             let out = backend.fetch(h, self.serial);
             ShardCounters::bump(&c.backend_fetches);
             ShardCounters::add(&c.backend_retries, u64::from(out.attempts.saturating_sub(1)));
             ShardCounters::add(&c.backend_time_us, out.latency.as_micros());
+            // A fetch leaves no gap to measure: a wall-clock gap would
+            // shadow the observed latency, and a refill after a degraded
+            // miss (the backend could not serve) measures nothing.
+            window.miss_at = NEVER;
             if out.ok {
-                // The fetch cost is the key's regeneration penalty,
-                // observed directly — better than the probe's guess, so
-                // no probe window opens (a wall-clock gap would shadow
-                // the measured latency).
                 let latency = out.latency.min(PENALTY_CAP);
-                self.estimates.insert(h, latency);
                 ShardCounters::bump(&c.penalty_samples);
                 ShardCounters::add(&c.penalty_sum_us, latency.as_micros());
+                window.known = Some(latency);
             } else {
-                // Degraded miss: the backend could not serve. No probe
-                // window opens (a refill SET, if any, is not a
-                // regeneration measurement).
                 ShardCounters::bump(&c.backend_failures);
             }
-        } else {
-            self.probes.insert(h, Probe { miss_at: now });
-            // Bound the probe table: keep only the freshest half when
-            // oversized (stale probes would be over-cap anyway).
-            if self.probes.len() > 65_536 {
-                let mut keep: Vec<(u64, Probe)> =
-                    self.probes.iter().map(|(&k, &p)| (k, p)).collect();
-                keep.sort_by_key(|(_, p)| std::cmp::Reverse(p.miss_at));
-                keep.truncate(32_768);
-                self.probes = keep.into_iter().collect();
-            }
         }
+        self.windows[window_slot(h)] = window;
         // Attribute the miss to the band of the key's best-known
         // regeneration penalty (the backend's just-measured latency,
-        // a prior estimate, or the default) and accumulate the
+        // the ghost's, or the default) and accumulate the
         // penalty-weighted miss cost — the paper's service-time
         // integrand.
-        let penalty = self.estimates.get(&h).copied().unwrap_or(DEFAULT_PENALTY);
+        let penalty = window.known.unwrap_or(DEFAULT_PENALTY);
         let cells = self.metrics.band(self.stripe, self.cfg.band_of(penalty));
         cells.misses.inc();
         cells.penalty_cost_us.add(penalty.as_micros());
@@ -488,11 +487,11 @@ impl Shard {
         c: &ShardCounters,
     ) -> Result<(), CacheError> {
         let tick = self.tick(now);
-        let penalty = self.penalty_for(h, explicit_penalty, now, c);
         // Replace any previous generation (also resolves collisions in
         // favour of the newest writer). A refused set therefore leaves
         // the key absent, never stale.
-        self.drop_entry(h, c);
+        let old = self.drop_entry(h, c);
+        let penalty = self.penalty_for(h, explicit_penalty, old, now, c);
         ShardCounters::bump(&c.sets);
         // Geometry check first: an item no slab class can hold would
         // be refused by the policy anyway, but the caller deserves to
@@ -522,15 +521,17 @@ impl Shard {
             ShardCounters::bump(&c.rejected);
             return Err(CacheError::CapacityExhausted { item_bytes });
         };
-        match self.store_bytes(h, loc, key, value) {
-            Some(slot) => {
+        // The bytes go to the class the policy filed the item under, so
+        // the arena and the ledger can never disagree on it.
+        match self.arena.insert(loc.class as usize, h, key, value) {
+            Ok(slot) => {
                 ShardCounters::bump(&c.items);
                 ShardCounters::add(&c.live_bytes, item_bytes);
                 self.entries
                     .insert(h, Entry::new(slot, expiry(now, ttl), flags, self.serial, loc));
                 Ok(())
             }
-            None => {
+            Err(_) => {
                 // The arena disagreed with the ledger — impossible
                 // while the two are in lockstep (debug builds
                 // assert). Roll the policy back so store and
@@ -600,8 +601,9 @@ impl Shard {
     }
 
     /// Memcached `flush_all`: drops every entry, returning how many.
-    /// Penalty estimates and probe windows survive — they are
-    /// knowledge about keys, not about the flushed values.
+    /// The flushed items' penalties leave with them (a removed item
+    /// leaves no ghost); open miss windows survive, so a refill after
+    /// the flush still measures its gap.
     pub fn clear(&mut self, c: &ShardCounters) -> u64 {
         let keys: Vec<u64> = self.entries.keys().copied().collect();
         let n = keys.len() as u64;
@@ -609,14 +611,6 @@ impl Shard {
             self.drop_entry(h, c);
         }
         n
-    }
-
-    /// Writes `key ‖ value` into the arena, returning the slot it
-    /// landed in. The class is the one the policy stored the item under
-    /// (`loc`, from the insert): identical to `cfg.class_of(key, value)`
-    /// but taken from the policy so the two can never disagree.
-    fn store_bytes(&mut self, h: u64, loc: Loc, key: &[u8], value: &[u8]) -> Option<SlotRef> {
-        self.arena.insert(loc.class as usize, h, key, value).ok()
     }
 
     /// Replays the policy's recorded storage events into the arena and
@@ -668,9 +662,9 @@ impl Shard {
         self.event_buf = events;
     }
 
-    /// Detailed slab-arena accounting for probes and benchmarks. Walks
-    /// the metadata arrays; meant to be called at reporting cadence,
-    /// not per operation.
+    /// Detailed slab-arena accounting for diagnostics and benchmarks.
+    /// Walks the metadata arrays; meant to be called at reporting
+    /// cadence, not per operation.
     pub fn slab_report(&self) -> SlabReport {
         let arena = &self.arena;
         let st = arena.stats();
@@ -1085,12 +1079,13 @@ mod tests {
         // miss at t=100ms, refill at t=180ms → 80ms penalty measured
         assert!(s.get_locked(1, b"k", t(100), &c).is_none());
         s.set(1, b"k", b"v", None, None, 0, t(180), &c).unwrap();
-        assert_eq!(s.estimates.get(&1).copied(), Some(SimDuration::from_millis(80)));
+        let measured = SimDuration::from_millis(80);
+        assert_eq!(meta(&s, 1).map(|m| m.penalty), Some(measured));
         let st = c.snapshot();
         assert_eq!(st.measured_penalties, 1);
         assert!((st.mean_measured_penalty_us - 80_000.0).abs() < 1.0);
         // The stored item's penalty band reflects the measurement.
-        assert_eq!(meta(&s, 1).unwrap().penalty, SimDuration::from_millis(80));
+        assert_eq!(meta(&s, 1).unwrap().band as usize, s.cfg.band_of(measured));
     }
 
     #[test]
@@ -1108,11 +1103,12 @@ mod tests {
         let c = ShardCounters::default();
         assert!(s.get_locked(8, b"k8", t(0), &c).is_none());
         s.set(8, b"k8", b"v", None, Some(SimDuration::from_secs(2)), 0, t(10), &c).unwrap();
-        // A later plain SET must not measure the stale 0 → 50 ms gap.
+        // A later plain SET must not measure the stale 0 → 50 ms gap;
+        // it keeps the old generation's explicit penalty.
         s.set(8, b"k8", b"v", None, None, 0, t(50), &c).unwrap();
         assert_eq!(c.snapshot().measured_penalties, 0);
-        assert_eq!(s.estimates.get(&8), None);
-        assert_eq!(meta(&s, 8).unwrap().penalty, DEFAULT_PENALTY);
+        assert_ne!(s.windows[window_slot(8)].key, 8, "the window outlived the SET");
+        assert_eq!(meta(&s, 8).unwrap().penalty, SimDuration::from_secs(2));
     }
 
     #[test]
@@ -1172,12 +1168,10 @@ mod tests {
         let cfg =
             CacheConfig { total_bytes: 1 << 30, slab_bytes: 1 << 20, ..CacheConfig::default() };
         let mut s = Shard::new(cfg.clone(), PamaConfig::default(), registry_for(&cfg, 1), 0);
-        assert!(
-            s.entries.capacity() + s.estimates.capacity() < 64,
-            "empty shard reserved {} entries and {} estimates",
-            s.entries.capacity(),
-            s.estimates.capacity()
-        );
+        assert!(s.entries.capacity() < 64, "empty shard reserved {}", s.entries.capacity());
+        // The miss-window table is the same fixed size for any geometry.
+        assert_eq!(s.windows.len(), WINDOW_SLOTS);
+        assert!(std::mem::size_of_val(&*s.windows) <= 64 << 10);
         let c = ShardCounters::default();
         const N: u64 = 1_000;
         for i in 0..N {
@@ -1185,6 +1179,7 @@ mod tests {
         }
         assert_eq!(s.entries.len(), N as usize);
         assert!(s.entries.capacity() < 4 * N as usize, "capacity {}", s.entries.capacity());
+        assert_eq!(s.windows.len(), WINDOW_SLOTS);
     }
 
     #[test]
@@ -1360,6 +1355,104 @@ mod tests {
             s.policy.ghost_capacity()
         );
         s.check_consistency().unwrap();
+    }
+
+    /// Sets `h` with an explicit penalty, then fills its subclass until
+    /// the policy evicts it into the ghost list.
+    fn ghost_with_penalty(s: &mut Shard, h: u64, penalty: SimDuration, c: &ShardCounters) {
+        let v = vec![0u8; 30_000];
+        let key = |i: u64| format!("key{i}").into_bytes();
+        s.set(h, &key(h), &v, None, Some(penalty), 0, t(0), c).unwrap();
+        let mut i = h + 1;
+        while s.entries.contains_key(&h) {
+            s.set(i, &key(i), &v, None, Some(penalty), 0, t(i), c).unwrap();
+            i += 1;
+        }
+        assert_eq!(s.policy.ghost_penalty(h), Some(penalty), "key {h} left no ghost");
+    }
+
+    #[test]
+    fn a_ghosted_key_misses_under_its_own_penalty() {
+        let mut s = shard();
+        let c = ShardCounters::default();
+        let two_s = SimDuration::from_secs(2);
+        ghost_with_penalty(&mut s, 0, two_s, &c);
+        let band = s.cfg.band_of(two_s);
+        assert_ne!(band, s.cfg.band_of(DEFAULT_PENALTY));
+        let before = s.metrics.snapshot().bands[band].clone();
+        assert!(s.get_locked(0, b"key0", t(1_000), &c).is_none());
+        let after = s.metrics.snapshot();
+        assert_eq!(after.bands[band].misses, before.misses + 1);
+        assert_eq!(after.bands[band].penalty_cost_us, before.penalty_cost_us + 2_000_000);
+        assert_eq!(after.total_misses(), 1, "the miss was filed under another band too");
+        // The refill SET, six seconds later (over the cap), keeps the
+        // penalty the miss knew.
+        let v = vec![0u8; 30_000];
+        s.set(0, b"key0", &v, None, None, 0, t(7_000), &c).unwrap();
+        assert_eq!(meta(&s, 0).unwrap().penalty, two_s);
+        // A SET with no miss before it takes the ghost's penalty too.
+        ghost_with_penalty(&mut s, 100, two_s, &c);
+        s.set(100, b"key100", &v, None, None, 0, t(8_000), &c).unwrap();
+        assert_eq!(meta(&s, 100).unwrap().penalty, two_s);
+        assert_eq!(c.snapshot().measured_penalties, 0);
+        s.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_plain_set_keeps_the_explicit_penalty() {
+        let mut s = shard();
+        let c = ShardCounters::default();
+        s.set(9, b"k9", b"v1", None, Some(SimDuration::from_secs(2)), 0, t(0), &c).unwrap();
+        s.set(9, b"k9", b"v2", None, None, 0, t(5), &c).unwrap();
+        assert_eq!(meta(&s, 9).unwrap().penalty, SimDuration::from_secs(2));
+        // Deleted, the key forgets it.
+        assert!(s.delete(9, b"k9", t(6), &c));
+        s.set(9, b"k9", b"v3", None, None, 0, t(7), &c).unwrap();
+        assert_eq!(meta(&s, 9).unwrap().penalty, DEFAULT_PENALTY);
+    }
+
+    #[test]
+    fn per_key_penalty_state_is_bounded_by_residents_and_ghosts() {
+        // Ten times the shard's capacity in distinct keys, each missed
+        // and then SET 1 ms later, so every key gets a measured gap.
+        // Per-key state must stay with the resident items and the
+        // bounded ghosts; the window table never grows.
+        let mut s = shard();
+        let c = ShardCounters::default();
+        let v = [0u8; 10];
+        let (mut i, mut capacity) = (0u64, 0);
+        while i < 10 * capacity.max(1_000) as u64 {
+            let key = format!("gap{i}");
+            assert!(s.get_locked(i, key.as_bytes(), t(2 * i), &c).is_none());
+            s.set(i, key.as_bytes(), &v, None, None, 0, t(2 * i + 1), &c).unwrap();
+            capacity = capacity.max(s.entries.len());
+            i += 1;
+        }
+        assert_eq!(c.snapshot().measured_penalties, i);
+        let per_key = s.entries.capacity() + s.policy.ghost_len();
+        let bound = 2 * (s.entries.len() + s.policy.ghost_capacity());
+        assert!(per_key <= bound, "{per_key} per-key slots after {i} keys, bound {bound}");
+        assert_eq!(s.windows.len(), WINDOW_SLOTS);
+        s.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_colliding_miss_never_lends_its_gap() {
+        let mut s = shard();
+        let c = ShardCounters::default();
+        let a = 1u64;
+        let b = (2..).find(|&h| window_slot(h) == window_slot(a)).unwrap();
+        assert!(s.get_locked(a, b"a", t(0), &c).is_none());
+        // B's miss takes A's slot: A's SET measures nothing and falls
+        // down the lookup order to the default.
+        assert!(s.get_locked(b, b"b", t(10), &c).is_none());
+        s.set(a, b"a", b"v", None, None, 0, t(50), &c).unwrap();
+        assert_eq!(c.snapshot().measured_penalties, 0);
+        assert_eq!(meta(&s, a).unwrap().penalty, DEFAULT_PENALTY);
+        // B's window is intact: its own 10 → 60 ms gap.
+        s.set(b, b"b", b"v", None, None, 0, t(60), &c).unwrap();
+        assert_eq!(c.snapshot().measured_penalties, 1);
+        assert_eq!(meta(&s, b).unwrap().penalty, SimDuration::from_millis(50));
     }
 
     #[test]
