@@ -124,7 +124,8 @@ impl BaseCache {
     /// [`new`](Self::new) without the key index, for an owner that
     /// keeps the [`Loc`] every insert returns and addresses items only
     /// through it ([`meta_at`](Self::meta_at),
-    /// [`remove_at`](Self::remove_at), …). The by-key methods
+    /// [`update_at`](Self::update_at), [`remove_at`](Self::remove_at),
+    /// …). The by-key methods
     /// ([`lookup`](Self::lookup), [`contains`](Self::contains),
     /// [`peek`](Self::peek), [`touch`](Self::touch),
     /// [`remove`](Self::remove), [`update_in_place`](Self::update_in_place))
@@ -246,11 +247,22 @@ impl BaseCache {
     /// # Panics
     /// Debug-panics on a class/band change.
     pub fn update_in_place(&mut self, meta: ItemMeta) -> bool {
-        let Some(loc) = self.lookup(meta.key) else {
+        self.lookup(meta.key).is_some_and(|loc| self.update_at(loc, meta))
+    }
+
+    /// [`update_in_place`](Self::update_in_place) by handle, without the
+    /// index probe: when [`meta_at`](Self::meta_at) accepts `loc` for
+    /// `meta.key`, moves the node to its queue's front and replaces its
+    /// metadata. A stale handle changes nothing and answers `false`.
+    ///
+    /// # Panics
+    /// Debug-panics on a class/band change.
+    pub fn update_at(&mut self, loc: Loc, meta: ItemMeta) -> bool {
+        if self.meta_at(loc, meta.key).is_none() {
             return false;
-        };
-        debug_assert_eq!(loc.class, meta.class, "update_in_place across classes");
-        debug_assert_eq!(loc.band, meta.band, "update_in_place across bands");
+        }
+        debug_assert_eq!(loc.class, meta.class, "update across classes");
+        debug_assert_eq!(loc.band, meta.band, "update across bands");
         let q = &mut self.classes[loc.class as usize].queues[loc.band as usize];
         q.move_to_front(loc.node);
         *q.get_mut(loc.node) = meta;

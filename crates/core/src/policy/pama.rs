@@ -29,7 +29,7 @@ use crate::config::{CacheConfig, Tick};
 use crate::lru::{LruList, NodeRef};
 use crate::segments::{MembershipMode, SubclassTracker};
 use pama_trace::Request;
-use pama_util::{FastMap, SimDuration, SimTime};
+use pama_util::{FastMap, SimDuration};
 
 /// PAMA tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,9 +261,11 @@ impl Pama {
     /// index ([`BaseCache::unindexed`]), so the store's own map is the
     /// only per-key map of resident items. Such a policy is driven
     /// through the handle entry points only — [`on_hit`](Self::on_hit),
-    /// [`on_miss`](Self::on_miss), [`on_insert`](Self::on_insert) and
-    /// [`on_remove`](Self::on_remove) — never through the by-key
-    /// [`Policy`] methods.
+    /// [`on_miss`](Self::on_miss), [`on_set_at`](Self::on_set_at) and
+    /// [`on_delete_at`](Self::on_delete_at) — never through the by-key
+    /// [`Policy`] methods, which are the same bodies behind an index
+    /// lookup. Either way the policy sees one request per GET, SET and
+    /// DELETE, so a store and the simulator make the same decisions.
     pub fn for_store(cache_cfg: CacheConfig, pcfg: PamaConfig) -> Self {
         let bands = cache_cfg.num_bands();
         Self::over(BaseCache::unindexed(cache_cfg, bands), pcfg)
@@ -548,31 +550,22 @@ impl Pama {
         Some(meta)
     }
 
-    /// Promotes the item at `loc` if it still holds `key` and credits
-    /// its segment value; the shared tail of every hit path. Returns
-    /// whether the handle was current.
-    fn promote(&mut self, loc: Loc, key: u64, now: SimTime) -> bool {
-        let Some(meta) = self.cache.touch_at(loc, key, now) else {
+    /// A GET hit on the item at `loc`. The access always counts — it
+    /// happened when the hit was served — but a handle that no longer
+    /// names `key`'s node (the item left, or its node was reused: the
+    /// kv store defers hits to its next write lock) promotes nothing:
+    /// it was a hit when served, so a miss-path ghost credit now would
+    /// double-count it. Returns whether the handle was current.
+    pub fn on_hit(&mut self, key: u64, loc: Loc, tick: Tick) -> bool {
+        self.note_access();
+        let Some(meta) = self.cache.touch_at(loc, key, tick.now) else {
             return false;
         };
         let w = self.weight(meta.penalty);
-        let (class, band) = (loc.class as usize, loc.band as usize);
-        let s = self.sub(class, band);
-        self.trackers[s].on_hit(self.cache.queue_mut(class, band), loc.node, key, w);
+        let s = self.sub(loc.class as usize, loc.band as usize);
+        let queue = self.cache.queue_mut(loc.class as usize, loc.band as usize);
+        self.trackers[s].on_hit(queue, loc.node, key, w);
         true
-    }
-
-    /// A GET hit served by a caller that holds the item's handle (the
-    /// kv store keeps it in its own entry): `on_get`'s hit branch
-    /// without the index probe. The access always counts — it happened
-    /// when the hit was served — but a handle that no longer names
-    /// `key`'s node (the item left, or its node was reused) promotes
-    /// nothing: it was a hit when served, so a miss-path ghost credit
-    /// now would double-count it. Returns whether the handle was
-    /// current.
-    pub fn on_hit(&mut self, key: u64, loc: Loc, tick: Tick) -> bool {
-        self.note_access();
-        self.promote(loc, key, tick.now)
     }
 
     /// Applies a batch of deferred hits, oldest first, each through
@@ -583,11 +576,9 @@ impl Pama {
         }
     }
 
-    /// A GET miss reported by a caller whose own index already found
-    /// the key absent: exactly `on_get`'s miss branch with demand-fill
-    /// off — one access plus the ghost credit — without probing the
-    /// index for a key known to be missing. Returns the penalty the
-    /// key's ghost carried, if it had one.
+    /// A GET miss of a key that is not resident: one access plus the
+    /// ghost credit. Returns the penalty the key's ghost carried, if
+    /// it had one. Demand-fill, where configured, is the caller's.
     pub fn on_miss(&mut self, key: u64) -> Option<SimDuration> {
         debug_assert!(
             !self.cache.is_indexed() || !self.cache.contains(key),
@@ -604,37 +595,64 @@ impl Pama {
         Some(self.ghosts.lists[s as usize].list.get(node).penalty)
     }
 
-    /// A SET of a key the caller knows is not resident (the kv store
-    /// drops an old generation first): `on_set` without its index
-    /// probe. Returns the stored item's handle, or `None` when the item
-    /// could not be cached (too large for any class, or no room).
-    pub fn on_insert(&mut self, req: &Request, tick: Tick) -> Option<Loc> {
-        debug_assert!(
-            !self.cache.is_indexed() || !self.cache.contains(req.key),
-            "on_insert of a resident key"
-        );
+    /// A SET of `req.key`, whose item, if resident, is at `resident`.
+    /// An item that keeps its class and band is updated in place and
+    /// promoted. Otherwise the resident item leaves its stack without
+    /// becoming a ghost (the key's data is still wanted), and the new
+    /// one is inserted. A value no class can hold is not cached, and the
+    /// resident item, now stale, is removed. Returns the stored item's
+    /// handle, or `None` when it could not be cached (too large for any
+    /// class, or no room).
+    pub fn on_set_at(
+        &mut self,
+        req: &Request,
+        tick: Tick,
+        resident: Option<Loc>,
+    ) -> Option<Loc> {
         self.note_access();
-        let meta = self.meta_with_band(req, tick)?;
-        self.pama_insert(meta)
+        let meta = self.meta_with_band(req, tick);
+        if let Some(loc) = resident {
+            match meta {
+                Some(m) if (m.class, m.band) == (loc.class, loc.band) => {
+                    let updated = self.cache.update_at(loc, m);
+                    debug_assert!(updated, "stale handle for resident key {}", req.key);
+                    return Some(loc);
+                }
+                _ => {
+                    self.remove_resident(loc, req.key);
+                }
+            }
+        }
+        self.pama_insert(meta?)
     }
 
-    /// A DELETE (or the removal of an overwritten generation) of the
-    /// item the caller holds at `loc`: `on_delete` addressed by handle —
-    /// one access, the item's removal, and the key's ghost forgotten.
-    /// A key that was resident has no ghost (every insert forgets the
-    /// key's ghost first, and only keys that are not resident are
-    /// ghosted), so only a stale handle, which removes nothing, needs
-    /// the ghost index probed. Returns the removed item's penalty.
-    pub fn on_remove(&mut self, key: u64, loc: Loc) -> Option<SimDuration> {
+    /// A DELETE of `key`, whose item, if resident, is at `resident`: the
+    /// item is removed, and the key's ghost is forgotten — a deleted
+    /// key's value is invalidated, so caching more space could not have
+    /// avoided a future miss on it. Only a key that is not resident can
+    /// have a ghost (every insert forgets the key's ghost first), so a
+    /// removal skips the ghost index. Returns whether an item was
+    /// removed.
+    pub fn on_delete_at(&mut self, key: u64, resident: Option<Loc>) -> bool {
         self.note_access();
-        let Some(meta) = self.cache.remove_at(loc, key) else {
+        let removed = resident.is_some_and(|loc| self.remove_resident(loc, key));
+        if removed {
+            debug_assert!(!self.ghosts.index.contains_key(&key), "resident key {key} ghosted");
+        } else {
             self.ghosts.remove(key);
-            return None;
-        };
+        }
+        removed
+    }
+
+    /// Removes the item at `loc` without ghosting it: it left by request,
+    /// not by eviction. Returns whether the handle was current.
+    fn remove_resident(&mut self, loc: Loc, key: u64) -> bool {
+        if self.cache.remove_at(loc, key).is_none() {
+            return false;
+        }
         let s = self.sub(loc.class as usize, loc.band as usize);
         self.trackers[s].on_remove(key);
-        debug_assert!(!self.ghosts.index.contains_key(&key), "resident key {key} ghosted");
-        Some(meta.penalty)
+        true
     }
 
     fn note_access(&mut self) {
@@ -677,51 +695,24 @@ impl Policy for Pama {
     }
 
     fn on_get(&mut self, req: &Request, tick: Tick) -> GetOutcome {
-        self.note_access();
         if let Some(loc) = self.cache.lookup(req.key) {
-            self.promote(loc, req.key, tick.now);
+            self.on_hit(req.key, loc, tick);
             return GetOutcome::HIT;
         }
-        self.credit_ghost_miss(req.key);
-        let mut filled = false;
-        if self.cache.cfg().demand_fill {
-            if let Some(meta) = self.meta_with_band(req, tick) {
-                filled = self.pama_insert(meta).is_some();
-            }
-        }
+        self.on_miss(req.key);
+        let filled = self.cache.cfg().demand_fill
+            && self.meta_with_band(req, tick).and_then(|meta| self.pama_insert(meta)).is_some();
         GetOutcome { hit: false, filled }
     }
 
     fn on_set(&mut self, req: &Request, tick: Tick) {
-        self.note_access();
-        let Some(meta) = self.meta_with_band(req, tick) else {
-            return;
-        };
-        if let Some(old) = self.cache.peek(meta.key) {
-            if old.class == meta.class && old.band == meta.band {
-                self.cache.update_in_place(meta);
-                return;
-            }
-            // The update moves the item to another subclass: it leaves
-            // its old stack without becoming a ghost (the data is still
-            // cached).
-            self.cache.remove(meta.key);
-            let s = self.sub(old.class as usize, old.band as usize);
-            self.trackers[s].on_remove(meta.key);
-        }
-        self.pama_insert(meta);
+        let resident = self.cache.lookup(req.key);
+        self.on_set_at(req, tick, resident);
     }
 
     fn on_delete(&mut self, req: &Request, _tick: Tick) {
-        self.note_access();
-        if let Some(old) = self.cache.remove(req.key) {
-            let s = self.sub(old.class as usize, old.band as usize);
-            self.trackers[s].on_remove(req.key);
-        }
-        // A deleted key's value is invalidated: caching more space
-        // could not have avoided a future miss on it, so any ghost
-        // credit must vanish too.
-        self.ghosts.remove(req.key);
+        let resident = self.cache.lookup(req.key);
+        self.on_delete_at(req.key, resident);
     }
 
     fn cache(&self) -> &BaseCache {
@@ -910,29 +901,28 @@ mod tests {
     }
 
     #[test]
-    fn on_remove_is_on_delete_by_handle() {
+    fn on_delete_at_removes_by_handle_and_forgets_ghosts() {
         let mut c = cfg();
         c.total_bytes = 4 << 10;
         c.demand_fill = false;
         let mut p = Pama::for_store(c, PamaConfig { value_window: 1, ..pcfg() });
         assert!(!p.cache().is_indexed());
         let set = |k| get_set(k, 2000, 1000);
-        let loc1 = p.on_insert(&set(1), tick(0)).unwrap();
-        let loc2 = p.on_insert(&set(2), tick(1)).unwrap();
-        p.on_remove(2, loc2);
-        assert_eq!(p.cache().len(), 1);
+        let loc1 = p.on_set_at(&set(1), tick(0), None).unwrap();
+        let loc2 = p.on_set_at(&set(2), tick(1), None).unwrap();
+        assert!(p.on_delete_at(2, Some(loc2)));
+        assert_eq!((p.cache().len(), p.ghost_len()), (1, 0), "a deleted item became a ghost");
         assert!(p.cache().meta_at(loc2, 2).is_none());
-        // Key 1 is evicted into the ghost list by two more inserts; its
-        // stale handle removes nothing but still forgets the ghost, as
-        // `on_delete` would.
-        p.on_insert(&set(3), tick(2)).unwrap();
-        p.on_insert(&set(4), tick(3)).unwrap();
+        // Key 1 is evicted into the ghost list by two more SETs. A DELETE
+        // of the absent key removes nothing but forgets the ghost.
+        p.on_set_at(&set(3), tick(2), None).unwrap();
+        p.on_set_at(&set(4), tick(3), None).unwrap();
         assert!(p.cache().meta_at(loc1, 1).is_none(), "key 1 still resident");
         assert_eq!(p.ghost_len(), 1);
         let before = p.accesses;
-        p.on_remove(1, loc1);
+        assert!(!p.on_delete_at(1, None));
         assert_eq!((p.accesses, p.ghost_len(), p.cache().len()), (before + 1, 0, 2));
-        p.on_miss(1);
+        assert_eq!(p.on_miss(1), None, "a forgotten ghost lent its penalty");
         let s = p.sub(5, p.band_of(SimDuration::from_millis(1000)));
         assert_eq!(p.trackers[s].incoming(), 0.0, "a forgotten ghost was credited");
         p.cache().check_invariants().unwrap();
@@ -970,7 +960,36 @@ mod tests {
         p.on_set(&get_set(1, 40, 3000), tick(1));
         let m = p.cache().peek(1).unwrap();
         assert_eq!(m.band, 4);
-        assert_eq!(p.cache().len(), 1);
+        assert_eq!((p.cache().len(), p.ghost_len()), (1, 0), "the old item became a ghost");
+        p.cache().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_set_that_keeps_class_and_band_updates_in_place() {
+        let mut p = Pama::for_store(cfg(), pcfg());
+        let loc1 = p.on_set_at(&get_set(1, 40, 5), tick(0), None).unwrap();
+        p.on_set_at(&get_set(2, 40, 5), tick(1), None).unwrap();
+        // 50 and 40 bytes share a class, 6 and 5 ms a band: the node
+        // stays, takes the new sizes and moves to the front.
+        let again = p.on_set_at(&get_set(1, 50, 6), tick(2), Some(loc1));
+        assert_eq!(again, Some(loc1));
+        let m = *p.cache().meta_at(loc1, 1).unwrap();
+        assert_eq!((m.value_size, m.penalty), (50, SimDuration::from_millis(6)));
+        let order: Vec<u64> = p.cache().class(0).queues[1].iter().map(|m| m.key).collect();
+        assert_eq!(order, vec![1, 2]);
+        assert_eq!((p.cache().len(), p.accesses), (2, 3));
+        p.cache().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn an_oversized_set_removes_the_resident_item() {
+        let mut p = Pama::with_config(cfg(), pcfg());
+        p.on_set(&get_set(1, 40, 5), tick(0));
+        // No class holds a 9000-byte item: the stale value goes, and
+        // leaves no ghost.
+        p.on_set(&get_set(1, 9000, 5), tick(1));
+        assert!(!p.cache().contains(1));
+        assert_eq!((p.cache().len(), p.ghost_len()), (0, 0));
         p.cache().check_invariants().unwrap();
     }
 
@@ -983,7 +1002,7 @@ mod tests {
     fn handle_entry_points_decide_like_the_request_ones() {
         // One stream fed two ways: by key through the `Policy` methods
         // (demand-fill off, a miss followed by a SET), and by handle
-        // through `on_hit` / `on_miss` / `on_insert` as the kv store
+        // through `on_hit` / `on_miss` / `on_set_at` as the kv store
         // drives it. Every decision must agree.
         let mut c = cfg();
         c.demand_fill = false;
@@ -1004,7 +1023,7 @@ mod tests {
                 Some(loc) => assert!(by_handle.on_hit(key, loc, t)),
                 None => {
                     by_handle.on_miss(key);
-                    by_handle.on_insert(&get_set(key, vs, penalty_ms), t);
+                    by_handle.on_set_at(&get_set(key, vs, penalty_ms), t, None);
                 }
             }
         }
@@ -1022,13 +1041,13 @@ mod tests {
     }
 
     #[test]
-    fn on_insert_returns_the_stored_handle() {
+    fn on_set_at_returns_the_stored_handle() {
         let mut p = Pama::with_config(cfg(), pcfg());
-        let loc = p.on_insert(&get_set(1, 40, 5), tick(0)).unwrap();
+        let loc = p.on_set_at(&get_set(1, 40, 5), tick(0), None).unwrap();
         assert_eq!(p.cache().lookup(1), Some(loc));
         assert_eq!(p.cache().meta_at(loc, 1).unwrap().band, 1);
         // No class holds a 9000-byte item.
-        assert_eq!(p.on_insert(&get_set(2, 9000, 5), tick(1)), None);
+        assert_eq!(p.on_set_at(&get_set(2, 9000, 5), tick(1), None), None);
         // A stale handle counts the access but promotes nothing.
         p.on_delete(&Request::delete(SimTime::ZERO, 1, 8), tick(2));
         let before = p.accesses;

@@ -294,23 +294,18 @@ impl PamaCache {
     /// default (100 ms). A key that was deleted or flushed, or whose
     /// eviction record has aged out, starts over at the default.
     ///
-    /// On error the key is left **absent** (any previous generation is
-    /// dropped before placement), so callers never read stale values
-    /// after a refused write.
+    /// A SET of a resident key is one policy request, as in the
+    /// simulator: the item is updated in place when it keeps its slab
+    /// class and penalty band, and replaced otherwise. On error the key
+    /// is left **absent** (the previous generation's slot is freed before
+    /// placement), so callers never read stale values after a refused
+    /// write.
     pub fn set(&self, key: &[u8], value: &[u8], opts: &SetOptions) -> Result<(), CacheError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(CacheError::ShuttingDown);
         }
         let h = hash_key(key);
-        self.shard_of(h).set(
-            h,
-            key,
-            value,
-            opts.ttl.or(self.default_ttl),
-            opts.penalty,
-            opts.flags,
-            self.now(),
-        )
+        self.shard_of(h).set(h, key, value, &self.with_default_ttl(opts), self.now())
     }
 
     /// Inserts a key only if it is not already live — Memcached `add`.
@@ -322,15 +317,12 @@ impl PamaCache {
             return Err(CacheError::ShuttingDown);
         }
         let h = hash_key(key);
-        self.shard_of(h).add(
-            h,
-            key,
-            value,
-            opts.ttl.or(self.default_ttl),
-            opts.penalty,
-            opts.flags,
-            self.now(),
-        )
+        self.shard_of(h).add(h, key, value, &self.with_default_ttl(opts), self.now())
+    }
+
+    /// `opts` with the builder's default TTL filled in.
+    fn with_default_ttl(&self, opts: &SetOptions) -> SetOptions {
+        SetOptions { ttl: opts.ttl.or(self.default_ttl), ..*opts }
     }
 
     /// Refreshes a live key's TTL (`None` removes the expiry) and
@@ -396,7 +388,7 @@ impl PamaCache {
             return Err(CacheError::ShuttingDown);
         }
         let now = self.now();
-        let ttl = opts.ttl.or(self.default_ttl);
+        let opts = self.with_default_ttl(opts);
         let mut groups: Vec<Vec<(usize, u64)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (i, (key, _)) in items.iter().enumerate() {
@@ -406,9 +398,7 @@ impl PamaCache {
         let mut first_err: Option<(usize, CacheError)> = None;
         for (cell, group) in self.shards.iter().zip(&groups) {
             if !group.is_empty() {
-                if let Some((i, e)) =
-                    cell.multi_set_group(group, items, ttl, opts.penalty, opts.flags, now)
-                {
+                if let Some((i, e)) = cell.multi_set_group(group, items, &opts, now) {
                     if first_err.is_none_or(|(j, _)| i < j) {
                         first_err = Some((i, e));
                     }
@@ -438,8 +428,9 @@ impl PamaCache {
     /// resident vs requested bytes, internal fragmentation, transfer
     /// counts, and an occupancy histogram. `slabs` is always `Some`.
     ///
-    /// Hits, misses and evictions are the registry's band sums; the
-    /// arena fields of [`CacheStats`] come from the merged slab ledger,
+    /// Hits, misses and evictions are the registry's band sums; `items`,
+    /// `live_bytes` and the arena fields of [`CacheStats`] come from the
+    /// merged slab ledger,
     /// whose walk takes each shard's read lock briefly — so call this
     /// at reporting cadence rather than per request. This is also when
     /// the registry's arena gauges are refreshed.
@@ -451,6 +442,8 @@ impl PamaCache {
         cache.hits = bands.total_hits();
         cache.misses = bands.total_misses();
         cache.evictions = bands.total_evictions();
+        cache.items = slabs.live_items;
+        cache.live_bytes = slabs.requested_bytes;
         cache.slabs_in_use = slabs.slabs;
         cache.arena_resident_bytes = slabs.resident_bytes;
         cache.arena_free_slots = slabs.free_slots;
@@ -657,6 +650,11 @@ mod tests {
         c.set(b"dying", b"x", &SetOptions::new().ttl(SimDuration::ZERO)).unwrap();
         assert!(c.add(b"dying", b"fresh", &SetOptions::default()).unwrap());
         assert_eq!(c.report().cache.expired, 2, "add overwrote a lapse uncounted");
+        c.set(b"stale", b"x", &SetOptions::new().ttl(SimDuration::ZERO)).unwrap();
+        c.set(b"stale", b"fresh", &SetOptions::default()).unwrap();
+        let s = c.report().cache;
+        assert_eq!((s.expired, s.items), (3, 2), "set overwrote a lapse uncounted");
+        assert_eq!(c.get(b"stale").as_deref(), Some(&b"fresh"[..]));
         c.check_invariants().unwrap();
     }
 

@@ -26,18 +26,27 @@
 //!
 //! Each entry carries its item's policy handle ([`Loc`]): the LRU node
 //! and the penalty band live in the entry, and the size class is the
-//! slab header of the entry's slot. Deferred hits, the write-lock hit
-//! and `touch` promote through that handle, DELETE, overwrite and
-//! expiry remove through it, a miss reports only the hash, and an
-//! insert hands the new handle back. The policy is built with
+//! slab header of the entry's slot. The policy is built with
 //! [`Pama::for_store`], so it keeps no key index at all: the entry map
-//! is the only per-key map of resident items. A record whose node no
-//! longer holds its key (the item left before the drain) is skipped.
+//! is the only per-key map of resident items. Each call makes the one
+//! policy request the simulator makes for it, addressed by that handle:
+//!
+//! * a GET hit is [`Pama::on_hit`] (deferred, or inline under the write
+//!   lock; `touch` promotes the same way), and a record whose node no
+//!   longer holds its key (the item left before the drain) is skipped;
+//! * a GET miss is [`Pama::on_miss`], with the hash only;
+//! * a SET is [`Pama::on_set_at`], given the handle of the entry already
+//!   under the hash — live, lapsed or a colliding key — if any. The
+//!   entry is rewritten with the handle it hands back;
+//! * a DELETE is [`Pama::on_delete_at`], made whether or not the key is
+//!   resident, so an absent key's ghost is forgotten. Expiry, a colliding
+//!   GET's replacement and `flush_all` remove items with it too.
+//!
 //! A key's penalty lives in the policy, in its LRU node or its ghost
 //! entry; open miss windows sit in a fixed table ([`MissWindow`]).
 
 use crate::log::{AccessLog, HitRecord};
-use crate::options::{CacheError, CacheValue, ValueRef};
+use crate::options::{CacheError, CacheValue, SetOptions, ValueRef};
 use crate::stats::{ShardCounters, SlabClassReport, SlabReport};
 use bytes::Bytes;
 use pama_core::cache::Loc;
@@ -257,7 +266,7 @@ impl Shard {
         Tick { now, serial: self.serial }
     }
 
-    /// The penalty of a SET of `h` whose dropped old generation carried
+    /// The penalty of a SET of `h` whose replaced generation carried
     /// `old`, in the order [`crate::PamaCache::set`] documents. Any SET
     /// closes the key's window, so a later SET cannot take a stale gap.
     fn penalty_for(
@@ -309,35 +318,29 @@ impl Shard {
         Some((v, e.loc(self.arena.slab_class(e.slot)?)))
     }
 
-    /// `key + value` length of the stored entry.
-    fn stored_len(&self, e: &Entry) -> u64 {
-        self.arena.locate(e.slot).map_or(0, |(_, _, kl, vl)| (kl + vl) as u64)
-    }
-
     /// Frees an entry's arena slot.
     fn release(arena: &mut SlabArena, e: &Entry) {
         let freed = arena.remove(e.slot);
         debug_assert!(freed.is_ok(), "stale slot handle in index: {freed:?}");
     }
 
-    /// Drops an entry from the store, the arena, and the policy
-    /// bookkeeping, which it reaches through the entry's handle.
-    /// Returns the dropped item's penalty.
-    fn drop_entry(&mut self, h: u64, c: &ShardCounters) -> Option<SimDuration> {
-        let e = self.entries.remove(&h)?;
-        ShardCounters::sub(&c.items, 1);
-        ShardCounters::sub(&c.live_bytes, self.stored_len(&e));
+    /// Drops an entry from the store and the arena, and removes its item
+    /// from the policy with a DELETE request by the entry's handle.
+    fn drop_entry(&mut self, h: u64) {
+        let Some(e) = self.entries.remove(&h) else {
+            return;
+        };
         // The class is the slot's slab header: read it before the slot
         // is freed.
         let loc = self.arena.slab_class(e.slot).map(|class| e.loc(class));
         Self::release(&mut self.arena, &e);
-        debug_assert!(loc.is_some(), "entry {h:#x} names no live slab");
-        self.policy.on_remove(h, loc?)
+        let removed = self.policy.on_delete_at(h, loc);
+        debug_assert!(removed, "entry {h:#x} had no policy item");
     }
 
     /// Drops an entry whose TTL lapsed, counting it as expired.
     fn drop_expired(&mut self, h: u64, c: &ShardCounters) {
-        self.drop_entry(h, c);
+        self.drop_entry(h);
         ShardCounters::bump(&c.expired);
     }
 
@@ -427,7 +430,7 @@ impl Shard {
             if self.key_matches(e, key) {
                 self.drop_expired(h, c);
             } else {
-                self.drop_entry(h, c);
+                self.drop_entry(h);
             }
         }
         self.miss(h, now, c);
@@ -474,99 +477,99 @@ impl Shard {
         cells.penalty_cost_us.add(penalty.as_micros());
     }
 
-    #[allow(clippy::too_many_arguments)] // internal; mirrors the public set() signature plus shard context
+    /// Stores `key` under `h` with one SET request to the policy. An
+    /// entry already under `h` — live, lapsed (counted as an expiry) or
+    /// a colliding key — is the resident item to the policy: its slot is
+    /// freed, the request replaces its item (in place when the class and
+    /// band hold), and the entry is rewritten. A refused SET leaves `h`
+    /// absent. `opts.ttl` is final: the caller has applied the default.
     pub fn set(
         &mut self,
         h: u64,
         key: &[u8],
         value: &[u8],
-        ttl: Option<SimDuration>,
-        explicit_penalty: Option<SimDuration>,
-        flags: u32,
+        opts: &SetOptions,
         now: SimTime,
         c: &ShardCounters,
     ) -> Result<(), CacheError> {
         let tick = self.tick(now);
-        // Replace any previous generation (also resolves collisions in
-        // favour of the newest writer). A refused set therefore leaves
-        // the key absent, never stale.
-        let old = self.drop_entry(h, c);
-        let penalty = self.penalty_for(h, explicit_penalty, old, now, c);
         ShardCounters::bump(&c.sets);
-        // Geometry check first: an item no slab class can hold would
-        // be refused by the policy anyway, but the caller deserves to
-        // know that eviction can never help. Same byte rule as
-        // `CacheConfig::class_of` returning `None`.
-        let item_bytes = (key.len() + value.len()) as u64;
-        let footprint = item_bytes + u64::from(self.cfg.item_overhead);
-        if footprint > self.cfg.slab_bytes {
-            ShardCounters::bump(&c.rejected);
-            return Err(CacheError::ValueTooLarge {
-                item_bytes: footprint,
-                max_bytes: self.cfg.slab_bytes,
-            });
+        let (mut resident, mut old) = (None, None);
+        if let Some(e) = self.entries.get(&h) {
+            if e.expired(|| now) && self.key_matches(e, key) {
+                ShardCounters::bump(&c.expired);
+            }
+            resident = self.arena.slab_class(e.slot).map(|class| e.loc(class));
+            old =
+                resident.and_then(|loc| self.policy.cache().meta_at(loc, h)).map(|m| m.penalty);
+            debug_assert!(old.is_some(), "entry {h:#x} had no policy item");
+            Self::release(&mut self.arena, e);
         }
-        // The key is absent from the policy now (any old generation
-        // was dropped above), so the policy inserts without probing its
-        // index and hands back the stored item's handle.
+        let penalty = self.penalty_for(h, opts.penalty, old, now, c);
         let req =
             Request::set(now, h, key.len() as u32, value.len() as u32).with_penalty(penalty);
-        let stored = self.policy.on_insert(&req, tick);
+        let stored = self.policy.on_set_at(&req, tick, resident);
         // Replay the policy's storage decisions (evictions, slab
         // grants, slab migrations) into the arena *before* writing the
         // new item: an eviction or transfer is exactly what frees the
-        // slot the item lands in.
-        self.apply_policy_events(c);
+        // slot the item lands in. The bytes go to the class the policy
+        // filed the item under, so the arena and the ledger can never
+        // disagree on it.
+        self.apply_policy_events();
         let Some(loc) = stored else {
-            ShardCounters::bump(&c.rejected);
-            return Err(CacheError::CapacityExhausted { item_bytes });
+            return Err(self.refuse(h, key.len() + value.len(), c));
         };
-        // The bytes go to the class the policy filed the item under, so
-        // the arena and the ledger can never disagree on it.
         match self.arena.insert(loc.class as usize, h, key, value) {
             Ok(slot) => {
-                ShardCounters::bump(&c.items);
-                ShardCounters::add(&c.live_bytes, item_bytes);
-                self.entries
-                    .insert(h, Entry::new(slot, expiry(now, ttl), flags, self.serial, loc));
+                let entry =
+                    Entry::new(slot, expiry(now, opts.ttl), opts.flags, self.serial, loc);
+                self.entries.insert(h, entry);
                 Ok(())
             }
-            Err(_) => {
-                // The arena disagreed with the ledger — impossible
-                // while the two are in lockstep (debug builds
-                // assert). Roll the policy back so store and
-                // ledger stay consistent, and refuse the set.
-                debug_assert!(false, "arena refused a ledger-approved insert");
-                self.policy.on_remove(h, loc);
-                ShardCounters::bump(&c.rejected);
-                Err(CacheError::CapacityExhausted { item_bytes })
+            Err(e) => {
+                // Impossible while the arena and the ledger are in
+                // lockstep; in release builds, take the item back out of
+                // the ledger so the two stay consistent.
+                debug_assert!(false, "arena refused a ledger-approved insert: {e:?}");
+                self.policy.on_delete_at(h, Some(loc));
+                Err(self.refuse(h, key.len() + value.len(), c))
             }
         }
     }
 
-    /// Memcached `add`: stores only when the key is absent (or its
-    /// previous generation expired, which counts as an expiry).
+    /// Drops the entry of a refused SET of `item_bytes` key and value
+    /// bytes, and says why: no slab class can hold the item (the same
+    /// byte rule as `CacheConfig::class_of` returning `None`), so
+    /// eviction can never help, or there was no room this time.
+    fn refuse(&mut self, h: u64, item_bytes: usize, c: &ShardCounters) -> CacheError {
+        self.entries.remove(&h);
+        ShardCounters::bump(&c.rejected);
+        let item_bytes = item_bytes as u64;
+        let footprint = item_bytes + u64::from(self.cfg.item_overhead);
+        if footprint > self.cfg.slab_bytes {
+            CacheError::ValueTooLarge { item_bytes: footprint, max_bytes: self.cfg.slab_bytes }
+        } else {
+            CacheError::CapacityExhausted { item_bytes }
+        }
+    }
+
+    /// Memcached `add`: stores only when the key is not live — absent,
+    /// lapsed or a colliding key, which [`Self::set`] replaces.
     /// `Ok(false)` — the protocol's `NOT_STORED` — when a live entry
     /// already exists.
-    #[allow(clippy::too_many_arguments)] // mirrors set() plus shard context
     pub fn add(
         &mut self,
         h: u64,
         key: &[u8],
         value: &[u8],
-        ttl: Option<SimDuration>,
-        explicit_penalty: Option<SimDuration>,
-        flags: u32,
+        opts: &SetOptions,
         now: SimTime,
         c: &ShardCounters,
     ) -> Result<bool, CacheError> {
-        match self.entry_state(h, key, now) {
-            EntryState::Live => return Ok(false),
-            EntryState::Expired => self.drop_expired(h, c),
-            // Absent, or a colliding key: `set` replaces the latter.
-            EntryState::Absent => {}
+        if let EntryState::Live = self.entry_state(h, key, now) {
+            return Ok(false);
         }
-        self.set(h, key, value, ttl, explicit_penalty, flags, now, c).map(|()| true)
+        self.set(h, key, value, opts, now, c).map(|()| true)
     }
 
     /// Memcached `touch`: refreshes a live entry's TTL (`None` clears
@@ -604,11 +607,11 @@ impl Shard {
     /// The flushed items' penalties leave with them (a removed item
     /// leaves no ghost); open miss windows survive, so a refill after
     /// the flush still measures its gap.
-    pub fn clear(&mut self, c: &ShardCounters) -> u64 {
+    pub fn clear(&mut self) -> u64 {
         let keys: Vec<u64> = self.entries.keys().copied().collect();
         let n = keys.len() as u64;
         for h in keys {
-            self.drop_entry(h, c);
+            self.drop_entry(h);
         }
         n
     }
@@ -617,15 +620,13 @@ impl Shard {
     /// the entry index, in decision order: evicted keys leave the
     /// index and free their slots, grants carve fresh slabs, and slab
     /// moves compact + re-carve (repointing every relocated handle).
-    fn apply_policy_events(&mut self, c: &ShardCounters) {
+    fn apply_policy_events(&mut self) {
         let mut events = std::mem::take(&mut self.event_buf);
         self.policy.drain_events_into(&mut events);
         for e in events.drain(..) {
             match e {
                 PolicyEvent::Evicted { key, band, .. } => {
                     if let Some(entry) = self.entries.remove(&key) {
-                        ShardCounters::sub(&c.items, 1);
-                        ShardCounters::sub(&c.live_bytes, self.stored_len(&entry));
                         Self::release(&mut self.arena, &entry);
                         self.metrics.band(self.stripe, band as usize).evictions.inc();
                     } else {
@@ -705,19 +706,24 @@ impl Shard {
     /// Memcached `delete`: removes a live entry and returns `true`. A
     /// lapsed entry is already gone to every reader: it is dropped as
     /// an expiry, and the answer is `false` (`NOT_FOUND`), as for an
-    /// absent key.
+    /// absent key. Either way the policy gets one DELETE request, which
+    /// also forgets an absent key's ghost; a colliding key's entry is
+    /// left alone.
     pub fn delete(&mut self, h: u64, key: &[u8], now: SimTime, c: &ShardCounters) -> bool {
         match self.entry_state(h, key, now) {
             EntryState::Live => {
                 ShardCounters::bump(&c.deletes);
-                self.drop_entry(h, c);
+                self.drop_entry(h);
                 true
             }
             EntryState::Expired => {
                 self.drop_expired(h, c);
                 false
             }
-            EntryState::Absent => false,
+            EntryState::Absent => {
+                self.policy.on_delete_at(h, None);
+                false
+            }
         }
     }
 
@@ -914,32 +920,26 @@ impl ShardCell {
         hit.map(|v| f(v.as_ref()))
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the shard call it forwards
     pub fn set(
         &self,
         h: u64,
         key: &[u8],
         value: &[u8],
-        ttl: Option<SimDuration>,
-        explicit_penalty: Option<SimDuration>,
-        flags: u32,
+        opts: &SetOptions,
         now: SimTime,
     ) -> Result<(), CacheError> {
-        self.write(now).set(h, key, value, ttl, explicit_penalty, flags, now, &self.counters)
+        self.write(now).set(h, key, value, opts, now, &self.counters)
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the shard call it forwards
     pub fn add(
         &self,
         h: u64,
         key: &[u8],
         value: &[u8],
-        ttl: Option<SimDuration>,
-        explicit_penalty: Option<SimDuration>,
-        flags: u32,
+        opts: &SetOptions,
         now: SimTime,
     ) -> Result<bool, CacheError> {
-        self.write(now).add(h, key, value, ttl, explicit_penalty, flags, now, &self.counters)
+        self.write(now).add(h, key, value, opts, now, &self.counters)
     }
 
     pub fn touch(&self, h: u64, key: &[u8], ttl: Option<SimDuration>, now: SimTime) -> bool {
@@ -947,7 +947,7 @@ impl ShardCell {
     }
 
     pub fn clear(&self, now: SimTime) -> u64 {
-        self.write(now).clear(&self.counters)
+        self.write(now).clear()
     }
 
     pub fn delete(&self, h: u64, key: &[u8], now: SimTime) -> bool {
@@ -1010,18 +1010,14 @@ impl ShardCell {
         &self,
         group: &[(usize, u64)],
         items: &[(&[u8], &[u8])],
-        ttl: Option<SimDuration>,
-        explicit_penalty: Option<SimDuration>,
-        flags: u32,
+        opts: &SetOptions,
         now: SimTime,
     ) -> Option<(usize, CacheError)> {
         let mut shard = self.write(now);
         let mut first_err = None;
         for &(i, h) in group {
             let (key, value) = items[i];
-            if let Err(e) =
-                shard.set(h, key, value, ttl, explicit_penalty, flags, now, &self.counters)
-            {
+            if let Err(e) = shard.set(h, key, value, opts, now, &self.counters) {
                 if first_err.is_none() {
                     first_err = Some((i, e));
                 }
@@ -1078,7 +1074,7 @@ mod tests {
         let c = ShardCounters::default();
         // miss at t=100ms, refill at t=180ms → 80ms penalty measured
         assert!(s.get_locked(1, b"k", t(100), &c).is_none());
-        s.set(1, b"k", b"v", None, None, 0, t(180), &c).unwrap();
+        s.set(1, b"k", b"v", &SetOptions::default(), t(180), &c).unwrap();
         let measured = SimDuration::from_millis(80);
         assert_eq!(meta(&s, 1).map(|m| m.penalty), Some(measured));
         let st = c.snapshot();
@@ -1093,7 +1089,8 @@ mod tests {
         let mut s = shard();
         let c = ShardCounters::default();
         assert!(s.get_locked(2, b"k2", t(0), &c).is_none());
-        s.set(2, b"k2", b"v", None, Some(SimDuration::from_secs(2)), 0, t(50), &c).unwrap();
+        s.set(2, b"k2", b"v", &SetOptions::new().penalty(SimDuration::from_secs(2)), t(50), &c)
+            .unwrap();
         assert_eq!(meta(&s, 2).unwrap().penalty, SimDuration::from_secs(2));
     }
 
@@ -1102,10 +1099,11 @@ mod tests {
         let mut s = shard();
         let c = ShardCounters::default();
         assert!(s.get_locked(8, b"k8", t(0), &c).is_none());
-        s.set(8, b"k8", b"v", None, Some(SimDuration::from_secs(2)), 0, t(10), &c).unwrap();
+        s.set(8, b"k8", b"v", &SetOptions::new().penalty(SimDuration::from_secs(2)), t(10), &c)
+            .unwrap();
         // A later plain SET must not measure the stale 0 → 50 ms gap;
         // it keeps the old generation's explicit penalty.
-        s.set(8, b"k8", b"v", None, None, 0, t(50), &c).unwrap();
+        s.set(8, b"k8", b"v", &SetOptions::default(), t(50), &c).unwrap();
         assert_eq!(c.snapshot().measured_penalties, 0);
         assert_ne!(s.windows[window_slot(8)].key, 8, "the window outlived the SET");
         assert_eq!(meta(&s, 8).unwrap().penalty, SimDuration::from_secs(2));
@@ -1116,7 +1114,7 @@ mod tests {
         let mut s = shard();
         let c = ShardCounters::default();
         assert!(s.get_locked(3, b"k3", t(0), &c).is_none());
-        s.set(3, b"k3", b"v", None, None, 0, t(10_000), &c).unwrap(); // 10 s gap > cap
+        s.set(3, b"k3", b"v", &SetOptions::default(), t(10_000), &c).unwrap(); // 10 s gap > cap
         assert_eq!(meta(&s, 3).unwrap().penalty, DEFAULT_PENALTY);
     }
 
@@ -1124,7 +1122,8 @@ mod tests {
     fn ttl_expiry_is_lazy_and_sweepable() {
         let mut s = shard();
         let c = ShardCounters::default();
-        s.set(4, b"k4", b"v", Some(SimDuration::from_millis(100)), None, 0, t(0), &c).unwrap();
+        s.set(4, b"k4", b"v", &SetOptions::new().ttl(SimDuration::from_millis(100)), t(0), &c)
+            .unwrap();
         assert!(matches!(s.entry_state(4, b"k4", t(50)), EntryState::Live));
         assert!(
             matches!(s.entry_state(4, b"k4", t(150)), EntryState::Expired),
@@ -1134,11 +1133,13 @@ mod tests {
         assert!(matches!(s.entry_state(4, b"k4", t(150)), EntryState::Absent));
         assert_eq!(c.snapshot().expired, 1, "a lazy drop counts as an expiry");
         // a GET that finds the lapsed entry drops and counts it too
-        s.set(6, b"k6", b"v", Some(SimDuration::from_millis(10)), None, 0, t(160), &c).unwrap();
+        s.set(6, b"k6", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), t(160), &c)
+            .unwrap();
         assert!(s.get_locked(6, b"k6", t(180), &c).is_none());
         assert_eq!((c.snapshot().expired, s.metrics.snapshot().total_misses()), (2, 1));
         // sweep path
-        s.set(5, b"k5", b"v", Some(SimDuration::from_millis(10)), None, 0, t(200), &c).unwrap();
+        s.set(5, b"k5", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), t(200), &c)
+            .unwrap();
         assert_eq!(s.sweep_expired(t(500), &c), 1);
         assert_eq!(c.snapshot().expired, 3);
     }
@@ -1147,10 +1148,10 @@ mod tests {
     fn collision_resolves_to_newest_writer() {
         let mut s = shard();
         let c = ShardCounters::default();
-        s.set(7, b"first", b"A", None, None, 0, t(0), &c).unwrap();
+        s.set(7, b"first", b"A", &SetOptions::default(), t(0), &c).unwrap();
         // same hash, different key bytes: treated as miss, then overwritten
         assert!(s.get_locked(7, b"second", t(1), &c).is_none());
-        s.set(7, b"second", b"B", None, None, 0, t(2), &c).unwrap();
+        s.set(7, b"second", b"B", &SetOptions::default(), t(2), &c).unwrap();
         assert_eq!(
             s.get_locked(7, b"second", t(3), &c).map(|v| v.value).as_deref(),
             Some(&b"B"[..])
@@ -1175,7 +1176,8 @@ mod tests {
         let c = ShardCounters::default();
         const N: u64 = 1_000;
         for i in 0..N {
-            s.set(i, format!("k{i}").as_bytes(), b"v", None, None, 0, t(i), &c).unwrap();
+            s.set(i, format!("k{i}").as_bytes(), b"v", &SetOptions::default(), t(i), &c)
+                .unwrap();
         }
         assert_eq!(s.entries.len(), N as usize);
         assert!(s.entries.capacity() < 4 * N as usize, "capacity {}", s.entries.capacity());
@@ -1186,8 +1188,9 @@ mod tests {
     fn read_hit_reads_the_clock_only_for_ttl_entries() {
         let mut s = shard();
         let c = ShardCounters::default();
-        s.set(1, b"plain", b"v", None, None, 0, t(0), &c).unwrap();
-        s.set(2, b"ttl", b"v", Some(SimDuration::from_millis(10)), None, 0, t(0), &c).unwrap();
+        s.set(1, b"plain", b"v", &SetOptions::default(), t(0), &c).unwrap();
+        s.set(2, b"ttl", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), t(0), &c)
+            .unwrap();
         let reads = std::cell::Cell::new(0);
         let clock = |ms| {
             reads.set(reads.get() + 1);
@@ -1199,8 +1202,15 @@ mod tests {
         assert!(s.read_hit(2, b"ttl", || clock(10)).is_none(), "lapsed at exactly its expiry");
         assert_eq!(reads.get(), 2);
         // A TTL too long to represent never expires rather than wrapping.
-        s.set(3, b"far", b"v", Some(SimDuration::from_micros(u64::MAX)), None, 0, t(9), &c)
-            .unwrap();
+        s.set(
+            3,
+            b"far",
+            b"v",
+            &SetOptions::new().ttl(SimDuration::from_micros(u64::MAX)),
+            t(9),
+            &c,
+        )
+        .unwrap();
         assert!(s.read_hit(3, b"far", || t(u64::MAX / 2_000)).is_some());
     }
 
@@ -1210,14 +1220,15 @@ mod tests {
         let c = ShardCounters::default();
         let v = vec![0u8; 30_000];
         for i in 0..200u64 {
-            let _ = s.set(i, format!("key{i}").as_bytes(), &v, None, None, 0, t(i), &c);
+            let _ =
+                s.set(i, format!("key{i}").as_bytes(), &v, &SetOptions::default(), t(i), &c);
         }
-        let st = c.snapshot();
-        assert!(st.items < 40, "1 MiB can't hold 200×30 KB: items {}", st.items);
+        let items = s.slab_report().live_items;
+        assert!(items < 40, "1 MiB can't hold 200×30 KB: items {items}");
         assert!(s.metrics.snapshot().total_evictions() > 0);
-        // store and policy agree exactly, incremental counters included
-        assert_eq!(st.items as usize, s.policy.cache().len());
-        assert_eq!(st.items as usize, s.entries.len());
+        // store, arena and policy agree exactly
+        assert_eq!(items as usize, s.policy.cache().len());
+        assert_eq!(items as usize, s.entries.len());
         s.check_consistency().unwrap();
     }
 
@@ -1233,8 +1244,12 @@ mod tests {
         let cd = ShardCounters::default();
         let v = vec![0u8; 100];
         for i in 0..8u64 {
-            inline.set(i, format!("k{i}").as_bytes(), &v, None, None, 0, t(i), &ci).unwrap();
-            deferred.set(i, format!("k{i}").as_bytes(), &v, None, None, 0, t(i), &cd).unwrap();
+            inline
+                .set(i, format!("k{i}").as_bytes(), &v, &SetOptions::default(), t(i), &ci)
+                .unwrap();
+            deferred
+                .set(i, format!("k{i}").as_bytes(), &v, &SetOptions::default(), t(i), &cd)
+                .unwrap();
         }
         // Touch keys 0..4 (oldest first) — inline promotes immediately.
         let mut hits = Vec::new();
@@ -1252,26 +1267,12 @@ mod tests {
         // Same LRU state: evict pressure must pick the same victims.
         let fill = vec![0u8; 100];
         for i in 100..1200u64 {
-            let _ = inline.set(
-                i,
-                format!("f{i}").as_bytes(),
-                &fill,
-                None,
-                None,
-                0,
-                t(200 + i),
-                &ci,
-            );
-            let _ = deferred.set(
-                i,
-                format!("f{i}").as_bytes(),
-                &fill,
-                None,
-                None,
-                0,
-                t(200 + i),
-                &cd,
-            );
+            let key = format!("f{i}");
+            let _ =
+                inline.set(i, key.as_bytes(), &fill, &SetOptions::default(), t(200 + i), &ci);
+            let key = format!("f{i}");
+            let _ =
+                deferred.set(i, key.as_bytes(), &fill, &SetOptions::default(), t(200 + i), &cd);
         }
         for i in 0..8u64 {
             assert_eq!(
@@ -1295,13 +1296,13 @@ mod tests {
         let c = ShardCounters::default();
         let v = vec![0u8; 30_000];
         let key = |i: u64| format!("key{i}").into_bytes();
-        s.set(0, &key(0), &v, None, None, 0, t(0), &c).unwrap();
+        s.set(0, &key(0), &v, &SetOptions::default(), t(0), &c).unwrap();
         let (_, loc) = s.read_hit(0, &key(0), || t(1)).unwrap();
         // Fill the class until key 0, the LRU item, is evicted; the SET
         // that evicts it takes its node.
         let mut i = 1;
         while s.entries.contains_key(&0) {
-            s.set(i, &key(i), &v, None, None, 0, t(1 + i), &c).unwrap();
+            s.set(i, &key(i), &v, &SetOptions::default(), t(1 + i), &c).unwrap();
             i += 1;
         }
         let queue = |s: &Shard| -> Vec<u64> {
@@ -1340,11 +1341,11 @@ mod tests {
         while i < 10 * capacity.max(1_000) as u64 {
             let key = format!("churn{i}");
             assert!(s.get_locked(i, key.as_bytes(), t(i), &c).is_none());
-            s.set(i, key.as_bytes(), &v, None, None, 0, t(i), &c).unwrap();
+            s.set(i, key.as_bytes(), &v, &SetOptions::default(), t(i), &c).unwrap();
             capacity = capacity.max(s.entries.len());
             i += 1;
         }
-        assert!(c.snapshot().items < i / 5, "the stream never evicted");
+        assert!((s.entries.len() as u64) < i / 5, "the stream never evicted");
         assert!(!s.policy.cache().is_indexed(), "the policy keeps a key index");
         assert_eq!(s.policy.cache().len(), s.entries.len());
         assert!(s.policy.ghost_len() > 0, "evictions left no ghosts");
@@ -1362,10 +1363,10 @@ mod tests {
     fn ghost_with_penalty(s: &mut Shard, h: u64, penalty: SimDuration, c: &ShardCounters) {
         let v = vec![0u8; 30_000];
         let key = |i: u64| format!("key{i}").into_bytes();
-        s.set(h, &key(h), &v, None, Some(penalty), 0, t(0), c).unwrap();
+        s.set(h, &key(h), &v, &SetOptions::new().penalty(penalty), t(0), c).unwrap();
         let mut i = h + 1;
         while s.entries.contains_key(&h) {
-            s.set(i, &key(i), &v, None, Some(penalty), 0, t(i), c).unwrap();
+            s.set(i, &key(i), &v, &SetOptions::new().penalty(penalty), t(i), c).unwrap();
             i += 1;
         }
         assert_eq!(s.policy.ghost_penalty(h), Some(penalty), "key {h} left no ghost");
@@ -1388,13 +1389,40 @@ mod tests {
         // The refill SET, six seconds later (over the cap), keeps the
         // penalty the miss knew.
         let v = vec![0u8; 30_000];
-        s.set(0, b"key0", &v, None, None, 0, t(7_000), &c).unwrap();
+        s.set(0, b"key0", &v, &SetOptions::default(), t(7_000), &c).unwrap();
         assert_eq!(meta(&s, 0).unwrap().penalty, two_s);
         // A SET with no miss before it takes the ghost's penalty too.
         ghost_with_penalty(&mut s, 100, two_s, &c);
-        s.set(100, b"key100", &v, None, None, 0, t(8_000), &c).unwrap();
+        s.set(100, b"key100", &v, &SetOptions::default(), t(8_000), &c).unwrap();
         assert_eq!(meta(&s, 100).unwrap().penalty, two_s);
         assert_eq!(c.snapshot().measured_penalties, 0);
+        s.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn deleting_an_evicted_key_forgets_its_penalty() {
+        let mut s = shard();
+        let c = ShardCounters::default();
+        let two_s = SimDuration::from_secs(2);
+        ghost_with_penalty(&mut s, 0, two_s, &c);
+        // The key is not resident, but the DELETE still reaches the
+        // policy, which forgets the ghost: the deleted value can no
+        // longer credit a slab, nor lend its penalty.
+        assert!(!s.delete(0, b"key0", t(1_000), &c));
+        assert_eq!(s.policy.ghost_penalty(0), None);
+        let before = s.metrics.snapshot();
+        assert!(s.get_locked(0, b"key0", t(1_001), &c).is_none());
+        let after = s.metrics.snapshot();
+        let band = s.cfg.band_of(DEFAULT_PENALTY);
+        assert_ne!(band, s.cfg.band_of(two_s));
+        assert_eq!(after.bands[band].misses, before.bands[band].misses + 1);
+        assert_eq!(after.total_misses(), before.total_misses() + 1);
+        // A plain SET with no miss before it starts over at the default.
+        ghost_with_penalty(&mut s, 100, two_s, &c);
+        assert!(!s.delete(100, b"key100", t(2_000), &c));
+        let v = vec![0u8; 30_000];
+        s.set(100, b"key100", &v, &SetOptions::default(), t(8_000), &c).unwrap();
+        assert_eq!(meta(&s, 100).unwrap().penalty, DEFAULT_PENALTY);
         s.check_consistency().unwrap();
     }
 
@@ -1402,12 +1430,13 @@ mod tests {
     fn a_plain_set_keeps_the_explicit_penalty() {
         let mut s = shard();
         let c = ShardCounters::default();
-        s.set(9, b"k9", b"v1", None, Some(SimDuration::from_secs(2)), 0, t(0), &c).unwrap();
-        s.set(9, b"k9", b"v2", None, None, 0, t(5), &c).unwrap();
+        s.set(9, b"k9", b"v1", &SetOptions::new().penalty(SimDuration::from_secs(2)), t(0), &c)
+            .unwrap();
+        s.set(9, b"k9", b"v2", &SetOptions::default(), t(5), &c).unwrap();
         assert_eq!(meta(&s, 9).unwrap().penalty, SimDuration::from_secs(2));
         // Deleted, the key forgets it.
         assert!(s.delete(9, b"k9", t(6), &c));
-        s.set(9, b"k9", b"v3", None, None, 0, t(7), &c).unwrap();
+        s.set(9, b"k9", b"v3", &SetOptions::default(), t(7), &c).unwrap();
         assert_eq!(meta(&s, 9).unwrap().penalty, DEFAULT_PENALTY);
     }
 
@@ -1424,7 +1453,7 @@ mod tests {
         while i < 10 * capacity.max(1_000) as u64 {
             let key = format!("gap{i}");
             assert!(s.get_locked(i, key.as_bytes(), t(2 * i), &c).is_none());
-            s.set(i, key.as_bytes(), &v, None, None, 0, t(2 * i + 1), &c).unwrap();
+            s.set(i, key.as_bytes(), &v, &SetOptions::default(), t(2 * i + 1), &c).unwrap();
             capacity = capacity.max(s.entries.len());
             i += 1;
         }
@@ -1446,11 +1475,11 @@ mod tests {
         // B's miss takes A's slot: A's SET measures nothing and falls
         // down the lookup order to the default.
         assert!(s.get_locked(b, b"b", t(10), &c).is_none());
-        s.set(a, b"a", b"v", None, None, 0, t(50), &c).unwrap();
+        s.set(a, b"a", b"v", &SetOptions::default(), t(50), &c).unwrap();
         assert_eq!(c.snapshot().measured_penalties, 0);
         assert_eq!(meta(&s, a).unwrap().penalty, DEFAULT_PENALTY);
         // B's window is intact: its own 10 → 60 ms gap.
-        s.set(b, b"b", b"v", None, None, 0, t(60), &c).unwrap();
+        s.set(b, b"b", b"v", &SetOptions::default(), t(60), &c).unwrap();
         assert_eq!(c.snapshot().measured_penalties, 1);
         assert_eq!(meta(&s, b).unwrap().penalty, SimDuration::from_millis(50));
     }
@@ -1459,21 +1488,21 @@ mod tests {
     fn delete_and_add_classify_a_lapsed_entry_as_expired() {
         let mut s = shard();
         let c = ShardCounters::default();
-        let ttl = Some(SimDuration::from_millis(5));
-        s.set(1, b"gone", b"v", ttl, None, 0, t(0), &c).unwrap();
+        let ttl = SetOptions::new().ttl(SimDuration::from_millis(5));
+        s.set(1, b"gone", b"v", &ttl, t(0), &c).unwrap();
         // Lapsed: every reader already reports it absent, so DELETE
         // finds nothing to delete and counts the expiry instead.
         assert!(!s.delete(1, b"gone", t(20), &c));
         let st = c.snapshot();
-        assert_eq!((st.deletes, st.expired, st.items), (0, 1, 0));
+        assert_eq!((st.deletes, st.expired, s.entries.len()), (0, 1, 0));
         assert!(!s.delete(1, b"gone", t(21), &c), "the key stays absent");
         // A live key is deleted and counted as a delete.
-        s.set(2, b"live", b"v", ttl, None, 0, t(30), &c).unwrap();
+        s.set(2, b"live", b"v", &ttl, t(30), &c).unwrap();
         assert!(s.delete(2, b"live", t(31), &c));
         assert_eq!((c.snapshot().deletes, c.snapshot().expired), (1, 1));
         // ADD over a lapsed generation stores, and counts the lapse.
-        s.set(3, b"again", b"old", ttl, None, 0, t(40), &c).unwrap();
-        assert!(s.add(3, b"again", b"new", None, None, 0, t(60), &c).unwrap());
+        s.set(3, b"again", b"old", &ttl, t(40), &c).unwrap();
+        assert!(s.add(3, b"again", b"new", &SetOptions::default(), t(60), &c).unwrap());
         assert_eq!(c.snapshot().expired, 2);
         assert_eq!(s.read_hit(3, b"again", || t(61)).unwrap().0.value.as_ref(), b"new");
         s.check_consistency().unwrap();
@@ -1483,8 +1512,9 @@ mod tests {
     fn visitor_get_sees_the_stored_hit_and_defers_it_once() {
         let cell = ShardCell::new(shard());
         let now = t(1);
-        cell.set(1, b"k", b"value", None, None, 0xBEEF, now).unwrap();
-        cell.set(2, b"ttl", b"v", Some(SimDuration::from_millis(10)), None, 0, now).unwrap();
+        cell.set(1, b"k", b"value", &SetOptions::new().flags(0xBEEF), now).unwrap();
+        cell.set(2, b"ttl", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), now)
+            .unwrap();
         let hits = || cell.metrics.snapshot().total_hits();
         let deferred = || cell.stats().deferred_hits;
 

@@ -3,11 +3,12 @@
 //! Every number has one owner. Each shard's [`ShardCounters`] block of
 //! `Relaxed` atomics counts operations (sets, deletes, expiries, …);
 //! hits, misses and evictions live only in the cache's penalty-band
-//! registry; arena gauges live only in each shard's slab arena.
-//! [`crate::PamaCache::report`] assembles [`CacheStats`] from all
-//! three: it sums the band cells into `hits`/`misses`/`evictions` and
-//! takes each shard's read lock to build the slab ledger, from which it
-//! fills the arena fields.
+//! registry; resident items and bytes and the arena gauges live only in
+//! each shard's slab arena. [`crate::PamaCache::report`] assembles
+//! [`CacheStats`] from all three: it sums the band cells into
+//! `hits`/`misses`/`evictions` and takes each shard's read lock to build
+//! the slab ledger, from which it fills `items`, `live_bytes` and the
+//! arena fields.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -70,9 +71,11 @@ pub struct CacheStats {
     /// SETs refused because the item could not be placed (oversized or
     /// starved class).
     pub rejected: u64,
-    /// Current live item count.
+    /// Current live item count, read from the slab ledger at `report()`
+    /// time (it equals [`SlabReport::live_items`]).
     pub items: u64,
-    /// Current live key+value bytes (excluding per-slot rounding).
+    /// Current live key+value bytes (excluding per-slot rounding), read
+    /// from the slab ledger (it equals [`SlabReport::requested_bytes`]).
     pub live_bytes: u64,
     /// GET-miss→SET penalty samples measured by the live estimator.
     pub measured_penalties: u64,
@@ -268,18 +271,14 @@ impl Merge for SlabReport {
 }
 
 /// Per-shard operation counters: the [`CacheStats`] fields that
-/// neither the band registry nor the slab arena owns. `items` and
-/// `live_bytes` are maintained incrementally at every insert/remove so
-/// a snapshot never has to walk the entry map; the penalty mean is kept
-/// as (sum, count) so it can be read atomically piecewise.
+/// neither the band registry nor the slab arena owns. The penalty mean
+/// is kept as (sum, count) so it can be read atomically piecewise.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {
     pub sets: AtomicU64,
     pub deletes: AtomicU64,
     pub expired: AtomicU64,
     pub rejected: AtomicU64,
-    pub items: AtomicU64,
-    pub live_bytes: AtomicU64,
     pub penalty_samples: AtomicU64,
     pub penalty_sum_us: AtomicU64,
     pub backend_fetches: AtomicU64,
@@ -293,9 +292,9 @@ impl ShardCounters {
     /// Point-in-time snapshot via `Relaxed` loads. Individually each
     /// counter is exact; cross-counter consistency is best-effort,
     /// which is the usual contract for live cache stats. Fields this
-    /// block does not own — the band-registry counts, the arena gauges
-    /// and `deferred_dropped` (the access log's) — stay zero for the
-    /// cell and `report()` to fill in.
+    /// block does not own — the band-registry counts, the slab-ledger
+    /// figures and `deferred_dropped` (the access log's) — stay zero for
+    /// the cell and `report()` to fill in.
     pub fn snapshot(&self) -> CacheStats {
         let samples = self.penalty_samples.load(Ordering::Relaxed);
         let sum_us = self.penalty_sum_us.load(Ordering::Relaxed);
@@ -304,8 +303,6 @@ impl ShardCounters {
             deletes: self.deletes.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            items: self.items.load(Ordering::Relaxed),
-            live_bytes: self.live_bytes.load(Ordering::Relaxed),
             measured_penalties: samples,
             mean_measured_penalty_us: if samples == 0 {
                 0.0
@@ -329,11 +326,6 @@ impl ShardCounters {
     #[inline]
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn sub(counter: &AtomicU64, n: u64) {
-        counter.fetch_sub(n, Ordering::Relaxed);
     }
 }
 
@@ -400,21 +392,5 @@ mod tests {
 
         let reports = (0..3).map(|_| SlabReport { slabs: 2, ..SlabReport::default() });
         assert_eq!(merge_all(reports).unwrap().slabs, 6);
-    }
-
-    #[test]
-    fn counters_snapshot_matches_updates() {
-        let c = ShardCounters::default();
-        ShardCounters::bump(&c.sets);
-        ShardCounters::bump(&c.sets);
-        ShardCounters::add(&c.items, 3);
-        ShardCounters::sub(&c.items, 1);
-        ShardCounters::add(&c.penalty_samples, 2);
-        ShardCounters::add(&c.penalty_sum_us, 300);
-        let s = c.snapshot();
-        assert_eq!(s.sets, 2);
-        assert_eq!(s.items, 2);
-        assert_eq!(s.measured_penalties, 2);
-        assert!((s.mean_measured_penalty_us - 150.0).abs() < 1e-9);
     }
 }

@@ -1,20 +1,22 @@
 //! The kv store makes the simulator's allocation decisions.
 //!
 //! One seeded, single-threaded request stream runs into a one-shard
-//! `PamaCache` and, through the kv layer's request rule, into an
-//! `Engine<Pama>` on the same geometry. The kv layer turns each call
-//! into policy requests as follows:
+//! `PamaCache` and, one request per call, into an `Engine<Pama>` on the
+//! same geometry:
 //!
-//! * GET: a GET (a hit is deferred to the next write lock); on a miss
+//! * GET: a GET (a kv hit is deferred to the next write lock); on a miss
 //!   the caller fills with a SET that carries the key's penalty;
-//! * SET: a DELETE of the resident generation, if any, then the SET;
-//! * DELETE: a DELETE, only when the key is resident.
+//! * SET: a SET, whether or not the key is resident;
+//! * DELETE: a DELETE, whether or not the key is resident.
 //!
-//! The engine gets the same sequence. Every GET must hit or miss alike,
-//! and at the end the two must agree on evictions and on every class's
-//! slab count. The cache is small enough that the stream evicts and
-//! moves slabs, and halfway through the popular keys shift to another
-//! size class, so slabs have to follow them.
+//! Every GET must hit or miss alike and every DELETE find the key alike,
+//! and at the end the two must agree on evictions, resident items and
+//! every class's slab count. The cache is small enough that the stream
+//! evicts and moves slabs, and halfway through the popular keys shift to
+//! another size class, so slabs have to follow them. Rewrites change a
+//! key's size, and a quarter of them also move it to another penalty
+//! band, so a resident SET is updated in place, moved to another class,
+//! or moved to another band, on both sides.
 
 use pama_core::config::CacheConfig;
 use pama_core::policy::{Pama, PamaConfig, Policy};
@@ -49,21 +51,24 @@ fn value_len(id: u64, rewrite: bool) -> usize {
     }
 }
 
-fn penalty(id: u64) -> SimDuration {
+/// A key's penalty after `moves` moves to another band: 1 ms, 20 ms,
+/// 300 ms and 2 s each fall in a band of their own.
+fn penalty(id: u64, moves: u64) -> SimDuration {
     let ms = [1, 20, 300, 2_000];
-    SimDuration::from_millis(ms[(id / 3 % 4) as usize])
+    SimDuration::from_millis(ms[((id / 3 + moves) % 4) as usize])
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Get,
-    Set { rewrite: bool },
+    Set { rewrite: bool, reband: bool },
     Delete,
 }
 
-/// The seeded stream: 85% GETs, 12% SETs (a quarter of them change the
-/// key's size), 3% DELETEs. Popularity is skewed toward low ranks, and
-/// the popular half of the key space switches halfway through.
+/// The seeded stream: 85% GETs, 12% SETs (a quarter of them rewrites,
+/// which change the key's size, and a quarter of those also its penalty
+/// band), 3% DELETEs. Popularity is skewed toward low ranks, and the
+/// popular half of the key space switches halfway through.
 fn stream(seed: u64) -> Vec<(Op, u64)> {
     let mut rng = Xoshiro256StarStar::from_seed(seed);
     (0..OPS)
@@ -72,7 +77,8 @@ fn stream(seed: u64) -> Vec<(Op, u64)> {
             let op = if u < 0.85 {
                 Op::Get
             } else if u < 0.97 {
-                Op::Set { rewrite: rng.next_f64() < 0.25 }
+                let rewrite = rng.next_f64() < 0.25;
+                Op::Set { rewrite, reband: rewrite && rng.next_f64() < 0.25 }
             } else {
                 Op::Delete
             };
@@ -89,8 +95,10 @@ fn stream(seed: u64) -> Vec<(Op, u64)> {
 /// keep.
 struct Sim {
     engine: Engine<Pama>,
-    inserted: u64,
-    removed: u64,
+    /// Requests that made their own key resident, and that made it
+    /// leave; every other departure is an eviction.
+    entered: u64,
+    left: u64,
 }
 
 impl Sim {
@@ -102,43 +110,51 @@ impl Sim {
             ..CacheConfig::default()
         };
         let policy = Pama::with_config(cfg, pama());
-        Sim { engine: Engine::new(policy, EngineConfig::default()), inserted: 0, removed: 0 }
+        Sim { engine: Engine::new(policy, EngineConfig::default()), entered: 0, left: 0 }
     }
 
     fn resident(&self, id: u64) -> bool {
         self.engine.policy().cache().contains(id)
     }
 
-    fn delete(&mut self, id: u64, t: SimTime) {
-        if self.resident(id) {
-            self.engine.step(&Request::delete(t, id, key(id).len() as u32));
-            self.removed += 1;
-        }
-    }
-
-    fn set(&mut self, id: u64, len: usize, t: SimTime) {
-        self.delete(id, t);
-        let req =
-            Request::set(t, id, key(id).len() as u32, len as u32).with_penalty(penalty(id));
+    /// One engine request; returns whether its key was resident before.
+    fn step(&mut self, req: Request) -> bool {
+        let was = self.resident(req.key);
         self.engine.step(&req);
-        self.inserted += u64::from(self.resident(id));
+        let is = self.resident(req.key);
+        self.entered += u64::from(!was && is);
+        self.left += u64::from(was && !is);
+        was
     }
 
     /// GET with the caller's fill; returns whether it hit.
-    fn get(&mut self, id: u64, len: usize, t: SimTime) -> bool {
-        let hit = self.resident(id);
-        let req =
-            Request::get(t, id, key(id).len() as u32, len as u32).with_penalty(penalty(id));
-        self.engine.step(&req);
+    fn get(&mut self, id: u64, len: usize, penalty: SimDuration, t: SimTime) -> bool {
+        let klen = key(id).len() as u32;
+        let hit = self.step(Request::get(t, id, klen, len as u32).with_penalty(penalty));
         if !hit {
-            self.set(id, len, t);
+            self.step(Request::set(t, id, klen, len as u32).with_penalty(penalty));
         }
         hit
     }
 
-    /// Items that left without a DELETE from the stream.
+    /// What a SET of `id` does to its resident item: 0 keeps its class
+    /// and band, 1 moves it to another class, 2 to another band of its
+    /// class. `None` when the key is not resident.
+    fn rewrite_kind(&self, id: u64, len: usize, penalty: SimDuration) -> Option<usize> {
+        let cache = self.engine.policy().cache();
+        let old = cache.peek(id)?;
+        let class = cache.cfg().class_of(key(id).len() as u32, len as u32)?;
+        let band = cache.cfg().band_of(penalty);
+        Some(if class != old.class as usize {
+            1
+        } else {
+            usize::from(band != old.band as usize) * 2
+        })
+    }
+
+    /// Items that left without a request for their own key.
     fn evictions(&self) -> u64 {
-        self.inserted - self.removed - self.engine.policy().cache().len() as u64
+        self.entered - self.left - self.engine.policy().cache().len() as u64
     }
 }
 
@@ -150,38 +166,50 @@ fn run_lockstep(seed: u64) {
         .pama(pama())
         .build();
     let mut sim = Sim::new();
-    // The size each key was last written with, shared by both sides.
+    // The size each key was last written with, and how often its
+    // penalty has moved band, shared by both sides.
     let mut len: Vec<usize> = (0..KEYS).map(|id| value_len(id, false)).collect();
+    let mut moves = vec![0u64; KEYS as usize];
     let bytes = vec![0x5A; 8 << 10];
-    let opts = |id| SetOptions { penalty: Some(penalty(id)), ..SetOptions::default() };
-    let mut hits = 0u64;
+    let (mut hits, mut rewrites, mut absent_deletes) = (0u64, [0u64; 3], 0u64);
     for (i, (op, id)) in stream(seed).into_iter().enumerate() {
         let t = SimTime::from_micros(i as u64);
         let k = key(id);
+        let ix = id as usize;
+        if let Op::Set { rewrite, reband } = op {
+            len[ix] = value_len(id, rewrite);
+            moves[ix] += u64::from(reband);
+        }
+        let p = penalty(id, moves[ix]);
+        let opts = SetOptions::new().penalty(p);
+        let klen = k.len() as u32;
         match op {
             Op::Get => {
                 let kv_hit = match cache.get(&k) {
                     Some(v) => {
-                        assert_eq!(v.len(), len[id as usize], "op {i}: stale value for {id}");
+                        assert_eq!(v.len(), len[ix], "op {i}: stale value for {id}");
                         true
                     }
                     None => {
-                        let _ = cache.set(&k, &bytes[..len[id as usize]], &opts(id));
+                        let _ = cache.set(&k, &bytes[..len[ix]], &opts);
                         false
                     }
                 };
-                assert_eq!(kv_hit, sim.get(id, len[id as usize], t), "op {i}: GET {id}");
+                assert_eq!(kv_hit, sim.get(id, len[ix], p, t), "op {i}: GET {id}");
                 hits += u64::from(kv_hit);
             }
-            Op::Set { rewrite } => {
-                len[id as usize] = value_len(id, rewrite);
-                let _ = cache.set(&k, &bytes[..len[id as usize]], &opts(id));
-                sim.set(id, len[id as usize], t);
+            Op::Set { .. } => {
+                if let Some(kind) = sim.rewrite_kind(id, len[ix], p) {
+                    rewrites[kind] += 1;
+                }
+                let _ = cache.set(&k, &bytes[..len[ix]], &opts);
+                sim.step(Request::set(t, id, klen, len[ix] as u32).with_penalty(p));
             }
             Op::Delete => {
                 let kv_deleted = cache.delete(&k);
-                assert_eq!(kv_deleted, sim.resident(id), "op {i}: DELETE {id}");
-                sim.delete(id, t);
+                let sim_resident = sim.step(Request::delete(t, id, klen));
+                assert_eq!(kv_deleted, sim_resident, "op {i}: DELETE {id}");
+                absent_deletes += u64::from(!sim_resident);
             }
         }
     }
@@ -191,6 +219,8 @@ fn run_lockstep(seed: u64) {
     let slabs = report.slabs.expect("the slab ledger is always reported");
     assert_eq!(report.cache.deferred_dropped, 0, "a dropped hit would desynchronise the two");
     assert!(hits > 0 && report.cache.misses > 0);
+    assert!(rewrites.iter().all(|&n| n > 0), "resident SETs in place/class/band: {rewrites:?}");
+    assert!(absent_deletes > 0, "no DELETE of an absent key");
     assert!(report.cache.evictions > 0, "the stream must evict");
     assert!(slabs.transfers > 0, "the stream must move slabs");
     assert_eq!(report.cache.evictions, sim.evictions(), "evictions");
