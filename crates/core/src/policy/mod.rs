@@ -53,41 +53,34 @@ impl GetOutcome {
     pub const HIT: GetOutcome = GetOutcome { hit: true, filled: true };
 }
 
-/// A storage-relevant side effect of a policy decision, in the order
-/// it happened. The simulator models slabs as counts only, so a
-/// physical store (pama-kv's slab arena) replays these events to keep
-/// real memory in lockstep with the ledger: evictions free slots,
-/// grants carve fresh slabs, and moves compact + re-carve a slab for
-/// the receiving class. Recording is off by default (the simulator
-/// path never pays for it); see [`Pama::set_record_events`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyEvent {
+/// Where PAMA's storage decisions land, each called as the decision is
+/// made. The simulator models slabs as counts only and passes `()`; a
+/// physical store (pama-kv's slab arena) moves real memory in each call,
+/// keeping it in lockstep with the ledger: an eviction frees a slot, a
+/// grant carves a fresh slab, and a move compacts a slab and re-carves
+/// it for the receiving class. No method has a default body, so an
+/// implementor cannot silently skip a decision.
+pub trait SlabStore {
     /// An item left cache residency (LRU eviction or migration
     /// casualty). Its slot must be freed.
-    Evicted {
-        /// Hash key of the evicted item.
-        key: u64,
-        /// Size class it occupied.
-        class: u32,
-        /// Penalty band it occupied.
-        band: u32,
-    },
-    /// A class took a slab from the free pool.
-    SlabGranted {
-        /// The receiving class.
-        class: u32,
-    },
-    /// A cross-class migration moved one slab. All evictions the
-    /// reclaim performed were emitted (as [`PolicyEvent::Evicted`])
-    /// before this event.
-    SlabMoved {
-        /// Class that surrendered the slab.
-        src_class: u32,
-        /// Band the candidate slab was drawn from.
-        src_band: u32,
-        /// Class that received the slab.
-        dst_class: u32,
-    },
+    fn evicted(&mut self, item: &ItemMeta);
+
+    /// `class` took a slab from the free pool.
+    fn slab_granted(&mut self, class: usize);
+
+    /// A cross-class migration moved one slab from `src_class`, whose
+    /// candidate slab was drawn from `src_band`, to `dst_class`. Every
+    /// eviction the reclaim performed was reported before this call.
+    fn slab_moved(&mut self, src_class: usize, src_band: usize, dst_class: usize);
+}
+
+/// The simulator's store: slab counts only, no memory to move.
+impl SlabStore for () {
+    fn evicted(&mut self, _: &ItemMeta) {}
+
+    fn slab_granted(&mut self, _: usize) {}
+
+    fn slab_moved(&mut self, _: usize, _: usize, _: usize) {}
 }
 
 /// The interface every allocation scheme implements.

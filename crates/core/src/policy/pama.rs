@@ -23,7 +23,7 @@
 //! instead of summing penalties, and a single penalty band is used —
 //! turning the scheme into a purely locality/size-aware allocator.
 
-use super::{meta_for, GetOutcome, Policy, PolicyEvent};
+use super::{meta_for, GetOutcome, Policy, SlabStore};
 use crate::cache::{BaseCache, InsertOutcome, ItemMeta, Loc};
 use crate::config::{CacheConfig, Tick};
 use crate::lru::{LruList, NodeRef};
@@ -232,11 +232,6 @@ pub struct Pama {
     rebuilds: u64,
     /// Access serial before which no migration may happen.
     next_migration_at: u64,
-    /// When set, storage-relevant decisions are pushed to `events` for
-    /// a physical store to replay. Off by default: the simulator path
-    /// never drains the queue, so recording there would only leak.
-    record_events: bool,
-    events: Vec<PolicyEvent>,
 }
 
 impl Pama {
@@ -292,34 +287,6 @@ impl Pama {
             migrations: 0,
             rebuilds: 0,
             next_migration_at: 0,
-            record_events: false,
-            events: Vec::new(),
-        }
-    }
-
-    /// Turns [`PolicyEvent`] recording on or off. A caller that backs
-    /// this policy with physical storage turns it on and calls
-    /// [`drain_events_into`](Self::drain_events_into) after every
-    /// mutating call.
-    pub fn set_record_events(&mut self, on: bool) {
-        self.record_events = on;
-        if !on {
-            self.events.clear();
-        }
-    }
-
-    /// Moves the storage events recorded since the last drain onto the
-    /// end of `buf`, in the order the decisions happened. Both vectors
-    /// keep their capacity, so a caller that reuses `buf` drains
-    /// without allocating.
-    pub fn drain_events_into(&mut self, buf: &mut Vec<PolicyEvent>) {
-        buf.append(&mut self.events);
-    }
-
-    #[inline]
-    fn emit(&mut self, e: PolicyEvent) {
-        if self.record_events {
-            self.events.push(e);
         }
     }
 
@@ -431,7 +398,7 @@ impl Pama {
     /// The no-migration fallback: evict one item from the requesting
     /// class's least-valuable non-empty subclass. Returns `true` when a
     /// slot was freed.
-    fn evict_within_class(&mut self, class: usize) -> bool {
+    fn evict_within_class(&mut self, class: usize, store: &mut impl SlabStore) -> bool {
         let victim_band = (0..self.bands())
             .filter(|&b| !self.cache.class(class).queues[b].is_empty())
             .min_by(|&a, &b| {
@@ -446,11 +413,7 @@ impl Pama {
             return false;
         };
         if let Some(victim) = self.cache.evict_tail(class, b) {
-            self.emit(PolicyEvent::Evicted {
-                key: victim.key,
-                class: victim.class,
-                band: victim.band,
-            });
+            store.evicted(&victim);
             self.ghost_push(class, b, &victim);
             true
         } else {
@@ -461,7 +424,7 @@ impl Pama {
     /// The §III allocation decision for an insert that found no free
     /// slot and no free slab. Returns whether a slot for `class` became
     /// available.
-    fn make_room(&mut self, class: usize, band: usize) -> bool {
+    fn make_room(&mut self, class: usize, band: usize, store: &mut impl SlabStore) -> bool {
         let Some((c_star, b_star, v_out)) = self.cheapest_candidate(class) else {
             return false;
         };
@@ -469,11 +432,7 @@ impl Pama {
             // Scenario 2 of the paper: the cheapest candidate lives in
             // the requesting class — replace one item, no migration.
             if let Some(victim) = self.cache.evict_tail(c_star, b_star) {
-                self.emit(PolicyEvent::Evicted {
-                    key: victim.key,
-                    class: victim.class,
-                    band: victim.band,
-                });
+                store.evicted(&victim);
                 self.ghost_push(c_star, b_star, &victim);
                 return true;
             }
@@ -485,18 +444,10 @@ impl Pama {
             let mut evicted = Vec::new();
             if self.cache.migrate_slab(c_star, b_star, class, |m| evicted.push(m)) {
                 for m in evicted {
-                    self.emit(PolicyEvent::Evicted {
-                        key: m.key,
-                        class: m.class,
-                        band: m.band,
-                    });
+                    store.evicted(&m);
                     self.ghost_push(m.class as usize, m.band as usize, &m);
                 }
-                self.emit(PolicyEvent::SlabMoved {
-                    src_class: c_star as u32,
-                    src_band: b_star as u32,
-                    dst_class: class as u32,
-                });
+                store.slab_moved(c_star, b_star, class);
                 self.migrations += 1;
                 self.next_migration_at = self.accesses + self.pcfg.migration_cooldown;
                 return true;
@@ -506,7 +457,7 @@ impl Pama {
         }
         // Scenario 1: migration would not pay — replace within the
         // requesting class instead.
-        self.evict_within_class(class)
+        self.evict_within_class(class, store)
     }
 
     /// Insert with the PAMA decision procedure.
@@ -519,11 +470,11 @@ impl Pama {
     /// from evictions, and a slabless class never evicts).
     /// Returns the stored item's handle, or `None` when it could not
     /// be stored.
-    fn pama_insert(&mut self, meta: ItemMeta) -> Option<Loc> {
+    fn pama_insert(&mut self, meta: ItemMeta, store: &mut impl SlabStore) -> Option<Loc> {
         self.ghosts.remove(meta.key);
-        let stored = self.insert_tracked(meta).or_else(|| {
-            if self.make_room(meta.class as usize, meta.band as usize) {
-                self.insert_tracked(meta)
+        let stored = self.insert_tracked(meta, store).or_else(|| {
+            if self.make_room(meta.class as usize, meta.band as usize, store) {
+                self.insert_tracked(meta, store)
             } else {
                 None
             }
@@ -534,12 +485,12 @@ impl Pama {
         stored
     }
 
-    /// One `BaseCache::insert` attempt, emitting a grant event when
-    /// the store pulled a fresh slab from the free pool.
-    fn insert_tracked(&mut self, meta: ItemMeta) -> Option<Loc> {
+    /// One `BaseCache::insert` attempt, reporting a grant to `store`
+    /// when the insert pulled a fresh slab from the free pool.
+    fn insert_tracked(&mut self, meta: ItemMeta, store: &mut impl SlabStore) -> Option<Loc> {
         let outcome = self.cache.insert(meta);
         if let InsertOutcome::StoredWithNewSlab(_) = outcome {
-            self.emit(PolicyEvent::SlabGranted { class: meta.class });
+            store.slab_granted(meta.class as usize);
         }
         outcome.loc()
     }
@@ -576,10 +527,17 @@ impl Pama {
         }
     }
 
-    /// A GET miss of a key that is not resident: one access plus the
-    /// ghost credit. Returns the penalty the key's ghost carried, if
-    /// it had one. Demand-fill, where configured, is the caller's.
-    pub fn on_miss(&mut self, key: u64) -> Option<SimDuration> {
+    /// A GET miss of `key`: one access plus the ghost credit. `stale` is
+    /// the handle of an item the store holds under the key but cannot
+    /// serve (its TTL lapsed, or it is a colliding key's); it leaves
+    /// within this one request, without a ghost, as on a DELETE.
+    /// Returns the penalty the key's ghost carried, if it had one.
+    /// Demand-fill, where configured, is the caller's.
+    pub fn on_miss(&mut self, key: u64, stale: Option<Loc>) -> Option<SimDuration> {
+        if let Some(loc) = stale {
+            let removed = self.remove_resident(loc, key);
+            debug_assert!(removed, "stale handle for key {key}");
+        }
         debug_assert!(
             !self.cache.is_indexed() || !self.cache.contains(key),
             "policy holds a key the store lost"
@@ -602,12 +560,14 @@ impl Pama {
     /// one is inserted. A value no class can hold is not cached, and the
     /// resident item, now stale, is removed. Returns the stored item's
     /// handle, or `None` when it could not be cached (too large for any
-    /// class, or no room).
+    /// class, or no room). Each storage decision is reported to `store`
+    /// as it is made.
     pub fn on_set_at(
         &mut self,
         req: &Request,
         tick: Tick,
         resident: Option<Loc>,
+        store: &mut impl SlabStore,
     ) -> Option<Loc> {
         self.note_access();
         let meta = self.meta_with_band(req, tick);
@@ -623,7 +583,7 @@ impl Pama {
                 }
             }
         }
-        self.pama_insert(meta?)
+        self.pama_insert(meta?, store)
     }
 
     /// A DELETE of `key`, whose item, if resident, is at `resident`: the
@@ -699,15 +659,18 @@ impl Policy for Pama {
             self.on_hit(req.key, loc, tick);
             return GetOutcome::HIT;
         }
-        self.on_miss(req.key);
+        self.on_miss(req.key, None);
         let filled = self.cache.cfg().demand_fill
-            && self.meta_with_band(req, tick).and_then(|meta| self.pama_insert(meta)).is_some();
+            && self
+                .meta_with_band(req, tick)
+                .and_then(|meta| self.pama_insert(meta, &mut ()))
+                .is_some();
         GetOutcome { hit: false, filled }
     }
 
     fn on_set(&mut self, req: &Request, tick: Tick) {
         let resident = self.cache.lookup(req.key);
-        self.on_set_at(req, tick, resident);
+        self.on_set_at(req, tick, resident, &mut ());
     }
 
     fn on_delete(&mut self, req: &Request, _tick: Tick) {
@@ -908,21 +871,21 @@ mod tests {
         let mut p = Pama::for_store(c, PamaConfig { value_window: 1, ..pcfg() });
         assert!(!p.cache().is_indexed());
         let set = |k| get_set(k, 2000, 1000);
-        let loc1 = p.on_set_at(&set(1), tick(0), None).unwrap();
-        let loc2 = p.on_set_at(&set(2), tick(1), None).unwrap();
+        let loc1 = p.on_set_at(&set(1), tick(0), None, &mut ()).unwrap();
+        let loc2 = p.on_set_at(&set(2), tick(1), None, &mut ()).unwrap();
         assert!(p.on_delete_at(2, Some(loc2)));
         assert_eq!((p.cache().len(), p.ghost_len()), (1, 0), "a deleted item became a ghost");
         assert!(p.cache().meta_at(loc2, 2).is_none());
         // Key 1 is evicted into the ghost list by two more SETs. A DELETE
         // of the absent key removes nothing but forgets the ghost.
-        p.on_set_at(&set(3), tick(2), None).unwrap();
-        p.on_set_at(&set(4), tick(3), None).unwrap();
+        p.on_set_at(&set(3), tick(2), None, &mut ()).unwrap();
+        p.on_set_at(&set(4), tick(3), None, &mut ()).unwrap();
         assert!(p.cache().meta_at(loc1, 1).is_none(), "key 1 still resident");
         assert_eq!(p.ghost_len(), 1);
         let before = p.accesses;
         assert!(!p.on_delete_at(1, None));
         assert_eq!((p.accesses, p.ghost_len(), p.cache().len()), (before + 1, 0, 2));
-        assert_eq!(p.on_miss(1), None, "a forgotten ghost lent its penalty");
+        assert_eq!(p.on_miss(1, None), None, "a forgotten ghost lent its penalty");
         let s = p.sub(5, p.band_of(SimDuration::from_millis(1000)));
         assert_eq!(p.trackers[s].incoming(), 0.0, "a forgotten ghost was credited");
         p.cache().check_invariants().unwrap();
@@ -967,11 +930,11 @@ mod tests {
     #[test]
     fn a_set_that_keeps_class_and_band_updates_in_place() {
         let mut p = Pama::for_store(cfg(), pcfg());
-        let loc1 = p.on_set_at(&get_set(1, 40, 5), tick(0), None).unwrap();
-        p.on_set_at(&get_set(2, 40, 5), tick(1), None).unwrap();
+        let loc1 = p.on_set_at(&get_set(1, 40, 5), tick(0), None, &mut ()).unwrap();
+        p.on_set_at(&get_set(2, 40, 5), tick(1), None, &mut ()).unwrap();
         // 50 and 40 bytes share a class, 6 and 5 ms a band: the node
         // stays, takes the new sizes and moves to the front.
-        let again = p.on_set_at(&get_set(1, 50, 6), tick(2), Some(loc1));
+        let again = p.on_set_at(&get_set(1, 50, 6), tick(2), Some(loc1), &mut ());
         assert_eq!(again, Some(loc1));
         let m = *p.cache().meta_at(loc1, 1).unwrap();
         assert_eq!((m.value_size, m.penalty), (50, SimDuration::from_millis(6)));
@@ -998,32 +961,45 @@ mod tests {
             .with_penalty(SimDuration::from_millis(penalty_ms))
     }
 
+    /// A seeded stream of `(key, value size, penalty ms)` over 40 keys in
+    /// three classes and three bands, which makes PAMA move slabs.
+    fn mixed_stream() -> impl Iterator<Item = (u64, u32, u64)> {
+        use pama_util::Rng;
+        let mut rng = pama_util::Xoshiro256StarStar::from_seed(5);
+        (0..3_000).map(move |_| {
+            let key = rng.gen_range(40);
+            let vs = [40, 900, 2000][(key % 3) as usize];
+            let penalty_ms = [2, 40, 3000][(key / 3 % 3) as usize];
+            (key, vs, penalty_ms)
+        })
+    }
+
+    /// Config and tuning under which [`mixed_stream`] moves slabs.
+    fn mixed_config() -> (CacheConfig, PamaConfig) {
+        let mut c = cfg();
+        c.demand_fill = false;
+        (c, PamaConfig { value_window: 7, migration_cooldown: 3, ..pcfg() })
+    }
+
     #[test]
     fn handle_entry_points_decide_like_the_request_ones() {
         // One stream fed two ways: by key through the `Policy` methods
         // (demand-fill off, a miss followed by a SET), and by handle
         // through `on_hit` / `on_miss` / `on_set_at` as the kv store
         // drives it. Every decision must agree.
-        let mut c = cfg();
-        c.demand_fill = false;
-        let pc = PamaConfig { value_window: 7, migration_cooldown: 3, ..pcfg() };
+        let (c, pc) = mixed_config();
         let mut by_key = Pama::with_config(c.clone(), pc.clone());
         let mut by_handle = Pama::with_config(c, pc);
-        let mut rng = pama_util::Xoshiro256StarStar::from_seed(5);
-        use pama_util::Rng;
-        for i in 0..3_000u64 {
-            let key = rng.gen_range(40);
-            let vs = [40, 900, 2000][(key % 3) as usize];
-            let penalty_ms = [2, 40, 3000][(key / 3 % 3) as usize];
-            let t = tick(i);
+        for (i, (key, vs, penalty_ms)) in mixed_stream().enumerate() {
+            let t = tick(i as u64);
             if !by_key.on_get(&get_p(key, vs, penalty_ms), t).hit {
                 by_key.on_set(&get_set(key, vs, penalty_ms), t);
             }
             match by_handle.cache().lookup(key) {
                 Some(loc) => assert!(by_handle.on_hit(key, loc, t)),
                 None => {
-                    by_handle.on_miss(key);
-                    by_handle.on_set_at(&get_set(key, vs, penalty_ms), t, None);
+                    by_handle.on_miss(key, None);
+                    by_handle.on_set_at(&get_set(key, vs, penalty_ms), t, None, &mut ());
                 }
             }
         }
@@ -1040,14 +1016,118 @@ mod tests {
         by_handle.cache().check_invariants().unwrap();
     }
 
+    /// A [`SlabStore`] that checks the contract a physical store relies
+    /// on. It rebuilds per-class slab counts from grants and moves, and
+    /// lists the keys evicted during the current request. `live` holds
+    /// each class's resident items, set by the driver before a request
+    /// and lowered by each eviction, so a move can check that the
+    /// source class's survivors already fit in one slab fewer: the
+    /// migration's evictions came first.
+    struct CheckingStore {
+        slabs: Vec<u32>,
+        live: Vec<usize>,
+        slots_per_slab: Vec<usize>,
+        evicted: Vec<u64>,
+        grants: u32,
+        moves: u32,
+    }
+
+    impl SlabStore for CheckingStore {
+        fn evicted(&mut self, item: &ItemMeta) {
+            self.evicted.push(item.key);
+            self.live[item.class as usize] -= 1;
+        }
+
+        fn slab_granted(&mut self, class: usize) {
+            self.slabs[class] += 1;
+            self.grants += 1;
+        }
+
+        fn slab_moved(&mut self, src_class: usize, _src_band: usize, dst_class: usize) {
+            let (slabs, spslab) =
+                (self.slabs[src_class] as usize, self.slots_per_slab[src_class]);
+            assert!(slabs > 0, "class {src_class} gave up a slab it did not have");
+            assert!(
+                self.live[src_class] <= (slabs - 1) * spslab,
+                "class {src_class} moved a slab before its evictions were reported"
+            );
+            self.slabs[src_class] -= 1;
+            self.slabs[dst_class] += 1;
+            self.moves += 1;
+        }
+    }
+
+    fn resident_keys(p: &Pama) -> std::collections::BTreeSet<u64> {
+        let cache = p.cache();
+        (0..cache.num_classes())
+            .flat_map(|c| cache.class(c).queues.iter())
+            .flat_map(|q| q.iter().map(|m| m.key))
+            .collect()
+    }
+
+    #[test]
+    fn the_store_hears_every_storage_decision_in_order() {
+        // The kv store drives PAMA by handle; every seventh request for
+        // a resident key is a DELETE instead of a hit.
+        let (c, pc) = mixed_config();
+        let mut p = Pama::with_config(c, pc);
+        let classes = p.cache().num_classes();
+        let mut store = CheckingStore {
+            slabs: vec![0; classes],
+            live: vec![0; classes],
+            slots_per_slab: (0..classes).map(|c| p.cache().class(c).slots_per_slab).collect(),
+            evicted: Vec::new(),
+            grants: 0,
+            moves: 0,
+        };
+        let mut expected = std::collections::BTreeSet::new();
+        let (mut evictions, mut deletes) = (0, 0);
+        for (i, (key, vs, penalty_ms)) in mixed_stream().enumerate() {
+            let t = tick(i as u64);
+            for (class, live) in store.live.iter_mut().enumerate() {
+                *live = p.cache().class(class).used_slots;
+            }
+            match p.cache().lookup(key) {
+                Some(loc) if i % 7 == 0 => {
+                    assert!(p.on_delete_at(key, Some(loc)));
+                    expected.remove(&key);
+                    deletes += 1;
+                }
+                Some(loc) => assert!(p.on_hit(key, loc, t)),
+                None => {
+                    p.on_miss(key, None);
+                    let stored =
+                        p.on_set_at(&get_set(key, vs, penalty_ms), t, None, &mut store);
+                    for k in store.evicted.drain(..) {
+                        assert!(
+                            expected.remove(&k),
+                            "key {k} reported evicted but not resident"
+                        );
+                        evictions += 1;
+                    }
+                    if stored.is_some() {
+                        expected.insert(key);
+                    }
+                }
+            }
+            assert!(store.evicted.is_empty(), "a hit or a delete evicted");
+            assert_eq!(store.slabs, p.cache().slab_allocation(), "step {i}: slab ledger");
+            assert_eq!(resident_keys(&p), expected, "step {i}: resident keys");
+        }
+        assert!(store.grants > 0 && store.moves > 0, "the stream must grant and move slabs");
+        assert!(evictions > 0 && deletes > 0);
+        assert_eq!(u64::from(store.moves), p.migrations());
+        p.cache().check_invariants().unwrap();
+    }
+
     #[test]
     fn on_set_at_returns_the_stored_handle() {
         let mut p = Pama::with_config(cfg(), pcfg());
-        let loc = p.on_set_at(&get_set(1, 40, 5), tick(0), None).unwrap();
+        let loc = p.on_set_at(&get_set(1, 40, 5), tick(0), None, &mut ()).unwrap();
         assert_eq!(p.cache().lookup(1), Some(loc));
         assert_eq!(p.cache().meta_at(loc, 1).unwrap().band, 1);
         // No class holds a 9000-byte item.
-        assert_eq!(p.on_set_at(&get_set(2, 9000, 5), tick(1), None), None);
+        assert_eq!(p.on_set_at(&get_set(2, 9000, 5), tick(1), None, &mut ()), None);
         // A stale handle counts the access but promotes nothing.
         p.on_delete(&Request::delete(SimTime::ZERO, 1, 8), tick(2));
         let before = p.accesses;

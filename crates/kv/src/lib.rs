@@ -304,8 +304,8 @@ impl PamaCache {
         if self.closed.load(Ordering::Acquire) {
             return Err(CacheError::ShuttingDown);
         }
-        let h = hash_key(key);
-        self.shard_of(h).set(h, key, value, &self.with_default_ttl(opts), self.now())
+        let (h, now) = (hash_key(key), self.now());
+        self.shard_of(h).write(now).set(h, key, value, &self.with_default_ttl(opts), now)
     }
 
     /// Inserts a key only if it is not already live — Memcached `add`.
@@ -316,8 +316,8 @@ impl PamaCache {
         if self.closed.load(Ordering::Acquire) {
             return Err(CacheError::ShuttingDown);
         }
-        let h = hash_key(key);
-        self.shard_of(h).add(h, key, value, &self.with_default_ttl(opts), self.now())
+        let (h, now) = (hash_key(key), self.now());
+        self.shard_of(h).write(now).add(h, key, value, &self.with_default_ttl(opts), now)
     }
 
     /// `opts` with the builder's default TTL filled in.
@@ -329,14 +329,14 @@ impl PamaCache {
     /// promotes it, without touching the value — Memcached `touch`.
     /// Returns whether the key was live.
     pub fn touch(&self, key: &[u8], ttl: Option<SimDuration>) -> bool {
-        let h = hash_key(key);
-        self.shard_of(h).touch(h, key, ttl, self.now())
+        let (h, now) = (hash_key(key), self.now());
+        self.shard_of(h).write(now).touch(h, key, ttl, now)
     }
 
     /// Removes a key. Returns whether it was present.
     pub fn delete(&self, key: &[u8]) -> bool {
-        let h = hash_key(key);
-        self.shard_of(h).delete(h, key, self.now())
+        let (h, now) = (hash_key(key), self.now());
+        self.shard_of(h).write(now).delete(h, key, now)
     }
 
     /// Whether a key is currently cached (and not expired).
@@ -397,8 +397,13 @@ impl PamaCache {
         }
         let mut first_err: Option<(usize, CacheError)> = None;
         for (cell, group) in self.shards.iter().zip(&groups) {
-            if !group.is_empty() {
-                if let Some((i, e)) = cell.multi_set_group(group, items, &opts, now) {
+            if group.is_empty() {
+                continue;
+            }
+            let mut shard = cell.write(now);
+            for &(i, h) in group {
+                let (key, value) = items[i];
+                if let Err(e) = shard.set(h, key, value, &opts, now) {
                     if first_err.is_none_or(|(j, _)| i < j) {
                         first_err = Some((i, e));
                     }
@@ -419,7 +424,7 @@ impl PamaCache {
     pub fn flush(&self) {
         let now = self.now();
         for cell in &self.shards {
-            cell.flush(now);
+            drop(cell.write(now));
         }
     }
 
@@ -430,14 +435,15 @@ impl PamaCache {
     ///
     /// Hits, misses and evictions are the registry's band sums; `items`,
     /// `live_bytes` and the arena fields of [`CacheStats`] come from the
-    /// merged slab ledger,
-    /// whose walk takes each shard's read lock briefly — so call this
-    /// at reporting cadence rather than per request. This is also when
-    /// the registry's arena gauges are refreshed.
+    /// merged slab ledger. Each shard's counters and ledger are read
+    /// under one brief read lock, and the ledger walk visits every slab,
+    /// so call this at reporting cadence rather than per request. This
+    /// is also when the registry's arena gauges are refreshed.
     pub fn report(&self) -> CacheReport {
-        let mut cache = merge_all(self.shards.iter().map(ShardCell::stats)).unwrap_or_default();
-        let slabs =
-            merge_all(self.shards.iter().map(ShardCell::slab_report)).unwrap_or_default();
+        let (stats, slabs): (Vec<_>, Vec<_>) =
+            self.shards.iter().map(ShardCell::report).unzip();
+        let mut cache = merge_all(stats).unwrap_or_default();
+        let slabs = merge_all(slabs).unwrap_or_default();
         let bands = self.metrics.snapshot();
         cache.hits = bands.total_hits();
         cache.misses = bands.total_misses();
@@ -475,7 +481,7 @@ impl PamaCache {
     /// measures its miss→SET gap.
     pub fn clear(&self) -> u64 {
         let now = self.now();
-        self.shards.iter().map(|cell| cell.clear(now)).sum()
+        self.shards.iter().map(|cell| cell.write(now).clear()).sum()
     }
 
     /// Begins shutdown: subsequent mutations fail with
@@ -495,7 +501,7 @@ impl PamaCache {
     /// TTL has lapsed. Expiry is otherwise lazy (checked on access).
     pub fn sweep_expired(&self) -> usize {
         let now = self.now();
-        self.shards.iter().map(|cell| cell.sweep_expired(now)).sum()
+        self.shards.iter().map(|cell| cell.write(now).sweep_expired(now)).sum()
     }
 
     /// Test/diagnostic hook: flushes the logs, then verifies that every
@@ -505,7 +511,7 @@ impl PamaCache {
     pub fn check_invariants(&self) -> Result<(), String> {
         let now = self.now();
         for (i, cell) in self.shards.iter().enumerate() {
-            cell.check_consistency(now).map_err(|e| format!("shard {i}: {e}"))?;
+            cell.write(now).check_consistency().map_err(|e| format!("shard {i}: {e}"))?;
         }
         Ok(())
     }

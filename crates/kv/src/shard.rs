@@ -34,13 +34,20 @@
 //! * a GET hit is [`Pama::on_hit`] (deferred, or inline under the write
 //!   lock; `touch` promotes the same way), and a record whose node no
 //!   longer holds its key (the item left before the drain) is skipped;
-//! * a GET miss is [`Pama::on_miss`], with the hash only;
+//! * a GET miss is [`Pama::on_miss`], given the handle of a lapsed or
+//!   colliding entry found under the hash, whose item leaves within that
+//!   one request;
 //! * a SET is [`Pama::on_set_at`], given the handle of the entry already
 //!   under the hash — live, lapsed or a colliding key — if any. The
 //!   entry is rewritten with the handle it hands back;
 //! * a DELETE is [`Pama::on_delete_at`], made whether or not the key is
-//!   resident, so an absent key's ghost is forgotten. Expiry, a colliding
-//!   GET's replacement and `flush_all` remove items with it too.
+//!   resident, so an absent key's ghost is forgotten. Expiry found by
+//!   other calls, sweeps and `flush_all` remove items with it too.
+//!
+//! A SET hands the policy the shard's storage as its [`SlabStore`]
+//! ([`Storage`]), so each eviction, slab grant and slab move reaches the
+//! arena and the index as the policy decides it. The operation counters
+//! ([`ShardCounters`]) are plain integers the shard owns.
 //!
 //! A key's penalty lives in the policy, in its LRU node or its ghost
 //! entry; open miss windows sit in a fixed table ([`MissWindow`]).
@@ -49,10 +56,10 @@ use crate::log::{AccessLog, HitRecord};
 use crate::options::{CacheError, CacheValue, SetOptions, ValueRef};
 use crate::stats::{ShardCounters, SlabClassReport, SlabReport};
 use bytes::Bytes;
-use pama_core::cache::Loc;
+use pama_core::cache::{ItemMeta, Loc};
 use pama_core::config::{CacheConfig, Tick};
 use pama_core::lru::NodeRef;
-use pama_core::policy::{Pama, PamaConfig, Policy, PolicyEvent};
+use pama_core::policy::{Pama, PamaConfig, Policy, SlabStore};
 use pama_faults::BackendSim;
 use pama_metrics::MetricsRegistry;
 use pama_slab::{SlabArena, SlotRef};
@@ -208,10 +215,56 @@ pub(crate) struct Shard {
     /// of its own `stripe`.
     metrics: Arc<MetricsRegistry>,
     stripe: usize,
-    /// Reused drain buffers for the access log and the policy's
-    /// storage events, so write-lock paths do not allocate per drain.
+    /// Operation counts, read with the slab report under the read lock.
+    counters: ShardCounters,
+    /// Reused drain buffer for the access log, so a drain does not
+    /// allocate.
     hit_buf: Vec<HitRecord>,
-    event_buf: Vec<PolicyEvent>,
+}
+
+/// The shard's storage as the policy's [`SlabStore`]: each decision
+/// moves real memory as the policy makes it. Evicted keys leave the
+/// index and free their slots, grants carve fresh slabs, and slab moves
+/// compact and re-carve, repointing every relocated entry.
+struct Storage<'a> {
+    arena: &'a mut SlabArena,
+    entries: &'a mut FastMap<u64, Entry>,
+    metrics: &'a MetricsRegistry,
+    stripe: usize,
+}
+
+impl SlabStore for Storage<'_> {
+    fn evicted(&mut self, item: &ItemMeta) {
+        if let Some(entry) = self.entries.remove(&item.key) {
+            Shard::release(self.arena, &entry);
+            self.metrics.band(self.stripe, item.band as usize).evictions.inc();
+        } else {
+            debug_assert!(false, "policy evicted a key the store never held");
+        }
+    }
+
+    fn slab_granted(&mut self, class: usize) {
+        let granted = self.arena.grant_slab(class);
+        debug_assert!(granted.is_ok(), "slab grant drifted: {granted:?}");
+        self.metrics.slab_grants.inc();
+    }
+
+    fn slab_moved(&mut self, src_class: usize, src_band: usize, dst_class: usize) {
+        let entries = &mut *self.entries;
+        let t0 = Instant::now();
+        let moved = self.arena.transfer_slab(src_class, dst_class, |hash, old, new| {
+            if let Some(entry) = entries.get_mut(&hash) {
+                debug_assert!(
+                    entry.slot == old,
+                    "compaction moved a slot the index didn't own"
+                );
+                entry.slot = new;
+            }
+        });
+        debug_assert!(moved.is_ok(), "slab transfer drifted: {moved:?}");
+        self.metrics.slab_move_us.record(t0.elapsed().as_micros() as u64);
+        self.metrics.band(self.stripe, src_band).slab_moves.inc();
+    }
 }
 
 /// A registry whose bands mirror the config's penalty-band split, so
@@ -236,11 +289,7 @@ impl Shard {
         let arena = SlabArena::new(&cfg);
         // The entries keep every item's handle, so the policy keeps no
         // key index of its own.
-        let mut policy = Pama::for_store(cfg.clone(), pama);
-        // The arena replays the policy's decisions (evictions, slab
-        // grants, slab moves); without the replay, policy-evicted keys
-        // would linger in the store map.
-        policy.set_record_events(true);
+        let policy = Pama::for_store(cfg.clone(), pama);
         Self {
             policy,
             entries: FastMap::default(),
@@ -251,8 +300,8 @@ impl Shard {
             backend: None,
             metrics,
             stripe,
+            counters: ShardCounters::default(),
             hit_buf: Vec::new(),
-            event_buf: Vec::new(),
         }
     }
 
@@ -275,7 +324,6 @@ impl Shard {
         explicit: Option<SimDuration>,
         old: Option<SimDuration>,
         now: SimTime,
-        c: &ShardCounters,
     ) -> SimDuration {
         let slot = &mut self.windows[window_slot(h)];
         let window = (slot.key == h).then(|| std::mem::replace(slot, CLOSED));
@@ -285,8 +333,7 @@ impl Shard {
         if let Some(w) = window {
             let gap = now.saturating_since(w.miss_at);
             if gap <= PENALTY_CAP && gap > SimDuration::ZERO {
-                ShardCounters::bump(&c.penalty_samples);
-                ShardCounters::add(&c.penalty_sum_us, gap.as_micros());
+                self.counters.sample_penalty(gap);
                 return gap;
             }
         }
@@ -324,24 +371,30 @@ impl Shard {
         debug_assert!(freed.is_ok(), "stale slot handle in index: {freed:?}");
     }
 
-    /// Drops an entry from the store and the arena, and removes its item
-    /// from the policy with a DELETE request by the entry's handle.
-    fn drop_entry(&mut self, h: u64) {
-        let Some(e) = self.entries.remove(&h) else {
-            return;
-        };
+    /// Removes `h`'s entry, if any, and frees its slot, returning its
+    /// item's policy handle. The policy still holds the item.
+    fn take_entry(&mut self, h: u64) -> Option<Loc> {
+        let e = self.entries.remove(&h)?;
         // The class is the slot's slab header: read it before the slot
         // is freed.
         let loc = self.arena.slab_class(e.slot).map(|class| e.loc(class));
         Self::release(&mut self.arena, &e);
+        loc
+    }
+
+    /// Drops `h`'s entry, which must exist, from the store and the
+    /// arena, and removes its item from the policy with a DELETE request
+    /// by the entry's handle.
+    fn drop_entry(&mut self, h: u64) {
+        let loc = self.take_entry(h);
         let removed = self.policy.on_delete_at(h, loc);
         debug_assert!(removed, "entry {h:#x} had no policy item");
     }
 
     /// Drops an entry whose TTL lapsed, counting it as expired.
-    fn drop_expired(&mut self, h: u64, c: &ShardCounters) {
+    fn drop_expired(&mut self, h: u64) {
         self.drop_entry(h);
-        ShardCounters::bump(&c.expired);
+        self.counters.expired += 1;
     }
 
     /// The shared-lock hit path: lookup, key check, TTL check, and a
@@ -389,10 +442,10 @@ impl Shard {
     /// Drops the entry if it is still the same key and expired (the
     /// state may have changed between a read-lock check and the write
     /// lock this runs under).
-    fn expire_if_dead(&mut self, h: u64, key: &[u8], now: SimTime, c: &ShardCounters) {
+    fn expire_if_dead(&mut self, h: u64, key: &[u8], now: SimTime) {
         if let Some(e) = self.entries.get(&h) {
             if self.key_matches(e, key) && e.expired(|| now) {
-                self.drop_expired(h, c);
+                self.drop_expired(h);
             }
         }
     }
@@ -401,14 +454,9 @@ impl Shard {
     /// the key was written between the two locks; it promotes inline
     /// through the policy. A miss (or collision or expiry) opens a
     /// miss window / drives the backend.
-    pub fn get_locked(
-        &mut self,
-        h: u64,
-        key: &[u8],
-        now: SimTime,
-        c: &ShardCounters,
-    ) -> Option<CacheValue> {
+    pub fn get_locked(&mut self, h: u64, key: &[u8], now: SimTime) -> Option<CacheValue> {
         let tick = self.tick(now);
+        let mut stale = None;
         if let Some(e) = self.entries.get(&h) {
             if let Some((v, loc)) = self.live_value(e, key, || now) {
                 let hit = CacheValue {
@@ -424,20 +472,21 @@ impl Shard {
                 self.metrics.band(self.stripe, band).hits.inc();
                 return Some(hit);
             }
-            // Expired, or a hash collision with a different key: treat
-            // as a miss and make room for the incoming generation. Only
+            // Expired, or a hash collision with a different key: a miss,
+            // whose one policy request also removes the stale item. Only
             // the former is a TTL lapse.
             if self.key_matches(e, key) {
-                self.drop_expired(h, c);
-            } else {
-                self.drop_entry(h);
+                self.counters.expired += 1;
             }
+            stale = self.take_entry(h);
         }
-        self.miss(h, now, c);
+        self.miss(h, now, stale);
         None
     }
 
-    fn miss(&mut self, h: u64, now: SimTime, c: &ShardCounters) {
+    /// A GET miss of `h`; `stale` is the handle of the item just taken
+    /// out from under `h`, if any.
+    fn miss(&mut self, h: u64, now: SimTime, stale: Option<Loc>) {
         // Tell the policy about the miss: nothing is inserted, but the
         // access advances the value window and — crucially for slab
         // rebalance — a ghosted key credits its subclass's *incoming
@@ -446,23 +495,24 @@ impl Shard {
         // migrations. The entry index has just reported the key absent,
         // so the policy skips its own index probe. A credited ghost
         // hands back the penalty the key was evicted with.
-        let mut window = MissWindow { key: h, miss_at: now, known: self.policy.on_miss(h) };
+        let known = self.policy.on_miss(h, stale);
+        let mut window = MissWindow { key: h, miss_at: now, known };
         if let Some(backend) = self.backend.as_mut() {
             let out = backend.fetch(h, self.serial);
-            ShardCounters::bump(&c.backend_fetches);
-            ShardCounters::add(&c.backend_retries, u64::from(out.attempts.saturating_sub(1)));
-            ShardCounters::add(&c.backend_time_us, out.latency.as_micros());
+            let c = &mut self.counters;
+            c.backend_fetches += 1;
+            c.backend_retries += u64::from(out.attempts.saturating_sub(1));
+            c.backend_time_us += out.latency.as_micros();
             // A fetch leaves no gap to measure: a wall-clock gap would
             // shadow the observed latency, and a refill after a degraded
             // miss (the backend could not serve) measures nothing.
             window.miss_at = NEVER;
             if out.ok {
                 let latency = out.latency.min(PENALTY_CAP);
-                ShardCounters::bump(&c.penalty_samples);
-                ShardCounters::add(&c.penalty_sum_us, latency.as_micros());
+                c.sample_penalty(latency);
                 window.known = Some(latency);
             } else {
-                ShardCounters::bump(&c.backend_failures);
+                c.backend_failures += 1;
             }
         }
         self.windows[window_slot(h)] = window;
@@ -490,14 +540,13 @@ impl Shard {
         value: &[u8],
         opts: &SetOptions,
         now: SimTime,
-        c: &ShardCounters,
     ) -> Result<(), CacheError> {
         let tick = self.tick(now);
-        ShardCounters::bump(&c.sets);
+        self.counters.sets += 1;
         let (mut resident, mut old) = (None, None);
         if let Some(e) = self.entries.get(&h) {
             if e.expired(|| now) && self.key_matches(e, key) {
-                ShardCounters::bump(&c.expired);
+                self.counters.expired += 1;
             }
             resident = self.arena.slab_class(e.slot).map(|class| e.loc(class));
             old =
@@ -505,19 +554,24 @@ impl Shard {
             debug_assert!(old.is_some(), "entry {h:#x} had no policy item");
             Self::release(&mut self.arena, e);
         }
-        let penalty = self.penalty_for(h, opts.penalty, old, now, c);
+        let penalty = self.penalty_for(h, opts.penalty, old, now);
         let req =
             Request::set(now, h, key.len() as u32, value.len() as u32).with_penalty(penalty);
-        let stored = self.policy.on_set_at(&req, tick, resident);
-        // Replay the policy's storage decisions (evictions, slab
-        // grants, slab migrations) into the arena *before* writing the
-        // new item: an eviction or transfer is exactly what frees the
-        // slot the item lands in. The bytes go to the class the policy
-        // filed the item under, so the arena and the ledger can never
-        // disagree on it.
-        self.apply_policy_events();
+        // The policy's storage decisions (evictions, slab grants, slab
+        // migrations) reach the arena as it makes them, so they are done
+        // before the new item is written: an eviction or transfer is
+        // exactly what frees the slot the item lands in. The bytes go to
+        // the class the policy filed the item under, so the arena and the
+        // ledger can never disagree on it.
+        let mut storage = Storage {
+            arena: &mut self.arena,
+            entries: &mut self.entries,
+            metrics: &self.metrics,
+            stripe: self.stripe,
+        };
+        let stored = self.policy.on_set_at(&req, tick, resident, &mut storage);
         let Some(loc) = stored else {
-            return Err(self.refuse(h, key.len() + value.len(), c));
+            return Err(self.refuse(h, key.len() + value.len()));
         };
         match self.arena.insert(loc.class as usize, h, key, value) {
             Ok(slot) => {
@@ -532,7 +586,7 @@ impl Shard {
                 // the ledger so the two stay consistent.
                 debug_assert!(false, "arena refused a ledger-approved insert: {e:?}");
                 self.policy.on_delete_at(h, Some(loc));
-                Err(self.refuse(h, key.len() + value.len(), c))
+                Err(self.refuse(h, key.len() + value.len()))
             }
         }
     }
@@ -541,9 +595,9 @@ impl Shard {
     /// bytes, and says why: no slab class can hold the item (the same
     /// byte rule as `CacheConfig::class_of` returning `None`), so
     /// eviction can never help, or there was no room this time.
-    fn refuse(&mut self, h: u64, item_bytes: usize, c: &ShardCounters) -> CacheError {
+    fn refuse(&mut self, h: u64, item_bytes: usize) -> CacheError {
         self.entries.remove(&h);
-        ShardCounters::bump(&c.rejected);
+        self.counters.rejected += 1;
         let item_bytes = item_bytes as u64;
         let footprint = item_bytes + u64::from(self.cfg.item_overhead);
         if footprint > self.cfg.slab_bytes {
@@ -564,12 +618,11 @@ impl Shard {
         value: &[u8],
         opts: &SetOptions,
         now: SimTime,
-        c: &ShardCounters,
     ) -> Result<bool, CacheError> {
         if let EntryState::Live = self.entry_state(h, key, now) {
             return Ok(false);
         }
-        self.set(h, key, value, opts, now, c).map(|()| true)
+        self.set(h, key, value, opts, now).map(|()| true)
     }
 
     /// Memcached `touch`: refreshes a live entry's TTL (`None` clears
@@ -581,7 +634,6 @@ impl Shard {
         key: &[u8],
         ttl: Option<SimDuration>,
         now: SimTime,
-        c: &ShardCounters,
     ) -> bool {
         match self.entry_state(h, key, now) {
             EntryState::Live => {
@@ -596,7 +648,7 @@ impl Shard {
                 true
             }
             EntryState::Expired => {
-                self.drop_expired(h, c);
+                self.drop_expired(h);
                 false
             }
             EntryState::Absent => false,
@@ -614,53 +666,6 @@ impl Shard {
             self.drop_entry(h);
         }
         n
-    }
-
-    /// Replays the policy's recorded storage events into the arena and
-    /// the entry index, in decision order: evicted keys leave the
-    /// index and free their slots, grants carve fresh slabs, and slab
-    /// moves compact + re-carve (repointing every relocated handle).
-    fn apply_policy_events(&mut self) {
-        let mut events = std::mem::take(&mut self.event_buf);
-        self.policy.drain_events_into(&mut events);
-        for e in events.drain(..) {
-            match e {
-                PolicyEvent::Evicted { key, band, .. } => {
-                    if let Some(entry) = self.entries.remove(&key) {
-                        Self::release(&mut self.arena, &entry);
-                        self.metrics.band(self.stripe, band as usize).evictions.inc();
-                    } else {
-                        debug_assert!(false, "policy evicted a key the store never held");
-                    }
-                }
-                PolicyEvent::SlabGranted { class } => {
-                    let granted = self.arena.grant_slab(class as usize);
-                    debug_assert!(granted.is_ok(), "slab grant drifted: {granted:?}");
-                    self.metrics.slab_grants.inc();
-                }
-                PolicyEvent::SlabMoved { src_class, src_band, dst_class } => {
-                    let entries = &mut self.entries;
-                    let t0 = Instant::now();
-                    let moved = self.arena.transfer_slab(
-                        src_class as usize,
-                        dst_class as usize,
-                        |hash, old, new| {
-                            if let Some(entry) = entries.get_mut(&hash) {
-                                debug_assert!(
-                                    entry.slot == old,
-                                    "compaction moved a slot the index didn't own"
-                                );
-                                entry.slot = new;
-                            }
-                        },
-                    );
-                    debug_assert!(moved.is_ok(), "slab transfer drifted: {moved:?}");
-                    self.metrics.slab_move_us.record(t0.elapsed().as_micros() as u64);
-                    self.metrics.band(self.stripe, src_band as usize).slab_moves.inc();
-                }
-            }
-        }
-        self.event_buf = events;
     }
 
     /// Detailed slab-arena accounting for diagnostics and benchmarks.
@@ -709,15 +714,15 @@ impl Shard {
     /// absent key. Either way the policy gets one DELETE request, which
     /// also forgets an absent key's ghost; a colliding key's entry is
     /// left alone.
-    pub fn delete(&mut self, h: u64, key: &[u8], now: SimTime, c: &ShardCounters) -> bool {
+    pub fn delete(&mut self, h: u64, key: &[u8], now: SimTime) -> bool {
         match self.entry_state(h, key, now) {
             EntryState::Live => {
-                ShardCounters::bump(&c.deletes);
+                self.counters.deletes += 1;
                 self.drop_entry(h);
                 true
             }
             EntryState::Expired => {
-                self.drop_expired(h, c);
+                self.drop_expired(h);
                 false
             }
             EntryState::Absent => {
@@ -727,11 +732,11 @@ impl Shard {
         }
     }
 
-    pub fn sweep_expired(&mut self, now: SimTime, c: &ShardCounters) -> usize {
+    pub fn sweep_expired(&mut self, now: SimTime) -> usize {
         let expired: Vec<u64> =
             self.entries.iter().filter(|(_, e)| e.expired(|| now)).map(|(&h, _)| h).collect();
         for &h in &expired {
-            self.drop_expired(h, c);
+            self.drop_expired(h);
         }
         expired.len()
     }
@@ -741,20 +746,20 @@ impl Shard {
     /// (serial and PAMA value-window cadence match the inline design);
     /// a record whose node no longer holds its key is skipped by the
     /// policy.
-    pub fn apply_deferred(&mut self, hits: &[HitRecord], now: SimTime, c: &ShardCounters) {
+    pub fn apply_deferred(&mut self, hits: &[HitRecord], now: SimTime) {
         self.serial += hits.len() as u64;
         let tick = Tick { now, serial: self.serial };
         self.policy.on_hits(hits, tick);
-        ShardCounters::add(&c.deferred_hits, hits.len() as u64);
+        self.counters.deferred_hits += hits.len() as u64;
     }
 
     /// Drains `log` through the shard's reused buffer and applies the
     /// hits with [`Self::apply_deferred`].
-    fn drain_log(&mut self, log: &AccessLog, now: SimTime, c: &ShardCounters) {
+    fn drain_log(&mut self, log: &AccessLog, now: SimTime) {
         let mut hits = std::mem::take(&mut self.hit_buf);
         log.drain_into(&mut hits);
         if !hits.is_empty() {
-            self.apply_deferred(&hits, now, c);
+            self.apply_deferred(&hits, now);
             hits.clear();
         }
         self.hit_buf = hits;
@@ -836,12 +841,13 @@ impl Shard {
     }
 }
 
-/// A shard plus its lock, deferred-hit log, and atomic counters — the
-/// unit `PamaCache` holds one of per shard.
+/// A shard plus its lock and deferred-hit log — the unit `PamaCache`
+/// holds one of per shard. Write-lock work is done on the [`Shard`]
+/// that [`ShardCell::write`] hands out; the cell's own methods are the
+/// ones that need its read lock or its log.
 pub(crate) struct ShardCell {
     inner: RwLock<Shard>,
     log: AccessLog,
-    counters: ShardCounters,
     /// The shard's registry, reachable without the lock for latency
     /// timing.
     metrics: Arc<MetricsRegistry>,
@@ -853,7 +859,6 @@ impl ShardCell {
             metrics: Arc::clone(&shard.metrics),
             inner: RwLock::new(shard),
             log: AccessLog::new(ACCESS_LOG_CAPACITY),
-            counters: ShardCounters::default(),
         }
     }
 
@@ -861,17 +866,12 @@ impl ShardCell {
     /// before handing it out. Every write-lock path goes through here,
     /// so deferred promotions are always applied in recorded order
     /// ahead of the mutation that follows.
-    fn write(&self, now: SimTime) -> RwLockWriteGuard<'_, Shard> {
+    pub fn write(&self, now: SimTime) -> RwLockWriteGuard<'_, Shard> {
         let mut shard = self.inner.write();
         if !self.log.is_empty() {
-            shard.drain_log(&self.log, now, &self.counters);
+            shard.drain_log(&self.log, now);
         }
         shard
-    }
-
-    /// Applies every pending deferred promotion.
-    pub fn flush(&self, now: SimTime) {
-        drop(self.write(now));
     }
 
     /// Single-key GET: a hit is handed to `f`, whose result is
@@ -916,42 +916,8 @@ impl ShardCell {
         }
         // Miss / collision / expiry: full path under the write lock.
         let now = clock();
-        let hit = self.write(now).get_locked(h, key, now, &self.counters);
+        let hit = self.write(now).get_locked(h, key, now);
         hit.map(|v| f(v.as_ref()))
-    }
-
-    pub fn set(
-        &self,
-        h: u64,
-        key: &[u8],
-        value: &[u8],
-        opts: &SetOptions,
-        now: SimTime,
-    ) -> Result<(), CacheError> {
-        self.write(now).set(h, key, value, opts, now, &self.counters)
-    }
-
-    pub fn add(
-        &self,
-        h: u64,
-        key: &[u8],
-        value: &[u8],
-        opts: &SetOptions,
-        now: SimTime,
-    ) -> Result<bool, CacheError> {
-        self.write(now).add(h, key, value, opts, now, &self.counters)
-    }
-
-    pub fn touch(&self, h: u64, key: &[u8], ttl: Option<SimDuration>, now: SimTime) -> bool {
-        self.write(now).touch(h, key, ttl, now, &self.counters)
-    }
-
-    pub fn clear(&self, now: SimTime) -> u64 {
-        self.write(now).clear()
-    }
-
-    pub fn delete(&self, h: u64, key: &[u8], now: SimTime) -> bool {
-        self.write(now).delete(h, key, now, &self.counters)
     }
 
     pub fn contains(&self, h: u64, key: &[u8], now: SimTime) -> bool {
@@ -961,14 +927,10 @@ impl ShardCell {
             EntryState::Absent => false,
             EntryState::Expired => {
                 drop(shard);
-                self.write(now).expire_if_dead(h, key, now, &self.counters);
+                self.write(now).expire_if_dead(h, key, now);
                 false
             }
         }
-    }
-
-    pub fn sweep_expired(&self, now: SimTime) -> usize {
-        self.write(now).sweep_expired(now, &self.counters)
     }
 
     /// Batched GET for keys mapping to this shard: one read-lock pass
@@ -997,49 +959,19 @@ impl ShardCell {
         if !misses.is_empty() {
             let mut shard = self.write(now);
             for (i, h) in misses {
-                out[i] = shard.get_locked(h, keys[i], now, &self.counters);
+                out[i] = shard.get_locked(h, keys[i], now);
             }
         }
     }
 
-    /// Batched SET for items mapping to this shard: one write-lock
-    /// take for the whole group. Every item is attempted; the first
-    /// failure (by input index — groups are built in input order) is
-    /// reported back for [`crate::PamaCache::multi_set`] to surface.
-    pub fn multi_set_group(
-        &self,
-        group: &[(usize, u64)],
-        items: &[(&[u8], &[u8])],
-        opts: &SetOptions,
-        now: SimTime,
-    ) -> Option<(usize, CacheError)> {
-        let mut shard = self.write(now);
-        let mut first_err = None;
-        for &(i, h) in group {
-            let (key, value) = items[i];
-            if let Err(e) = shard.set(h, key, value, opts, now, &self.counters) {
-                if first_err.is_none() {
-                    first_err = Some((i, e));
-                }
-            }
-        }
-        first_err
-    }
-
-    pub fn stats(&self) -> crate::stats::CacheStats {
-        let mut s = self.counters.snapshot();
-        s.deferred_dropped = self.log.dropped();
-        s
-    }
-
-    /// Detailed slab accounting (takes the read lock).
-    pub fn slab_report(&self) -> SlabReport {
-        self.inner.read().slab_report()
-    }
-
-    /// Flushes, then cross-checks store vs policy accounting.
-    pub fn check_consistency(&self, now: SimTime) -> Result<(), String> {
-        self.write(now).check_consistency()
+    /// The shard's operation counters and slab ledger, read together
+    /// under one read lock; `deferred_dropped` comes from the
+    /// lock-free log.
+    pub fn report(&self) -> (crate::stats::CacheStats, SlabReport) {
+        let shard = self.inner.read();
+        let mut stats = shard.counters.snapshot();
+        stats.deferred_dropped = self.log.dropped();
+        (stats, shard.slab_report())
     }
 }
 
@@ -1071,13 +1003,12 @@ mod tests {
     #[test]
     fn live_penalty_probe_measures_gap() {
         let mut s = shard();
-        let c = ShardCounters::default();
         // miss at t=100ms, refill at t=180ms → 80ms penalty measured
-        assert!(s.get_locked(1, b"k", t(100), &c).is_none());
-        s.set(1, b"k", b"v", &SetOptions::default(), t(180), &c).unwrap();
+        assert!(s.get_locked(1, b"k", t(100)).is_none());
+        s.set(1, b"k", b"v", &SetOptions::default(), t(180)).unwrap();
         let measured = SimDuration::from_millis(80);
         assert_eq!(meta(&s, 1).map(|m| m.penalty), Some(measured));
-        let st = c.snapshot();
+        let st = s.counters.snapshot();
         assert_eq!(st.measured_penalties, 1);
         assert!((st.mean_measured_penalty_us - 80_000.0).abs() < 1.0);
         // The stored item's penalty band reflects the measurement.
@@ -1087,9 +1018,8 @@ mod tests {
     #[test]
     fn explicit_penalty_wins_over_probe() {
         let mut s = shard();
-        let c = ShardCounters::default();
-        assert!(s.get_locked(2, b"k2", t(0), &c).is_none());
-        s.set(2, b"k2", b"v", &SetOptions::new().penalty(SimDuration::from_secs(2)), t(50), &c)
+        assert!(s.get_locked(2, b"k2", t(0)).is_none());
+        s.set(2, b"k2", b"v", &SetOptions::new().penalty(SimDuration::from_secs(2)), t(50))
             .unwrap();
         assert_eq!(meta(&s, 2).unwrap().penalty, SimDuration::from_secs(2));
     }
@@ -1097,14 +1027,13 @@ mod tests {
     #[test]
     fn explicit_set_closes_the_probe_window() {
         let mut s = shard();
-        let c = ShardCounters::default();
-        assert!(s.get_locked(8, b"k8", t(0), &c).is_none());
-        s.set(8, b"k8", b"v", &SetOptions::new().penalty(SimDuration::from_secs(2)), t(10), &c)
+        assert!(s.get_locked(8, b"k8", t(0)).is_none());
+        s.set(8, b"k8", b"v", &SetOptions::new().penalty(SimDuration::from_secs(2)), t(10))
             .unwrap();
         // A later plain SET must not measure the stale 0 → 50 ms gap;
         // it keeps the old generation's explicit penalty.
-        s.set(8, b"k8", b"v", &SetOptions::default(), t(50), &c).unwrap();
-        assert_eq!(c.snapshot().measured_penalties, 0);
+        s.set(8, b"k8", b"v", &SetOptions::default(), t(50)).unwrap();
+        assert_eq!(s.counters.snapshot().measured_penalties, 0);
         assert_ne!(s.windows[window_slot(8)].key, 8, "the window outlived the SET");
         assert_eq!(meta(&s, 8).unwrap().penalty, SimDuration::from_secs(2));
     }
@@ -1112,54 +1041,54 @@ mod tests {
     #[test]
     fn over_cap_gap_falls_back_to_default() {
         let mut s = shard();
-        let c = ShardCounters::default();
-        assert!(s.get_locked(3, b"k3", t(0), &c).is_none());
-        s.set(3, b"k3", b"v", &SetOptions::default(), t(10_000), &c).unwrap(); // 10 s gap > cap
+        assert!(s.get_locked(3, b"k3", t(0)).is_none());
+        s.set(3, b"k3", b"v", &SetOptions::default(), t(10_000)).unwrap(); // 10 s gap > cap
         assert_eq!(meta(&s, 3).unwrap().penalty, DEFAULT_PENALTY);
     }
 
     #[test]
     fn ttl_expiry_is_lazy_and_sweepable() {
         let mut s = shard();
-        let c = ShardCounters::default();
-        s.set(4, b"k4", b"v", &SetOptions::new().ttl(SimDuration::from_millis(100)), t(0), &c)
+        s.set(4, b"k4", b"v", &SetOptions::new().ttl(SimDuration::from_millis(100)), t(0))
             .unwrap();
         assert!(matches!(s.entry_state(4, b"k4", t(50)), EntryState::Live));
         assert!(
             matches!(s.entry_state(4, b"k4", t(150)), EntryState::Expired),
             "expired entry still reported live"
         );
-        s.expire_if_dead(4, b"k4", t(150), &c);
+        s.expire_if_dead(4, b"k4", t(150));
         assert!(matches!(s.entry_state(4, b"k4", t(150)), EntryState::Absent));
-        assert_eq!(c.snapshot().expired, 1, "a lazy drop counts as an expiry");
+        assert_eq!(s.counters.snapshot().expired, 1, "a lazy drop counts as an expiry");
         // a GET that finds the lapsed entry drops and counts it too
-        s.set(6, b"k6", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), t(160), &c)
+        s.set(6, b"k6", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), t(160))
             .unwrap();
-        assert!(s.get_locked(6, b"k6", t(180), &c).is_none());
-        assert_eq!((c.snapshot().expired, s.metrics.snapshot().total_misses()), (2, 1));
+        assert!(s.get_locked(6, b"k6", t(180)).is_none());
+        assert_eq!(
+            (s.counters.snapshot().expired, s.metrics.snapshot().total_misses()),
+            (2, 1)
+        );
         // sweep path
-        s.set(5, b"k5", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), t(200), &c)
+        s.set(5, b"k5", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), t(200))
             .unwrap();
-        assert_eq!(s.sweep_expired(t(500), &c), 1);
-        assert_eq!(c.snapshot().expired, 3);
+        assert_eq!(s.sweep_expired(t(500)), 1);
+        assert_eq!(s.counters.snapshot().expired, 3);
     }
 
     #[test]
     fn collision_resolves_to_newest_writer() {
         let mut s = shard();
-        let c = ShardCounters::default();
-        s.set(7, b"first", b"A", &SetOptions::default(), t(0), &c).unwrap();
+        s.set(7, b"first", b"A", &SetOptions::default(), t(0)).unwrap();
         // same hash, different key bytes: treated as miss, then overwritten
-        assert!(s.get_locked(7, b"second", t(1), &c).is_none());
-        s.set(7, b"second", b"B", &SetOptions::default(), t(2), &c).unwrap();
+        assert!(s.get_locked(7, b"second", t(1)).is_none());
+        s.set(7, b"second", b"B", &SetOptions::default(), t(2)).unwrap();
         assert_eq!(
-            s.get_locked(7, b"second", t(3), &c).map(|v| v.value).as_deref(),
+            s.get_locked(7, b"second", t(3)).map(|v| v.value).as_deref(),
             Some(&b"B"[..])
         );
-        assert!(s.get_locked(7, b"first", t(4), &c).is_none());
+        assert!(s.get_locked(7, b"first", t(4)).is_none());
         // collisions never reach the read-hit fast path either
         assert!(s.read_hit(7, b"first", || t(5)).is_none());
-        assert_eq!(c.snapshot().expired, 0, "a collision drop is not an expiry");
+        assert_eq!(s.counters.snapshot().expired, 0, "a collision drop is not an expiry");
     }
 
     #[test]
@@ -1173,11 +1102,9 @@ mod tests {
         // The miss-window table is the same fixed size for any geometry.
         assert_eq!(s.windows.len(), WINDOW_SLOTS);
         assert!(std::mem::size_of_val(&*s.windows) <= 64 << 10);
-        let c = ShardCounters::default();
         const N: u64 = 1_000;
         for i in 0..N {
-            s.set(i, format!("k{i}").as_bytes(), b"v", &SetOptions::default(), t(i), &c)
-                .unwrap();
+            s.set(i, format!("k{i}").as_bytes(), b"v", &SetOptions::default(), t(i)).unwrap();
         }
         assert_eq!(s.entries.len(), N as usize);
         assert!(s.entries.capacity() < 4 * N as usize, "capacity {}", s.entries.capacity());
@@ -1187,9 +1114,8 @@ mod tests {
     #[test]
     fn read_hit_reads_the_clock_only_for_ttl_entries() {
         let mut s = shard();
-        let c = ShardCounters::default();
-        s.set(1, b"plain", b"v", &SetOptions::default(), t(0), &c).unwrap();
-        s.set(2, b"ttl", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), t(0), &c)
+        s.set(1, b"plain", b"v", &SetOptions::default(), t(0)).unwrap();
+        s.set(2, b"ttl", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), t(0))
             .unwrap();
         let reads = std::cell::Cell::new(0);
         let clock = |ms| {
@@ -1208,7 +1134,6 @@ mod tests {
             b"v",
             &SetOptions::new().ttl(SimDuration::from_micros(u64::MAX)),
             t(9),
-            &c,
         )
         .unwrap();
         assert!(s.read_hit(3, b"far", || t(u64::MAX / 2_000)).is_some());
@@ -1217,11 +1142,9 @@ mod tests {
     #[test]
     fn policy_evictions_free_store_and_arena() {
         let mut s = shard();
-        let c = ShardCounters::default();
         let v = vec![0u8; 30_000];
         for i in 0..200u64 {
-            let _ =
-                s.set(i, format!("key{i}").as_bytes(), &v, &SetOptions::default(), t(i), &c);
+            let _ = s.set(i, format!("key{i}").as_bytes(), &v, &SetOptions::default(), t(i));
         }
         let items = s.slab_report().live_items;
         assert!(items < 40, "1 MiB can't hold 200×30 KB: items {items}");
@@ -1240,39 +1163,33 @@ mod tests {
         // victim) must match.
         let mut inline = shard();
         let mut deferred = shard();
-        let ci = ShardCounters::default();
-        let cd = ShardCounters::default();
         let v = vec![0u8; 100];
         for i in 0..8u64 {
             inline
-                .set(i, format!("k{i}").as_bytes(), &v, &SetOptions::default(), t(i), &ci)
+                .set(i, format!("k{i}").as_bytes(), &v, &SetOptions::default(), t(i))
                 .unwrap();
             deferred
-                .set(i, format!("k{i}").as_bytes(), &v, &SetOptions::default(), t(i), &cd)
+                .set(i, format!("k{i}").as_bytes(), &v, &SetOptions::default(), t(i))
                 .unwrap();
         }
         // Touch keys 0..4 (oldest first) — inline promotes immediately.
         let mut hits = Vec::new();
         for i in 0..4u64 {
-            assert!(inline
-                .get_locked(i, format!("k{i}").as_bytes(), t(100 + i), &ci)
-                .is_some());
+            assert!(inline.get_locked(i, format!("k{i}").as_bytes(), t(100 + i)).is_some());
             let (_, loc) =
                 deferred.read_hit(i, format!("k{i}").as_bytes(), || t(100 + i)).unwrap();
             hits.push((i, loc));
         }
-        deferred.apply_deferred(&hits, t(104), &cd);
+        deferred.apply_deferred(&hits, t(104));
         // Same serial consumed, same access count.
         assert_eq!(inline.serial, deferred.serial);
         // Same LRU state: evict pressure must pick the same victims.
         let fill = vec![0u8; 100];
         for i in 100..1200u64 {
             let key = format!("f{i}");
-            let _ =
-                inline.set(i, key.as_bytes(), &fill, &SetOptions::default(), t(200 + i), &ci);
+            let _ = inline.set(i, key.as_bytes(), &fill, &SetOptions::default(), t(200 + i));
             let key = format!("f{i}");
-            let _ =
-                deferred.set(i, key.as_bytes(), &fill, &SetOptions::default(), t(200 + i), &cd);
+            let _ = deferred.set(i, key.as_bytes(), &fill, &SetOptions::default(), t(200 + i));
         }
         for i in 0..8u64 {
             assert_eq!(
@@ -1293,16 +1210,15 @@ mod tests {
         // drain. The drain must skip the record, not promote whichever
         // item now owns the node.
         let mut s = shard();
-        let c = ShardCounters::default();
         let v = vec![0u8; 30_000];
         let key = |i: u64| format!("key{i}").into_bytes();
-        s.set(0, &key(0), &v, &SetOptions::default(), t(0), &c).unwrap();
+        s.set(0, &key(0), &v, &SetOptions::default(), t(0)).unwrap();
         let (_, loc) = s.read_hit(0, &key(0), || t(1)).unwrap();
         // Fill the class until key 0, the LRU item, is evicted; the SET
         // that evicts it takes its node.
         let mut i = 1;
         while s.entries.contains_key(&0) {
-            s.set(i, &key(i), &v, &SetOptions::default(), t(1 + i), &c).unwrap();
+            s.set(i, &key(i), &v, &SetOptions::default(), t(1 + i)).unwrap();
             i += 1;
         }
         let queue = |s: &Shard| -> Vec<u64> {
@@ -1315,15 +1231,15 @@ mod tests {
         assert!(owner.is_some_and(|k| k != 0), "node not reused: {owner:?}");
         // Promote another item, so that promoting the node's new owner
         // would show in the order.
-        assert!(s.get_locked(1, &key(1), t(400), &c).is_some());
+        assert!(s.get_locked(1, &key(1), t(400)).is_some());
         let before = queue(&s);
         assert_ne!(Some(before[0]), owner);
         let serial = s.serial;
-        s.apply_deferred(&[(0, loc)], t(500), &c);
+        s.apply_deferred(&[(0, loc)], t(500));
         let after = queue(&s);
         assert_eq!(before, after, "a stale record moved an LRU node");
         assert_eq!(s.serial, serial + 1, "the access still counts");
-        assert_eq!(c.snapshot().deferred_hits, 1);
+        assert_eq!(s.counters.snapshot().deferred_hits, 1);
         s.check_consistency().unwrap();
     }
 
@@ -1334,14 +1250,13 @@ mod tests {
         // entries hold the handles), and its one ghost index stays
         // within the ghost lists' caps.
         let mut s = shard();
-        let c = ShardCounters::default();
         let v = [0u8; 100];
         let mut i = 0u64;
         let mut capacity = 0;
         while i < 10 * capacity.max(1_000) as u64 {
             let key = format!("churn{i}");
-            assert!(s.get_locked(i, key.as_bytes(), t(i), &c).is_none());
-            s.set(i, key.as_bytes(), &v, &SetOptions::default(), t(i), &c).unwrap();
+            assert!(s.get_locked(i, key.as_bytes(), t(i)).is_none());
+            s.set(i, key.as_bytes(), &v, &SetOptions::default(), t(i)).unwrap();
             capacity = capacity.max(s.entries.len());
             i += 1;
         }
@@ -1360,13 +1275,13 @@ mod tests {
 
     /// Sets `h` with an explicit penalty, then fills its subclass until
     /// the policy evicts it into the ghost list.
-    fn ghost_with_penalty(s: &mut Shard, h: u64, penalty: SimDuration, c: &ShardCounters) {
+    fn ghost_with_penalty(s: &mut Shard, h: u64, penalty: SimDuration) {
         let v = vec![0u8; 30_000];
         let key = |i: u64| format!("key{i}").into_bytes();
-        s.set(h, &key(h), &v, &SetOptions::new().penalty(penalty), t(0), c).unwrap();
+        s.set(h, &key(h), &v, &SetOptions::new().penalty(penalty), t(0)).unwrap();
         let mut i = h + 1;
         while s.entries.contains_key(&h) {
-            s.set(i, &key(i), &v, &SetOptions::new().penalty(penalty), t(i), c).unwrap();
+            s.set(i, &key(i), &v, &SetOptions::new().penalty(penalty), t(i)).unwrap();
             i += 1;
         }
         assert_eq!(s.policy.ghost_penalty(h), Some(penalty), "key {h} left no ghost");
@@ -1375,13 +1290,12 @@ mod tests {
     #[test]
     fn a_ghosted_key_misses_under_its_own_penalty() {
         let mut s = shard();
-        let c = ShardCounters::default();
         let two_s = SimDuration::from_secs(2);
-        ghost_with_penalty(&mut s, 0, two_s, &c);
+        ghost_with_penalty(&mut s, 0, two_s);
         let band = s.cfg.band_of(two_s);
         assert_ne!(band, s.cfg.band_of(DEFAULT_PENALTY));
         let before = s.metrics.snapshot().bands[band].clone();
-        assert!(s.get_locked(0, b"key0", t(1_000), &c).is_none());
+        assert!(s.get_locked(0, b"key0", t(1_000)).is_none());
         let after = s.metrics.snapshot();
         assert_eq!(after.bands[band].misses, before.misses + 1);
         assert_eq!(after.bands[band].penalty_cost_us, before.penalty_cost_us + 2_000_000);
@@ -1389,39 +1303,38 @@ mod tests {
         // The refill SET, six seconds later (over the cap), keeps the
         // penalty the miss knew.
         let v = vec![0u8; 30_000];
-        s.set(0, b"key0", &v, &SetOptions::default(), t(7_000), &c).unwrap();
+        s.set(0, b"key0", &v, &SetOptions::default(), t(7_000)).unwrap();
         assert_eq!(meta(&s, 0).unwrap().penalty, two_s);
         // A SET with no miss before it takes the ghost's penalty too.
-        ghost_with_penalty(&mut s, 100, two_s, &c);
-        s.set(100, b"key100", &v, &SetOptions::default(), t(8_000), &c).unwrap();
+        ghost_with_penalty(&mut s, 100, two_s);
+        s.set(100, b"key100", &v, &SetOptions::default(), t(8_000)).unwrap();
         assert_eq!(meta(&s, 100).unwrap().penalty, two_s);
-        assert_eq!(c.snapshot().measured_penalties, 0);
+        assert_eq!(s.counters.snapshot().measured_penalties, 0);
         s.check_consistency().unwrap();
     }
 
     #[test]
     fn deleting_an_evicted_key_forgets_its_penalty() {
         let mut s = shard();
-        let c = ShardCounters::default();
         let two_s = SimDuration::from_secs(2);
-        ghost_with_penalty(&mut s, 0, two_s, &c);
+        ghost_with_penalty(&mut s, 0, two_s);
         // The key is not resident, but the DELETE still reaches the
         // policy, which forgets the ghost: the deleted value can no
         // longer credit a slab, nor lend its penalty.
-        assert!(!s.delete(0, b"key0", t(1_000), &c));
+        assert!(!s.delete(0, b"key0", t(1_000)));
         assert_eq!(s.policy.ghost_penalty(0), None);
         let before = s.metrics.snapshot();
-        assert!(s.get_locked(0, b"key0", t(1_001), &c).is_none());
+        assert!(s.get_locked(0, b"key0", t(1_001)).is_none());
         let after = s.metrics.snapshot();
         let band = s.cfg.band_of(DEFAULT_PENALTY);
         assert_ne!(band, s.cfg.band_of(two_s));
         assert_eq!(after.bands[band].misses, before.bands[band].misses + 1);
         assert_eq!(after.total_misses(), before.total_misses() + 1);
         // A plain SET with no miss before it starts over at the default.
-        ghost_with_penalty(&mut s, 100, two_s, &c);
-        assert!(!s.delete(100, b"key100", t(2_000), &c));
+        ghost_with_penalty(&mut s, 100, two_s);
+        assert!(!s.delete(100, b"key100", t(2_000)));
         let v = vec![0u8; 30_000];
-        s.set(100, b"key100", &v, &SetOptions::default(), t(8_000), &c).unwrap();
+        s.set(100, b"key100", &v, &SetOptions::default(), t(8_000)).unwrap();
         assert_eq!(meta(&s, 100).unwrap().penalty, DEFAULT_PENALTY);
         s.check_consistency().unwrap();
     }
@@ -1429,14 +1342,13 @@ mod tests {
     #[test]
     fn a_plain_set_keeps_the_explicit_penalty() {
         let mut s = shard();
-        let c = ShardCounters::default();
-        s.set(9, b"k9", b"v1", &SetOptions::new().penalty(SimDuration::from_secs(2)), t(0), &c)
+        s.set(9, b"k9", b"v1", &SetOptions::new().penalty(SimDuration::from_secs(2)), t(0))
             .unwrap();
-        s.set(9, b"k9", b"v2", &SetOptions::default(), t(5), &c).unwrap();
+        s.set(9, b"k9", b"v2", &SetOptions::default(), t(5)).unwrap();
         assert_eq!(meta(&s, 9).unwrap().penalty, SimDuration::from_secs(2));
         // Deleted, the key forgets it.
-        assert!(s.delete(9, b"k9", t(6), &c));
-        s.set(9, b"k9", b"v3", &SetOptions::default(), t(7), &c).unwrap();
+        assert!(s.delete(9, b"k9", t(6)));
+        s.set(9, b"k9", b"v3", &SetOptions::default(), t(7)).unwrap();
         assert_eq!(meta(&s, 9).unwrap().penalty, DEFAULT_PENALTY);
     }
 
@@ -1447,17 +1359,16 @@ mod tests {
         // Per-key state must stay with the resident items and the
         // bounded ghosts; the window table never grows.
         let mut s = shard();
-        let c = ShardCounters::default();
         let v = [0u8; 10];
         let (mut i, mut capacity) = (0u64, 0);
         while i < 10 * capacity.max(1_000) as u64 {
             let key = format!("gap{i}");
-            assert!(s.get_locked(i, key.as_bytes(), t(2 * i), &c).is_none());
-            s.set(i, key.as_bytes(), &v, &SetOptions::default(), t(2 * i + 1), &c).unwrap();
+            assert!(s.get_locked(i, key.as_bytes(), t(2 * i)).is_none());
+            s.set(i, key.as_bytes(), &v, &SetOptions::default(), t(2 * i + 1)).unwrap();
             capacity = capacity.max(s.entries.len());
             i += 1;
         }
-        assert_eq!(c.snapshot().measured_penalties, i);
+        assert_eq!(s.counters.snapshot().measured_penalties, i);
         let per_key = s.entries.capacity() + s.policy.ghost_len();
         let bound = 2 * (s.entries.len() + s.policy.ghost_capacity());
         assert!(per_key <= bound, "{per_key} per-key slots after {i} keys, bound {bound}");
@@ -1468,43 +1379,68 @@ mod tests {
     #[test]
     fn a_colliding_miss_never_lends_its_gap() {
         let mut s = shard();
-        let c = ShardCounters::default();
         let a = 1u64;
         let b = (2..).find(|&h| window_slot(h) == window_slot(a)).unwrap();
-        assert!(s.get_locked(a, b"a", t(0), &c).is_none());
+        assert!(s.get_locked(a, b"a", t(0)).is_none());
         // B's miss takes A's slot: A's SET measures nothing and falls
         // down the lookup order to the default.
-        assert!(s.get_locked(b, b"b", t(10), &c).is_none());
-        s.set(a, b"a", b"v", &SetOptions::default(), t(50), &c).unwrap();
-        assert_eq!(c.snapshot().measured_penalties, 0);
+        assert!(s.get_locked(b, b"b", t(10)).is_none());
+        s.set(a, b"a", b"v", &SetOptions::default(), t(50)).unwrap();
+        assert_eq!(s.counters.snapshot().measured_penalties, 0);
         assert_eq!(meta(&s, a).unwrap().penalty, DEFAULT_PENALTY);
         // B's window is intact: its own 10 → 60 ms gap.
-        s.set(b, b"b", b"v", &SetOptions::default(), t(60), &c).unwrap();
-        assert_eq!(c.snapshot().measured_penalties, 1);
+        s.set(b, b"b", b"v", &SetOptions::default(), t(60)).unwrap();
+        assert_eq!(s.counters.snapshot().measured_penalties, 1);
         assert_eq!(meta(&s, b).unwrap().penalty, SimDuration::from_millis(50));
     }
 
     #[test]
     fn delete_and_add_classify_a_lapsed_entry_as_expired() {
         let mut s = shard();
-        let c = ShardCounters::default();
         let ttl = SetOptions::new().ttl(SimDuration::from_millis(5));
-        s.set(1, b"gone", b"v", &ttl, t(0), &c).unwrap();
+        s.set(1, b"gone", b"v", &ttl, t(0)).unwrap();
         // Lapsed: every reader already reports it absent, so DELETE
         // finds nothing to delete and counts the expiry instead.
-        assert!(!s.delete(1, b"gone", t(20), &c));
-        let st = c.snapshot();
+        assert!(!s.delete(1, b"gone", t(20)));
+        let st = s.counters.snapshot();
         assert_eq!((st.deletes, st.expired, s.entries.len()), (0, 1, 0));
-        assert!(!s.delete(1, b"gone", t(21), &c), "the key stays absent");
+        assert!(!s.delete(1, b"gone", t(21)), "the key stays absent");
         // A live key is deleted and counted as a delete.
-        s.set(2, b"live", b"v", &ttl, t(30), &c).unwrap();
-        assert!(s.delete(2, b"live", t(31), &c));
-        assert_eq!((c.snapshot().deletes, c.snapshot().expired), (1, 1));
+        s.set(2, b"live", b"v", &ttl, t(30)).unwrap();
+        assert!(s.delete(2, b"live", t(31)));
+        assert_eq!((s.counters.snapshot().deletes, s.counters.snapshot().expired), (1, 1));
         // ADD over a lapsed generation stores, and counts the lapse.
-        s.set(3, b"again", b"old", &ttl, t(40), &c).unwrap();
-        assert!(s.add(3, b"again", b"new", &SetOptions::default(), t(60), &c).unwrap());
-        assert_eq!(c.snapshot().expired, 2);
+        s.set(3, b"again", b"old", &ttl, t(40)).unwrap();
+        assert!(s.add(3, b"again", b"new", &SetOptions::default(), t(60)).unwrap());
+        assert_eq!(s.counters.snapshot().expired, 2);
         assert_eq!(s.read_hit(3, b"again", || t(61)).unwrap().0.value.as_ref(), b"new");
+        s.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_get_of_a_stale_entry_makes_one_policy_request() {
+        // A value window of 1 rebuilds at every access, so the rebuild
+        // count counts the policy's requests.
+        let cfg = CacheConfig {
+            total_bytes: 1 << 20,
+            slab_bytes: 64 << 10,
+            ..CacheConfig::default()
+        };
+        let pama = PamaConfig { value_window: 1, ..PamaConfig::default() };
+        let mut s = Shard::new(cfg.clone(), pama, registry_for(&cfg, 1), 0);
+        let ttl = SetOptions::new().ttl(SimDuration::from_millis(5));
+        s.set(1, b"lapsed", b"v", &ttl, t(0)).unwrap();
+        s.set(2, b"first", b"v", &SetOptions::default(), t(0)).unwrap();
+        let before = s.policy.rebuilds();
+        assert!(s.get_locked(1, b"lapsed", t(10)).is_none());
+        assert_eq!(s.policy.rebuilds(), before + 1, "a lapsed GET made two requests");
+        assert!(s.get_locked(2, b"second", t(11)).is_none());
+        assert_eq!(s.policy.rebuilds(), before + 2, "a colliding GET made two requests");
+        // Both stale items left the store and the policy; only the lapse
+        // is an expiry, and each GET is one miss.
+        assert_eq!((s.entries.len(), s.policy.cache().len()), (0, 0));
+        assert_eq!(s.counters.expired, 1);
+        assert_eq!(s.metrics.snapshot().total_misses(), 2);
         s.check_consistency().unwrap();
     }
 
@@ -1512,16 +1448,17 @@ mod tests {
     fn visitor_get_sees_the_stored_hit_and_defers_it_once() {
         let cell = ShardCell::new(shard());
         let now = t(1);
-        cell.set(1, b"k", b"value", &SetOptions::new().flags(0xBEEF), now).unwrap();
-        cell.set(2, b"ttl", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), now)
+        cell.write(now).set(1, b"k", b"value", &SetOptions::new().flags(0xBEEF), now).unwrap();
+        cell.write(now)
+            .set(2, b"ttl", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), now)
             .unwrap();
         let hits = || cell.metrics.snapshot().total_hits();
-        let deferred = || cell.stats().deferred_hits;
+        let deferred = || cell.report().0.deferred_hits;
 
         let seen = cell.get(1, b"k", || now, |v| (v.value.to_vec(), v.flags, v.cas)).unwrap();
         assert_eq!((hits(), deferred()), (1, 0), "one band hit, promotion still pending");
         assert!(!cell.log.is_empty(), "the hit was not logged for deferred promotion");
-        cell.flush(now);
+        drop(cell.write(now));
         assert_eq!(deferred(), 1, "the write-lock drain applies the logged hit");
         let copied = cell.get(1, b"k", || now, |v| v.to_value()).unwrap();
         assert_eq!(seen, (copied.value.to_vec(), copied.flags, copied.cas));

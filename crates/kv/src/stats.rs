@@ -1,16 +1,17 @@
 //! Cache-wide statistics.
 //!
-//! Every number has one owner. Each shard's [`ShardCounters`] block of
-//! `Relaxed` atomics counts operations (sets, deletes, expiries, …);
-//! hits, misses and evictions live only in the cache's penalty-band
-//! registry; resident items and bytes and the arena gauges live only in
-//! each shard's slab arena. [`crate::PamaCache::report`] assembles
-//! [`CacheStats`] from all three: it sums the band cells into
-//! `hits`/`misses`/`evictions` and takes each shard's read lock to build
-//! the slab ledger, from which it fills `items`, `live_bytes` and the
-//! arena fields.
+//! Every number has one owner. Each shard's [`ShardCounters`], plain
+//! integers changed under the shard's write lock, count operations
+//! (sets, deletes, expiries, …); hits, misses and evictions live only in
+//! the cache's penalty-band registry; resident items and bytes and the
+//! arena gauges live only in each shard's slab arena.
+//! [`crate::PamaCache::report`] assembles [`CacheStats`] from all three:
+//! it sums the band cells into `hits`/`misses`/`evictions`, and takes
+//! each shard's read lock once to read its counters and build its slab
+//! ledger, from which it fills `items`, `live_bytes` and the arena
+//! fields.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use pama_util::SimDuration;
 
 /// Fold another report of the same shape into this one.
 ///
@@ -271,61 +272,54 @@ impl Merge for SlabReport {
 }
 
 /// Per-shard operation counters: the [`CacheStats`] fields that
-/// neither the band registry nor the slab arena owns. The penalty mean
-/// is kept as (sum, count) so it can be read atomically piecewise.
+/// neither the band registry nor the slab arena owns. Plain integers:
+/// the shard owns them and changes them only under its write lock. The
+/// penalty mean is kept as (sum, count).
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {
-    pub sets: AtomicU64,
-    pub deletes: AtomicU64,
-    pub expired: AtomicU64,
-    pub rejected: AtomicU64,
-    pub penalty_samples: AtomicU64,
-    pub penalty_sum_us: AtomicU64,
-    pub backend_fetches: AtomicU64,
-    pub backend_retries: AtomicU64,
-    pub backend_failures: AtomicU64,
-    pub backend_time_us: AtomicU64,
-    pub deferred_hits: AtomicU64,
+    pub sets: u64,
+    pub deletes: u64,
+    pub expired: u64,
+    pub rejected: u64,
+    pub penalty_samples: u64,
+    pub penalty_sum_us: u64,
+    pub backend_fetches: u64,
+    pub backend_retries: u64,
+    pub backend_failures: u64,
+    pub backend_time_us: u64,
+    pub deferred_hits: u64,
 }
 
 impl ShardCounters {
-    /// Point-in-time snapshot via `Relaxed` loads. Individually each
-    /// counter is exact; cross-counter consistency is best-effort,
-    /// which is the usual contract for live cache stats. Fields this
-    /// block does not own — the band-registry counts, the slab-ledger
-    /// figures and `deferred_dropped` (the access log's) — stay zero for
-    /// the cell and `report()` to fill in.
+    /// Counts one measured penalty.
+    pub fn sample_penalty(&mut self, penalty: SimDuration) {
+        self.penalty_samples += 1;
+        self.penalty_sum_us += penalty.as_micros();
+    }
+
+    /// The counters as a [`CacheStats`]. Fields this block does not own
+    /// — the band-registry counts, the slab-ledger figures and
+    /// `deferred_dropped` (the access log's) — stay zero for the cell
+    /// and `report()` to fill in.
     pub fn snapshot(&self) -> CacheStats {
-        let samples = self.penalty_samples.load(Ordering::Relaxed);
-        let sum_us = self.penalty_sum_us.load(Ordering::Relaxed);
         CacheStats {
-            sets: self.sets.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            measured_penalties: samples,
-            mean_measured_penalty_us: if samples == 0 {
+            sets: self.sets,
+            deletes: self.deletes,
+            expired: self.expired,
+            rejected: self.rejected,
+            measured_penalties: self.penalty_samples,
+            mean_measured_penalty_us: if self.penalty_samples == 0 {
                 0.0
             } else {
-                sum_us as f64 / samples as f64
+                self.penalty_sum_us as f64 / self.penalty_samples as f64
             },
-            backend_fetches: self.backend_fetches.load(Ordering::Relaxed),
-            backend_retries: self.backend_retries.load(Ordering::Relaxed),
-            backend_failures: self.backend_failures.load(Ordering::Relaxed),
-            backend_time_us: self.backend_time_us.load(Ordering::Relaxed),
-            deferred_hits: self.deferred_hits.load(Ordering::Relaxed),
+            backend_fetches: self.backend_fetches,
+            backend_retries: self.backend_retries,
+            backend_failures: self.backend_failures,
+            backend_time_us: self.backend_time_us,
+            deferred_hits: self.deferred_hits,
             ..CacheStats::default()
         }
-    }
-
-    #[inline]
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 

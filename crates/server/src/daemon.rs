@@ -1,4 +1,4 @@
-//! Shared daemon entry point for `pamad` and `pamactl serve`.
+//! The daemon entry point behind `pamad`.
 //!
 //! Builds the cache from CLI-shaped options, binds the listener,
 //! prints the *resolved* address (so scripts binding port `0` learn

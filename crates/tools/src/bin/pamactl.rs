@@ -8,7 +8,6 @@
 //! pamactl penalties etc.trace
 //! pamactl sim  etc.trace --policy pama --cache-mb 64 [--policy psa ...]
 //! pamactl convert etc.trace etc.jsonl
-//! pamactl serve --listen 127.0.0.1:11211 --memory-mb 64
 //! pamactl ping  --addr 127.0.0.1:11211
 //! pamactl metrics --addr 127.0.0.1:11211
 //! ```
@@ -40,15 +39,12 @@ USAGE:
   pamactl penalties FILE
   pamactl sim  FILE [--policy NAME]... [--cache-mb N] [--slab-kb N] [--window N]
   pamactl convert SRC DST
-  pamactl serve [--listen ADDR] [--memory-mb N] [--slab-kb N] [--shards N]
-                [--max-conns N] [--timeout-ms N] [--backend on] [--faults SPEC]
   pamactl ping  [--addr ADDR]
   pamactl metrics [--addr ADDR]
 
 policies: memcached, psa, psa-unguarded, pre-pama, pama, facebook, twemcache, lama, global-lru
 Paths ending in .jsonl use the JSON-lines codec; everything else the binary codec.
-serve speaks the Memcached ASCII protocol (same engine as pamad) until stdin
-closes; ping checks a running server answers `version`; metrics fetches
+ping checks a running server (pamad) answers `version`; metrics fetches
 `stats metrics` and prints it as a Prometheus-style text exposition."
     );
     std::process::exit(2);
@@ -214,25 +210,6 @@ fn cmd_convert(args: &Args) {
     write_trace(&trace, dst);
 }
 
-fn cmd_serve(args: &Args) {
-    let mut opts = pama_server::daemon::DaemonOptions::default();
-    if let Some(listen) = args.flag("listen") {
-        opts.listen = listen.to_string();
-    }
-    opts.memory_mb = args.num("memory-mb", opts.memory_mb).unwrap_or_else(|| usage());
-    opts.slab_kb = args.num("slab-kb", opts.slab_kb).unwrap_or_else(|| usage());
-    opts.shards = args.num("shards", opts.shards as u64).unwrap_or_else(|| usage()) as usize;
-    opts.max_conns =
-        args.num("max-conns", opts.max_conns as u64).unwrap_or_else(|| usage()) as usize;
-    opts.timeout_ms = args.num("timeout-ms", opts.timeout_ms).unwrap_or_else(|| usage());
-    opts.backend = matches!(args.flag("backend"), Some("on" | "true" | "1"));
-    opts.faults = args.flag("faults").map(String::from);
-    if let Err(e) = pama_server::daemon::run(&opts) {
-        eprintln!("serve: {e}");
-        std::process::exit(1);
-    }
-}
-
 fn cmd_ping(args: &Args) {
     let addr = args.flag("addr").unwrap_or("127.0.0.1:11211");
     let version =
@@ -294,7 +271,6 @@ fn main() -> ExitCode {
         Some("penalties") => cmd_penalties(&args),
         Some("sim") => cmd_sim(&args),
         Some("convert") => cmd_convert(&args),
-        Some("serve") => cmd_serve(&args),
         Some("ping") => cmd_ping(&args),
         Some("metrics") => cmd_metrics(&args),
         _ => usage(),
