@@ -14,7 +14,8 @@
 //!
 //! * **resident delta** — RSS growth from just before cache
 //!   construction to end of workload (`/proc/self/statm`), the
-//!   operating-system truth, reported informationally;
+//!   operating-system truth; per resident item beyond its key and value
+//!   it must stay within 170 B at full scale (240 B at smoke scale);
 //! * **exact accounting** — the arena's own ledger (slabs, slots,
 //!   bytes requested vs resident, internal fragmentation),
 //!   cross-checked against the logical cache stats;
@@ -56,6 +57,14 @@ const CHURN_VALUE_BYTES: usize = 100;
 /// Most RSS growth per key over the churn's second half that still
 /// counts as flat. A map entry per key costs at least 16 B.
 const CHURN_FLAT_BYTES_PER_KEY: f64 = 2.0;
+/// Most RSS per resident item beyond its key and value at full scale:
+/// the item's 48 B slot record, its share of free slots' records and of
+/// slot rounding, its index bucket, and the policy's ghosts. A second
+/// per-item structure (a 56 B LRU node, a 40 B entry bucket) breaks it.
+const OVERHEAD_BYTES_PER_ITEM: f64 = 170.0;
+/// The same bound at smoke scale, where a quarter of the items carry
+/// the same fixed costs (miss-window tables, class ledgers, ghost lists).
+const SMOKE_OVERHEAD_BYTES_PER_ITEM: f64 = 240.0;
 
 /// Resident set size in bytes, if the platform exposes it.
 fn rss_bytes() -> Option<u64> {
@@ -451,6 +460,19 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
             u(&ledger, "resident_bytes"),
             setup.total_bytes,
             u(&ledger, "meta_bytes")
+        ),
+    ));
+    let overhead_bound =
+        if opts.smoke { SMOKE_OVERHEAD_BYTES_PER_ITEM } else { OVERHEAD_BYTES_PER_ITEM };
+    let overhead = f(&arena, "overhead_per_item_bytes");
+    checks.push(ShapeCheck::new(
+        "RSS per resident item beyond key and value within one slot record's budget",
+        overhead.is_some_and(|o| o <= overhead_bound),
+        format!(
+            "{:.1} B/item over {} items (bound {overhead_bound} B{})",
+            overhead.unwrap_or(f64::NAN),
+            u(&arena, "items"),
+            if opts.smoke { ", smoke scale" } else { "" }
         ),
     ));
     checks.push(ShapeCheck::new(

@@ -8,14 +8,18 @@
 //!   slabs × slots_per_slab`), and one or more LRU **queues**
 //!   (subclasses — plain policies use one queue per class, PAMA one
 //!   per penalty band);
-//! * a key → location **index**, unless the owner keeps each item's
-//!   handle itself ([`BaseCache::unindexed`]).
+//! * one **item store** ([`ItemStore`]) holding every queue's nodes;
+//! * a key → node **index**, unless the owner keeps each item's handle
+//!   itself ([`BaseCache::with_store`]).
 //!
-//! Physical slot addresses are *not* modelled: evicting the bottom
-//! "virtual slab" of a queue frees slots scattered over physical
-//! slabs, and the paper compacts valid items together to produce an
-//! empty slab for migration. Exact slot-count accounting is precisely
-//! the post-compaction state, so counts are sufficient (DESIGN.md §5).
+//! The default store, an [`Arena`] of [`ItemMeta`] nodes, models no
+//! physical slot addresses: evicting the bottom "virtual slab" of a
+//! queue frees slots scattered over physical slabs, and the paper
+//! compacts valid items together to produce an empty slab for
+//! migration. Exact slot-count accounting is precisely the
+//! post-compaction state, so counts are sufficient (DESIGN.md §5). A
+//! physical store (pama-kv's slab slots) does the compaction itself
+//! when told a slab moved, and reports each node it relocated.
 //!
 //! All mutation goes through methods that preserve the central
 //! invariants, checked by [`BaseCache::check_invariants`]:
@@ -24,7 +28,7 @@
 //! with queue contents.
 
 use crate::config::CacheConfig;
-use crate::lru::{LruList, NodeRef};
+use crate::lru::{Arena, Links, NodeRef, Queue};
 use pama_util::{FastMap, SimDuration, SimTime};
 
 /// Metadata of one cached item (the simulator stores no value bytes).
@@ -47,15 +51,66 @@ pub struct ItemMeta {
     pub last_access: SimTime,
 }
 
-/// Location of a cached item: class, band, and queue handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Loc {
-    /// Size class.
-    pub class: u32,
-    /// Penalty band.
-    pub band: u32,
-    /// Handle into the subclass queue.
-    pub node: NodeRef,
+/// Where a cache's item nodes live: one store for every queue of every
+/// class. Each node holds one item, whose class and band name the queue
+/// it is linked into. The cache decides; the store carries out the
+/// storage side of each decision, as the cache makes it.
+pub trait ItemStore: Links {
+    /// Stores `item` in a fresh, unlinked node in a free slot of class
+    /// `item.class`. The cache has counted that slot free, granting the
+    /// class a slab first when it needed one.
+    fn alloc(&mut self, item: &ItemMeta) -> NodeRef;
+
+    /// Frees an unlinked live node, returning its item.
+    fn free(&mut self, n: NodeRef) -> ItemMeta;
+
+    /// The item at `n`, or `None` when `n` names no live node.
+    fn item(&self, n: NodeRef) -> Option<ItemMeta>;
+
+    /// Rewrites a live node's item, keeping its class and band.
+    fn update(&mut self, n: NodeRef, item: &ItemMeta);
+
+    /// Stamps a live node's last access (a store that keeps no access
+    /// times ignores it).
+    fn touch(&mut self, n: NodeRef, now: SimTime);
+
+    /// `class` took a slab from the free pool.
+    fn slab_granted(&mut self, class: usize);
+
+    /// One slab of `src`, whose items the cache has already evicted down
+    /// to what the rest of the class holds, now belongs to `dst`. A
+    /// physical store compacts the class to free one slab and re-carves
+    /// it; for every node it moves, it moves the links and tag too,
+    /// repoints the node's neighbours, and pushes `(old, new)` onto
+    /// `moved` (the cache repoints its queue ends).
+    fn slab_moved(&mut self, src: usize, dst: usize, moved: &mut Vec<(NodeRef, NodeRef)>);
+}
+
+/// The simulator's store: item metadata in an arena, slabs as counts.
+impl ItemStore for Arena<ItemMeta> {
+    fn alloc(&mut self, item: &ItemMeta) -> NodeRef {
+        Arena::alloc(self, *item)
+    }
+
+    fn free(&mut self, n: NodeRef) -> ItemMeta {
+        Arena::free(self, n)
+    }
+
+    fn item(&self, n: NodeRef) -> Option<ItemMeta> {
+        self.try_get(n).copied()
+    }
+
+    fn update(&mut self, n: NodeRef, item: &ItemMeta) {
+        *self.get_mut(n) = *item;
+    }
+
+    fn touch(&mut self, n: NodeRef, now: SimTime) {
+        self.get_mut(n).last_access = now;
+    }
+
+    fn slab_granted(&mut self, _: usize) {}
+
+    fn slab_moved(&mut self, _: usize, _: usize, _: &mut Vec<(NodeRef, NodeRef)>) {}
 }
 
 /// Per-class state: slab count and the subclass queues.
@@ -69,41 +124,44 @@ pub struct ClassState {
     pub slabs: usize,
     /// Live items (each occupies one slot).
     pub used_slots: usize,
-    /// One LRU queue per band.
-    pub queues: Vec<LruList<ItemMeta>>,
+    /// One LRU queue per band; the nodes live in the cache's store.
+    pub queues: Vec<Queue>,
 }
 
 /// The slab cache. See the module docs.
 #[derive(Debug, Clone)]
-pub struct BaseCache {
+pub struct BaseCache<S = Arena<ItemMeta>> {
     cfg: CacheConfig,
     bands: usize,
     free_slabs: usize,
     classes: Vec<ClassState>,
+    store: S,
     /// `None` for an owner that reaches every item through the handle
     /// the insert returned; the by-key methods then have nothing to
     /// consult.
-    index: Option<FastMap<u64, Loc>>,
+    index: Option<FastMap<u64, NodeRef>>,
     /// Live items, index or not.
     len: usize,
+    /// The `(old, new)` node moves of the last slab migration.
+    relocated: Vec<(NodeRef, NodeRef)>,
 }
 
 /// Outcome of an insert attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertOutcome {
-    /// Stored in an existing free slot, at the given location.
-    Stored(Loc),
+    /// Stored in an existing free slot, at the given node.
+    Stored(NodeRef),
     /// Stored after the class received a slab from the free pool.
-    StoredWithNewSlab(Loc),
+    StoredWithNewSlab(NodeRef),
     /// No slot, no free slab: the caller's policy must make room first.
     NoSpace,
 }
 
 impl InsertOutcome {
-    /// The stored item's location, unless nothing was stored.
-    pub fn loc(self) -> Option<Loc> {
+    /// The stored item's node, unless nothing was stored.
+    pub fn node(self) -> Option<NodeRef> {
         match self {
-            InsertOutcome::Stored(loc) | InsertOutcome::StoredWithNewSlab(loc) => Some(loc),
+            InsertOutcome::Stored(n) | InsertOutcome::StoredWithNewSlab(n) => Some(n),
             InsertOutcome::NoSpace => None,
         }
     }
@@ -112,8 +170,8 @@ impl InsertOutcome {
 const UNINDEXED: &str = "by-key call on a BaseCache built without an index";
 
 impl BaseCache {
-    /// Creates an empty cache with `bands` queues per class and a key
-    /// index.
+    /// Creates an empty cache with `bands` queues per class, the
+    /// default store and a key index.
     ///
     /// # Panics
     /// Panics when the config fails validation or `bands == 0`.
@@ -121,11 +179,39 @@ impl BaseCache {
         Self { index: Some(FastMap::default()), ..Self::unindexed(cfg, bands) }
     }
 
-    /// [`new`](Self::new) without the key index, for an owner that
-    /// keeps the [`Loc`] every insert returns and addresses items only
-    /// through it ([`meta_at`](Self::meta_at),
-    /// [`update_at`](Self::update_at), [`remove_at`](Self::remove_at),
-    /// …). The by-key methods
+    /// [`new`](Self::new) without the key index (see
+    /// [`with_store`](Self::with_store)).
+    ///
+    /// # Panics
+    /// Panics when the config fails validation or `bands == 0`.
+    pub fn unindexed(cfg: CacheConfig, bands: usize) -> Self {
+        Self::with_store(cfg, bands, Arena::new())
+    }
+
+    /// Takes one slab away from `class`, evicting LRU items of `band`
+    /// (then, if that queue empties, of the fullest remaining band)
+    /// until a slab's worth of slots is free. The freed slab returns to
+    /// the pool. Evicted items are passed to `on_evict`. Only the
+    /// default store has a pool to return a slab to; a physical store's
+    /// slabs move with [`migrate_slab`](Self::migrate_slab).
+    ///
+    /// Returns `false` (changing nothing) when the class has no slab.
+    pub fn reclaim_slab_from(
+        &mut self,
+        class: usize,
+        band: usize,
+        on_evict: impl FnMut(ItemMeta),
+    ) -> bool {
+        self.reclaim(class, band, on_evict)
+    }
+}
+
+impl<S: ItemStore> BaseCache<S> {
+    /// An empty cache with `bands` queues per class over `store`, and no
+    /// key index: for an owner that keeps the [`NodeRef`] every insert
+    /// returns and addresses items only through it
+    /// ([`meta_at`](Self::meta_at), [`update_at`](Self::update_at),
+    /// [`remove_at`](Self::remove_at), …). The by-key methods
     /// ([`lookup`](Self::lookup), [`contains`](Self::contains),
     /// [`peek`](Self::peek), [`touch`](Self::touch),
     /// [`remove`](Self::remove), [`update_in_place`](Self::update_in_place))
@@ -133,7 +219,7 @@ impl BaseCache {
     ///
     /// # Panics
     /// Panics when the config fails validation or `bands == 0`.
-    pub fn unindexed(cfg: CacheConfig, bands: usize) -> Self {
+    pub fn with_store(cfg: CacheConfig, bands: usize, store: S) -> Self {
         cfg.validate().expect("invalid cache config");
         assert!(bands > 0, "need at least one band");
         let nc = cfg.num_classes();
@@ -142,15 +228,24 @@ impl BaseCache {
                 slots_per_slab: cfg.slots_per_slab(c),
                 slabs: 0,
                 used_slots: 0,
-                queues: (0..bands).map(|_| LruList::new()).collect(),
+                queues: vec![Queue::new(); bands],
             })
             .collect();
         let free_slabs = cfg.total_slabs();
-        Self { cfg, bands, free_slabs, classes, index: None, len: 0 }
+        Self {
+            cfg,
+            bands,
+            free_slabs,
+            classes,
+            store,
+            index: None,
+            len: 0,
+            relocated: Vec::new(),
+        }
     }
 
     /// Whether the cache keeps a key index (see
-    /// [`unindexed`](Self::unindexed)).
+    /// [`with_store`](Self::with_store)).
     pub fn is_indexed(&self) -> bool {
         self.index.is_some()
     }
@@ -190,6 +285,20 @@ impl BaseCache {
         &self.classes[c]
     }
 
+    /// The store every queue's nodes live in.
+    pub fn store(&self) -> &S {
+        &self.store
+    }
+
+    /// Mutable access to the store, for what the cache does not track:
+    /// node tags, which belong to the cache's policy, and a physical
+    /// store's bytes and per-item fields beyond [`ItemMeta`]. The caller
+    /// must not allocate, free or relink nodes, nor change an item's
+    /// metadata.
+    pub fn store_mut(&mut self) -> &mut S {
+        &mut self.store
+    }
+
     /// Slot capacity of class `c`.
     pub fn capacity(&self, c: usize) -> usize {
         self.classes[c].slabs * self.classes[c].slots_per_slab
@@ -200,8 +309,8 @@ impl BaseCache {
         self.capacity(c) - self.classes[c].used_slots
     }
 
-    /// Location of a key, if cached.
-    pub fn lookup(&self, key: u64) -> Option<Loc> {
+    /// Node of a key, if cached.
+    pub fn lookup(&self, key: u64) -> Option<NodeRef> {
         debug_assert!(self.is_indexed(), "{UNINDEXED}");
         self.index.as_ref()?.get(&key).copied()
     }
@@ -214,29 +323,41 @@ impl BaseCache {
     /// Touches a cached key: moves it to its queue's front and stamps
     /// `last_access`. Returns the (updated) metadata.
     pub fn touch(&mut self, key: u64, now: SimTime) -> Option<ItemMeta> {
-        let loc = self.lookup(key)?;
-        self.touch_at(loc, key, now)
+        let node = self.lookup(key)?;
+        self.touch_at(node, key, now)
     }
 
     /// The metadata at a handle held outside the index, if the handle
     /// still names a live node that holds `key`. A handle to a removed
     /// node, or to a node since reused by another key, answers `None`.
-    pub fn meta_at(&self, loc: Loc, key: u64) -> Option<&ItemMeta> {
-        let q = self.classes.get(loc.class as usize)?.queues.get(loc.band as usize)?;
-        q.try_get(loc.node).filter(|m| m.key == key)
+    /// The item's class and band name the queue the node is in.
+    pub fn meta_at(&self, node: NodeRef, key: u64) -> Option<ItemMeta> {
+        self.store.item(node).filter(|m| m.key == key)
+    }
+
+    /// The items of queue `(class, band)`, front (MRU) to back.
+    pub fn items(&self, class: usize, band: usize) -> impl Iterator<Item = ItemMeta> + '_ {
+        self.classes[class].queues[band]
+            .iter(&self.store)
+            .map(|n| self.store.item(n).expect("a queue links only live nodes"))
     }
 
     /// [`touch`](Self::touch) by handle, without the index probe: when
     /// [`meta_at`](Self::meta_at) accepts the handle, moves the node to
     /// its queue's front, stamps `last_access`, and returns the updated
     /// metadata. A stale handle changes nothing and answers `None`.
-    pub(crate) fn touch_at(&mut self, loc: Loc, key: u64, now: SimTime) -> Option<ItemMeta> {
-        self.meta_at(loc, key)?;
-        let q = &mut self.classes[loc.class as usize].queues[loc.band as usize];
-        q.move_to_front(loc.node);
-        let meta = q.get_mut(loc.node);
+    pub(crate) fn touch_at(
+        &mut self,
+        node: NodeRef,
+        key: u64,
+        now: SimTime,
+    ) -> Option<ItemMeta> {
+        let mut meta = self.meta_at(node, key)?;
+        self.classes[meta.class as usize].queues[meta.band as usize]
+            .move_to_front(&mut self.store, node);
+        self.store.touch(node, now);
         meta.last_access = now;
-        Some(*meta)
+        Some(meta)
     }
 
     /// Replaces a resident item's metadata in place and touches it.
@@ -247,38 +368,37 @@ impl BaseCache {
     /// # Panics
     /// Debug-panics on a class/band change.
     pub fn update_in_place(&mut self, meta: ItemMeta) -> bool {
-        self.lookup(meta.key).is_some_and(|loc| self.update_at(loc, meta))
+        self.lookup(meta.key).is_some_and(|node| self.update_at(node, meta))
     }
 
     /// [`update_in_place`](Self::update_in_place) by handle, without the
-    /// index probe: when [`meta_at`](Self::meta_at) accepts `loc` for
+    /// index probe: when [`meta_at`](Self::meta_at) accepts `node` for
     /// `meta.key`, moves the node to its queue's front and replaces its
     /// metadata. A stale handle changes nothing and answers `false`.
     ///
     /// # Panics
     /// Debug-panics on a class/band change.
-    pub fn update_at(&mut self, loc: Loc, meta: ItemMeta) -> bool {
-        if self.meta_at(loc, meta.key).is_none() {
+    pub fn update_at(&mut self, node: NodeRef, meta: ItemMeta) -> bool {
+        let Some(old) = self.meta_at(node, meta.key) else {
             return false;
-        }
-        debug_assert_eq!(loc.class, meta.class, "update across classes");
-        debug_assert_eq!(loc.band, meta.band, "update across bands");
-        let q = &mut self.classes[loc.class as usize].queues[loc.band as usize];
-        q.move_to_front(loc.node);
-        *q.get_mut(loc.node) = meta;
+        };
+        debug_assert_eq!(old.class, meta.class, "update across classes");
+        debug_assert_eq!(old.band, meta.band, "update across bands");
+        self.classes[old.class as usize].queues[old.band as usize]
+            .move_to_front(&mut self.store, node);
+        self.store.update(node, &meta);
         true
     }
 
     /// Reads a cached item's metadata without touching it.
     pub fn peek(&self, key: u64) -> Option<ItemMeta> {
-        let loc = self.lookup(key)?;
-        Some(*self.classes[loc.class as usize].queues[loc.band as usize].get(loc.node))
+        self.store.item(self.lookup(key)?)
     }
 
     /// Attempts to insert a new item (the key must not be cached).
     /// Tries a free slot, then a free slab from the pool; returns
     /// [`InsertOutcome::NoSpace`] when neither exists. A stored
-    /// outcome carries the item's location.
+    /// outcome carries the item's node.
     ///
     /// # Panics
     /// Panics (debug) when an indexed cache already holds the key.
@@ -291,80 +411,72 @@ impl BaseCache {
         let c = meta.class as usize;
         let mut new_slab = false;
         if self.free_slots(c) == 0 {
-            if self.free_slabs == 0 {
+            if !self.grant_slab(c) {
                 return InsertOutcome::NoSpace;
             }
-            self.free_slabs -= 1;
-            self.classes[c].slabs += 1;
             new_slab = true;
         }
-        let b = meta.band as usize;
-        let node = self.classes[c].queues[b].push_front(meta);
+        let node = self.store.alloc(&meta);
+        self.classes[c].queues[meta.band as usize].push_front(&mut self.store, node);
         self.classes[c].used_slots += 1;
         self.len += 1;
-        let loc = Loc { class: meta.class, band: meta.band, node };
         if let Some(ix) = &mut self.index {
-            ix.insert(meta.key, loc);
+            ix.insert(meta.key, node);
         }
         if new_slab {
-            InsertOutcome::StoredWithNewSlab(loc)
+            InsertOutcome::StoredWithNewSlab(node)
         } else {
-            InsertOutcome::Stored(loc)
+            InsertOutcome::Stored(node)
         }
     }
 
     /// Removes a key, returning its metadata.
     pub fn remove(&mut self, key: u64) -> Option<ItemMeta> {
         debug_assert!(self.is_indexed(), "{UNINDEXED}");
-        let loc = self.index.as_mut()?.remove(&key)?;
-        Some(self.unlink(loc))
+        let node = self.index.as_mut()?.remove(&key)?;
+        Some(self.unlink(node))
     }
 
     /// [`remove`](Self::remove) by handle: when
-    /// [`meta_at`](Self::meta_at) accepts `loc` for `key`, removes the
+    /// [`meta_at`](Self::meta_at) accepts `node` for `key`, removes the
     /// item and returns its metadata. A stale handle changes nothing
     /// and answers `None`.
-    pub fn remove_at(&mut self, loc: Loc, key: u64) -> Option<ItemMeta> {
-        self.meta_at(loc, key)?;
+    pub fn remove_at(&mut self, node: NodeRef, key: u64) -> Option<ItemMeta> {
+        self.meta_at(node, key)?;
         if let Some(ix) = &mut self.index {
             ix.remove(&key);
         }
-        Some(self.unlink(loc))
+        Some(self.unlink(node))
     }
 
-    /// Frees the node at a live `loc`, index aside.
-    fn unlink(&mut self, loc: Loc) -> ItemMeta {
-        let c = loc.class as usize;
-        let meta = self.classes[c].queues[loc.band as usize].remove(loc.node);
-        self.classes[c].used_slots -= 1;
+    /// Unlinks and frees the live node `node`, index aside.
+    fn unlink(&mut self, node: NodeRef) -> ItemMeta {
+        let meta = self.store.item(node).expect("unlink of a dead node");
+        self.classes[meta.class as usize].queues[meta.band as usize]
+            .remove(&mut self.store, node);
+        self.classes[meta.class as usize].used_slots -= 1;
         self.len -= 1;
-        meta
+        self.store.free(node)
     }
 
     /// Evicts the LRU item of `(class, band)`, returning it.
     pub fn evict_tail(&mut self, class: usize, band: usize) -> Option<ItemMeta> {
-        let meta = self.classes[class].queues[band].pop_back()?;
-        self.classes[class].used_slots -= 1;
-        self.len -= 1;
+        let node = self.classes[class].queues[band].back()?;
+        let meta = self.unlink(node);
         if let Some(ix) = &mut self.index {
             ix.remove(&meta.key);
         }
         Some(meta)
     }
 
-    /// Mutable access to one subclass queue, for node tags only: the
-    /// caller must not push, remove or reorder nodes.
-    pub(crate) fn queue_mut(&mut self, class: usize, band: usize) -> &mut LruList<ItemMeta> {
-        &mut self.classes[class].queues[band]
+    /// One subclass queue and the store, for node tags only: the caller
+    /// must not push, remove or reorder nodes.
+    pub(crate) fn queue_and_store(&mut self, class: usize, band: usize) -> (&Queue, &mut S) {
+        (&self.classes[class].queues[band], &mut self.store)
     }
 
-    /// Takes one slab away from `class`, evicting LRU items of `band`
-    /// (then, if that queue empties, of the fullest remaining band)
-    /// until a slab's worth of slots is free. The freed slab returns to
-    /// the pool. Evicted items are passed to `on_evict`.
-    ///
-    /// Returns `false` (changing nothing) when the class has no slab.
-    pub fn reclaim_slab_from(
+    /// See [`reclaim_slab_from`](BaseCache::reclaim_slab_from).
+    fn reclaim(
         &mut self,
         class: usize,
         band: usize,
@@ -406,12 +518,15 @@ impl BaseCache {
         }
         self.free_slabs -= 1;
         self.classes[class].slabs += 1;
+        self.store.slab_granted(class);
         true
     }
 
     /// Moves one slab from `src` to `dst` class, evicting from
-    /// `src_band` as needed. Items evicted en route go to `on_evict`.
-    /// Returns `false` (no change) when `src` owns no slab.
+    /// `src_band` as needed. Items evicted en route go to `on_evict`,
+    /// before the store moves the slab; the nodes its compaction moved
+    /// are then listed by [`relocated`](Self::relocated). Returns
+    /// `false` (no change) when `src` owns no slab.
     pub fn migrate_slab(
         &mut self,
         src: usize,
@@ -419,15 +534,26 @@ impl BaseCache {
         dst: usize,
         on_evict: impl FnMut(ItemMeta),
     ) -> bool {
-        if src == dst {
+        self.relocated.clear();
+        if src == dst || !self.reclaim(src, src_band, on_evict) {
             return false;
         }
-        if !self.reclaim_slab_from(src, src_band, on_evict) {
-            return false;
+        self.store.slab_moved(src, dst, &mut self.relocated);
+        for &(old, new) in &self.relocated {
+            for q in &mut self.classes[src].queues {
+                q.relocated(old, new);
+            }
         }
-        let granted = self.grant_slab(dst);
-        debug_assert!(granted, "slab vanished between reclaim and grant");
-        granted
+        self.free_slabs -= 1;
+        self.classes[dst].slabs += 1;
+        true
+    }
+
+    /// The `(old, new)` node moves the store's compaction made in the
+    /// last [`migrate_slab`](Self::migrate_slab): empty for the default
+    /// store, which moves nothing.
+    pub fn relocated(&self) -> &[(NodeRef, NodeRef)] {
+        &self.relocated
     }
 
     /// Per-class slab counts (the Fig. 3 series).
@@ -443,10 +569,8 @@ impl BaseCache {
 
     /// Total bytes of live item payloads (diagnostics).
     pub fn live_bytes(&self) -> u64 {
-        self.classes
-            .iter()
-            .flat_map(|c| c.queues.iter())
-            .flat_map(|q| q.iter())
+        (0..self.classes.len())
+            .flat_map(|c| (0..self.bands).flat_map(move |b| self.items(c, b)))
             .map(|m| u64::from(m.key_size) + u64::from(m.value_size))
             .sum()
     }
@@ -469,18 +593,21 @@ impl BaseCache {
                     self.capacity(ci)
                 ));
             }
-            for q in &cs.queues {
-                q.check_invariants()?;
-                for m in q.iter() {
-                    if m.class as usize != ci {
-                        return Err(format!("item {} in wrong class {ci}", m.key));
+            for (bi, q) in cs.queues.iter().enumerate() {
+                q.check_invariants(&self.store)?;
+                for m in self.items(ci, bi) {
+                    if (m.class as usize, m.band as usize) != (ci, bi) {
+                        return Err(format!(
+                            "item {} of class {} band {} in queue ({ci}, {bi})",
+                            m.key, m.class, m.band
+                        ));
                     }
                     let Some(index) = &self.index else { continue };
-                    let loc = index
+                    let node = index
                         .get(&m.key)
                         .ok_or_else(|| format!("item {} missing from index", m.key))?;
-                    if loc.class as usize != ci {
-                        return Err(format!("index class mismatch for {}", m.key));
+                    if self.store.item(*node).map(|i| i.key) != Some(m.key) {
+                        return Err(format!("index node mismatch for {}", m.key));
                     }
                 }
             }
@@ -555,8 +682,7 @@ mod tests {
         for k in 1..=3 {
             c.insert(meta(k, 0));
         }
-        let order =
-            |c: &BaseCache| c.class(0).queues[0].iter().map(|m| m.key).collect::<Vec<_>>();
+        let order = |c: &BaseCache| c.items(0, 0).map(|m| m.key).collect::<Vec<_>>();
         // A live handle promotes without the index.
         let loc1 = c.lookup(1).unwrap();
         assert_eq!(c.touch_at(loc1, 1, SimTime::from_millis(4)).unwrap().key, 1);
@@ -577,9 +703,8 @@ mod tests {
         let before = order(&c);
         assert!(c.touch_at(loc2, 2, SimTime::ZERO).is_none());
         assert_eq!(order(&c), before);
-        // A handle outside the geometry is refused, not a panic.
-        let bogus = Loc { class: 99, band: 0, node: loc1.node };
-        assert!(c.touch_at(bogus, 1, SimTime::ZERO).is_none());
+        // A handle past the store is refused, not a panic.
+        assert!(c.touch_at(NodeRef::new(99), 1, SimTime::ZERO).is_none());
         c.check_invariants().unwrap();
     }
 
@@ -599,7 +724,8 @@ mod tests {
     fn unindexed_cache_is_addressed_by_handle() {
         let mut c = BaseCache::unindexed(small_cfg(), 1);
         assert!(!c.is_indexed());
-        let locs: Vec<Loc> = (1..=3).map(|k| c.insert(meta(k, 0)).loc().unwrap()).collect();
+        let locs: Vec<NodeRef> =
+            (1..=3).map(|k| c.insert(meta(k, 0)).node().unwrap()).collect();
         assert_eq!(c.len(), 3);
         assert_eq!(c.meta_at(locs[1], 2).unwrap().key, 2);
         // A handle under the wrong key removes nothing.
@@ -616,7 +742,7 @@ mod tests {
     #[test]
     fn remove_at_keeps_the_index_in_step() {
         let mut c = BaseCache::new(small_cfg(), 1);
-        let loc = c.insert(meta(1, 0)).loc().unwrap();
+        let loc = c.insert(meta(1, 0)).node().unwrap();
         assert_eq!(c.remove_at(loc, 1).unwrap().key, 1);
         assert!(!c.contains(1));
         assert!(c.is_empty());

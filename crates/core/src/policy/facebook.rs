@@ -69,9 +69,8 @@ impl FacebookAge {
     fn tail_ages(&self, now: SimTime) -> Vec<(usize, u64)> {
         (0..self.cache.num_classes())
             .filter_map(|c| {
-                let q = &self.cache.class(c).queues[0];
-                let tail = q.back()?;
-                let last = q.get(tail).last_access;
+                let tail = self.cache.class(c).queues[0].back()?;
+                let last = self.cache.store().get(tail).last_access;
                 Some((c, now.saturating_since(last).as_micros()))
             })
             .collect()

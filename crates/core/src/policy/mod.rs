@@ -153,7 +153,7 @@ pub fn insert_with_room(
 ) -> bool {
     match cache.insert(meta) {
         InsertOutcome::Stored(_) | InsertOutcome::StoredWithNewSlab(_) => true,
-        InsertOutcome::NoSpace => make_room(cache) && cache.insert(meta).loc().is_some(),
+        InsertOutcome::NoSpace => make_room(cache) && cache.insert(meta).node().is_some(),
     }
 }
 

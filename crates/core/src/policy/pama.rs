@@ -24,9 +24,9 @@
 //! turning the scheme into a purely locality/size-aware allocator.
 
 use super::{meta_for, GetOutcome, Policy, SlabStore};
-use crate::cache::{BaseCache, InsertOutcome, ItemMeta, Loc};
+use crate::cache::{BaseCache, InsertOutcome, ItemMeta, ItemStore};
 use crate::config::{CacheConfig, Tick};
-use crate::lru::{LruList, NodeRef};
+use crate::lru::{Arena, LruList, NodeRef};
 use crate::segments::{MembershipMode, SubclassTracker};
 use pama_trace::Request;
 use pama_util::{FastMap, SimDuration};
@@ -218,10 +218,23 @@ impl Ghosts {
     }
 }
 
-/// The PAMA policy (and, in count mode, pre-PAMA).
+/// Files an evictee of subclass `s` as a ghost: it leaves the stack
+/// segments and enters the subclass's ghost list.
+fn push_ghost(
+    trackers: &mut [SubclassTracker],
+    ghosts: &mut Ghosts,
+    s: usize,
+    meta: &ItemMeta,
+) {
+    trackers[s].on_evict(meta.key);
+    ghosts.push(s, meta.key, meta.penalty);
+}
+
+/// The PAMA policy (and, in count mode, pre-PAMA), over the item store
+/// `S` its cache's queues link (the simulator's arena by default).
 #[derive(Debug, Clone)]
-pub struct Pama {
-    cache: BaseCache,
+pub struct Pama<S = Arena<ItemMeta>> {
+    cache: BaseCache<S>,
     pcfg: PamaConfig,
     /// One tracker per (class, band), row-major by class.
     trackers: Vec<SubclassTracker>,
@@ -250,23 +263,26 @@ impl Pama {
         let bands = cache_cfg.num_bands();
         Self::over(BaseCache::new(cache_cfg, bands), pcfg)
     }
+}
 
-    /// PAMA for a store that keeps each item's handle ([`Loc`]) itself,
-    /// as the kv store's entries do: the policy's cache keeps no key
-    /// index ([`BaseCache::unindexed`]), so the store's own map is the
-    /// only per-key map of resident items. Such a policy is driven
-    /// through the handle entry points only — [`on_hit`](Self::on_hit),
+impl<S: ItemStore> Pama<S> {
+    /// PAMA whose queues link the nodes of `store`, for an owner that
+    /// keeps each item's handle itself, as the kv store's index does:
+    /// the policy's cache keeps no key index
+    /// ([`BaseCache::with_store`]), so the owner's map is the only
+    /// per-key map of resident items. Such a policy is driven through
+    /// the handle entry points only — [`on_hit`](Self::on_hit),
     /// [`on_miss`](Self::on_miss), [`on_set_at`](Self::on_set_at) and
     /// [`on_delete_at`](Self::on_delete_at) — never through the by-key
     /// [`Policy`] methods, which are the same bodies behind an index
     /// lookup. Either way the policy sees one request per GET, SET and
     /// DELETE, so a store and the simulator make the same decisions.
-    pub fn for_store(cache_cfg: CacheConfig, pcfg: PamaConfig) -> Self {
+    pub fn with_store(cache_cfg: CacheConfig, pcfg: PamaConfig, store: S) -> Self {
         let bands = cache_cfg.num_bands();
-        Self::over(BaseCache::unindexed(cache_cfg, bands), pcfg)
+        Self::over(BaseCache::with_store(cache_cfg, bands, store), pcfg)
     }
 
-    fn over(cache: BaseCache, pcfg: PamaConfig) -> Self {
+    fn over(cache: BaseCache<S>, pcfg: PamaConfig) -> Self {
         pcfg.validate().expect("invalid pama config");
         let (nc, bands) = (cache.num_classes(), cache.bands());
         let mut trackers = Vec::with_capacity(nc * bands);
@@ -288,6 +304,19 @@ impl Pama {
             rebuilds: 0,
             next_migration_at: 0,
         }
+    }
+
+    /// The cache: slab ledger, queues and the store (the same cache
+    /// [`Policy::cache`] returns for the simulator's store).
+    pub fn base_cache(&self) -> &BaseCache<S> {
+        &self.cache
+    }
+
+    /// The store, for what neither the cache nor the policy tracks: the
+    /// caller must leave nodes, their links and tags, and their items'
+    /// metadata alone (see [`BaseCache::store_mut`]).
+    pub fn store_mut(&mut self) -> &mut S {
+        self.cache.store_mut()
     }
 
     /// The PAMA tuning in effect.
@@ -347,8 +376,7 @@ impl Pama {
 
     fn ghost_push(&mut self, class: usize, band: usize, meta: &ItemMeta) {
         let s = self.sub(class, band);
-        self.trackers[s].on_evict(meta.key);
-        self.ghosts.push(s, meta.key, meta.penalty);
+        push_ghost(&mut self.trackers, &mut self.ghosts, s, meta);
     }
 
     /// A GET missed in the cache: credit the ghost segment that held
@@ -440,12 +468,23 @@ impl Pama {
         }
         let v_in = self.trackers[self.sub(class, band)].incoming();
         if v_in > v_out && self.accesses >= self.next_migration_at {
-            // Migrate the cheapest candidate slab to the missing class.
-            let mut evicted = Vec::new();
-            if self.cache.migrate_slab(c_star, b_star, class, |m| evicted.push(m)) {
-                for m in evicted {
-                    store.evicted(&m);
-                    self.ghost_push(m.class as usize, m.band as usize, &m);
+            // Migrate the cheapest candidate slab to the missing class,
+            // reporting and ghosting each casualty as it is evicted.
+            let bands = self.bands();
+            let (trackers, ghosts) = (&mut self.trackers, &mut self.ghosts);
+            let migrated = self.cache.migrate_slab(c_star, b_star, class, |m| {
+                store.evicted(&m);
+                let s = m.class as usize * bands + m.band as usize;
+                push_ghost(trackers, ghosts, s, &m);
+            });
+            if migrated {
+                // The store's compaction moved nodes of the source class,
+                // tags included: its trackers follow them.
+                let moved = self.cache.relocated();
+                if !moved.is_empty() {
+                    for t in &mut self.trackers[c_star * bands..(c_star + 1) * bands] {
+                        t.relocate(moved);
+                    }
                 }
                 store.slab_moved(c_star, b_star, class);
                 self.migrations += 1;
@@ -470,7 +509,7 @@ impl Pama {
     /// from evictions, and a slabless class never evicts).
     /// Returns the stored item's handle, or `None` when it could not
     /// be stored.
-    fn pama_insert(&mut self, meta: ItemMeta, store: &mut impl SlabStore) -> Option<Loc> {
+    fn pama_insert(&mut self, meta: ItemMeta, store: &mut impl SlabStore) -> Option<NodeRef> {
         self.ghosts.remove(meta.key);
         let stored = self.insert_tracked(meta, store).or_else(|| {
             if self.make_room(meta.class as usize, meta.band as usize, store) {
@@ -487,12 +526,16 @@ impl Pama {
 
     /// One `BaseCache::insert` attempt, reporting a grant to `store`
     /// when the insert pulled a fresh slab from the free pool.
-    fn insert_tracked(&mut self, meta: ItemMeta, store: &mut impl SlabStore) -> Option<Loc> {
+    fn insert_tracked(
+        &mut self,
+        meta: ItemMeta,
+        store: &mut impl SlabStore,
+    ) -> Option<NodeRef> {
         let outcome = self.cache.insert(meta);
         if let InsertOutcome::StoredWithNewSlab(_) = outcome {
             store.slab_granted(meta.class as usize);
         }
-        outcome.loc()
+        outcome.node()
     }
 
     fn meta_with_band(&self, req: &Request, tick: Tick) -> Option<ItemMeta> {
@@ -501,30 +544,21 @@ impl Pama {
         Some(meta)
     }
 
-    /// A GET hit on the item at `loc`. The access always counts — it
+    /// A GET hit on the item at `node`. The access always counts — it
     /// happened when the hit was served — but a handle that no longer
     /// names `key`'s node (the item left, or its node was reused: the
     /// kv store defers hits to its next write lock) promotes nothing:
     /// it was a hit when served, so a miss-path ghost credit now would
     /// double-count it. Returns whether the handle was current.
-    pub fn on_hit(&mut self, key: u64, loc: Loc, tick: Tick) -> bool {
+    pub fn on_hit(&mut self, key: u64, node: NodeRef, tick: Tick) -> bool {
         self.note_access();
-        let Some(meta) = self.cache.touch_at(loc, key, tick.now) else {
+        let Some(meta) = self.cache.touch_at(node, key, tick.now) else {
             return false;
         };
         let w = self.weight(meta.penalty);
-        let s = self.sub(loc.class as usize, loc.band as usize);
-        let queue = self.cache.queue_mut(loc.class as usize, loc.band as usize);
-        self.trackers[s].on_hit(queue, loc.node, key, w);
+        let s = self.sub(meta.class as usize, meta.band as usize);
+        self.trackers[s].on_hit(self.cache.store_mut(), node, key, w);
         true
-    }
-
-    /// Applies a batch of deferred hits, oldest first, each through
-    /// [`on_hit`](Self::on_hit).
-    pub fn on_hits(&mut self, hits: &[(u64, Loc)], tick: Tick) {
-        for &(key, loc) in hits {
-            self.on_hit(key, loc, tick);
-        }
     }
 
     /// A GET miss of `key`: one access plus the ghost credit. `stale` is
@@ -533,9 +567,9 @@ impl Pama {
     /// within this one request, without a ghost, as on a DELETE.
     /// Returns the penalty the key's ghost carried, if it had one.
     /// Demand-fill, where configured, is the caller's.
-    pub fn on_miss(&mut self, key: u64, stale: Option<Loc>) -> Option<SimDuration> {
-        if let Some(loc) = stale {
-            let removed = self.remove_resident(loc, key);
+    pub fn on_miss(&mut self, key: u64, stale: Option<NodeRef>) -> Option<SimDuration> {
+        if let Some(node) = stale {
+            let removed = self.remove_resident(node, key);
             debug_assert!(removed, "stale handle for key {key}");
         }
         debug_assert!(
@@ -566,20 +600,21 @@ impl Pama {
         &mut self,
         req: &Request,
         tick: Tick,
-        resident: Option<Loc>,
+        resident: Option<NodeRef>,
         store: &mut impl SlabStore,
-    ) -> Option<Loc> {
+    ) -> Option<NodeRef> {
         self.note_access();
         let meta = self.meta_with_band(req, tick);
-        if let Some(loc) = resident {
-            match meta {
-                Some(m) if (m.class, m.band) == (loc.class, loc.band) => {
-                    let updated = self.cache.update_at(loc, m);
-                    debug_assert!(updated, "stale handle for resident key {}", req.key);
-                    return Some(loc);
+        if let Some(node) = resident {
+            let old = self.cache.meta_at(node, req.key);
+            debug_assert!(old.is_some(), "stale handle for resident key {}", req.key);
+            match (meta, old) {
+                (Some(m), Some(old)) if (m.class, m.band) == (old.class, old.band) => {
+                    self.cache.update_at(node, m);
+                    return Some(node);
                 }
                 _ => {
-                    self.remove_resident(loc, req.key);
+                    self.remove_resident(node, req.key);
                 }
             }
         }
@@ -593,9 +628,9 @@ impl Pama {
     /// have a ghost (every insert forgets the key's ghost first), so a
     /// removal skips the ghost index. Returns whether an item was
     /// removed.
-    pub fn on_delete_at(&mut self, key: u64, resident: Option<Loc>) -> bool {
+    pub fn on_delete_at(&mut self, key: u64, resident: Option<NodeRef>) -> bool {
         self.note_access();
-        let removed = resident.is_some_and(|loc| self.remove_resident(loc, key));
+        let removed = resident.is_some_and(|node| self.remove_resident(node, key));
         if removed {
             debug_assert!(!self.ghosts.index.contains_key(&key), "resident key {key} ghosted");
         } else {
@@ -604,13 +639,13 @@ impl Pama {
         removed
     }
 
-    /// Removes the item at `loc` without ghosting it: it left by request,
-    /// not by eviction. Returns whether the handle was current.
-    fn remove_resident(&mut self, loc: Loc, key: u64) -> bool {
-        if self.cache.remove_at(loc, key).is_none() {
+    /// Removes the item at `node` without ghosting it: it left by
+    /// request, not by eviction. Returns whether the handle was current.
+    fn remove_resident(&mut self, node: NodeRef, key: u64) -> bool {
+        let Some(meta) = self.cache.remove_at(node, key) else {
             return false;
-        }
-        let s = self.sub(loc.class as usize, loc.band as usize);
+        };
+        let s = self.sub(meta.class as usize, meta.band as usize);
         self.trackers[s].on_remove(key);
         true
     }
@@ -623,13 +658,22 @@ impl Pama {
     }
 
     /// Window boundary: re-snapshot every subclass's bottom segments
-    /// and ghost segments, and decay values.
+    /// and ghost segments, and decay values. Every subclass's queue
+    /// links nodes of the one store, so a tracker's stale handles may
+    /// name another subclass's nodes by now: every tracker clears its
+    /// old tags before any tags anew.
     fn rebuild_snapshots(&mut self) {
         self.rebuilds += 1;
+        let store = self.cache.store_mut();
+        for t in &mut self.trackers {
+            t.clear_tags(store);
+        }
         for c in 0..self.cache.num_classes() {
             for b in 0..self.bands() {
                 let s = self.sub(c, b);
-                self.trackers[s].rebuild(self.cache.queue_mut(c, b), |m| m.key);
+                let (queue, store) = self.cache.queue_and_store(c, b);
+                let key_of = |st: &S, n| st.item(n).expect("a queue links only live nodes").key;
+                self.trackers[s].rebuild(queue, store, key_of);
                 self.ghosts.snapshot(s);
             }
         }
@@ -655,8 +699,8 @@ impl Policy for Pama {
     }
 
     fn on_get(&mut self, req: &Request, tick: Tick) -> GetOutcome {
-        if let Some(loc) = self.cache.lookup(req.key) {
-            self.on_hit(req.key, loc, tick);
+        if let Some(node) = self.cache.lookup(req.key) {
+            self.on_hit(req.key, node, tick);
             return GetOutcome::HIT;
         }
         self.on_miss(req.key, None);
@@ -868,7 +912,7 @@ mod tests {
         let mut c = cfg();
         c.total_bytes = 4 << 10;
         c.demand_fill = false;
-        let mut p = Pama::for_store(c, PamaConfig { value_window: 1, ..pcfg() });
+        let mut p = Pama::with_store(c, PamaConfig { value_window: 1, ..pcfg() }, Arena::new());
         assert!(!p.cache().is_indexed());
         let set = |k| get_set(k, 2000, 1000);
         let loc1 = p.on_set_at(&set(1), tick(0), None, &mut ()).unwrap();
@@ -929,16 +973,16 @@ mod tests {
 
     #[test]
     fn a_set_that_keeps_class_and_band_updates_in_place() {
-        let mut p = Pama::for_store(cfg(), pcfg());
+        let mut p = Pama::with_store(cfg(), pcfg(), Arena::new());
         let loc1 = p.on_set_at(&get_set(1, 40, 5), tick(0), None, &mut ()).unwrap();
         p.on_set_at(&get_set(2, 40, 5), tick(1), None, &mut ()).unwrap();
         // 50 and 40 bytes share a class, 6 and 5 ms a band: the node
         // stays, takes the new sizes and moves to the front.
         let again = p.on_set_at(&get_set(1, 50, 6), tick(2), Some(loc1), &mut ());
         assert_eq!(again, Some(loc1));
-        let m = *p.cache().meta_at(loc1, 1).unwrap();
+        let m = p.cache().meta_at(loc1, 1).unwrap();
         assert_eq!((m.value_size, m.penalty), (50, SimDuration::from_millis(6)));
-        let order: Vec<u64> = p.cache().class(0).queues[1].iter().map(|m| m.key).collect();
+        let order: Vec<u64> = p.cache().items(0, 1).map(|m| m.key).collect();
         assert_eq!(order, vec![1, 2]);
         assert_eq!((p.cache().len(), p.accesses), (2, 3));
         p.cache().check_invariants().unwrap();
@@ -1007,10 +1051,11 @@ mod tests {
         assert_eq!(by_key.migrations(), by_handle.migrations());
         assert_eq!(by_key.rebuilds(), by_handle.rebuilds());
         for class in 0..by_key.cache().num_classes() {
-            let (a, b) = (by_key.cache().class(class), by_handle.cache().class(class));
-            assert_eq!(a.slabs, b.slabs, "class {class} slabs");
-            for (qa, qb) in a.queues.iter().zip(&b.queues) {
-                assert!(qa.iter().eq(qb.iter()), "class {class}: LRU order diverged");
+            let (a, b) = (by_key.cache(), by_handle.cache());
+            assert_eq!(a.class(class).slabs, b.class(class).slabs, "class {class} slabs");
+            for band in 0..a.bands() {
+                let same = a.items(class, band).eq(b.items(class, band));
+                assert!(same, "class {class}: LRU order diverged");
             }
         }
         by_handle.cache().check_invariants().unwrap();
@@ -1060,8 +1105,8 @@ mod tests {
     fn resident_keys(p: &Pama) -> std::collections::BTreeSet<u64> {
         let cache = p.cache();
         (0..cache.num_classes())
-            .flat_map(|c| cache.class(c).queues.iter())
-            .flat_map(|q| q.iter().map(|m| m.key))
+            .flat_map(|c| (0..cache.bands()).flat_map(move |b| cache.items(c, b)))
+            .map(|m| m.key)
             .collect()
     }
 

@@ -34,14 +34,19 @@
 //!   positives, so measured PAMA behaviour is the algorithm's, not an
 //!   artefact of filter noise). At each rebuild the tracker clears the
 //!   tags it set last time and tags the bottom `(m + 1)·spslab` nodes
-//!   of its LRU stack with their segment ([`LruList::set_tag`], one
-//!   byte in each node's padding). A hit takes its node's tag
-//!   ([`LruList::take_tag`]) and credits that segment. A tag leaves
-//!   with a hit, and with its node on an eviction or removal; a node
-//!   moved without a hit (an in-place update) keeps it. A node is
-//!   therefore tagged exactly while a per-subclass `key → segment` map
-//!   filled at the rebuild would still hold its key, so the credits are
-//!   that map's, with nothing hashed and nothing keyed per item;
+//!   of its LRU stack with their segment ([`Links::set_tag`], one byte
+//!   in each node). A hit takes its node's tag and credits that
+//!   segment. A tag leaves with a hit, and with its node on an
+//!   eviction or removal; a node moved without a hit (an in-place
+//!   update) keeps it, and so does a node a physical store relocates,
+//!   whose new handle the tracker is told ([`SubclassTracker::relocate`]).
+//!   A node is therefore tagged exactly while a per-subclass
+//!   `key → segment` map filled at the rebuild would still hold its
+//!   key, so the credits are that map's, with nothing hashed and
+//!   nothing keyed per item. When several queues share one store, a
+//!   tracker's old handles may name nodes of other queues by now, so
+//!   the owner clears every tracker's tags
+//!   ([`SubclassTracker::clear_tags`]) before any tracker tags anew;
 //! * **bloom** — the paper's per-segment Bloom filters plus removal
 //!   filter ([`pama_bloom::SegmentedMembership`]), keyed by the item's
 //!   key, for fidelity runs and the space/accuracy ablation bench.
@@ -53,7 +58,7 @@
 //! it last computed, refreshed whenever a stack value changes, so the
 //! candidate scan on every evicting fill reads one float per subclass.
 
-use crate::lru::{LruList, NodeRef};
+use crate::lru::{Links, NodeRef, Queue};
 use pama_bloom::SegmentedMembership;
 
 /// Membership engine selection.
@@ -122,19 +127,23 @@ impl SubclassTracker {
     }
 
     /// Records a GET hit on `key`, whose node in this subclass's stack
-    /// `queue` is `node`. When the item sits in a tracked stack segment,
-    /// that segment's value grows by `weight` and the item leaves the
-    /// segment (it moved to the stack top). Returns the segment index
-    /// hit, if any.
-    pub fn on_hit<T>(
+    /// is `node`, in the store `links`. When the item sits in a tracked
+    /// stack segment, that segment's value grows by `weight` and the
+    /// item leaves the segment (it moved to the stack top). Returns the
+    /// segment index hit, if any.
+    pub fn on_hit(
         &mut self,
-        queue: &mut LruList<T>,
+        links: &mut impl Links,
         node: NodeRef,
         key: u64,
         weight: f64,
     ) -> Option<usize> {
         let seg = match &mut self.stack_mem {
-            Membership::Exact(_) => usize::from(queue.take_tag(node)).checked_sub(1)?,
+            Membership::Exact(_) => {
+                let tag = links.tag(node.index());
+                links.set_tag(node.index(), 0);
+                usize::from(tag).checked_sub(1)?
+            }
             Membership::Bloom(b) => {
                 let seg = b.query(key)?;
                 b.note_removed(key);
@@ -195,29 +204,60 @@ impl SubclassTracker {
         &self.ghost_vals
     }
 
-    /// Window-boundary rebuild: re-snapshots the stack membership from
-    /// the bottom `(m + 1)·spslab` items of `queue` (the first `spslab`
-    /// from the bottom form segment 0, the candidate segment), reading
-    /// each item's key with `key_of` for the Bloom engine, and halves
-    /// all accumulated values, stack and ghost alike.
-    pub fn rebuild<T>(&mut self, queue: &mut LruList<T>, key_of: impl Fn(&T) -> u64) {
+    /// Clears every tag this tracker set at its last rebuild, on nodes
+    /// that may have been freed or reused since (exact engine only).
+    pub fn clear_tags(&mut self, links: &mut impl Links) {
+        if let Membership::Exact(tagged) = &mut self.stack_mem {
+            for &r in tagged.iter() {
+                links.clear_tag(r.index());
+            }
+            tagged.clear();
+        }
+    }
+
+    /// A physical store moved nodes, tags included: each `(old, new)`
+    /// pair in `moved`, which is sorted by `old`, repoints a handle this
+    /// tracker holds, so that the next rebuild clears the tag where it
+    /// now is.
+    pub fn relocate(&mut self, moved: &[(NodeRef, NodeRef)]) {
+        debug_assert!(moved.windows(2).all(|w| w[0].0 < w[1].0), "moves not sorted");
+        if let Membership::Exact(tagged) = &mut self.stack_mem {
+            for r in tagged.iter_mut() {
+                if let Ok(i) = moved.binary_search_by_key(&*r, |&(old, _)| old) {
+                    *r = moved[i].1;
+                }
+            }
+        }
+    }
+
+    /// Window-boundary rebuild: clears this tracker's tags
+    /// ([`clear_tags`](Self::clear_tags)), re-snapshots the stack
+    /// membership from the bottom `(m + 1)·spslab` items of `queue`,
+    /// whose nodes live in `links` (the first `spslab` from the bottom
+    /// form segment 0, the candidate segment), reading each item's key
+    /// with `key_of` for the Bloom engine, and halves all accumulated
+    /// values, stack and ghost alike.
+    pub fn rebuild<L: Links>(
+        &mut self,
+        queue: &Queue,
+        links: &mut L,
+        key_of: impl Fn(&L, NodeRef) -> u64,
+    ) {
+        self.clear_tags(links);
         let (m, spslab) = (self.m, self.spslab);
         match &mut self.stack_mem {
             Membership::Exact(tagged) => {
-                for &r in tagged.iter() {
-                    queue.clear_tag(r);
-                }
-                tagged.clear();
                 let mut cur = queue.back();
                 while let Some(r) = cur.filter(|_| tagged.len() < (m + 1) * spslab) {
-                    queue.set_tag(r, (tagged.len() / spslab + 1) as u8);
+                    links.set_tag(r.index(), (tagged.len() / spslab + 1) as u8);
                     tagged.push(r);
-                    cur = queue.prev(r);
+                    cur = queue.prev(links, r);
                 }
             }
             Membership::Bloom(b) => {
-                let segs =
-                    chunk_segments(queue.iter_from_back(usize::MAX).map(key_of), m, spslab);
+                let links: &L = links;
+                let keys = queue.iter_from_back(links, usize::MAX).map(|r| key_of(links, r));
+                let segs = chunk_segments(keys, m, spslab);
                 b.rebuild_all(segs.iter().map(|v| v.iter().copied()));
             }
         }
@@ -263,6 +303,7 @@ pub fn chunk_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru::LruList;
     use std::collections::HashMap;
 
     /// A subclass stack of bare keys and its tracker, driven the way
@@ -292,14 +333,15 @@ mod tests {
         }
 
         fn rebuild(&mut self) {
-            self.t.rebuild(&mut self.queue, |&k| k);
+            let (queue, arena) = self.queue.split_mut();
+            self.t.rebuild(queue, arena, |a, r| *a.get(r));
         }
 
         /// A hit: promote, then credit whatever segment the item sat in.
         fn hit(&mut self, k: u64, w: f64) -> Option<usize> {
             let node = self.nodes[&k];
             self.queue.move_to_front(node);
-            self.t.on_hit(&mut self.queue, node, k, w)
+            self.t.on_hit(self.queue.split_mut().1, node, k, w)
         }
 
         fn evict(&mut self, k: u64) {

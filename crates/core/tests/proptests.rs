@@ -182,7 +182,8 @@ proptest! {
         for k in (0..3u64).flat_map(|i| (0..8).map(move |j| i * 100 + j)) {
             nodes.insert(k, queue.push_front(k));
         }
-        t.rebuild(&mut queue, |&k| k);
+        let (q, arena) = queue.split_mut();
+        t.rebuild(q, arena, |a, r| *a.get(r));
         let mut expect = [0.0f64; 3];
         let mut used: HashMap<u64, bool> = HashMap::new();
         for (seg, w) in hits {
@@ -191,7 +192,7 @@ proptest! {
             if let Some(k) = key {
                 used.insert(k, true);
                 queue.move_to_front(nodes[&k]);
-                let got = t.on_hit(&mut queue, nodes[&k], k, w);
+                let got = t.on_hit(queue.split_mut().1, nodes[&k], k, w);
                 prop_assert_eq!(got, Some(seg));
                 expect[seg] += w;
             }
@@ -227,7 +228,7 @@ proptest! {
                 TagOp::Hit(i, w) if !live.is_empty() => {
                     let (k, node) = live[i % live.len()];
                     queue.move_to_front(node);
-                    let got = t.on_hit(&mut queue, node, k, w);
+                    let got = t.on_hit(queue.split_mut().1, node, k, w);
                     let want = model.remove(&k);
                     prop_assert_eq!(got, want, "key {}", k);
                     if let Some(seg) = want {
@@ -251,7 +252,8 @@ proptest! {
                     queue.move_to_front(live[i % live.len()].1);
                 }
                 TagOp::Rebuild => {
-                    t.rebuild(&mut queue, |&k| k);
+                    let (q, arena) = queue.split_mut();
+                    t.rebuild(q, arena, |a, r| *a.get(r));
                     model = queue
                         .iter_from_back((m + 1) * spslab)
                         .enumerate()

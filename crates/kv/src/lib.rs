@@ -26,12 +26,13 @@
 //! * a **read-mostly hot path**: a cache-hit GET runs entirely under a
 //!   shared read lock; LRU promotion and PAMA bookkeeping are recorded
 //!   in a per-shard lock-free log and applied in batches under the
-//!   write lock, each straight to the item's LRU node through the
-//!   policy handle its entry carries (see DESIGN.md, "Concurrency
-//!   model"). A hit touches only shard-local memory: one bucket of an
-//!   index sized by the keys actually resident (32-byte entries), one
-//!   arena read for the key check and the value copy, the shard's own
-//!   stripe of band counters, and the clock only when the entry has a
+//!   write lock, each straight to the item's slot record, which the
+//!   policy's LRU queues link (see DESIGN.md, "Concurrency model").
+//!   A hit touches only shard-local memory: one bucket of an index
+//!   sized by the keys actually resident (`hash → slot`, 16-byte
+//!   buckets), one arena read of the slot's 48-byte record and bytes
+//!   for the key check, the TTL and the value copy, the shard's own
+//!   stripe of band counters, and the clock only when the item has a
 //!   TTL. [`PamaCache::lookup_with`] hands the hit's bytes, as stored
 //!   in the arena, to a caller's visitor instead of copying them out;
 //! * **batched operations**: [`PamaCache::multi_get`] /
@@ -63,6 +64,7 @@
 mod log;
 mod options;
 mod shard;
+mod slots;
 mod stats;
 
 pub use options::{CacheError, CacheValue, SetOptions, ValueRef};
@@ -475,7 +477,7 @@ impl PamaCache {
         Some(&self.metrics)
     }
 
-    /// Drops every entry in every shard — Memcached `flush_all`.
+    /// Drops every item in every shard — Memcached `flush_all`.
     /// Returns the number of items removed. The flushed items'
     /// penalties go with them; a key missed before the flush still
     /// measures its miss→SET gap.
@@ -497,7 +499,7 @@ impl PamaCache {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Runs an expiry sweep over every shard, removing entries whose
+    /// Runs an expiry sweep over every shard, removing items whose
     /// TTL has lapsed. Expiry is otherwise lazy (checked on access).
     pub fn sweep_expired(&self) -> usize {
         let now = self.now();

@@ -2,14 +2,13 @@
 //!
 //! A cache-hit GET on the concurrent read path never takes the shard's
 //! write lock; it records the hit here instead, as the key hash plus
-//! the item's policy handle ([`Loc`]: size class, penalty band and LRU
-//! node), which the read path assembled from the entry and the slot's
-//! slab header. The log is a bounded lock-free ring
+//! the item's slot, whose node id is the item's policy handle (the
+//! policy's queues link slot records). The log is a bounded lock-free ring
 //! ([`crossbeam::queue::ArrayQueue`]) drained in batches whenever the
 //! write lock is taken anyway — SET, DELETE, a GET miss, a TTL sweep,
 //! or an explicit flush. The drain hands each record to the policy by
-//! handle, so promoting a hit never looks up the policy's key index; a
-//! record whose node no longer holds its hash is skipped.
+//! handle, so promoting a hit never looks up a key index; a record
+//! whose slot no longer holds its hash is skipped.
 //!
 //! The log is **lossy by design**: when the ring is full a hit is
 //! counted and discarded rather than blocking the reader (or worse,
@@ -25,11 +24,14 @@
 //! already accepts.
 
 use crossbeam::queue::ArrayQueue;
-use pama_core::cache::Loc;
+use pama_slab::SlotRef;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One deferred hit: the key hash and the item's policy handle.
-pub(crate) type HitRecord = (u64, Loc);
+/// One deferred hit: the key hash and the item's slot.
+pub(crate) type HitRecord = (u64, SlotRef);
+
+// Two records fill a 32-byte half line of the ring.
+const _: () = assert!(std::mem::size_of::<HitRecord>() <= 16);
 
 pub(crate) struct AccessLog {
     ring: ArrayQueue<HitRecord>,
@@ -75,11 +77,9 @@ impl AccessLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pama_core::lru::LruList;
 
     fn hit(h: u64) -> HitRecord {
-        let node = LruList::new().push_front(());
-        (h, Loc { class: 0, band: 0, node })
+        (h, SlotRef { slab: 0, slot: h as u32 })
     }
 
     #[test]

@@ -87,6 +87,14 @@ pub enum CacheError {
         /// Key + value bytes of the refused item.
         item_bytes: u64,
     },
+    /// The key is longer than an item record can describe; no key of
+    /// that length can be stored.
+    KeyTooLong {
+        /// The key's length in bytes.
+        key_bytes: usize,
+        /// The longest key an item record describes.
+        max_bytes: usize,
+    },
     /// The cache was closed via [`crate::PamaCache::close`]; reads
     /// still drain but mutations are refused.
     ShuttingDown,
@@ -100,6 +108,9 @@ impl std::fmt::Display for CacheError {
             }
             CacheError::CapacityExhausted { item_bytes } => {
                 write!(f, "no slab space for a {item_bytes} B item")
+            }
+            CacheError::KeyTooLong { key_bytes, max_bytes } => {
+                write!(f, "key of {key_bytes} B exceeds the {max_bytes} B key limit")
             }
             CacheError::ShuttingDown => write!(f, "cache is shutting down"),
         }

@@ -5,11 +5,12 @@
 //! Concurrency model (see DESIGN.md): the mutable state lives in
 //! [`Shard`] behind a [`ShardCell`]'s `RwLock`. A cache-hit GET runs
 //! entirely under the *shared* read lock — one index probe, one arena
-//! read for both the key check and the value (handed to the caller's
-//! visitor in place, or copied out), a clock read
-//! only if the entry has a TTL, and a hit count in the shard's own
-//! stripe of the band registry — and records the hit in the cell's
-//! lock-free [`AccessLog`] instead of promoting the entry inline.
+//! read of the slot's record and bytes for the key check, the TTL, the
+//! flags, the CAS stamp and the value (handed to the caller's visitor
+//! in place, or copied out), a clock read only if the item has a TTL,
+//! and a hit count in the shard's own stripe of the band registry — and
+//! records the hit in the cell's lock-free [`AccessLog`] instead of
+//! promoting the item inline.
 //! Every path that takes the write lock (SET, DELETE, a GET miss, TTL
 //! sweeps, explicit flush) takes it through [`ShardCell::write`], which
 //! drains the log first, so deferred promotions are applied in recorded
@@ -24,48 +25,53 @@
 //! whose read bursts fit the ring, the drained promotions land in
 //! exactly the order and counts inline promotion would produce.
 //!
-//! Each entry carries its item's policy handle ([`Loc`]): the LRU node
-//! and the penalty band live in the entry, and the size class is the
-//! slab header of the entry's slot. The policy is built with
-//! [`Pama::for_store`], so it keeps no key index at all: the entry map
-//! is the only per-key map of resident items. Each call makes the one
-//! policy request the simulator makes for it, addressed by that handle:
+//! Each item has one record: its slab slot's ([`Slots`]), which the
+//! policy's LRU queues link directly, so the slot's node id is the
+//! item's policy handle. The policy is built over that store with
+//! [`Pama::with_store`]; it keeps no key index, and the store's
+//! `hash → slot` index is the only per-key map of resident items. Each
+//! call makes the one policy request the simulator makes for it,
+//! addressed by that handle:
 //!
 //! * a GET hit is [`Pama::on_hit`] (deferred, or inline under the write
-//!   lock; `touch` promotes the same way), and a record whose node no
+//!   lock; `touch` promotes the same way), and a record whose slot no
 //!   longer holds its key (the item left before the drain) is skipped;
 //! * a GET miss is [`Pama::on_miss`], given the handle of a lapsed or
-//!   colliding entry found under the hash, whose item leaves within that
-//!   one request;
-//! * a SET is [`Pama::on_set_at`], given the handle of the entry already
-//!   under the hash — live, lapsed or a colliding key — if any. The
-//!   entry is rewritten with the handle it hands back;
+//!   colliding item found under the hash, which leaves within that one
+//!   request;
+//! * a SET is [`Pama::on_set_at`], given the handle of the item already
+//!   under the hash — live, lapsed or a colliding key — if any. An item
+//!   that keeps its class and band keeps its slot, rewritten in place;
 //! * a DELETE is [`Pama::on_delete_at`], made whether or not the key is
 //!   resident, so an absent key's ghost is forgotten. Expiry found by
 //!   other calls, sweeps and `flush_all` remove items with it too.
 //!
-//! A SET hands the policy the shard's storage as its [`SlabStore`]
-//! ([`Storage`]), so each eviction, slab grant and slab move reaches the
-//! arena and the index as the policy decides it. The operation counters
-//! ([`ShardCounters`]) are plain integers the shard owns.
+//! The store carries out each storage decision as the policy makes it
+//! (slot allocation and freeing, slab grants, and the compaction of a
+//! slab move, which relinks every moved record), keeping the index in
+//! step. A SET also hands the policy a [`SlabStore`] observer
+//! ([`Storage`]) that counts evictions, grants and moves in the
+//! registry. The operation counters ([`ShardCounters`]) are plain
+//! integers the shard owns.
 //!
-//! A key's penalty lives in the policy, in its LRU node or its ghost
-//! entry; open miss windows sit in a fixed table ([`MissWindow`]).
+//! A key's penalty lives in the policy's records: its slot record or its
+//! ghost entry; open miss windows sit in a fixed table ([`MissWindow`]).
 
 use crate::log::{AccessLog, HitRecord};
 use crate::options::{CacheError, CacheValue, SetOptions, ValueRef};
+use crate::slots::{expired, Slots, NEVER};
 use crate::stats::{ShardCounters, SlabClassReport, SlabReport};
 use bytes::Bytes;
-use pama_core::cache::{ItemMeta, Loc};
+use pama_core::cache::ItemMeta;
 use pama_core::config::{CacheConfig, Tick};
 use pama_core::lru::NodeRef;
-use pama_core::policy::{Pama, PamaConfig, Policy, SlabStore};
+use pama_core::policy::{Pama, PamaConfig, SlabStore};
 use pama_faults::BackendSim;
 use pama_metrics::MetricsRegistry;
-use pama_slab::{SlabArena, SlotRef};
+use pama_slab::{Record, SlotRef, MAX_KEY_LEN};
 use pama_trace::penalty::{DEFAULT_PENALTY, PENALTY_CAP};
 use pama_trace::Request;
-use pama_util::{FastMap, SimDuration, SimTime};
+use pama_util::{SimDuration, SimTime};
 use parking_lot::{RwLock, RwLockWriteGuard};
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,81 +82,10 @@ use std::time::Instant;
 /// lock, short enough not to stall the writer that triggers it.
 const ACCESS_LOG_CAPACITY: usize = 4096;
 
-/// The expiry of an entry without a TTL: later than any clock reading.
-const NEVER: SimTime = SimTime(u64::MAX);
-
-/// Bits of [`Entry::stamp`] that hold the penalty band.
-const BAND_BITS: u32 = 8;
-
-/// A stored entry: the arena slot holding its `key ‖ value` bytes
-/// (the slot stores the full key for collision rejection), the expiry
-/// ([`NEVER`] without a TTL), the wire-protocol metadata (opaque flags,
-/// store-order CAS stamp), and the item's policy handle less its class,
-/// which the slot's slab header supplies.
-#[derive(Debug, Clone)]
-struct Entry {
-    slot: SlotRef,
-    expires: SimTime,
-    /// `serial << BAND_BITS | band`: the store-order serial, which is
-    /// the CAS value, above the penalty band the policy filed the item
-    /// under. The band is stable while resident (an item's penalty is
-    /// fixed until overwritten), so the read path attributes hits per
-    /// band and builds the handle without asking the policy. The CAS
-    /// value equals the serial while the serial stays below 2^56.
-    stamp: u64,
-    flags: u32,
-    /// The item's node in its (class, band) LRU queue.
-    node: NodeRef,
-}
-
-// Every resident key costs one `(hash, Entry)` index bucket, and each hit
-// reads one: at 32 B, two entries fit a cache line.
-const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
-
-impl Entry {
-    /// An entry stored at serial `serial` for the item the policy filed
-    /// at `loc`.
-    fn new(slot: SlotRef, expires: SimTime, flags: u32, serial: u64, loc: Loc) -> Self {
-        debug_assert!(loc.band < 1 << BAND_BITS, "band {} does not fit the stamp", loc.band);
-        Self {
-            slot,
-            expires,
-            stamp: serial << BAND_BITS | u64::from(loc.band),
-            flags,
-            node: loc.node,
-        }
-    }
-
-    /// The CAS stamp: the serial of the SET that stored the entry.
-    #[inline]
-    fn cas(&self) -> u64 {
-        self.stamp >> BAND_BITS
-    }
-
-    /// The penalty band the policy filed the item under.
-    #[inline]
-    fn band(&self) -> usize {
-        (self.stamp & ((1 << BAND_BITS) - 1)) as usize
-    }
-
-    /// The item's policy handle, given the class of its slot's slab.
-    #[inline]
-    fn loc(&self, class: usize) -> Loc {
-        Loc { class: class as u32, band: self.band() as u32, node: self.node }
-    }
-
-    /// Whether the TTL has lapsed. `now` is only called for an entry
-    /// that has a TTL, so the hit path skips the clock for the rest.
-    #[inline]
-    fn expired(&self, now: impl FnOnce() -> SimTime) -> bool {
-        self.expires != NEVER && now() >= self.expires
-    }
-}
-
-/// The expiry of an entry stored at `now` with `ttl`; saturates to
+/// The expiry stamp of an item stored at `now` with `ttl`; saturates to
 /// [`NEVER`] rather than overflow.
-fn expiry(now: SimTime, ttl: Option<SimDuration>) -> SimTime {
-    ttl.map_or(NEVER, |d| SimTime(now.as_micros().saturating_add(d.as_micros())))
+fn expiry(now: SimTime, ttl: Option<SimDuration>) -> u64 {
+    ttl.map_or(NEVER, |d| now.as_micros().saturating_add(d.as_micros()))
 }
 
 /// Slots in each shard's miss-window table: 16 KiB of 32 B slots. A few
@@ -161,9 +96,9 @@ const WINDOW_SLOTS: usize = 512;
 /// hash `key` missed at `miss_at`, and a SET within [`PENALTY_CAP`]
 /// records the gap as its penalty. `known` is a penalty known at the
 /// miss: the backend's fetch latency (with no gap: `miss_at` is
-/// [`NEVER`]) or the key's ghost's penalty. A miss overwrites its slot,
-/// and a slot keeps the full hash, so a key whose window a colliding
-/// key overwrote finds none rather than the other key's.
+/// `SimTime(NEVER)`) or the key's ghost's penalty. A miss overwrites
+/// its slot, and a slot keeps the full hash, so a key whose window a
+/// colliding key overwrote finds none rather than the other key's.
 #[derive(Debug, Clone, Copy)]
 struct MissWindow {
     key: u64,
@@ -172,7 +107,7 @@ struct MissWindow {
 }
 
 /// A slot that measures nothing and knows nothing.
-const CLOSED: MissWindow = MissWindow { key: 0, miss_at: NEVER, known: None };
+const CLOSED: MissWindow = MissWindow { key: 0, miss_at: SimTime(NEVER), known: None };
 
 /// The window slot of hash `h`: the top bits of a multiplicative mix,
 /// not the low bits that pick the shard.
@@ -192,11 +127,9 @@ enum EntryState {
 }
 
 pub(crate) struct Shard {
-    policy: Pama,
-    entries: FastMap<u64, Entry>,
-    /// The shard's byte store, kept in lockstep with the policy's slab
-    /// ledger.
-    arena: SlabArena,
+    /// The allocation policy, whose queues link the records of the
+    /// shard's slots: the arena and the index live in its store.
+    policy: Pama<Slots>,
     /// Open miss windows, allocated once and never resized or swept.
     windows: Box<[MissWindow]>,
     /// Shard geometry, kept so `set` can tell "can never fit"
@@ -222,47 +155,24 @@ pub(crate) struct Shard {
     hit_buf: Vec<HitRecord>,
 }
 
-/// The shard's storage as the policy's [`SlabStore`]: each decision
-/// moves real memory as the policy makes it. Evicted keys leave the
-/// index and free their slots, grants carve fresh slabs, and slab moves
-/// compact and re-carve, repointing every relocated entry.
+/// The registry as the policy's [`SlabStore`] observer: each eviction,
+/// slab grant and slab move is counted as the policy makes it (the
+/// store itself frees, carves and compacts).
 struct Storage<'a> {
-    arena: &'a mut SlabArena,
-    entries: &'a mut FastMap<u64, Entry>,
     metrics: &'a MetricsRegistry,
     stripe: usize,
 }
 
 impl SlabStore for Storage<'_> {
     fn evicted(&mut self, item: &ItemMeta) {
-        if let Some(entry) = self.entries.remove(&item.key) {
-            Shard::release(self.arena, &entry);
-            self.metrics.band(self.stripe, item.band as usize).evictions.inc();
-        } else {
-            debug_assert!(false, "policy evicted a key the store never held");
-        }
+        self.metrics.band(self.stripe, item.band as usize).evictions.inc();
     }
 
-    fn slab_granted(&mut self, class: usize) {
-        let granted = self.arena.grant_slab(class);
-        debug_assert!(granted.is_ok(), "slab grant drifted: {granted:?}");
+    fn slab_granted(&mut self, _: usize) {
         self.metrics.slab_grants.inc();
     }
 
-    fn slab_moved(&mut self, src_class: usize, src_band: usize, dst_class: usize) {
-        let entries = &mut *self.entries;
-        let t0 = Instant::now();
-        let moved = self.arena.transfer_slab(src_class, dst_class, |hash, old, new| {
-            if let Some(entry) = entries.get_mut(&hash) {
-                debug_assert!(
-                    entry.slot == old,
-                    "compaction moved a slot the index didn't own"
-                );
-                entry.slot = new;
-            }
-        });
-        debug_assert!(moved.is_ok(), "slab transfer drifted: {moved:?}");
-        self.metrics.slab_move_us.record(t0.elapsed().as_micros() as u64);
+    fn slab_moved(&mut self, _: usize, src_band: usize, _: usize) {
         self.metrics.band(self.stripe, src_band).slab_moves.inc();
     }
 }
@@ -276,7 +186,7 @@ pub(crate) fn registry_for(cfg: &CacheConfig, shards: usize) -> Arc<MetricsRegis
 
 impl Shard {
     /// A shard that records into stripe `stripe` of `metrics`. The
-    /// index maps start empty and grow with the keys actually resident.
+    /// index starts empty and grows with the keys actually resident.
     pub fn new(
         mut cfg: CacheConfig,
         pama: PamaConfig,
@@ -286,14 +196,9 @@ impl Shard {
         // The shard drives inserts explicitly through `set`; the
         // policy must never phantom-fill on its own.
         cfg.demand_fill = false;
-        let arena = SlabArena::new(&cfg);
-        // The entries keep every item's handle, so the policy keeps no
-        // key index of its own.
-        let policy = Pama::for_store(cfg.clone(), pama);
+        let slots = Slots::new(&cfg, Arc::clone(&metrics));
         Self {
-            policy,
-            entries: FastMap::default(),
-            arena,
+            policy: Pama::with_store(cfg.clone(), pama, slots),
             windows: vec![CLOSED; WINDOW_SLOTS].into_boxed_slice(),
             cfg,
             serial: 0,
@@ -310,9 +215,24 @@ impl Shard {
         self
     }
 
+    /// The store: the arena and the index.
+    #[inline]
+    fn slots(&self) -> &Slots {
+        self.policy.base_cache().store()
+    }
+
     fn tick(&mut self, now: SimTime) -> Tick {
         self.serial += 1;
         Tick { now, serial: self.serial }
+    }
+
+    /// The slot stored under `h` and what it holds, if any.
+    #[inline]
+    fn lookup(&self, h: u64) -> Option<(SlotRef, &Record, &[u8], &[u8])> {
+        let slots = self.slots();
+        let slot = *slots.index.get(&h)?;
+        let (rec, k, v) = slots.arena.read(slot)?;
+        Some((slot, rec, k, v))
     }
 
     /// The penalty of a SET of `h` whose replaced generation carried
@@ -344,54 +264,15 @@ impl Shard {
             .unwrap_or(DEFAULT_PENALTY)
     }
 
-    /// Whether the stored entry's key bytes equal `key`.
-    fn key_matches(&self, e: &Entry, key: &[u8]) -> bool {
-        self.arena.read(e.slot).is_some_and(|(k, _)| k == key)
-    }
-
-    /// The entry's value bytes and policy handle if it stores `key` and
-    /// is not expired: one arena read serves both the key check and the
-    /// value, and the handle's class is the header of the same slab.
-    fn live_value(
-        &self,
-        e: &Entry,
-        key: &[u8],
-        now: impl FnOnce() -> SimTime,
-    ) -> Option<(&[u8], Loc)> {
-        let (k, v) = self.arena.read(e.slot)?;
-        if k != key || e.expired(now) {
-            return None;
-        }
-        Some((v, e.loc(self.arena.slab_class(e.slot)?)))
-    }
-
-    /// Frees an entry's arena slot.
-    fn release(arena: &mut SlabArena, e: &Entry) {
-        let freed = arena.remove(e.slot);
-        debug_assert!(freed.is_ok(), "stale slot handle in index: {freed:?}");
-    }
-
-    /// Removes `h`'s entry, if any, and frees its slot, returning its
-    /// item's policy handle. The policy still holds the item.
-    fn take_entry(&mut self, h: u64) -> Option<Loc> {
-        let e = self.entries.remove(&h)?;
-        // The class is the slot's slab header: read it before the slot
-        // is freed.
-        let loc = self.arena.slab_class(e.slot).map(|class| e.loc(class));
-        Self::release(&mut self.arena, &e);
-        loc
-    }
-
-    /// Drops `h`'s entry, which must exist, from the store and the
-    /// arena, and removes its item from the policy with a DELETE request
-    /// by the entry's handle.
+    /// Removes `h`'s item, which must exist, from the policy and the
+    /// store with a DELETE request by its handle.
     fn drop_entry(&mut self, h: u64) {
-        let loc = self.take_entry(h);
-        let removed = self.policy.on_delete_at(h, loc);
+        let node = self.slots().index.get(&h).map(|&slot| self.slots().node(slot));
+        let removed = self.policy.on_delete_at(h, node);
         debug_assert!(removed, "entry {h:#x} had no policy item");
     }
 
-    /// Drops an entry whose TTL lapsed, counting it as expired.
+    /// Drops an item whose TTL lapsed, counting it as expired.
     fn drop_expired(&mut self, h: u64) {
         self.drop_entry(h);
         self.counters.expired += 1;
@@ -400,19 +281,22 @@ impl Shard {
     /// The shared-lock hit path: lookup, key check, TTL check, and a
     /// band hit count; the value is borrowed from the arena. No other
     /// mutation — recency bookkeeping is the caller's job (via the
-    /// access log, with the item's policy handle returned here), and
-    /// reading a slot never touches the ledger. `now` is called only
-    /// when the entry has a TTL.
+    /// access log, with the item's slot returned here), and reading a
+    /// slot never touches the ledger. `now` is called only when the
+    /// item has a TTL.
+    #[inline]
     pub fn read_hit_ref(
         &self,
         h: u64,
         key: &[u8],
         now: impl FnOnce() -> SimTime,
-    ) -> Option<(ValueRef<'_>, Loc)> {
-        let e = self.entries.get(&h)?;
-        let (value, loc) = self.live_value(e, key, now)?;
-        self.metrics.band(self.stripe, e.band()).hits.inc();
-        Some((ValueRef { value, flags: e.flags, cas: e.cas() }, loc))
+    ) -> Option<(ValueRef<'_>, SlotRef)> {
+        let (slot, rec, k, value) = self.lookup(h)?;
+        if k != key || expired(rec, now) {
+            return None;
+        }
+        self.metrics.band(self.stripe, usize::from(rec.band)).hits.inc();
+        Some((ValueRef { value, flags: rec.flags, cas: rec.cas }, slot))
     }
 
     /// [`Self::read_hit_ref`] with the value copied out.
@@ -421,15 +305,15 @@ impl Shard {
         h: u64,
         key: &[u8],
         now: impl FnOnce() -> SimTime,
-    ) -> Option<(CacheValue, Loc)> {
-        self.read_hit_ref(h, key, now).map(|(v, loc)| (v.to_value(), loc))
+    ) -> Option<(CacheValue, SlotRef)> {
+        self.read_hit_ref(h, key, now).map(|(v, slot)| (v.to_value(), slot))
     }
 
     /// Immutable classification of a key's state (for `contains`).
     fn entry_state(&self, h: u64, key: &[u8], now: SimTime) -> EntryState {
-        match self.entries.get(&h) {
-            Some(e) if self.key_matches(e, key) => {
-                if e.expired(|| now) {
+        match self.lookup(h) {
+            Some((_, rec, k, _)) if k == key => {
+                if expired(rec, || now) {
                     EntryState::Expired
                 } else {
                     EntryState::Live
@@ -439,14 +323,12 @@ impl Shard {
         }
     }
 
-    /// Drops the entry if it is still the same key and expired (the
+    /// Drops the item if it is still the same key and expired (the
     /// state may have changed between a read-lock check and the write
     /// lock this runs under).
     fn expire_if_dead(&mut self, h: u64, key: &[u8], now: SimTime) {
-        if let Some(e) = self.entries.get(&h) {
-            if self.key_matches(e, key) && e.expired(|| now) {
-                self.drop_expired(h);
-            }
+        if let EntryState::Expired = self.entry_state(h, key, now) {
+            self.drop_expired(h);
         }
     }
 
@@ -457,17 +339,18 @@ impl Shard {
     pub fn get_locked(&mut self, h: u64, key: &[u8], now: SimTime) -> Option<CacheValue> {
         let tick = self.tick(now);
         let mut stale = None;
-        if let Some(e) = self.entries.get(&h) {
-            if let Some((v, loc)) = self.live_value(e, key, || now) {
+        if let Some((slot, rec, k, v)) = self.lookup(h) {
+            let node = self.slots().node(slot);
+            if k == key && !expired(rec, || now) {
                 let hit = CacheValue {
                     value: Bytes::copy_from_slice(v),
-                    flags: e.flags,
-                    cas: e.cas(),
+                    flags: rec.flags,
+                    cas: rec.cas,
                 };
-                let band = e.band();
+                let band = usize::from(rec.band);
                 // Keep the policy's recency bookkeeping in step, by
-                // the entry's handle.
-                let current = self.policy.on_hit(h, loc, tick);
+                // the item's handle.
+                let current = self.policy.on_hit(h, node, tick);
                 debug_assert!(current, "policy lost a stored key");
                 self.metrics.band(self.stripe, band).hits.inc();
                 return Some(hit);
@@ -475,26 +358,26 @@ impl Shard {
             // Expired, or a hash collision with a different key: a miss,
             // whose one policy request also removes the stale item. Only
             // the former is a TTL lapse.
-            if self.key_matches(e, key) {
+            if k == key {
                 self.counters.expired += 1;
             }
-            stale = self.take_entry(h);
+            stale = Some(node);
         }
         self.miss(h, now, stale);
         None
     }
 
-    /// A GET miss of `h`; `stale` is the handle of the item just taken
-    /// out from under `h`, if any.
-    fn miss(&mut self, h: u64, now: SimTime, stale: Option<Loc>) {
+    /// A GET miss of `h`; `stale` is the handle of the item found under
+    /// `h` that cannot serve it, if any.
+    fn miss(&mut self, h: u64, now: SimTime, stale: Option<NodeRef>) {
         // Tell the policy about the miss: nothing is inserted, but the
         // access advances the value window and — crucially for slab
         // rebalance — a ghosted key credits its subclass's *incoming
         // value*. Without this signal a physical store would never
         // accumulate the evidence that triggers the paper's cross-class
-        // migrations. The entry index has just reported the key absent,
-        // so the policy skips its own index probe. A credited ghost
-        // hands back the penalty the key was evicted with.
+        // migrations. The index has just reported the key absent, so
+        // the policy skips its own index probe. A credited ghost hands
+        // back the penalty the key was evicted with.
         let known = self.policy.on_miss(h, stale);
         let mut window = MissWindow { key: h, miss_at: now, known };
         if let Some(backend) = self.backend.as_mut() {
@@ -506,7 +389,7 @@ impl Shard {
             // A fetch leaves no gap to measure: a wall-clock gap would
             // shadow the observed latency, and a refill after a degraded
             // miss (the backend could not serve) measures nothing.
-            window.miss_at = NEVER;
+            window.miss_at = SimTime(NEVER);
             if out.ok {
                 let latency = out.latency.min(PENALTY_CAP);
                 c.sample_penalty(latency);
@@ -528,11 +411,13 @@ impl Shard {
     }
 
     /// Stores `key` under `h` with one SET request to the policy. An
-    /// entry already under `h` — live, lapsed (counted as an expiry) or
-    /// a colliding key — is the resident item to the policy: its slot is
-    /// freed, the request replaces its item (in place when the class and
-    /// band hold), and the entry is rewritten. A refused SET leaves `h`
-    /// absent. `opts.ttl` is final: the caller has applied the default.
+    /// item already under `h` — live, lapsed (counted as an expiry) or
+    /// a colliding key — is the resident item to the policy, which
+    /// replaces it: in place, in the same slot, when the class and band
+    /// hold. A refused SET leaves `h` absent, except that a key longer
+    /// than a record can describe ([`MAX_KEY_LEN`]) is refused before
+    /// anything changes. `opts.ttl` is final: the caller has applied the
+    /// default.
     pub fn set(
         &mut self,
         h: u64,
@@ -541,62 +426,61 @@ impl Shard {
         opts: &SetOptions,
         now: SimTime,
     ) -> Result<(), CacheError> {
-        let tick = self.tick(now);
         self.counters.sets += 1;
-        let (mut resident, mut old) = (None, None);
-        if let Some(e) = self.entries.get(&h) {
-            if e.expired(|| now) && self.key_matches(e, key) {
-                self.counters.expired += 1;
-            }
-            resident = self.arena.slab_class(e.slot).map(|class| e.loc(class));
-            old =
-                resident.and_then(|loc| self.policy.cache().meta_at(loc, h)).map(|m| m.penalty);
-            debug_assert!(old.is_some(), "entry {h:#x} had no policy item");
-            Self::release(&mut self.arena, e);
+        if key.len() > MAX_KEY_LEN {
+            self.counters.rejected += 1;
+            return Err(CacheError::KeyTooLong {
+                key_bytes: key.len(),
+                max_bytes: MAX_KEY_LEN,
+            });
         }
+        let tick = self.tick(now);
+        let found = self.lookup(h).map(|(slot, rec, k, _)| {
+            let lapsed = k == key && expired(rec, || now);
+            (
+                self.slots().node(slot),
+                lapsed,
+                SimDuration::from_micros(u64::from(rec.penalty_us)),
+            )
+        });
+        let (resident, old) = match found {
+            Some((node, lapsed, penalty)) => {
+                self.counters.expired += u64::from(lapsed);
+                (Some(node), Some(penalty))
+            }
+            None => (None, None),
+        };
         let penalty = self.penalty_for(h, opts.penalty, old, now);
         let req =
             Request::set(now, h, key.len() as u32, value.len() as u32).with_penalty(penalty);
         // The policy's storage decisions (evictions, slab grants, slab
-        // migrations) reach the arena as it makes them, so they are done
+        // migrations) reach the store as it makes them, so they are done
         // before the new item is written: an eviction or transfer is
         // exactly what frees the slot the item lands in. The bytes go to
-        // the class the policy filed the item under, so the arena and the
+        // the slot the policy filed the item in, so the arena and the
         // ledger can never disagree on it.
-        let mut storage = Storage {
-            arena: &mut self.arena,
-            entries: &mut self.entries,
-            metrics: &self.metrics,
-            stripe: self.stripe,
+        let mut observer = Storage { metrics: &self.metrics, stripe: self.stripe };
+        let Some(node) = self.policy.on_set_at(&req, tick, resident, &mut observer) else {
+            return Err(self.refuse(key.len() + value.len()));
         };
-        let stored = self.policy.on_set_at(&req, tick, resident, &mut storage);
-        let Some(loc) = stored else {
-            return Err(self.refuse(h, key.len() + value.len()));
-        };
-        match self.arena.insert(loc.class as usize, h, key, value) {
-            Ok(slot) => {
-                let entry =
-                    Entry::new(slot, expiry(now, opts.ttl), opts.flags, self.serial, loc);
-                self.entries.insert(h, entry);
-                Ok(())
-            }
-            Err(e) => {
-                // Impossible while the arena and the ledger are in
-                // lockstep; in release builds, take the item back out of
-                // the ledger so the two stay consistent.
-                debug_assert!(false, "arena refused a ledger-approved insert: {e:?}");
-                self.policy.on_delete_at(h, Some(loc));
-                Err(self.refuse(h, key.len() + value.len()))
-            }
-        }
+        let serial = self.serial;
+        let slots = self.policy.store_mut();
+        let slot = slots.slot(node);
+        let written = slots.arena.write(slot, key, value);
+        debug_assert!(written.is_ok(), "arena refused a ledger-approved write: {written:?}");
+        let rec = slots.arena.record_mut(slot).expect("the policy filed the item here");
+        rec.expires = expiry(now, opts.ttl);
+        rec.flags = opts.flags;
+        rec.cas = serial;
+        Ok(())
     }
 
-    /// Drops the entry of a refused SET of `item_bytes` key and value
-    /// bytes, and says why: no slab class can hold the item (the same
-    /// byte rule as `CacheConfig::class_of` returning `None`), so
-    /// eviction can never help, or there was no room this time.
-    fn refuse(&mut self, h: u64, item_bytes: usize) -> CacheError {
-        self.entries.remove(&h);
+    /// Counts a refused SET of `item_bytes` key and value bytes, and
+    /// says why: no slab class can hold the item (the same byte rule as
+    /// `CacheConfig::class_of` returning `None`), so eviction can never
+    /// help, or there was no room this time. The policy has already
+    /// removed any item under the hash.
+    fn refuse(&mut self, item_bytes: usize) -> CacheError {
         self.counters.rejected += 1;
         let item_bytes = item_bytes as u64;
         let footprint = item_bytes + u64::from(self.cfg.item_overhead);
@@ -609,7 +493,7 @@ impl Shard {
 
     /// Memcached `add`: stores only when the key is not live — absent,
     /// lapsed or a colliding key, which [`Self::set`] replaces.
-    /// `Ok(false)` — the protocol's `NOT_STORED` — when a live entry
+    /// `Ok(false)` — the protocol's `NOT_STORED` — when a live item
     /// already exists.
     pub fn add(
         &mut self,
@@ -625,7 +509,7 @@ impl Shard {
         self.set(h, key, value, opts, now).map(|()| true)
     }
 
-    /// Memcached `touch`: refreshes a live entry's TTL (`None` clears
+    /// Memcached `touch`: refreshes a live item's TTL (`None` clears
     /// it) and promotes the key — a touched key is a used key. Returns
     /// whether the key was live.
     pub fn touch(
@@ -638,12 +522,11 @@ impl Shard {
         match self.entry_state(h, key, now) {
             EntryState::Live => {
                 let tick = self.tick(now);
-                let Some(e) = self.entries.get_mut(&h) else {
-                    return false;
-                };
-                e.expires = expiry(now, ttl);
-                let loc = self.arena.slab_class(e.slot).map(|class| e.loc(class));
-                let current = loc.is_some_and(|loc| self.policy.on_hit(h, loc, tick));
+                let slots = self.policy.store_mut();
+                let slot = slots.index[&h];
+                slots.arena.record_mut(slot).expect("a live item").expires = expiry(now, ttl);
+                let node = slots.node(slot);
+                let current = self.policy.on_hit(h, node, tick);
                 debug_assert!(current, "policy lost a touched key");
                 true
             }
@@ -655,12 +538,12 @@ impl Shard {
         }
     }
 
-    /// Memcached `flush_all`: drops every entry, returning how many.
+    /// Memcached `flush_all`: drops every item, returning how many.
     /// The flushed items' penalties leave with them (a removed item
     /// leaves no ghost); open miss windows survive, so a refill after
     /// the flush still measures its gap.
     pub fn clear(&mut self) -> u64 {
-        let keys: Vec<u64> = self.entries.keys().copied().collect();
+        let keys: Vec<u64> = self.slots().index.keys().copied().collect();
         let n = keys.len() as u64;
         for h in keys {
             self.drop_entry(h);
@@ -669,10 +552,10 @@ impl Shard {
     }
 
     /// Detailed slab-arena accounting for diagnostics and benchmarks.
-    /// Walks the metadata arrays; meant to be called at reporting
+    /// Walks the record arrays; meant to be called at reporting
     /// cadence, not per operation.
     pub fn slab_report(&self) -> SlabReport {
-        let arena = &self.arena;
+        let arena = &self.slots().arena;
         let st = arena.stats();
         let mut occupancy_deciles = [0u64; 10];
         for fill in arena.slab_fills() {
@@ -708,11 +591,11 @@ impl Shard {
         }
     }
 
-    /// Memcached `delete`: removes a live entry and returns `true`. A
-    /// lapsed entry is already gone to every reader: it is dropped as
+    /// Memcached `delete`: removes a live item and returns `true`. A
+    /// lapsed item is already gone to every reader: it is dropped as
     /// an expiry, and the answer is `false` (`NOT_FOUND`), as for an
     /// absent key. Either way the policy gets one DELETE request, which
-    /// also forgets an absent key's ghost; a colliding key's entry is
+    /// also forgets an absent key's ghost; a colliding key's item is
     /// left alone.
     pub fn delete(&mut self, h: u64, key: &[u8], now: SimTime) -> bool {
         match self.entry_state(h, key, now) {
@@ -733,23 +616,30 @@ impl Shard {
     }
 
     pub fn sweep_expired(&mut self, now: SimTime) -> usize {
-        let expired: Vec<u64> =
-            self.entries.iter().filter(|(_, e)| e.expired(|| now)).map(|(&h, _)| h).collect();
-        for &h in &expired {
+        let slots = self.slots();
+        let lapsed: Vec<u64> = slots
+            .index
+            .iter()
+            .filter(|&(_, &slot)| slots.arena.record(slot).is_some_and(|r| expired(r, || now)))
+            .map(|(&h, _)| h)
+            .collect();
+        for &h in &lapsed {
             self.drop_expired(h);
         }
-        expired.len()
+        lapsed.len()
     }
 
     /// Applies a batch of deferred hit records, oldest first, through
-    /// each record's policy handle. Each record counts as one access
-    /// (serial and PAMA value-window cadence match the inline design);
-    /// a record whose node no longer holds its key is skipped by the
-    /// policy.
+    /// each record's slot. Each record counts as one access (serial and
+    /// PAMA value-window cadence match the inline design); a record
+    /// whose slot no longer holds its key is skipped by the policy.
     pub fn apply_deferred(&mut self, hits: &[HitRecord], now: SimTime) {
         self.serial += hits.len() as u64;
         let tick = Tick { now, serial: self.serial };
-        self.policy.on_hits(hits, tick);
+        for &(h, slot) in hits {
+            let node = self.slots().node(slot);
+            self.policy.on_hit(h, node, tick);
+        }
         self.counters.deferred_hits += hits.len() as u64;
     }
 
@@ -765,72 +655,74 @@ impl Shard {
         self.hit_buf = hits;
     }
 
-    /// Cross-checks the byte store against the policy's accounting,
-    /// and the physical slab ledger against both: every live index
-    /// entry must point at an allocated slot carved for the class the
-    /// policy filed the item under, and its policy handle must reach a
-    /// live node that holds the entry's hash in that class and the
-    /// entry's band. With as many entries as policy items, the handles
-    /// are then a bijection between the two (a node holds one key, and
-    /// distinct entries hold distinct hashes); the policy keeps no key
-    /// index to compare against. Per-class slab counts must match the
-    /// policy's, and inside the arena free-list plus live slots must
-    /// cover every slab's capacity (the arena's own full-recount
-    /// `check`).
+    /// Cross-checks the records against the queues, the index and the
+    /// policy's ledger. Every queue must walk the same nodes forwards
+    /// and backwards; every live slot must be reached exactly once, by
+    /// the queue of its slab's class and its record's band; the index
+    /// must map each record's hash to its slot and hold nothing else.
+    /// The policy's counts, the arena's own full recount (free and live
+    /// slots cover every slab, aggregates match) and the per-class slab
+    /// counts of arena and ledger must agree too.
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.entries.len() != self.policy.cache().len() {
-            return Err(format!(
-                "store/policy divergence: {} entries vs {} policy items",
-                self.entries.len(),
-                self.policy.cache().len()
-            ));
-        }
-        self.policy.cache().check_invariants()?;
-        let arena = &self.arena;
+        let cache = self.policy.base_cache();
+        cache.check_invariants()?;
+        let slots = cache.store();
+        let arena = &slots.arena;
         arena.check()?;
-        let st = arena.stats();
-        if st.live_items != self.entries.len() as u64 {
-            return Err(format!(
-                "arena holds {} items but the index holds {}",
-                st.live_items,
-                self.entries.len()
-            ));
+        let mut reached = 0usize;
+        for class in 0..cache.num_classes() {
+            let mut in_queue = std::collections::HashMap::new();
+            for band in 0..cache.bands() {
+                let queue = &cache.class(class).queues[band];
+                queue.check_invariants(slots)?;
+                for node in queue.iter(slots) {
+                    if in_queue.insert(node, band).is_some() {
+                        return Err(format!("node {node:?} linked twice"));
+                    }
+                }
+            }
+            for slot in arena.live_slots(class) {
+                let node = slots.node(slot);
+                let rec = arena.record(slot).expect("a live slot");
+                match in_queue.remove(&node) {
+                    None => {
+                        return Err(format!(
+                            "live slot {slot:?} is in no queue of class {class}"
+                        ))
+                    }
+                    Some(band) if band != usize::from(rec.band) => {
+                        return Err(format!(
+                            "slot {slot:?} with band {} is linked into band {band}'s queue",
+                            rec.band
+                        ))
+                    }
+                    Some(_) => {}
+                }
+                if slots.index.get(&rec.hash) != Some(&slot) {
+                    return Err(format!(
+                        "slot {slot:?} holds hash {:#x}, which the index maps to {:?}",
+                        rec.hash,
+                        slots.index.get(&rec.hash)
+                    ));
+                }
+                reached += 1;
+            }
+            if let Some((node, band)) = in_queue.into_iter().next() {
+                return Err(format!(
+                    "class {class} band {band} links {node:?}, not a live slot"
+                ));
+            }
         }
-        for (&h, e) in &self.entries {
-            let r = e.slot;
-            let Some((slab_class, hash, key_len, val_len)) = arena.locate(r) else {
-                return Err(format!("entry {h:#x} points at dead slot {r:?}"));
-            };
-            if hash != h {
-                return Err(format!(
-                    "slot {r:?} stores hash {hash:#x} but is indexed as {h:#x}"
-                ));
-            }
-            let loc = e.loc(slab_class);
-            let Some(meta) = self.policy.cache().meta_at(loc, h) else {
-                return Err(format!(
-                    "entry {h:#x}: handle {loc:?} reaches no live policy node holding it"
-                ));
-            };
-            if meta.class as usize != slab_class || meta.band as usize != e.band() {
-                return Err(format!(
-                    "entry {h:#x}: ledger class {} band {} but stored in a class-{slab_class} \
-                     slab with band {}",
-                    meta.class,
-                    meta.band,
-                    e.band()
-                ));
-            }
-            if meta.key_size as usize != key_len || meta.value_size as usize != val_len {
-                return Err(format!(
-                    "entry {h:#x}: ledger sizes {}+{} but slot holds {key_len}+{val_len}",
-                    meta.key_size, meta.value_size
-                ));
-            }
+        if reached != slots.index.len() || reached != cache.len() {
+            return Err(format!(
+                "{reached} live slots, {} index entries, {} policy items",
+                slots.index.len(),
+                cache.len()
+            ));
         }
         for class in 0..arena.num_classes() {
             let physical = arena.class_slabs(class);
-            let ledger = self.policy.cache().class(class).slabs;
+            let ledger = cache.class(class).slabs;
             if physical != ledger {
                 return Err(format!(
                     "class {class}: {physical} physical slabs vs {ledger} in the ledger"
@@ -909,8 +801,8 @@ impl ShardCell {
     ) -> Option<R> {
         {
             let shard = self.inner.read();
-            if let Some((value, loc)) = shard.read_hit_ref(h, key, &clock) {
-                self.log.record((h, loc));
+            if let Some((value, slot)) = shard.read_hit_ref(h, key, &clock) {
+                self.log.record((h, slot));
                 return Some(f(value));
             }
         }
@@ -948,8 +840,8 @@ impl ShardCell {
             let shard = self.inner.read();
             for &(i, h) in group {
                 match shard.read_hit(h, keys[i], || now) {
-                    Some((value, loc)) => {
-                        self.log.record((h, loc));
+                    Some((value, slot)) => {
+                        self.log.record((h, slot));
                         out[i] = Some(value);
                     }
                     None => misses.push((i, h)),
@@ -978,6 +870,9 @@ impl ShardCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pama_core::cache::ItemStore;
+    use pama_core::lru::Links;
+    use pama_core::policy::Policy;
 
     fn shard() -> Shard {
         let cfg = CacheConfig {
@@ -992,12 +887,11 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    /// The policy's metadata for `h`, reached through its entry's
+    /// The policy's metadata for `h`, reached through its slot's
     /// handle (the policy has no key index to ask).
     fn meta(s: &Shard, h: u64) -> Option<pama_core::cache::ItemMeta> {
-        let e = s.entries.get(&h)?;
-        let loc = e.loc(s.arena.slab_class(e.slot)?);
-        s.policy.cache().meta_at(loc, h).copied()
+        let slot = *s.slots().index.get(&h)?;
+        s.policy.base_cache().meta_at(s.slots().node(slot), h)
     }
 
     #[test]
@@ -1098,7 +992,11 @@ mod tests {
         let cfg =
             CacheConfig { total_bytes: 1 << 30, slab_bytes: 1 << 20, ..CacheConfig::default() };
         let mut s = Shard::new(cfg.clone(), PamaConfig::default(), registry_for(&cfg, 1), 0);
-        assert!(s.entries.capacity() < 64, "empty shard reserved {}", s.entries.capacity());
+        assert!(
+            s.slots().index.capacity() < 64,
+            "empty shard reserved {}",
+            s.slots().index.capacity()
+        );
         // The miss-window table is the same fixed size for any geometry.
         assert_eq!(s.windows.len(), WINDOW_SLOTS);
         assert!(std::mem::size_of_val(&*s.windows) <= 64 << 10);
@@ -1106,8 +1004,12 @@ mod tests {
         for i in 0..N {
             s.set(i, format!("k{i}").as_bytes(), b"v", &SetOptions::default(), t(i)).unwrap();
         }
-        assert_eq!(s.entries.len(), N as usize);
-        assert!(s.entries.capacity() < 4 * N as usize, "capacity {}", s.entries.capacity());
+        assert_eq!(s.slots().index.len(), N as usize);
+        assert!(
+            s.slots().index.capacity() < 4 * N as usize,
+            "capacity {}",
+            s.slots().index.capacity()
+        );
         assert_eq!(s.windows.len(), WINDOW_SLOTS);
     }
 
@@ -1150,8 +1052,8 @@ mod tests {
         assert!(items < 40, "1 MiB can't hold 200×30 KB: items {items}");
         assert!(s.metrics.snapshot().total_evictions() > 0);
         // store, arena and policy agree exactly
-        assert_eq!(items as usize, s.policy.cache().len());
-        assert_eq!(items as usize, s.entries.len());
+        assert_eq!(items as usize, s.policy.base_cache().len());
+        assert_eq!(items as usize, s.slots().index.len());
         s.check_consistency().unwrap();
     }
 
@@ -1176,9 +1078,9 @@ mod tests {
         let mut hits = Vec::new();
         for i in 0..4u64 {
             assert!(inline.get_locked(i, format!("k{i}").as_bytes(), t(100 + i)).is_some());
-            let (_, loc) =
+            let (_, slot) =
                 deferred.read_hit(i, format!("k{i}").as_bytes(), || t(100 + i)).unwrap();
-            hits.push((i, loc));
+            hits.push((i, slot));
         }
         deferred.apply_deferred(&hits, t(104));
         // Same serial consumed, same access count.
@@ -1204,40 +1106,42 @@ mod tests {
 
     #[test]
     fn a_hit_recorded_on_an_evicted_item_promotes_nothing() {
-        // A hit recorded, then its item evicted and the item's LRU node
+        // A hit recorded, then its item evicted and the item's slot
         // reused by another key before the drain — possible only when
         // something mutates the shard between the record and the
         // drain. The drain must skip the record, not promote whichever
-        // item now owns the node.
+        // item now owns the slot.
         let mut s = shard();
         let v = vec![0u8; 30_000];
         let key = |i: u64| format!("key{i}").into_bytes();
         s.set(0, &key(0), &v, &SetOptions::default(), t(0)).unwrap();
-        let (_, loc) = s.read_hit(0, &key(0), || t(1)).unwrap();
+        let (_, slot) = s.read_hit(0, &key(0), || t(1)).unwrap();
+        let m = meta(&s, 0).unwrap();
         // Fill the class until key 0, the LRU item, is evicted; the SET
-        // that evicts it takes its node.
+        // that evicts it takes its slot.
         let mut i = 1;
-        while s.entries.contains_key(&0) {
+        while s.slots().index.contains_key(&0) {
             s.set(i, &key(i), &v, &SetOptions::default(), t(1 + i)).unwrap();
             i += 1;
         }
         let queue = |s: &Shard| -> Vec<u64> {
-            let q = &s.policy.cache().class(loc.class as usize).queues[loc.band as usize];
-            q.iter().map(|m| m.key).collect()
+            s.policy
+                .base_cache()
+                .items(m.class as usize, m.band as usize)
+                .map(|m| m.key)
+                .collect()
         };
-        let owner = s.policy.cache().class(loc.class as usize).queues[loc.band as usize]
-            .try_get(loc.node)
-            .map(|m| m.key);
-        assert!(owner.is_some_and(|k| k != 0), "node not reused: {owner:?}");
+        let owner = s.slots().arena.record(slot).map(|r| r.hash);
+        assert!(owner.is_some_and(|k| k != 0), "slot not reused: {owner:?}");
         // Promote another item, so that promoting the node's new owner
         // would show in the order.
         assert!(s.get_locked(1, &key(1), t(400)).is_some());
         let before = queue(&s);
         assert_ne!(Some(before[0]), owner);
         let serial = s.serial;
-        s.apply_deferred(&[(0, loc)], t(500));
+        s.apply_deferred(&[(0, slot)], t(500));
         let after = queue(&s);
-        assert_eq!(before, after, "a stale record moved an LRU node");
+        assert_eq!(before, after, "a stale record moved an item");
         assert_eq!(s.serial, serial + 1, "the access still counts");
         assert_eq!(s.counters.snapshot().deferred_hits, 1);
         s.check_consistency().unwrap();
@@ -1246,8 +1150,8 @@ mod tests {
     #[test]
     fn per_resident_policy_state_is_bounded() {
         // Ten times the shard's capacity in distinct keys, each missed
-        // and then SET: the policy files no `hash → Loc` entry (the
-        // entries hold the handles), and its one ghost index stays
+        // and then SET: the policy files no `hash → node` entry (the
+        // store's index holds the slots), and its one ghost index stays
         // within the ghost lists' caps.
         let mut s = shard();
         let v = [0u8; 100];
@@ -1257,12 +1161,12 @@ mod tests {
             let key = format!("churn{i}");
             assert!(s.get_locked(i, key.as_bytes(), t(i)).is_none());
             s.set(i, key.as_bytes(), &v, &SetOptions::default(), t(i)).unwrap();
-            capacity = capacity.max(s.entries.len());
+            capacity = capacity.max(s.slots().index.len());
             i += 1;
         }
-        assert!((s.entries.len() as u64) < i / 5, "the stream never evicted");
-        assert!(!s.policy.cache().is_indexed(), "the policy keeps a key index");
-        assert_eq!(s.policy.cache().len(), s.entries.len());
+        assert!((s.slots().index.len() as u64) < i / 5, "the stream never evicted");
+        assert!(!s.policy.base_cache().is_indexed(), "the policy keeps a key index");
+        assert_eq!(s.policy.base_cache().len(), s.slots().index.len());
         assert!(s.policy.ghost_len() > 0, "evictions left no ghosts");
         assert!(
             s.policy.ghost_len() <= s.policy.ghost_capacity(),
@@ -1280,7 +1184,7 @@ mod tests {
         let key = |i: u64| format!("key{i}").into_bytes();
         s.set(h, &key(h), &v, &SetOptions::new().penalty(penalty), t(0)).unwrap();
         let mut i = h + 1;
-        while s.entries.contains_key(&h) {
+        while s.slots().index.contains_key(&h) {
             s.set(i, &key(i), &v, &SetOptions::new().penalty(penalty), t(i)).unwrap();
             i += 1;
         }
@@ -1365,12 +1269,12 @@ mod tests {
             let key = format!("gap{i}");
             assert!(s.get_locked(i, key.as_bytes(), t(2 * i)).is_none());
             s.set(i, key.as_bytes(), &v, &SetOptions::default(), t(2 * i + 1)).unwrap();
-            capacity = capacity.max(s.entries.len());
+            capacity = capacity.max(s.slots().index.len());
             i += 1;
         }
         assert_eq!(s.counters.snapshot().measured_penalties, i);
-        let per_key = s.entries.capacity() + s.policy.ghost_len();
-        let bound = 2 * (s.entries.len() + s.policy.ghost_capacity());
+        let per_key = s.slots().index.capacity() + s.policy.ghost_len();
+        let bound = 2 * (s.slots().index.len() + s.policy.ghost_capacity());
         assert!(per_key <= bound, "{per_key} per-key slots after {i} keys, bound {bound}");
         assert_eq!(s.windows.len(), WINDOW_SLOTS);
         s.check_consistency().unwrap();
@@ -1403,7 +1307,7 @@ mod tests {
         // finds nothing to delete and counts the expiry instead.
         assert!(!s.delete(1, b"gone", t(20)));
         let st = s.counters.snapshot();
-        assert_eq!((st.deletes, st.expired, s.entries.len()), (0, 1, 0));
+        assert_eq!((st.deletes, st.expired, s.slots().index.len()), (0, 1, 0));
         assert!(!s.delete(1, b"gone", t(21)), "the key stays absent");
         // A live key is deleted and counted as a delete.
         s.set(2, b"live", b"v", &ttl, t(30)).unwrap();
@@ -1438,7 +1342,7 @@ mod tests {
         assert_eq!(s.policy.rebuilds(), before + 2, "a colliding GET made two requests");
         // Both stale items left the store and the policy; only the lapse
         // is an expiry, and each GET is one miss.
-        assert_eq!((s.entries.len(), s.policy.cache().len()), (0, 0));
+        assert_eq!((s.slots().index.len(), s.policy.base_cache().len()), (0, 0));
         assert_eq!(s.counters.expired, 1);
         assert_eq!(s.metrics.snapshot().total_misses(), 2);
         s.check_consistency().unwrap();
@@ -1471,5 +1375,175 @@ mod tests {
         assert!(cell.get(1, b"collides", || now, never).is_none());
         assert!(cell.get(2, b"ttl", || t(20), never).is_none());
         assert_eq!(hits(), 2);
+    }
+
+    #[test]
+    fn a_set_that_keeps_class_and_band_rewrites_its_own_slot() {
+        let mut s = shard();
+        let slot = |s: &Shard| s.slots().index[&1];
+        s.set(1, b"k", &[1u8; 100], &SetOptions::new().flags(7), t(0)).unwrap();
+        let first = slot(&s);
+        let slots_used = s.slab_report().live_items;
+        // 100 and 110 bytes share a slot class, and the penalty keeps its
+        // band: the same slot takes the new bytes, flags and CAS stamp.
+        s.set(1, b"k", &[2u8; 110], &SetOptions::new().flags(9), t(1)).unwrap();
+        assert_eq!(slot(&s), first, "an in-place SET moved");
+        let (v, _) = s.read_hit(1, b"k", || t(2)).unwrap();
+        assert_eq!((v.value.as_ref(), v.flags, v.cas), (&[2u8; 110][..], 9, s.serial));
+        assert_eq!(s.slab_report().live_items, slots_used);
+        assert_eq!(s.slab_report().requested_bytes, 111);
+        // A value of another class takes another slot.
+        s.set(1, b"k", &[3u8; 3_000], &SetOptions::default(), t(3)).unwrap();
+        assert_ne!(slot(&s), first);
+        assert_eq!(s.slab_report().live_items, slots_used);
+        s.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_key_longer_than_a_record_describes_is_refused_untouched() {
+        let mut s = shard();
+        s.set(5, b"short", b"v", &SetOptions::default(), t(0)).unwrap();
+        let long = vec![b'k'; MAX_KEY_LEN + 1];
+        let err = s.set(5, &long, b"v", &SetOptions::default(), t(1)).unwrap_err();
+        assert_eq!(
+            err,
+            CacheError::KeyTooLong { key_bytes: MAX_KEY_LEN + 1, max_bytes: MAX_KEY_LEN }
+        );
+        // Nothing changed: the colliding item stays, and the policy saw
+        // no request.
+        assert!(s.read_hit(5, b"short", || t(2)).is_some());
+        assert_eq!((s.counters.rejected, s.policy.rebuilds(), s.serial), (1, 0, 1));
+        s.check_consistency().unwrap();
+    }
+
+    /// Every queue of `cache`, class by class and band by band, as its
+    /// keys front to back, each with its node's segment tag.
+    fn queues_with_tags<S: ItemStore>(
+        cache: &pama_core::cache::BaseCache<S>,
+    ) -> Vec<Vec<(u64, u8)>> {
+        let store = cache.store();
+        (0..cache.num_classes())
+            .flat_map(|c| (0..cache.bands()).map(move |b| &cache.class(c).queues[b]))
+            .map(|q| {
+                let item = |n: NodeRef| store.item(n).expect("a linked node is live").key;
+                q.iter(store).map(|n| (item(n), store.tag(n.index()))).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compaction_relinks_records_like_the_simulator() {
+        // One seeded stream into a shard and, request for request, into
+        // an `Engine<Pama>` on the same geometry. Its popular keys move
+        // from a small size class to a large one, so slabs migrate, and
+        // deletes leave holes, so each migration's compaction moves the
+        // donor slab's survivors. Right after each migration the stream
+        // rewrites every moved item in place, which keeps its segment
+        // tag until the next rebuild clears it. After every request,
+        // every queue must hold the same keys in the same order with the
+        // same tags on both sides: a moved record whose neighbours still
+        // point at its old slot breaks the order, and a tracker handle
+        // left at the old slot leaves a stale tag after the rebuild.
+        use pama_core::{Engine, EngineConfig};
+        use pama_util::{Rng, Xoshiro256StarStar};
+        let cfg = CacheConfig {
+            total_bytes: 1 << 20,
+            slab_bytes: 64 << 10,
+            demand_fill: false,
+            ..CacheConfig::default()
+        };
+        let pama =
+            PamaConfig { value_window: 199, migration_cooldown: 16, ..PamaConfig::default() };
+        let mut s = Shard::new(cfg.clone(), pama.clone(), registry_for(&cfg, 1), 0);
+        let mut sim = Engine::new(Pama::with_config(cfg, pama), EngineConfig::default());
+        let mut rng = Xoshiro256StarStar::from_seed(18);
+        const KEYS: u64 = 2_000;
+        const OPS: u64 = 24_000;
+        let (mut head, mut tail, mut middle, mut tagged, mut untagged) = (0, 0, 0, 0, 0);
+        let (mut transfers, mut rewrites) = (0, std::collections::VecDeque::new());
+        for i in 0..OPS {
+            let now = t(i);
+            // The first half favours keys 0..1000 (small values), the
+            // second keys 1000..2000 (large ones).
+            let popular = if i < OPS / 2 { 0 } else { KEYS / 2 };
+            let rewrite = rewrites.pop_front();
+            let id = rewrite.unwrap_or_else(|| {
+                if rng.next_f64() < 0.9 {
+                    popular + rng.gen_range(KEYS / 2)
+                } else {
+                    rng.gen_range(KEYS)
+                }
+            });
+            let key = format!("c:{id:05}").into_bytes();
+            let len = if id < KEYS / 2 { 400 + id % 90 } else { 1_800 + id % 200 };
+            // One band holds every small key, so that its queue outgrows
+            // the tracked bottom segments and a rewritten item leaves them.
+            let penalty = if id < KEYS / 2 {
+                SimDuration::from_millis(40)
+            } else {
+                SimDuration::from_millis([2, 40, 700][(id % 3) as usize])
+            };
+            let (klen, vlen) = (key.len() as u32, len as u32);
+            let value = vec![7u8; len as usize];
+            let opts = SetOptions::new().penalty(penalty);
+            let u = if rewrite.is_some() { 0.1 } else { rng.next_f64() };
+            if u < 0.08 {
+                s.delete(id, &key, now);
+                sim.step(&Request::delete(now, id, klen));
+            } else if u < 0.2 {
+                let _ = s.set(id, &key, &value, &opts, now);
+                sim.step(&Request::set(now, id, klen, vlen).with_penalty(penalty));
+            } else {
+                let hit = s.get_locked(id, &key, now).is_some();
+                let get = Request::get(now, id, klen, vlen).with_penalty(penalty);
+                sim.step(&get);
+                if !hit {
+                    let _ = s.set(id, &key, &value, &opts, now);
+                    sim.step(&Request::set(now, id, klen, vlen).with_penalty(penalty));
+                }
+            }
+            let cache = s.policy.base_cache();
+            let (kv, simulated) =
+                (queues_with_tags(cache), queues_with_tags(sim.policy().cache()));
+            if let Some(q) = kv.iter().zip(&simulated).position(|(a, b)| a != b) {
+                let (class, band) = (q / cache.bands(), q % cache.bands());
+                panic!(
+                    "request {i}: class {class} band {band} diverged:\n  kv  {:?}\n  sim {:?}",
+                    kv[q], simulated[q]
+                );
+            }
+            let now_transfers = s.slots().arena.stats().transfers;
+            if now_transfers > transfers {
+                transfers = now_transfers;
+                s.check_consistency().unwrap_or_else(|e| panic!("request {i}: {e}"));
+                for &(_, new) in cache.relocated() {
+                    let m = cache.store().item(new).unwrap();
+                    let q = &cache.class(m.class as usize).queues[m.band as usize];
+                    match (q.front() == Some(new), q.back() == Some(new)) {
+                        (true, _) => head += 1,
+                        (_, true) => tail += 1,
+                        _ => middle += 1,
+                    }
+                    if cache.store().tag(new.index()) == 0 {
+                        untagged += 1;
+                    } else {
+                        tagged += 1;
+                    }
+                    rewrites.push_back(m.key);
+                }
+            }
+        }
+        assert_eq!(s.policy.migrations(), sim.policy().migrations());
+        assert!(transfers > 0, "the stream never moved a slab");
+        for (what, n) in [
+            ("head", head),
+            ("tail", tail),
+            ("middle", middle),
+            ("tagged", tagged),
+            ("untagged", untagged),
+        ] {
+            assert!(n > 0, "no compaction moved a {what} record");
+        }
+        s.check_consistency().unwrap();
     }
 }

@@ -184,9 +184,10 @@ pub struct SlabReport {
     pub max_slabs: u64,
     /// Slabs currently carved.
     pub slabs: u64,
-    /// Slab backing memory plus slot metadata, bytes.
+    /// Slab backing memory plus slot records, bytes.
     pub resident_bytes: u64,
-    /// Bytes spent on out-of-line slot metadata.
+    /// Bytes spent on out-of-line slot records (one per slot, the
+    /// item's only metadata).
     pub meta_bytes: u64,
     /// Exact key+value bytes of live items (what callers asked for).
     pub requested_bytes: u64,

@@ -302,7 +302,7 @@ pub struct MetricsRegistry {
     pub arena_slabs: Gauge,
     /// Free slots across carved slabs.
     pub arena_free_slots: Gauge,
-    /// Arena-resident bytes (slab backing memory + slot metadata).
+    /// Arena-resident bytes (slab backing memory + slot records).
     pub arena_resident_bytes: Gauge,
 }
 

@@ -160,6 +160,8 @@ fn error_line(e: CacheError) -> &'static [u8] {
         CacheError::CapacityExhausted { .. } => {
             b"SERVER_ERROR out of memory storing object\r\n"
         }
+        // The parser refuses keys over 250 bytes first; Memcached's answer.
+        CacheError::KeyTooLong { .. } => b"CLIENT_ERROR bad command line format\r\n",
         CacheError::ShuttingDown => b"SERVER_ERROR server shutting down\r\n",
     }
 }

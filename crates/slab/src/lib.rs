@@ -11,17 +11,24 @@
 //! * **per-class free-slot lists** — O(1) allocate / free inside a
 //!   class;
 //! * **slot handles** ([`SlotRef`] = `(slab_id, slot_idx)`) that an
-//!   index maps keys to;
+//!   index maps keys to, each also packed into one `u32` node id
+//!   ([`SlabArena::node`]);
+//! * **one record per slot** ([`Record`], 48 bytes, out of line) — the
+//!   item's only metadata: key hash, lengths, expiry, flags, CAS stamp,
+//!   penalty and band, and the `prev`/`next` node ids and segment tag
+//!   of the LRU queue the item is linked into. The arena is therefore a
+//!   [`Links`] store: a policy's queues link slot records directly;
 //! * **compaction + transfer** — when the policy migrates a slab from
 //!   class *a* to class *b*, the arena consolidates class *a*'s live
 //!   items into its other slabs, empties one slab, and re-carves it
-//!   with class *b*'s slot size, reporting every moved item so the
-//!   caller can repoint its index.
+//!   with class *b*'s slot size. A moved item's record moves whole,
+//!   links and tag included, and its queue neighbours are repointed at
+//!   its new slot; every move is reported so the caller can repoint its
+//!   index and its queue ends.
 //!
-//! The arena stores `key ‖ value` contiguously in the slot and keeps
-//! `(hash, key_len, val_len)` in an out-of-line per-slab metadata
-//! array, so an item of `key + value ≤ slot_bytes` always fits and a
-//! reader can verify the key without touching the index.
+//! The arena stores `key ‖ value` contiguously in the slot, so an item
+//! of `key + value ≤ slot_bytes` always fits and a reader can verify
+//! the key without touching the index.
 //!
 //! The arena never decides *placement policy*: it will not grow a
 //! class, steal a slab, or evict an item on its own. Slab residency
@@ -34,16 +41,20 @@
 #![warn(rust_2018_idioms)]
 
 use pama_core::config::CacheConfig;
+use pama_core::lru::{Links, NIL};
 
-/// Sentinel `val_len` marking a free slot in the per-slab metadata
-/// array. Real values are bounded by `slab_bytes` (≤ 1 GiB in any
-/// sane geometry), so the all-ones pattern can never collide.
+/// Sentinel `val_len` marking a free slot's record. Real values are
+/// bounded by `slab_bytes` (≤ 1 GiB in any sane geometry), so the
+/// all-ones pattern can never collide.
 const FREE: u32 = u32::MAX;
+
+/// The longest key a record can describe.
+pub const MAX_KEY_LEN: usize = u16::MAX as usize;
 
 /// Handle to a live slot: which slab, and which slot within it.
 ///
 /// Handles are dense (8 bytes) so an index can store one per entry.
-/// A handle is invalidated by [`SlabArena::remove`] and *re-pointed*
+/// A handle is invalidated by [`SlabArena::free`] and *re-pointed*
 /// (via the `on_move` callback) by [`SlabArena::transfer_slab`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotRef {
@@ -53,31 +64,112 @@ pub struct SlotRef {
     pub slot: u32,
 }
 
-/// Out-of-line metadata for one slot.
-#[derive(Debug, Clone, Copy)]
-struct SlotMeta {
-    hash: u64,
-    key_len: u32,
-    /// Value length, or [`FREE`] when the slot is unallocated.
-    val_len: u32,
+/// How an arena packs a [`SlotRef`] into one `u32` node id: the slab id
+/// above enough bits for the most slots a slab can hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeIds {
+    slot_bits: u32,
 }
 
-impl SlotMeta {
-    const EMPTY: SlotMeta = SlotMeta { hash: 0, key_len: 0, val_len: FREE };
+impl NodeIds {
+    /// The node id of slot `r`.
+    #[inline]
+    pub fn node(self, r: SlotRef) -> u32 {
+        r.slab << self.slot_bits | r.slot
+    }
+
+    /// The slot a node id names.
+    #[inline]
+    pub fn slot_ref(self, node: u32) -> SlotRef {
+        SlotRef { slab: node >> self.slot_bits, slot: node & ((1 << self.slot_bits) - 1) }
+    }
+}
+
+/// One slot's out-of-line record: everything the store keeps about the
+/// item in the slot besides its bytes, the item's LRU links included.
+/// The owner writes the public fields; the lengths follow the bytes
+/// ([`SlabArena::alloc`], [`SlabArena::write`]), and the links and tag
+/// are the queue's, reached through [`Links`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record {
+    /// The item's key hash.
+    pub hash: u64,
+    /// The owner's expiry stamp.
+    pub expires: u64,
+    /// The owner's compare-and-swap stamp.
+    pub cas: u64,
+    /// Node id of the next item toward the queue front, or [`NIL`].
+    prev: u32,
+    /// Node id of the next item toward the queue back, or [`NIL`].
+    next: u32,
+    /// Value length, or [`FREE`] when the slot is unallocated.
+    val_len: u32,
+    /// The item's miss penalty in microseconds.
+    pub penalty_us: u32,
+    /// The owner's opaque flags.
+    pub flags: u32,
+    key_len: u16,
+    /// The penalty band (subclass queue) the item is filed under.
+    pub band: u8,
+    /// The queue owner's tag (the segment tracker's).
+    tag: u8,
+}
+
+// Every slot of every carved slab costs one record, live or free.
+const _: () = assert!(std::mem::size_of::<Record>() <= 48);
+
+impl Record {
+    const EMPTY: Record = Record {
+        hash: 0,
+        expires: 0,
+        cas: 0,
+        prev: NIL,
+        next: NIL,
+        val_len: FREE,
+        penalty_us: 0,
+        flags: 0,
+        key_len: 0,
+        band: 0,
+        tag: 0,
+    };
+
+    /// A record for an item of `key_len + val_len` bytes under `hash`,
+    /// unlinked and untagged, with every owner field zero.
+    ///
+    /// # Panics
+    /// Panics when `key_len` exceeds [`MAX_KEY_LEN`].
+    pub fn new(hash: u64, key_len: usize, val_len: usize) -> Self {
+        let key_len = u16::try_from(key_len).expect("key longer than MAX_KEY_LEN");
+        Record { hash, val_len: val_len as u32, key_len, expires: 0, cas: 0, ..Record::EMPTY }
+    }
 
     fn is_free(&self) -> bool {
         self.val_len == FREE
     }
+
+    /// Key length in bytes.
+    pub fn key_len(&self) -> usize {
+        self.key_len as usize
+    }
+
+    /// Value length in bytes.
+    pub fn val_len(&self) -> usize {
+        self.val_len as usize
+    }
+
+    fn used(&self) -> usize {
+        self.key_len() + self.val_len()
+    }
 }
 
-/// One physical slab: `slab_bytes` of data plus per-slot metadata.
+/// One physical slab: `slab_bytes` of data plus per-slot records.
 struct Slab {
     /// Size class this slab is carved for.
     class: u32,
     /// The slab's backing bytes (`slab_bytes` long, allocated once).
     data: Box<[u8]>,
-    /// Per-slot metadata, `slots_per_slab(class)` long.
-    meta: Box<[SlotMeta]>,
+    /// Per-slot records, `slots_per_slab(class)` long.
+    meta: Box<[Record]>,
     /// Free slot indices (stack).
     free: Vec<u32>,
     /// Number of live slots (`capacity - free.len()`).
@@ -112,7 +204,7 @@ pub enum ArenaError {
         /// Offending class index.
         class: usize,
     },
-    /// [`SlabArena::insert`] found no free slot in the class. The
+    /// [`SlabArena::alloc`] found no free slot in the class. The
     /// policy ledger should have evicted or granted first.
     NoFreeSlot {
         /// Class that is out of slots.
@@ -126,6 +218,11 @@ pub enum ArenaError {
         needed: usize,
         /// The class's slot size.
         slot_bytes: usize,
+    },
+    /// The key is longer than a record can describe ([`MAX_KEY_LEN`]).
+    KeyTooLong {
+        /// The key's length in bytes.
+        len: usize,
     },
     /// A [`SlotRef`] does not name a live slot.
     BadSlot {
@@ -162,6 +259,9 @@ impl std::fmt::Display for ArenaError {
             ArenaError::ItemTooLarge { class, needed, slot_bytes } => {
                 write!(f, "item of {needed} bytes exceeds class {class} slot size {slot_bytes}")
             }
+            ArenaError::KeyTooLong { len } => {
+                write!(f, "key of {len} bytes exceeds the {MAX_KEY_LEN}-byte record limit")
+            }
             ArenaError::BadSlot { at } => {
                 write!(f, "slot ({}, {}) is not live", at.slab, at.slot)
             }
@@ -189,9 +289,9 @@ pub struct ArenaStats {
     pub max_slabs: u64,
     /// Size of one slab in bytes.
     pub slab_bytes: u64,
-    /// Resident bytes: slab backing memory plus slot metadata arrays.
+    /// Resident bytes: slab backing memory plus slot record arrays.
     pub resident_bytes: u64,
-    /// Bytes spent on out-of-line slot metadata.
+    /// Bytes spent on out-of-line slot records.
     pub meta_bytes: u64,
     /// Live items stored.
     pub live_items: u64,
@@ -242,6 +342,9 @@ pub struct SlabArena {
     slab_bytes: u64,
     min_slot: u64,
     max_slabs: usize,
+    /// Bits of a node id that hold the slot index (enough for the
+    /// smallest class's slots per slab); the slab id sits above them.
+    slot_bits: u32,
     slabs: Vec<Slab>,
     classes: Vec<ClassLedger>,
     stats: ArenaStats,
@@ -250,13 +353,24 @@ pub struct SlabArena {
 impl SlabArena {
     /// Builds an empty arena with the config's geometry. No slab
     /// memory is allocated until [`grant_slab`](Self::grant_slab).
+    ///
+    /// # Panics
+    /// Panics when the geometry has more slots than a `u32` node id
+    /// can name (over 2^32 minimum-size slots).
     pub fn new(cfg: &CacheConfig) -> Self {
         let num_classes = cfg.num_classes();
         let max_slabs = cfg.total_slabs();
+        let slot_bits = cfg.slots_per_slab(0).next_power_of_two().trailing_zeros();
+        assert!(
+            (max_slabs as u64) << slot_bits < u64::from(NIL),
+            "{max_slabs} slabs of {} slots do not fit u32 node ids",
+            cfg.slots_per_slab(0)
+        );
         SlabArena {
             slab_bytes: cfg.slab_bytes,
             min_slot: cfg.min_slot,
             max_slabs,
+            slot_bits,
             slabs: Vec::new(),
             classes: (0..num_classes).map(|_| ClassLedger::default()).collect(),
             stats: ArenaStats {
@@ -265,6 +379,26 @@ impl SlabArena {
                 ..ArenaStats::default()
             },
         }
+    }
+
+    /// The node id of slot `r`: the one `u32` that names it in record
+    /// links and queue handles.
+    #[inline]
+    pub fn node(&self, r: SlotRef) -> u32 {
+        self.ids().node(r)
+    }
+
+    /// The slot a node id names (see [`node`](Self::node)).
+    #[inline]
+    pub fn slot_ref(&self, node: u32) -> SlotRef {
+        self.ids().slot_ref(node)
+    }
+
+    /// The arena's node-id packing, detached from the arena, for use
+    /// while the arena is borrowed (as in a transfer's `on_move`).
+    #[inline]
+    pub fn ids(&self) -> NodeIds {
+        NodeIds { slot_bits: self.slot_bits }
     }
 
     /// Slot size of `class` in bytes.
@@ -300,7 +434,7 @@ impl SlabArena {
     }
 
     /// Per-class breakdown, including exact live bytes (walks the
-    /// metadata arrays; intended for reporting, not the hot path).
+    /// record arrays; intended for reporting, not the hot path).
     pub fn class_stats(&self) -> Vec<ClassStats> {
         (0..self.classes.len())
             .map(|class| {
@@ -316,7 +450,7 @@ impl SlabArena {
                         .meta
                         .iter()
                         .filter(|m| !m.is_free())
-                        .map(|m| u64::from(m.key_len) + u64::from(m.val_len))
+                        .map(|m| m.used() as u64)
                         .sum::<u64>();
                 }
                 ClassStats {
@@ -343,6 +477,17 @@ impl SlabArena {
             .collect()
     }
 
+    /// The live slots of every slab carved for `class`, for walks that
+    /// check each item is reached exactly once.
+    pub fn live_slots(&self, class: usize) -> impl Iterator<Item = SlotRef> + '_ {
+        self.classes[class].slabs.iter().flat_map(move |&slab| {
+            let meta = &self.slabs[slab as usize].meta;
+            (0..meta.len() as u32)
+                .filter(move |&slot| !meta[slot as usize].is_free())
+                .map(move |slot| SlotRef { slab, slot })
+        })
+    }
+
     /// Carves a fresh slab for `class`. Mirrors the policy ledger's
     /// `grant_slab` / `StoredWithNewSlab` transitions.
     pub fn grant_slab(&mut self, class: usize) -> Result<u32, ArenaError> {
@@ -357,12 +502,12 @@ impl SlabArena {
         let slab = Slab {
             class: class as u32,
             data: vec![0u8; self.slab_bytes as usize].into_boxed_slice(),
-            meta: vec![SlotMeta::EMPTY; slots].into_boxed_slice(),
+            meta: vec![Record::EMPTY; slots].into_boxed_slice(),
             free: (0..slots as u32).rev().collect(),
             live: 0,
             in_open: true,
         };
-        let meta_bytes = (slots * std::mem::size_of::<SlotMeta>()) as u64;
+        let meta_bytes = (slots * std::mem::size_of::<Record>()) as u64;
         self.stats.slabs += 1;
         self.stats.resident_bytes += self.slab_bytes + meta_bytes;
         self.stats.meta_bytes += meta_bytes;
@@ -373,101 +518,157 @@ impl SlabArena {
         Ok(sid)
     }
 
-    /// Writes `key ‖ value` into a free slot of `class` and returns
-    /// its handle. Fails if the class has no free slot (the caller
-    /// must evict or grant first — the arena never grows itself).
-    pub fn insert(
-        &mut self,
-        class: usize,
-        hash: u64,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<SlotRef, ArenaError> {
+    /// Takes a free slot of `class` for an item described by `rec`,
+    /// which is stored unlinked and untagged, and returns its handle.
+    /// The slot's bytes are the caller's to [`write`](Self::write).
+    /// Fails if the item cannot fit the class's slots or the class has
+    /// no free slot (the caller must evict or grant first — the arena
+    /// never grows itself).
+    pub fn alloc(&mut self, class: usize, rec: Record) -> Result<SlotRef, ArenaError> {
         if class >= self.classes.len() {
             return Err(ArenaError::BadClass { class });
         }
         let slot_bytes = self.slot_bytes(class) as usize;
-        let needed = key.len() + value.len();
+        let needed = rec.used();
         if needed > slot_bytes {
             return Err(ArenaError::ItemTooLarge { class, needed, slot_bytes });
         }
         let r = self.alloc_slot(class).ok_or(ArenaError::NoFreeSlot { class })?;
-        let slab = &mut self.slabs[r.slab as usize];
-        let off = r.slot as usize * slot_bytes;
-        slab.data[off..off + key.len()].copy_from_slice(key);
-        slab.data[off + key.len()..off + needed].copy_from_slice(value);
-        slab.meta[r.slot as usize] =
-            SlotMeta { hash, key_len: key.len() as u32, val_len: value.len() as u32 };
+        self.slabs[r.slab as usize].meta[r.slot as usize] =
+            Record { prev: NIL, next: NIL, tag: 0, ..rec };
         self.stats.live_items += 1;
         self.stats.live_item_bytes += needed as u64;
         self.stats.live_slot_bytes += slot_bytes as u64;
         Ok(r)
     }
 
-    /// Reads the `(key, value)` stored at `r`, or `None` when the
+    /// Writes `key ‖ value` into the live slot `r`, setting its
+    /// record's lengths; the rest of the record is left alone.
+    pub fn write(&mut self, r: SlotRef, key: &[u8], value: &[u8]) -> Result<(), ArenaError> {
+        if key.len() > MAX_KEY_LEN {
+            return Err(ArenaError::KeyTooLong { len: key.len() });
+        }
+        let class = self.live_class(r)?;
+        let slot_bytes = self.slot_bytes(class) as usize;
+        let needed = key.len() + value.len();
+        if needed > slot_bytes {
+            return Err(ArenaError::ItemTooLarge { class, needed, slot_bytes });
+        }
+        let slab = &mut self.slabs[r.slab as usize];
+        let rec = &mut slab.meta[r.slot as usize];
+        self.stats.live_item_bytes =
+            self.stats.live_item_bytes - rec.used() as u64 + needed as u64;
+        rec.key_len = key.len() as u16;
+        rec.val_len = value.len() as u32;
+        let off = r.slot as usize * slot_bytes;
+        slab.data[off..off + key.len()].copy_from_slice(key);
+        slab.data[off + key.len()..off + needed].copy_from_slice(value);
+        Ok(())
+    }
+
+    /// Sets the lengths of the live slot `r`'s item ahead of a
+    /// [`write`](Self::write) of that many bytes, so that the record
+    /// describes the item from the moment the policy files it.
+    pub fn resize(
+        &mut self,
+        r: SlotRef,
+        key_len: usize,
+        val_len: usize,
+    ) -> Result<(), ArenaError> {
+        let class = self.live_class(r)?;
+        let needed = key_len + val_len;
+        let slot_bytes = self.slot_bytes(class) as usize;
+        if needed > slot_bytes {
+            return Err(ArenaError::ItemTooLarge { class, needed, slot_bytes });
+        }
+        let key_len =
+            u16::try_from(key_len).map_err(|_| ArenaError::KeyTooLong { len: key_len })?;
+        let rec = &mut self.slabs[r.slab as usize].meta[r.slot as usize];
+        self.stats.live_item_bytes =
+            self.stats.live_item_bytes - rec.used() as u64 + needed as u64;
+        rec.key_len = key_len;
+        rec.val_len = val_len as u32;
+        Ok(())
+    }
+
+    /// The class of the slab holding the live slot `r`.
+    fn live_class(&self, r: SlotRef) -> Result<usize, ArenaError> {
+        let slab = self.slabs.get(r.slab as usize).ok_or(ArenaError::BadSlot { at: r })?;
+        match slab.meta.get(r.slot as usize) {
+            Some(m) if !m.is_free() => Ok(slab.class as usize),
+            _ => Err(ArenaError::BadSlot { at: r }),
+        }
+    }
+
+    /// The record and `(key, value)` stored at `r`, or `None` when the
     /// handle is stale. Safe under a shared lock: reading never
     /// mutates the ledger.
-    pub fn read(&self, r: SlotRef) -> Option<(&[u8], &[u8])> {
+    #[inline]
+    pub fn read(&self, r: SlotRef) -> Option<(&Record, &[u8], &[u8])> {
         let slab = self.slabs.get(r.slab as usize)?;
-        let meta = slab.meta.get(r.slot as usize)?;
-        if meta.is_free() {
+        let rec = slab.meta.get(r.slot as usize)?;
+        if rec.is_free() {
             return None;
         }
         let slot_bytes = self.slot_bytes(slab.class as usize) as usize;
         let off = r.slot as usize * slot_bytes;
-        let key_end = off + meta.key_len as usize;
-        let val_end = key_end + meta.val_len as usize;
-        Some((&slab.data[off..key_end], &slab.data[key_end..val_end]))
+        let key_end = off + rec.key_len();
+        let val_end = key_end + rec.val_len();
+        Some((rec, &slab.data[off..key_end], &slab.data[key_end..val_end]))
+    }
+
+    /// The record of the live slot `r`.
+    #[inline]
+    pub fn record(&self, r: SlotRef) -> Option<&Record> {
+        self.slabs.get(r.slab as usize)?.meta.get(r.slot as usize).filter(|m| !m.is_free())
+    }
+
+    /// The record of the live slot `r`, for its owner fields.
+    #[inline]
+    pub fn record_mut(&mut self, r: SlotRef) -> Option<&mut Record> {
+        self.slabs
+            .get_mut(r.slab as usize)?
+            .meta
+            .get_mut(r.slot as usize)
+            .filter(|m| !m.is_free())
     }
 
     /// The class that the slab holding `r` is carved for, read from
     /// the slab header that [`read`](Self::read) touches too; `None`
     /// for a slab the arena never carved. The answer holds for every
     /// live slot of the slab.
+    #[inline]
     pub fn slab_class(&self, r: SlotRef) -> Option<usize> {
         self.slabs.get(r.slab as usize).map(|s| s.class as usize)
     }
 
-    /// The `(class, hash, key_len, val_len)` recorded for a live
-    /// slot, for index cross-checks.
-    pub fn locate(&self, r: SlotRef) -> Option<(usize, u64, usize, usize)> {
-        let slab = self.slabs.get(r.slab as usize)?;
-        let meta = slab.meta.get(r.slot as usize)?;
-        if meta.is_free() {
-            return None;
-        }
-        Some((slab.class as usize, meta.hash, meta.key_len as usize, meta.val_len as usize))
-    }
-
-    /// Frees the slot at `r`, returning its `(key_len, val_len)`.
-    pub fn remove(&mut self, r: SlotRef) -> Result<(usize, usize), ArenaError> {
-        let slot_bytes = {
-            let slab = self.slabs.get(r.slab as usize).ok_or(ArenaError::BadSlot { at: r })?;
-            if slab.meta.get(r.slot as usize).is_none_or(|m| m.is_free()) {
-                return Err(ArenaError::BadSlot { at: r });
-            }
-            self.slot_bytes(slab.class as usize)
-        };
+    /// Frees the slot at `r`, returning its record. The item must be
+    /// unlinked already: the record's links are dropped with it.
+    pub fn free(&mut self, r: SlotRef) -> Result<Record, ArenaError> {
+        let slot_bytes = self.slot_bytes(self.live_class(r)?);
         let slab = &mut self.slabs[r.slab as usize];
-        let meta = std::mem::replace(&mut slab.meta[r.slot as usize], SlotMeta::EMPTY);
+        let rec = std::mem::replace(&mut slab.meta[r.slot as usize], Record::EMPTY);
         slab.free.push(r.slot);
         slab.live -= 1;
         self.stats.live_items -= 1;
-        self.stats.live_item_bytes -= u64::from(meta.key_len) + u64::from(meta.val_len);
+        self.stats.live_item_bytes -= rec.used() as u64;
         self.stats.live_slot_bytes -= slot_bytes;
         self.stats.free_slots += 1;
         if !slab.in_open {
             slab.in_open = true;
             self.classes[slab.class as usize].open.push(r.slab);
         }
-        Ok((meta.key_len as usize, meta.val_len as usize))
+        Ok(rec)
     }
 
     /// Moves one slab from `src` to `dst`, compacting first: the
     /// emptiest `src` slab is chosen as the victim, its live items are
-    /// consolidated into the class's other slabs (`on_move(hash, old,
-    /// new)` fires for each so the caller can repoint its index), and
-    /// the emptied slab is re-carved with `dst`'s slot size.
+    /// consolidated into the class's other slabs, and the emptied slab
+    /// is re-carved with `dst`'s slot size. Each moved item's record
+    /// moves whole, links and tag included, and its queue neighbours'
+    /// links are repointed at the new slot; then `on_move(&record, old,
+    /// new)` fires so the caller can repoint its index and its queue's
+    /// ends. Moves are made in ascending order of the old slot.
     ///
     /// Mirrors the policy ledger's `migrate_slab`: the caller must
     /// already have evicted enough `src` items (the policy reclaims
@@ -477,7 +678,7 @@ impl SlabArena {
         &mut self,
         src: usize,
         dst: usize,
-        mut on_move: impl FnMut(u64, SlotRef, SlotRef),
+        mut on_move: impl FnMut(&Record, SlotRef, SlotRef),
     ) -> Result<u32, ArenaError> {
         if src >= self.classes.len() {
             return Err(ArenaError::BadClass { class: src });
@@ -517,8 +718,8 @@ impl SlabArena {
         let src_slot_bytes = self.slot_bytes(src) as usize;
         let mut moved = 0u64;
         for slot in 0..self.slabs[victim as usize].meta.len() as u32 {
-            let meta = self.slabs[victim as usize].meta[slot as usize];
-            if meta.is_free() {
+            let rec = self.slabs[victim as usize].meta[slot as usize];
+            if rec.is_free() {
                 continue;
             }
             let old = SlotRef { slab: victim, slot };
@@ -527,29 +728,37 @@ impl SlabArena {
                 .alloc_slot(src)
                 .expect("compaction room was verified before detaching the victim");
             debug_assert_ne!(new.slab, victim);
-            let used = meta.key_len as usize + meta.val_len as usize;
+            let used = rec.used();
             let (from, to) = two_slabs(&mut self.slabs, victim, new.slab);
             let src_off = old.slot as usize * src_slot_bytes;
             let dst_off = new.slot as usize * src_slot_bytes;
             to.data[dst_off..dst_off + used]
                 .copy_from_slice(&from.data[src_off..src_off + used]);
-            to.meta[new.slot as usize] = meta;
-            from.meta[slot as usize] = SlotMeta::EMPTY;
+            to.meta[new.slot as usize] = rec;
+            from.meta[slot as usize] = Record::EMPTY;
             from.live -= 1;
+            // The neighbours follow the record to its new slot.
+            let id = self.node(new);
+            if rec.prev != NIL {
+                self.set_next(rec.prev, id);
+            }
+            if rec.next != NIL {
+                self.set_prev(rec.next, id);
+            }
             moved += 1;
-            on_move(meta.hash, old, new);
+            on_move(&rec, old, new);
         }
         debug_assert_eq!(self.slabs[victim as usize].live, 0);
 
         // Re-carve the empty slab for the destination class.
         let old_meta_bytes =
-            (self.slabs[victim as usize].meta.len() * std::mem::size_of::<SlotMeta>()) as u64;
+            (self.slabs[victim as usize].meta.len() * std::mem::size_of::<Record>()) as u64;
         let slots = self.slots_per_slab(dst);
-        let new_meta_bytes = (slots * std::mem::size_of::<SlotMeta>()) as u64;
+        let new_meta_bytes = (slots * std::mem::size_of::<Record>()) as u64;
         {
             let slab = &mut self.slabs[victim as usize];
             slab.class = dst as u32;
-            slab.meta = vec![SlotMeta::EMPTY; slots].into_boxed_slice();
+            slab.meta = vec![Record::EMPTY; slots].into_boxed_slice();
             slab.free = (0..slots as u32).rev().collect();
             slab.live = 0;
             slab.in_open = true;
@@ -588,6 +797,19 @@ impl SlabArena {
                 }
             }
         }
+    }
+
+    /// The record of node `n`, which must name a carved slot.
+    #[inline]
+    fn rec(&self, n: u32) -> &Record {
+        let r = self.slot_ref(n);
+        &self.slabs[r.slab as usize].meta[r.slot as usize]
+    }
+
+    #[inline]
+    fn rec_mut(&mut self, n: u32) -> &mut Record {
+        let r = self.slot_ref(n);
+        &mut self.slabs[r.slab as usize].meta[r.slot as usize]
     }
 
     /// Full-recount invariant check: the ledger, free lists, open
@@ -655,8 +877,8 @@ impl SlabArena {
                     return Err(format!("slab {sid}: bad free-list entry {f}"));
                 }
                 seen[fi] = true;
-                if !slab.meta[fi].is_free() {
-                    return Err(format!("slab {sid}: slot {f} free but has metadata"));
+                if slab.meta[fi] != Record::EMPTY {
+                    return Err(format!("slab {sid}: slot {f} free but has a record"));
                 }
             }
             let live = slab.meta.iter().filter(|m| !m.is_free()).count();
@@ -682,7 +904,7 @@ impl SlabArena {
                 if m.is_free() {
                     continue;
                 }
-                let used = u64::from(m.key_len) + u64::from(m.val_len);
+                let used = m.used() as u64;
                 if used > slot_bytes {
                     return Err(format!(
                         "slab {sid} slot {i}: {used} bytes in a {slot_bytes}-byte slot"
@@ -693,7 +915,7 @@ impl SlabArena {
                 agg.live_slot_bytes += slot_bytes;
             }
             agg.free_slots += slab.free.len() as u64;
-            let meta_bytes = (capacity * std::mem::size_of::<SlotMeta>()) as u64;
+            let meta_bytes = (capacity * std::mem::size_of::<Record>()) as u64;
             agg.meta_bytes += meta_bytes;
             agg.resident_bytes += self.slab_bytes + meta_bytes;
         }
@@ -704,6 +926,46 @@ impl SlabArena {
             ));
         }
         Ok(())
+    }
+}
+
+/// Record links: node ids ([`SlabArena::node`]) name slots, and each
+/// slot's record holds its item's queue links and tag.
+impl Links for SlabArena {
+    #[inline]
+    fn prev(&self, n: u32) -> u32 {
+        self.rec(n).prev
+    }
+    #[inline]
+    fn next(&self, n: u32) -> u32 {
+        self.rec(n).next
+    }
+    #[inline]
+    fn set_prev(&mut self, n: u32, to: u32) {
+        self.rec_mut(n).prev = to;
+    }
+    #[inline]
+    fn set_next(&mut self, n: u32, to: u32) {
+        self.rec_mut(n).next = to;
+    }
+    #[inline]
+    fn tag(&self, n: u32) -> u8 {
+        self.rec(n).tag
+    }
+    #[inline]
+    fn set_tag(&mut self, n: u32, tag: u8) {
+        self.rec_mut(n).tag = tag;
+    }
+    fn clear_tag(&mut self, n: u32) {
+        let r = self.slot_ref(n);
+        if let Some(rec) =
+            self.slabs.get_mut(r.slab as usize).and_then(|s| s.meta.get_mut(r.slot as usize))
+        {
+            rec.tag = 0;
+        }
+    }
+    fn is_live(&self, n: u32) -> bool {
+        self.record(self.slot_ref(n)).is_some()
     }
 }
 
@@ -737,14 +999,28 @@ mod tests {
         format!("key-{i:08}").into_bytes()
     }
 
+    /// Writes `key ‖ value` into a free slot of `class` under `hash`.
+    fn insert(
+        a: &mut SlabArena,
+        class: usize,
+        hash: u64,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<SlotRef, ArenaError> {
+        let r = a.alloc(class, Record::new(hash, key.len(), value.len()))?;
+        a.write(r, key, value)?;
+        Ok(r)
+    }
+
     #[test]
     fn grant_insert_read_roundtrip() {
         let mut a = SlabArena::new(&cfg(1 << 20, 1 << 16));
         a.grant_slab(0).unwrap();
-        let r = a.insert(0, 42, b"hello", b"world").unwrap();
-        let (k, v) = a.read(r).unwrap();
+        let r = insert(&mut a, 0, 42, b"hello", b"world").unwrap();
+        let (rec, k, v) = a.read(r).unwrap();
         assert_eq!((k, v), (&b"hello"[..], &b"world"[..]));
-        assert_eq!(a.locate(r), Some((0, 42, 5, 5)));
+        assert_eq!((rec.hash, rec.key_len(), rec.val_len()), (42, 5, 5));
+        assert_eq!(a.record(r), Some(rec));
         assert_eq!(a.slab_class(r), Some(0));
         assert_eq!(a.slab_class(SlotRef { slab: 9, slot: 0 }), None);
         let st = a.stats();
@@ -758,12 +1034,12 @@ mod tests {
     #[test]
     fn insert_without_slab_or_room_is_refused() {
         let mut a = SlabArena::new(&cfg(1 << 20, 1 << 16));
-        assert_eq!(a.insert(0, 1, b"k", b"v"), Err(ArenaError::NoFreeSlot { class: 0 }));
+        assert_eq!(insert(&mut a, 0, 1, b"k", b"v"), Err(ArenaError::NoFreeSlot { class: 0 }));
         a.grant_slab(3).unwrap();
         // Class 3 slots are 512 B; a 600-byte value cannot fit.
         let big = vec![0u8; 600];
         assert!(matches!(
-            a.insert(3, 1, b"k", &big),
+            insert(&mut a, 3, 1, b"k", &big),
             Err(ArenaError::ItemTooLarge { class: 3, .. })
         ));
         a.check().unwrap();
@@ -784,15 +1060,18 @@ mod tests {
         let slots = a.slots_per_slab(4);
         let mut refs = Vec::new();
         for i in 0..slots as u32 {
-            refs.push(a.insert(4, u64::from(i), &key(i), b"v").unwrap());
+            refs.push(insert(&mut a, 4, u64::from(i), &key(i), b"v").unwrap());
         }
-        assert_eq!(a.insert(4, 999, b"k", b"v"), Err(ArenaError::NoFreeSlot { class: 4 }));
-        let (kl, vl) = a.remove(refs[3]).unwrap();
-        assert_eq!((kl, vl), (12, 1));
+        assert_eq!(
+            insert(&mut a, 4, 999, b"k", b"v"),
+            Err(ArenaError::NoFreeSlot { class: 4 })
+        );
+        let rec = a.free(refs[3]).unwrap();
+        assert_eq!((rec.key_len(), rec.val_len()), (12, 1));
         assert_eq!(a.read(refs[3]), None);
-        assert!(a.remove(refs[3]).is_err());
-        let r = a.insert(4, 999, b"k", b"v").unwrap();
-        assert_eq!(a.read(r).unwrap().0, b"k");
+        assert!(a.free(refs[3]).is_err());
+        let r = insert(&mut a, 4, 999, b"k", b"v").unwrap();
+        assert_eq!(a.read(r).unwrap().1, b"k");
         a.check().unwrap();
     }
 
@@ -808,7 +1087,7 @@ mod tests {
         let mut index: HashMap<u64, SlotRef> = HashMap::new();
         for i in 0..(2 * per) as u32 {
             let h = u64::from(i);
-            index.insert(h, a.insert(0, h, &key(i), b"v").unwrap());
+            index.insert(h, insert(&mut a, 0, h, &key(i), b"v").unwrap());
         }
         let victim_slab = index[&0].slab;
         // Free every victim-slab item except three, plus a couple from
@@ -830,15 +1109,15 @@ mod tests {
                 }
                 freed_elsewhere += 1;
             }
-            a.remove(r).unwrap();
+            a.free(r).unwrap();
             index.remove(&h);
         }
         assert_eq!((kept_in_victim, freed_elsewhere), (3, 5));
         let mut moves = 0;
         let freed = a
-            .transfer_slab(0, 2, |h, old, new| {
-                assert_eq!(index[&h], old);
-                index.insert(h, new);
+            .transfer_slab(0, 2, |rec, old, new| {
+                assert_eq!(index[&rec.hash], old);
+                index.insert(rec.hash, new);
                 moves += 1;
             })
             .unwrap();
@@ -852,14 +1131,14 @@ mod tests {
         assert_eq!(st.slot_moves, 3);
         // Every surviving item is still readable through its handle.
         for (&h, &r) in &index {
-            let (k, _) = a.read(r).unwrap();
+            let (_, k, _) = a.read(r).unwrap();
             assert_eq!(k, key(h as u32).as_slice());
         }
         // The re-carved slab accepts items of its new class.
         let big = vec![7u8; 200];
-        let r = a.insert(2, 10_000, b"bigkey", &big).unwrap();
+        let r = insert(&mut a, 2, 10_000, b"bigkey", &big).unwrap();
         assert_eq!(r.slab, victim_slab);
-        assert_eq!(a.read(r).unwrap().1, big.as_slice());
+        assert_eq!(a.read(r).unwrap().2, big.as_slice());
         a.check().unwrap();
     }
 
@@ -869,7 +1148,7 @@ mod tests {
         a.grant_slab(0).unwrap();
         let per = a.slots_per_slab(0);
         for i in 0..per as u32 {
-            a.insert(0, u64::from(i), &key(i), b"v").unwrap();
+            insert(&mut a, 0, u64::from(i), &key(i), b"v").unwrap();
         }
         // One fully live slab, nowhere to compact to.
         assert!(matches!(
@@ -878,10 +1157,59 @@ mod tests {
         ));
         // An empty victim transfers without any moves.
         for i in 0..per as u32 {
-            a.remove(SlotRef { slab: 0, slot: i }).unwrap();
+            a.free(SlotRef { slab: 0, slot: i }).unwrap();
         }
         a.transfer_slab(0, 1, |_, _, _| panic!("no items should move")).unwrap();
         assert_eq!(a.class_slabs(1), 1);
+        a.check().unwrap();
+    }
+
+    #[test]
+    fn transfer_moves_records_whole_and_relinks_their_queue() {
+        use pama_core::lru::{NodeRef, Queue};
+        let mut a = SlabArena::new(&cfg(4 << 16, 1 << 16));
+        a.grant_slab(0).unwrap();
+        a.grant_slab(0).unwrap();
+        let per = a.slots_per_slab(0);
+        // One queue over every slot of both slabs, front to back in
+        // insertion order, record i tagged i % 7.
+        let mut q = Queue::new();
+        let mut slots = Vec::new();
+        for i in 0..(2 * per) as u32 {
+            let r = insert(&mut a, 0, u64::from(i), &key(i), b"v").unwrap();
+            let n = NodeRef::new(a.node(r));
+            q.push_back(&mut a, n);
+            a.set_tag(n.index(), (i % 7) as u8);
+            slots.push(r);
+        }
+        // Thin out the first slab (the victim) to its head, one middle
+        // item and its last item, and the second slab by as many.
+        let victim = slots[0].slab;
+        let keep = [0, per / 2, per - 1];
+        for (i, &r) in slots.iter().enumerate() {
+            let free = if r.slab == victim { !keep.contains(&i) } else { i < per + 3 };
+            if free {
+                let n = NodeRef::new(a.node(r));
+                q.remove(&mut a, n);
+                a.free(r).unwrap();
+            }
+        }
+        let order = |a: &SlabArena, q: &Queue| -> Vec<(u64, u8)> {
+            q.iter(a)
+                .map(|n| (a.record(a.slot_ref(n.index())).unwrap().hash, a.tag(n.index())))
+                .collect()
+        };
+        let before = order(&a, &q);
+        assert_eq!(before[0].0, 0, "the queue head is in the victim slab");
+        let mut moves = Vec::new();
+        a.transfer_slab(0, 1, |_, old, new| moves.push((old, new))).unwrap();
+        assert_eq!(moves.len(), 3);
+        assert!(moves.windows(2).all(|w| w[0].0.slot < w[1].0.slot), "moves in slot order");
+        for &(old, new) in &moves {
+            q.relocated(NodeRef::new(a.node(old)), NodeRef::new(a.node(new)));
+        }
+        q.check_invariants(&a).unwrap();
+        assert_eq!(order(&a, &q), before, "order and tags survive the move");
         a.check().unwrap();
     }
 }
