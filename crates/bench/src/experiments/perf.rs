@@ -1,9 +1,15 @@
 //! `repro perf` — throughput and hit-latency benchmark for `pama-kv`.
 //!
 //! Measures single- and multi-threaded GET/SET throughput (1/2/4/8
-//! threads, zipfian keys), batched `multi_get` throughput, and
-//! hit-path latency percentiles. Hits run under the shard's shared
-//! read lock and defer promotion through the lock-free access log.
+//! threads, zipfian keys), batched `multi_get` throughput, hit-path
+//! latency percentiles, and the latency tail of a mixed cell. Hits run
+//! under the shard's shared read lock and defer promotion through the
+//! lock-free access log.
+//!
+//! The mixed cell is the contended pattern: two threads, 95% GETs and
+//! 5% same-size SET overwrites. Each SET takes its shard's write lock
+//! and drains the hits deferred since the last one, so a GET or SET
+//! that meets a drain waits for it; the cell's p99s show how long.
 //!
 //! Results land in `BENCH_throughput.json` at the repo root so later
 //! changes have a perf trajectory to regress against. The shape check
@@ -17,7 +23,7 @@ use crate::experiments::{ExpOptions, ExpResult};
 use crate::output::ShapeCheck;
 use pama_kv::{CacheBuilder, PamaCache, SetOptions};
 use pama_util::json::{obj, Json};
-use pama_util::Xoshiro256StarStar;
+use pama_util::{Rng, Xoshiro256StarStar};
 use pama_workloads::zipf::ZipfApprox;
 use std::time::Instant;
 
@@ -26,11 +32,20 @@ const TOTAL_BYTES: u64 = 64 << 20;
 const SHARDS: usize = 8;
 const ZIPF_ALPHA: f64 = 0.99;
 const MULTI_GET_BATCH: usize = 64;
+/// Threads of the mixed cell.
+const MIXED_THREADS: usize = 2;
+/// Share of the mixed cell's operations that are SET overwrites.
+const MIXED_SET_SHARE: f64 = 0.05;
+/// Marks a SET in the mixed cell's sequence; the low bits name the key.
+const MIXED_SET: u32 = 1 << 31;
 
 struct Setup {
     keys: Vec<Vec<u8>>,
     get_seq: Vec<u32>,
     set_seq: Vec<u32>,
+    /// The mixed cell's operations: a key index, with [`MIXED_SET`] set
+    /// on a SET.
+    mixed_seq: Vec<u32>,
     value: Vec<u8>,
     latency_samples: usize,
 }
@@ -116,6 +131,51 @@ fn run_multi_gets(cache: &PamaCache, setup: &Setup) -> f64 {
     setup.get_seq.len() as f64 / dt
 }
 
+/// Runs the mixed cell's sequence split across [`MIXED_THREADS`]
+/// slices, timing every operation; returns ops/sec and the GET and SET
+/// latencies in nanoseconds, each sorted ascending. Every SET rewrites
+/// a resident key with a value of the same size, so every GET hits.
+fn run_mixed(cache: &PamaCache, setup: &Setup) -> (f64, Vec<u64>, Vec<u64>) {
+    let chunk_len = setup.mixed_seq.len().div_ceil(MIXED_THREADS);
+    let t0 = Instant::now();
+    let per_thread: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = setup
+            .mixed_seq
+            .chunks(chunk_len)
+            .map(|chunk| {
+                s.spawn(move || {
+                    let (mut gets, mut sets) = (Vec::with_capacity(chunk.len()), Vec::new());
+                    for &op in chunk {
+                        let key = setup.keys[(op & !MIXED_SET) as usize].as_slice();
+                        let t0 = Instant::now();
+                        if op & MIXED_SET != 0 {
+                            cache
+                                .set(key, &setup.value, &SetOptions::default())
+                                .expect("an overwrite fits");
+                            sets.push(t0.elapsed().as_nanos() as u64);
+                        } else {
+                            let hit = cache.get(key).is_some();
+                            gets.push(t0.elapsed().as_nanos() as u64);
+                            assert!(hit, "resident key missed during the mixed cell");
+                        }
+                    }
+                    (gets, sets)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("bench thread")).collect()
+    });
+    let rate = setup.mixed_seq.len() as f64 / t0.elapsed().as_secs_f64();
+    let (mut gets, mut sets): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+    for (g, s) in per_thread {
+        gets.extend(g);
+        sets.extend(s);
+    }
+    gets.sort_unstable();
+    sets.sort_unstable();
+    (rate, gets, sets)
+}
+
 /// Per-op hit latencies in nanoseconds, sorted ascending.
 fn sample_latencies(cache: &PamaCache, setup: &Setup) -> Vec<u64> {
     let mut ns: Vec<u64> = Vec::with_capacity(setup.latency_samples);
@@ -155,6 +215,7 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
     let key_count: usize = if opts.smoke { 20_000 } else { 100_000 };
     let get_ops = opts.scaled(if opts.smoke { 160_000 } else { 1_600_000 });
     let set_ops = opts.scaled(if opts.smoke { 40_000 } else { 320_000 });
+    let mixed_ops = opts.scaled(if opts.smoke { 200_000 } else { 2_000_000 });
     let latency_samples = if opts.smoke { 20_000 } else { 100_000 };
     let thread_counts: Vec<usize> =
         if opts.threads > 0 { vec![opts.threads] } else { vec![1, 2, 4, 8] };
@@ -172,6 +233,12 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
         keys: (0..key_count).map(|i| format!("user:{i:08}").into_bytes()).collect(),
         get_seq: (0..get_ops).map(|_| zipf.sample(&mut rng) as u32).collect(),
         set_seq: (0..set_ops).map(|_| zipf.sample(&mut rng) as u32).collect(),
+        mixed_seq: (0..mixed_ops)
+            .map(|_| {
+                let set = if rng.next_f64() < MIXED_SET_SHARE { MIXED_SET } else { 0 };
+                set | zipf.sample(&mut rng) as u32
+            })
+            .collect(),
         value: vec![0xA5; VALUE_BYTES],
         latency_samples,
     };
@@ -198,6 +265,15 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
         set_rows.push((threads, rate));
     }
     let latencies = sample_latencies(&build_cache(&setup), &setup);
+    let (mixed_rate, mixed_gets, mixed_sets) = run_mixed(&build_cache(&setup), &setup);
+    println!(
+        "  mixed {MIXED_THREADS}t: {mixed_rate:>10.0} ops/s; GET p50/p99 {}/{} ns, \
+         SET p50/p99 {}/{} ns",
+        pct(&mixed_gets, 0.50),
+        pct(&mixed_gets, 0.99),
+        pct(&mixed_sets, 0.50),
+        pct(&mixed_sets, 0.99),
+    );
     let multi_get_rate = {
         let rate = run_multi_gets(&build_cache(&setup), &setup);
         println!("  multi_get({MULTI_GET_BATCH}) 1t: {rate:>10.0} ops/s");
@@ -224,7 +300,7 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
         )
     };
     let report = obj(vec![
-        ("schema", Json::Str("pama-bench-throughput/v2".into())),
+        ("schema", Json::Str("pama-bench-throughput/v3".into())),
         ("smoke", Json::Bool(opts.smoke)),
         (
             "config",
@@ -250,6 +326,17 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
             ]),
         ),
         ("hit_latency_ns", latency_json(&latencies)),
+        (
+            "mixed",
+            obj(vec![
+                ("threads", Json::U64(MIXED_THREADS as u64)),
+                ("set_share", Json::F64(MIXED_SET_SHARE)),
+                ("ops", Json::U64(mixed_ops as u64)),
+                ("ops_per_sec", Json::F64(mixed_rate)),
+                ("get_latency_ns", latency_json(&mixed_gets)),
+                ("set_latency_ns", latency_json(&mixed_sets)),
+            ]),
+        ),
         (
             "headline",
             obj(vec![

@@ -140,9 +140,11 @@ impl SubclassTracker {
     ) -> Option<usize> {
         let seg = match &mut self.stack_mem {
             Membership::Exact(_) => {
-                let tag = links.tag(node.index());
+                // Most hits land above every tracked segment: leave
+                // their untagged records unwritten.
+                let seg = usize::from(links.tag(node.index())).checked_sub(1)?;
                 links.set_tag(node.index(), 0);
-                usize::from(tag).checked_sub(1)?
+                seg
             }
             Membership::Bloom(b) => {
                 let seg = b.query(key)?;

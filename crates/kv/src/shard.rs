@@ -14,7 +14,11 @@
 //! Every path that takes the write lock (SET, DELETE, a GET miss, TTL
 //! sweeps, explicit flush) takes it through [`ShardCell::write`], which
 //! drains the log first, so deferred promotions are applied in recorded
-//! order before any state change.
+//! order before any state change. Every other thread that wants the
+//! shard waits out that drain, spinning before it sleeps (the
+//! `parking_lot` shim's lock), so the drain ([`Shard::apply_deferred`])
+//! keeps its hold short by prefetching the slot records of the hits
+//! ahead of the one it applies.
 //! The read path itself never drains: applying a deferred hit to the
 //! policy costs as much as the inline promotion it replaced, so a
 //! reader-side drain would hand the saved cost right back. Instead the
@@ -81,6 +85,16 @@ use std::time::Instant;
 /// size costs tens of microseconds — long enough to amortize the write
 /// lock, short enough not to stall the writer that triggers it.
 const ACCESS_LOG_CAPACITY: usize = 4096;
+
+/// How many deferred hits ahead of the one being applied a drain
+/// prefetches the slot record of; a memory load takes about as long as
+/// this many promotions of cached records.
+const RECORD_AHEAD: usize = 8;
+
+/// How many deferred hits ahead a drain prefetches the queue
+/// neighbours' records of: half of [`RECORD_AHEAD`], so the record
+/// holding their ids has arrived.
+const NEIGHBOURS_AHEAD: usize = 4;
 
 /// The expiry stamp of an item stored at `now` with `ttl`; saturates to
 /// [`NEVER`] rather than overflow.
@@ -633,10 +647,26 @@ impl Shard {
     /// each record's slot. Each record counts as one access (serial and
     /// PAMA value-window cadence match the inline design); a record
     /// whose slot no longer holds its key is skipped by the policy.
+    ///
+    /// The batch runs under the write lock that every other thread of
+    /// the shard waits on, and each promotion reads and relinks slot
+    /// records scattered over the arena. So the loop is pipelined:
+    /// before it applies hit *i* it prefetches the record of hit
+    /// *i* + [`RECORD_AHEAD`] and, that record being loaded by now, the
+    /// queue neighbours' records of hit *i* + [`NEIGHBOURS_AHEAD`]. A
+    /// prefetch is only a hint, so the policy ends in the same state as
+    /// applying the records one at a time.
     pub fn apply_deferred(&mut self, hits: &[HitRecord], now: SimTime) {
         self.serial += hits.len() as u64;
         let tick = Tick { now, serial: self.serial };
-        for &(h, slot) in hits {
+        for (i, &(h, slot)) in hits.iter().enumerate() {
+            let arena = &self.slots().arena;
+            if let Some(&(_, ahead)) = hits.get(i + RECORD_AHEAD) {
+                arena.prefetch(ahead);
+            }
+            if let Some(&(_, ahead)) = hits.get(i + NEIGHBOURS_AHEAD) {
+                arena.prefetch_neighbours(ahead);
+            }
             let node = self.slots().node(slot);
             self.policy.on_hit(h, node, tick);
         }
@@ -740,15 +770,17 @@ impl Shard {
 pub(crate) struct ShardCell {
     inner: RwLock<Shard>,
     log: AccessLog,
-    /// The shard's registry, reachable without the lock for latency
-    /// timing.
+    /// The shard's registry and its stripe, reachable without the lock
+    /// for latency timing.
     metrics: Arc<MetricsRegistry>,
+    stripe: usize,
 }
 
 impl ShardCell {
     pub fn new(shard: Shard) -> Self {
         Self {
             metrics: Arc::clone(&shard.metrics),
+            stripe: shard.stripe,
             inner: RwLock::new(shard),
             log: AccessLog::new(ACCESS_LOG_CAPACITY),
         }
@@ -785,8 +817,8 @@ impl ShardCell {
         if let Some(t0) = t0 {
             let us = t0.elapsed().as_micros() as u64;
             match &result {
-                Some(_) => self.metrics.hit_latency_us.record(us),
-                None => self.metrics.miss_latency_us.record(us),
+                Some(_) => self.metrics.hit_latency_us(self.stripe).record(us),
+                None => self.metrics.miss_latency_us(self.stripe).record(us),
             }
         }
         result
@@ -1429,6 +1461,97 @@ mod tests {
                 q.iter(store).map(|n| (item(n), store.tag(n.index()))).collect()
             })
             .collect()
+    }
+
+    #[test]
+    fn a_prefetched_drain_leaves_the_queues_as_one_at_a_time() {
+        // Two shards take the same requests. Then one applies a long
+        // batch of recorded hits in one drain, whose prefetches run
+        // ahead of the hit being applied, and the other applies the same
+        // records one at a time. The batch repeats hits, and between the
+        // recording and the drain some recorded items are deleted and
+        // slabs migrate, so some records name a freed slot, one whose
+        // item compaction moved away, or one past the end of a re-carved
+        // slab.
+        let cfg = CacheConfig {
+            total_bytes: 1 << 20,
+            slab_bytes: 64 << 10,
+            ..CacheConfig::default()
+        };
+        let pama =
+            PamaConfig { value_window: 97, migration_cooldown: 16, ..PamaConfig::default() };
+        let new = || Shard::new(cfg.clone(), pama.clone(), registry_for(&cfg, 1), 0);
+        let mut shards = [new(), new()];
+        let key = |i: u64| format!("d:{i:05}").into_bytes();
+        let small = SetOptions::new().penalty(SimDuration::from_millis(40));
+        let large = SetOptions::new().penalty(SimDuration::from_millis(700));
+        for s in &mut shards {
+            for i in 0..1_500 {
+                s.set(i, &key(i), &[1u8; 400], &small, t(i)).unwrap();
+            }
+        }
+        let mut hits = Vec::new();
+        for j in 0..1_200u64 {
+            let id = if j % 3 == 0 { j % 40 + 1_100 } else { (j * 37) % 1_500 };
+            let found = shards.each_ref().map(|s| s.read_hit(id, &key(id), || t(2_000)));
+            if let [Some((_, a)), Some((_, b))] = found {
+                assert_eq!(a, b, "the shards diverged");
+                hits.push((id, a));
+            }
+        }
+        let (mut moved_away, mut transfers) = (std::collections::HashSet::new(), 0);
+        for (step, s) in shards.iter_mut().enumerate() {
+            for &(id, _) in hits.iter().step_by(11) {
+                s.delete(id, &key(id), t(3_000));
+            }
+            // Expensive large items, missed then stored, draw slabs away
+            // from the small class.
+            for i in 0..3_000u64 {
+                let id = 10_000 + i % 150;
+                let now = t(4_000 + i);
+                if s.get_locked(id, &key(id), now).is_none() {
+                    s.set(id, &key(id), &[2u8; 1_800], &large, now).unwrap();
+                }
+                let now_transfers = s.slots().arena.stats().transfers;
+                if step == 0 && now_transfers > transfers {
+                    transfers = now_transfers;
+                    moved_away.extend(s.policy.base_cache().relocated().iter().map(|m| m.0));
+                }
+            }
+        }
+        assert!(hits.len() > 50 * RECORD_AHEAD, "{} records", hits.len());
+        let distinct: std::collections::HashSet<_> = hits.iter().map(|h| h.0).collect();
+        assert!(distinct.len() < hits.len(), "no hit repeats");
+        let slots = shards[0].slots();
+        let arena = &slots.arena;
+        let freed = hits.iter().filter(|&&(_, r)| arena.record(r).is_none()).count();
+        let moved = hits.iter().filter(|&&(_, r)| moved_away.contains(&slots.node(r))).count();
+        let past_end = hits
+            .iter()
+            .filter(|&&(_, r)| {
+                arena.slab_class(r).is_some_and(|c| r.slot as usize >= arena.slots_per_slab(c))
+            })
+            .count();
+        let live = hits.len() - freed;
+        assert!(transfers > 0, "no slab moved");
+        for (what, n) in
+            [("freed", freed), ("moved", moved), ("past_end", past_end), ("live", live)]
+        {
+            assert!(n > 0, "no record names a {what} slot");
+        }
+
+        let [mut batched, mut single] = shards;
+        let before = queues_with_tags(batched.policy.base_cache());
+        batched.apply_deferred(&hits, t(8_000));
+        for hit in &hits {
+            single.apply_deferred(std::slice::from_ref(hit), t(8_000));
+        }
+        let after = queues_with_tags(batched.policy.base_cache());
+        assert_ne!(before, after, "the drain promoted nothing");
+        assert_eq!(after, queues_with_tags(single.policy.base_cache()));
+        assert_eq!(batched.serial, single.serial);
+        batched.check_consistency().unwrap();
+        single.check_consistency().unwrap();
     }
 
     #[test]

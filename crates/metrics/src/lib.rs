@@ -8,19 +8,18 @@
 //! show which band is absorbing misses or whether slab grants flow
 //! toward high-penalty subclasses. The [`MetricsRegistry`] answers
 //! that: a block of `AtomicU64` cells per penalty band (hits, misses,
-//! penalty-weighted miss cost, evictions, slab moves), plus aggregate
-//! histograms for hit/miss latency and slab-move duration. Everything
-//! is updated with `Relaxed` atomics from the cache's hot paths and
-//! snapshotted without locking, the same contract as `pama-kv`'s shard
-//! counters.
+//! penalty-weighted miss cost, evictions, slab moves), plus histograms
+//! for hit/miss latency and slab-move duration. Everything is updated
+//! with `Relaxed` atomics from the cache's hot paths and snapshotted
+//! without locking, the same contract as `pama-kv`'s shard counters.
 //!
-//! The band cells are **striped**: the registry holds one
-//! cache-line-aligned stripe of cells per writer (in `pama-kv`, per
-//! shard), each writer bumps only its own stripe, and
-//! [`MetricsRegistry::snapshot`] sums the stripes. Threads hitting
-//! different shards therefore never write the same cache line, while
-//! every snapshot — and so every rendering of it — reads exactly as an
-//! unstriped registry would.
+//! The band cells and the sampled hit/miss latency histograms are
+//! **striped**: the registry holds one cache-line-aligned stripe of
+//! cells per writer (in `pama-kv`, per shard), each writer bumps only
+//! its own stripe, and [`MetricsRegistry::snapshot`] sums the stripes.
+//! Threads hitting different shards therefore never write the same
+//! cache line, while every snapshot — and so every rendering of it —
+//! reads exactly as an unstriped registry would.
 //!
 //! Overhead budget (see DESIGN.md §8): band counters are one or two
 //! relaxed `fetch_add`s per operation on a writer-local line; latency
@@ -155,7 +154,7 @@ impl AtomicHistogram {
 }
 
 /// A plain-data copy of an [`AtomicHistogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts; bucket `i` covers `[2^i, 2^(i+1))`.
     pub counts: [u64; HIST_BUCKETS],
@@ -166,6 +165,20 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// The sum of the given stripes' histograms, each read once.
+    fn sum<'a>(stripes: impl Iterator<Item = &'a AtomicHistogram>) -> HistogramSnapshot {
+        let mut out = HistogramSnapshot::default();
+        for h in stripes {
+            let s = h.snapshot();
+            for (o, c) in out.counts.iter_mut().zip(s.counts) {
+                *o += c;
+            }
+            out.total += s.total;
+            out.sum += s.sum;
+        }
+        out
+    }
+
     /// Exact arithmetic mean of the recorded values.
     pub fn mean(&self) -> f64 {
         if self.total == 0 {
@@ -216,6 +229,15 @@ pub struct BandCells {
     /// Cross-class slab migrations whose candidate slab was drawn from
     /// this band's subclass.
     pub slab_moves: Counter,
+}
+
+/// One stripe's sampled latency histograms, aligned to a cache line so
+/// that different stripes' histograms never share one.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct LatencyCells {
+    hit_us: AtomicHistogram,
+    miss_us: AtomicHistogram,
 }
 
 /// A plain-data copy of one band's counters plus its penalty range.
@@ -277,7 +299,8 @@ impl BandSnapshot {
 }
 
 /// The cache-wide observability registry: striped per-band counter
-/// blocks, aggregate counters/gauges, and sampled latency histograms.
+/// blocks and sampled latency histograms, plus aggregate
+/// counters/gauges and the slab-move histogram.
 /// One instance is shared (via `Arc`) by every shard of a cache and by
 /// whatever front end exposes it.
 #[derive(Debug)]
@@ -287,14 +310,12 @@ pub struct MetricsRegistry {
     /// Stripe-major band cells: stripe `s` owns
     /// `cells[s * bands .. (s + 1) * bands]`.
     cells: Vec<BandCells>,
+    /// Stripe `s`'s sampled hit and miss latency histograms.
+    latency: Vec<LatencyCells>,
     stripes: usize,
     /// Slabs granted from the free pool (class-level event; grants are
     /// not band-attributed because a fresh slab has no band yet).
     pub slab_grants: Counter,
-    /// Hit-path latency, µs, sampled 1/[`LATENCY_SAMPLE`].
-    pub hit_latency_us: AtomicHistogram,
-    /// Miss-path latency, µs, sampled 1/[`LATENCY_SAMPLE`].
-    pub miss_latency_us: AtomicHistogram,
     /// Physical slab transfer (compaction + re-carve) duration, µs;
     /// rare enough to record unsampled.
     pub slab_move_us: AtomicHistogram,
@@ -321,10 +342,9 @@ impl MetricsRegistry {
         Self {
             band_bounds_us,
             cells,
+            latency: (0..stripes).map(|_| LatencyCells::default()).collect(),
             stripes,
             slab_grants: Counter::default(),
-            hit_latency_us: AtomicHistogram::new(),
-            miss_latency_us: AtomicHistogram::new(),
             slab_move_us: AtomicHistogram::new(),
             arena_slabs: Gauge::default(),
             arena_free_slots: Gauge::default(),
@@ -346,6 +366,20 @@ impl MetricsRegistry {
         &self.cells[stripe.min(self.stripes - 1) * bands + band.min(bands - 1)]
     }
 
+    /// Stripe `stripe`'s hit-path latency histogram, µs, sampled
+    /// 1/[`LATENCY_SAMPLE`]. The index clamps to the last stripe.
+    #[inline]
+    pub fn hit_latency_us(&self, stripe: usize) -> &AtomicHistogram {
+        &self.latency[stripe.min(self.stripes - 1)].hit_us
+    }
+
+    /// Stripe `stripe`'s miss-path latency histogram, µs, sampled
+    /// 1/[`LATENCY_SAMPLE`]. The index clamps to the last stripe.
+    #[inline]
+    pub fn miss_latency_us(&self, stripe: usize) -> &AtomicHistogram {
+        &self.latency[stripe.min(self.stripes - 1)].miss_us
+    }
+
     /// Whether this operation should pay for latency timing: 1 in
     /// [`LATENCY_SAMPLE`] by the low bits of `tag` (the op's key
     /// hash). Hash-based rather than a counter: a registry-wide
@@ -361,7 +395,8 @@ impl MetricsRegistry {
     }
 
     /// Point-in-time plain-data copy of everything; each band's
-    /// counters are the sums over all stripes.
+    /// counters and each latency histogram are the sums over all
+    /// stripes.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut bands: Vec<BandSnapshot> = self
             .band_bounds_us
@@ -385,8 +420,8 @@ impl MetricsRegistry {
         MetricsSnapshot {
             bands,
             slab_grants: self.slab_grants.get(),
-            hit_latency: self.hit_latency_us.snapshot(),
-            miss_latency: self.miss_latency_us.snapshot(),
+            hit_latency: HistogramSnapshot::sum(self.latency.iter().map(|l| &l.hit_us)),
+            miss_latency: HistogramSnapshot::sum(self.latency.iter().map(|l| &l.miss_us)),
             slab_move: self.slab_move_us.snapshot(),
             arena_slabs: self.arena_slabs.get(),
             arena_free_slots: self.arena_free_slots.get(),
@@ -402,9 +437,9 @@ pub struct MetricsSnapshot {
     pub bands: Vec<BandSnapshot>,
     /// See [`MetricsRegistry::slab_grants`].
     pub slab_grants: u64,
-    /// Sampled hit latency.
+    /// Sampled hit latency, summed over stripes.
     pub hit_latency: HistogramSnapshot,
-    /// Sampled miss latency.
+    /// Sampled miss latency, summed over stripes.
     pub miss_latency: HistogramSnapshot,
     /// Slab transfer duration.
     pub slab_move: HistogramSnapshot,
@@ -610,7 +645,7 @@ mod tests {
                     for i in 0..PER_THREAD {
                         reg.band(t % 3, band).hits.inc();
                         reg.band(t % 3, band).penalty_cost_us.add(i);
-                        reg.hit_latency_us.record(i % 1024);
+                        reg.hit_latency_us(t % 3).record(i % 1024);
                     }
                 });
             }
@@ -647,6 +682,8 @@ mod tests {
             reg.band(stripe, 3).penalty_cost_us.add(10);
             reg.band(stripe, 4).evictions.inc();
             reg.band(stripe, 0).slab_moves.inc();
+            reg.hit_latency_us(stripe).record(100);
+            reg.miss_latency_us(stripe).record(1 << stripe);
         }
         let snap = reg.snapshot();
         assert_eq!(snap.bands[1].hits, 1 + 2 + 3 + 4);
@@ -660,6 +697,12 @@ mod tests {
         flat.band(0, 3).penalty_cost_us.add(40);
         flat.band(0, 4).evictions.add(4);
         flat.band(0, 0).slab_moves.add(4);
+        for stripe in 0..4 {
+            flat.hit_latency_us(0).record(100);
+            flat.miss_latency_us(0).record(1 << stripe);
+        }
+        assert_eq!((snap.hit_latency.total, snap.hit_latency.sum), (4, 400));
+        assert_eq!(snap.miss_latency.counts[..4], [1, 1, 1, 1]);
         assert_eq!(flat.snapshot().prometheus_lines(), snap.prometheus_lines());
         let render =
             |s: &MetricsSnapshot| s.bands.iter().map(BandSnapshot::render).collect::<Vec<_>>();
@@ -673,6 +716,16 @@ mod tests {
         let b = reg.band(1, 0) as *const BandCells as usize;
         assert_eq!(a % 64, 0);
         assert!(b - a >= 64, "adjacent stripes share a line");
+        // The lines each stripe's latency histograms span.
+        let lines = |stripe| {
+            [reg.hit_latency_us(stripe), reg.miss_latency_us(stripe)].map(|h| {
+                let start = h as *const AtomicHistogram as usize;
+                (start / 64, (start + std::mem::size_of::<AtomicHistogram>() - 1) / 64)
+            })
+        };
+        let last = lines(0).iter().map(|l| l.1).max();
+        let first = lines(1).iter().map(|l| l.0).min();
+        assert!(last < first, "adjacent latency stripes share a line");
     }
 
     #[test]
@@ -714,7 +767,7 @@ mod tests {
     fn prometheus_rendering_has_labels_and_families() {
         let reg = MetricsRegistry::new(five_bands(), 1);
         reg.band(0, 0).hits.inc();
-        reg.hit_latency_us.record(100);
+        reg.hit_latency_us(0).record(100);
         reg.arena_slabs.set(9);
         let text = reg.snapshot().render_prometheus();
         assert!(text.contains("pama_band_hits_total{band=\"0\"} 1"));
