@@ -58,9 +58,10 @@ const CHURN_VALUE_BYTES: usize = 100;
 /// counts as flat. A map entry per key costs at least 16 B.
 const CHURN_FLAT_BYTES_PER_KEY: f64 = 2.0;
 /// Most RSS per resident item beyond its key and value at full scale:
-/// the item's 48 B slot record, its share of free slots' records and of
-/// slot rounding, its index bucket, and the policy's ghosts. A second
-/// per-item structure (a 56 B LRU node, a 40 B entry bucket) breaks it.
+/// the item's slot records (a 28 B data record and a 24 B policy node),
+/// its share of free slots' records and of slot rounding, its index
+/// bucket, and the policy's ghosts. A second per-item structure (a 56 B
+/// LRU node, a 40 B entry bucket) breaks it.
 const OVERHEAD_BYTES_PER_ITEM: f64 = 170.0;
 /// The same bound at smoke scale, where a quarter of the items carry
 /// the same fixed costs (miss-window tables, class ledgers, ghost lists).

@@ -3,13 +3,15 @@
 //! Measures single- and multi-threaded GET/SET throughput (1/2/4/8
 //! threads, zipfian keys), batched `multi_get` throughput, hit-path
 //! latency percentiles, and the latency tail of a mixed cell. Hits run
-//! under the shard's shared read lock and defer promotion through the
+//! under the shard's shared data lock and defer promotion through the
 //! lock-free access log.
 //!
 //! The mixed cell is the contended pattern: two threads, 95% GETs and
-//! 5% same-size SET overwrites. Each SET takes its shard's write lock
-//! and drains the hits deferred since the last one, so a GET or SET
-//! that meets a drain waits for it; the cell's p99s show how long.
+//! 5% same-size SET overwrites. Each SET takes its shard's policy lock
+//! and drains the hits deferred since the last one, so a SET that meets
+//! a drain waits for it; a GET waits only while a SET writes its bytes.
+//! The cell's p99s show how long, and its read-wait share is the share
+//! of GETs that found the data lock held or awaited by a writer.
 //!
 //! Results land in `BENCH_throughput.json` at the repo root so later
 //! changes have a perf trajectory to regress against. The shape check
@@ -131,11 +133,23 @@ fn run_multi_gets(cache: &PamaCache, setup: &Setup) -> f64 {
     setup.get_seq.len() as f64 / dt
 }
 
+/// What the mixed cell measured.
+struct Mixed {
+    ops_per_sec: f64,
+    /// GET latencies in nanoseconds, sorted ascending.
+    gets: Vec<u64>,
+    /// SET latencies in nanoseconds, sorted ascending.
+    sets: Vec<u64>,
+    /// The share of GETs that waited for a shard's data lock.
+    read_wait_share: f64,
+}
+
 /// Runs the mixed cell's sequence split across [`MIXED_THREADS`]
-/// slices, timing every operation; returns ops/sec and the GET and SET
-/// latencies in nanoseconds, each sorted ascending. Every SET rewrites
-/// a resident key with a value of the same size, so every GET hits.
-fn run_mixed(cache: &PamaCache, setup: &Setup) -> (f64, Vec<u64>, Vec<u64>) {
+/// slices on a cache no GET has touched yet, timing every operation.
+/// Every SET rewrites a resident key with a value of the same size, so
+/// every GET hits.
+fn run_mixed(cache: &PamaCache, setup: &Setup) -> Mixed {
+    let waits_before = read_lock_waits(cache);
     let chunk_len = setup.mixed_seq.len().div_ceil(MIXED_THREADS);
     let t0 = Instant::now();
     let per_thread: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
@@ -173,7 +187,14 @@ fn run_mixed(cache: &PamaCache, setup: &Setup) -> (f64, Vec<u64>, Vec<u64>) {
     }
     gets.sort_unstable();
     sets.sort_unstable();
-    (rate, gets, sets)
+    let waits = read_lock_waits(cache) - waits_before;
+    let read_wait_share = waits as f64 / gets.len().max(1) as f64;
+    Mixed { ops_per_sec: rate, gets, sets, read_wait_share }
+}
+
+/// The cache's count of GETs that waited for a shard's data lock.
+fn read_lock_waits(cache: &PamaCache) -> u64 {
+    cache.metrics().map_or(0, |m| m.snapshot().read_lock_waits)
 }
 
 /// Per-op hit latencies in nanoseconds, sorted ascending.
@@ -265,14 +286,17 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
         set_rows.push((threads, rate));
     }
     let latencies = sample_latencies(&build_cache(&setup), &setup);
-    let (mixed_rate, mixed_gets, mixed_sets) = run_mixed(&build_cache(&setup), &setup);
+    let mixed = run_mixed(&build_cache(&setup), &setup);
     println!(
-        "  mixed {MIXED_THREADS}t: {mixed_rate:>10.0} ops/s; GET p50/p99 {}/{} ns, \
-         SET p50/p99 {}/{} ns",
-        pct(&mixed_gets, 0.50),
-        pct(&mixed_gets, 0.99),
-        pct(&mixed_sets, 0.50),
-        pct(&mixed_sets, 0.99),
+        "  mixed {MIXED_THREADS}t: {:>10.0} ops/s; GET p50/p99/p99.9 {}/{}/{} ns, \
+         SET p50/p99 {}/{} ns; {:.3}% of GETs waited for a read lock",
+        mixed.ops_per_sec,
+        pct(&mixed.gets, 0.50),
+        pct(&mixed.gets, 0.99),
+        pct(&mixed.gets, 0.999),
+        pct(&mixed.sets, 0.50),
+        pct(&mixed.sets, 0.99),
+        100.0 * mixed.read_wait_share,
     );
     let multi_get_rate = {
         let rate = run_multi_gets(&build_cache(&setup), &setup);
@@ -300,7 +324,7 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
         )
     };
     let report = obj(vec![
-        ("schema", Json::Str("pama-bench-throughput/v3".into())),
+        ("schema", Json::Str("pama-bench-throughput/v4".into())),
         ("smoke", Json::Bool(opts.smoke)),
         (
             "config",
@@ -332,9 +356,10 @@ pub fn run(opts: &ExpOptions) -> ExpResult {
                 ("threads", Json::U64(MIXED_THREADS as u64)),
                 ("set_share", Json::F64(MIXED_SET_SHARE)),
                 ("ops", Json::U64(mixed_ops as u64)),
-                ("ops_per_sec", Json::F64(mixed_rate)),
-                ("get_latency_ns", latency_json(&mixed_gets)),
-                ("set_latency_ns", latency_json(&mixed_sets)),
+                ("ops_per_sec", Json::F64(mixed.ops_per_sec)),
+                ("get_latency_ns", latency_json(&mixed.gets)),
+                ("set_latency_ns", latency_json(&mixed.sets)),
+                ("read_wait_share", Json::F64(mixed.read_wait_share)),
             ]),
         ),
         (

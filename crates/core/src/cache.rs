@@ -64,10 +64,14 @@ pub trait ItemStore: Links {
     /// Frees an unlinked live node, returning its item.
     fn free(&mut self, n: NodeRef) -> ItemMeta;
 
-    /// The item at `n`, or `None` when `n` names no live node.
+    /// The item at `n`, or `None` when `n` names no live node. A store
+    /// that keeps an item's lengths beside its bytes rather than in its
+    /// node may report them as zero: nothing generic over the store
+    /// reads them.
     fn item(&self, n: NodeRef) -> Option<ItemMeta>;
 
-    /// Rewrites a live node's item, keeping its class and band.
+    /// Rewrites a live node's item, keeping its class and band (a store
+    /// that keeps lengths beside the bytes takes them with the bytes).
     fn update(&mut self, n: NodeRef, item: &ItemMeta);
 
     /// Stamps a live node's last access (a store that keeps no access
@@ -203,6 +207,15 @@ impl BaseCache {
         on_evict: impl FnMut(ItemMeta),
     ) -> bool {
         self.reclaim(class, band, on_evict)
+    }
+
+    /// Total bytes of live item payloads (diagnostics), from the
+    /// lengths the default store keeps in its nodes.
+    pub fn live_bytes(&self) -> u64 {
+        (0..self.classes.len())
+            .flat_map(|c| (0..self.bands).flat_map(move |b| self.items(c, b)))
+            .map(|m| u64::from(m.key_size) + u64::from(m.value_size))
+            .sum()
     }
 }
 
@@ -565,14 +578,6 @@ impl<S: ItemStore> BaseCache<S> {
     /// slot units; divide by `slots_per_slab` for slab-equivalents).
     pub fn subclass_usage(&self) -> Vec<Vec<u64>> {
         self.classes.iter().map(|c| c.queues.iter().map(|q| q.len() as u64).collect()).collect()
-    }
-
-    /// Total bytes of live item payloads (diagnostics).
-    pub fn live_bytes(&self) -> u64 {
-        (0..self.classes.len())
-            .flat_map(|c| (0..self.bands).flat_map(move |b| self.items(c, b)))
-            .map(|m| u64::from(m.key_size) + u64::from(m.value_size))
-            .sum()
     }
 
     /// Verifies every structural invariant; O(n). Test/property-suite

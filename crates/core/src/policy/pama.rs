@@ -547,7 +547,7 @@ impl<S: ItemStore> Pama<S> {
     /// A GET hit on the item at `node`. The access always counts — it
     /// happened when the hit was served — but a handle that no longer
     /// names `key`'s node (the item left, or its node was reused: the
-    /// kv store defers hits to its next write lock) promotes nothing:
+    /// kv store defers hits to its next policy lock) promotes nothing:
     /// it was a hit when served, so a miss-path ghost credit now would
     /// double-count it. Returns whether the handle was current.
     pub fn on_hit(&mut self, key: u64, node: NodeRef, tick: Tick) -> bool {

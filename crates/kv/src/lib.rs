@@ -23,18 +23,22 @@
 //! * **TTL support** with lazy expiry;
 //! * **sharding** for concurrency: keys hash to independent shards,
 //!   each running its own PAMA instance;
-//! * a **read-mostly hot path**: a cache-hit GET runs entirely under a
-//!   shared read lock; LRU promotion and PAMA bookkeeping are recorded
-//!   in a per-shard lock-free log and applied in batches under the
-//!   write lock, each straight to the item's slot record, which the
-//!   policy's LRU queues link (see DESIGN.md, "Concurrency model").
-//!   A hit touches only shard-local memory: one bucket of an index
-//!   sized by the keys actually resident (`hash → slot`, 16-byte
-//!   buckets), one arena read of the slot's 48-byte record and bytes
-//!   for the key check, the TTL and the value copy, the shard's own
-//!   stripe of band counters, and the clock only when the item has a
-//!   TTL. [`PamaCache::lookup_with`] hands the hit's bytes, as stored
-//!   in the arena, to a caller's visitor instead of copying them out;
+//! * a **read-mostly hot path**: each shard keeps its data (index,
+//!   bytes, per-slot data records) behind a shared read lock and its
+//!   PAMA policy (queues, slab ledger, per-slot policy nodes) behind a
+//!   separate policy lock. A cache-hit GET runs entirely under the data
+//!   read lock; LRU promotion and PAMA bookkeeping are recorded in a
+//!   per-shard lock-free log and applied in batches under the policy
+//!   lock alone, each straight to the item's slot node, which the
+//!   policy's LRU queues link, so GETs keep reading while a batch is
+//!   applied (see DESIGN.md, "Concurrency model"). A hit touches only
+//!   shard-local memory: one bucket of an index sized by the keys
+//!   actually resident (`hash → slot`, 16-byte buckets), one arena read
+//!   of the slot's 28-byte data record and bytes for the key check, the
+//!   TTL and the value copy, the shard's own stripe of band counters,
+//!   and the clock only when the item has a TTL.
+//!   [`PamaCache::lookup_with`] hands the hit's bytes, as stored in the
+//!   arena, to a caller's visitor instead of copying them out;
 //! * **batched operations**: [`PamaCache::multi_get`] /
 //!   [`PamaCache::multi_set`] group keys by shard and take each shard
 //!   lock once;
@@ -276,10 +280,10 @@ impl PamaCache {
     /// The hit is counted, recorded for deferred promotion and sampled
     /// for latency exactly as in [`Self::get`]; a miss opens the same
     /// miss window and never calls `f`. On a read-lock hit, `f` runs
-    /// under the shard's read lock, so it must be short and must not
-    /// call back into this cache: a write on the same shard would
-    /// deadlock. A hit found only under the write lock (the key was
-    /// written between the two locks) is passed to `f` as a copy.
+    /// under the shard's data read lock, so it must be short and must
+    /// not call back into this cache: a write on the same shard would
+    /// deadlock. A hit found only under the policy lock (the key was
+    /// written between the two looks) is passed to `f` as a copy.
     pub fn lookup_with<R>(&self, key: &[u8], f: impl FnOnce(ValueRef<'_>) -> R) -> Option<R> {
         let h = hash_key(key);
         self.shard_of(h).get(h, key, || self.now(), f)
@@ -307,7 +311,7 @@ impl PamaCache {
             return Err(CacheError::ShuttingDown);
         }
         let (h, now) = (hash_key(key), self.now());
-        self.shard_of(h).write(now).set(h, key, value, &self.with_default_ttl(opts), now)
+        self.shard_of(h).lock(now).set(h, key, value, &self.with_default_ttl(opts), now)
     }
 
     /// Inserts a key only if it is not already live — Memcached `add`.
@@ -319,7 +323,7 @@ impl PamaCache {
             return Err(CacheError::ShuttingDown);
         }
         let (h, now) = (hash_key(key), self.now());
-        self.shard_of(h).write(now).add(h, key, value, &self.with_default_ttl(opts), now)
+        self.shard_of(h).lock(now).add(h, key, value, &self.with_default_ttl(opts), now)
     }
 
     /// `opts` with the builder's default TTL filled in.
@@ -332,13 +336,13 @@ impl PamaCache {
     /// Returns whether the key was live.
     pub fn touch(&self, key: &[u8], ttl: Option<SimDuration>) -> bool {
         let (h, now) = (hash_key(key), self.now());
-        self.shard_of(h).write(now).touch(h, key, ttl, now)
+        self.shard_of(h).lock(now).touch(h, key, ttl, now)
     }
 
     /// Removes a key. Returns whether it was present.
     pub fn delete(&self, key: &[u8]) -> bool {
         let (h, now) = (hash_key(key), self.now());
-        self.shard_of(h).write(now).delete(h, key, now)
+        self.shard_of(h).lock(now).delete(h, key, now)
     }
 
     /// Whether a key is currently cached (and not expired).
@@ -349,9 +353,9 @@ impl PamaCache {
 
     /// Looks up many keys at once, returning values in input order.
     ///
-    /// Keys are grouped by shard so each shard's lock is taken at most
-    /// twice (one shared pass for the hits, one exclusive pass for the
-    /// misses) regardless of batch size — observationally equivalent
+    /// Keys are grouped by shard so each shard's locks are taken at most
+    /// once each (one data-read pass for the hits, one policy-lock pass
+    /// for the misses) regardless of batch size — observationally equivalent
     /// to calling [`Self::get`] per key.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<Bytes>> {
         self.multi_lookup(keys).into_iter().map(|v| v.map(|v| v.value)).collect()
@@ -377,7 +381,7 @@ impl PamaCache {
     }
 
     /// Inserts or updates many key/value pairs at once with common
-    /// options, grouping by shard so each shard's write lock is taken
+    /// options, grouping by shard so each shard's policy lock is taken
     /// once — observationally equivalent to calling [`Self::set`] per
     /// pair in order. Every pair is attempted even after a failure;
     /// the error for the lowest-indexed refused pair is returned.
@@ -402,7 +406,7 @@ impl PamaCache {
             if group.is_empty() {
                 continue;
             }
-            let mut shard = cell.write(now);
+            let mut shard = cell.lock(now);
             for &(i, h) in group {
                 let (key, value) = items[i];
                 if let Err(e) = shard.set(h, key, value, &opts, now) {
@@ -419,14 +423,14 @@ impl PamaCache {
     }
 
     /// Drains every shard's deferred-hit log, applying pending LRU
-    /// promotions and PAMA bookkeeping under each shard's write lock.
-    /// Normally unnecessary — logs drain whenever a shard's write lock
+    /// promotions and PAMA bookkeeping under each shard's policy lock.
+    /// Normally unnecessary — logs drain whenever a shard's policy lock
     /// is taken (SET/DELETE/miss/sweep) — but useful before inspecting
     /// policy state after a read-only phase.
     pub fn flush(&self) {
         let now = self.now();
         for cell in &self.shards {
-            drop(cell.write(now));
+            drop(cell.lock(now));
         }
     }
 
@@ -438,8 +442,9 @@ impl PamaCache {
     /// Hits, misses and evictions are the registry's band sums; `items`,
     /// `live_bytes` and the arena fields of [`CacheStats`] come from the
     /// merged slab ledger. Each shard's counters and ledger are read
-    /// under one brief read lock, and the ledger walk visits every slab,
-    /// so call this at reporting cadence rather than per request. This
+    /// under its policy lock and a brief data read lock, without a
+    /// drain, and the ledger walk visits every slab, so call this at
+    /// reporting cadence rather than per request. This
     /// is also when the registry's arena gauges are refreshed.
     pub fn report(&self) -> CacheReport {
         let (stats, slabs): (Vec<_>, Vec<_>) =
@@ -483,7 +488,7 @@ impl PamaCache {
     /// measures its miss→SET gap.
     pub fn clear(&self) -> u64 {
         let now = self.now();
-        self.shards.iter().map(|cell| cell.write(now).clear()).sum()
+        self.shards.iter().map(|cell| cell.lock(now).clear()).sum()
     }
 
     /// Begins shutdown: subsequent mutations fail with
@@ -503,7 +508,7 @@ impl PamaCache {
     /// TTL has lapsed. Expiry is otherwise lazy (checked on access).
     pub fn sweep_expired(&self) -> usize {
         let now = self.now();
-        self.shards.iter().map(|cell| cell.write(now).sweep_expired(now)).sum()
+        self.shards.iter().map(|cell| cell.lock(now).sweep_expired(now)).sum()
     }
 
     /// Test/diagnostic hook: flushes the logs, then verifies that every
@@ -513,7 +518,7 @@ impl PamaCache {
     pub fn check_invariants(&self) -> Result<(), String> {
         let now = self.now();
         for (i, cell) in self.shards.iter().enumerate() {
-            cell.write(now).check_consistency().map_err(|e| format!("shard {i}: {e}"))?;
+            cell.lock(now).check_consistency().map_err(|e| format!("shard {i}: {e}"))?;
         }
         Ok(())
     }

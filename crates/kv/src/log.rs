@@ -1,11 +1,11 @@
 //! The per-shard deferred-hit log.
 //!
 //! A cache-hit GET on the concurrent read path never takes the shard's
-//! write lock; it records the hit here instead, as the key hash plus
+//! policy lock; it records the hit here instead, as the key hash plus
 //! the item's slot, whose node id is the item's policy handle (the
-//! policy's queues link slot records). The log is a bounded lock-free ring
+//! policy's queues link slot nodes). The log is a bounded lock-free ring
 //! ([`crossbeam::queue::ArrayQueue`]) drained in batches whenever the
-//! write lock is taken anyway — SET, DELETE, a GET miss, a TTL sweep,
+//! policy lock is taken anyway — SET, DELETE, a GET miss, a TTL sweep,
 //! or an explicit flush. The drain hands each record to the policy by
 //! handle, so promoting a hit never looks up a key index; a record
 //! whose slot no longer holds its hash is skipped.
@@ -15,7 +15,7 @@
 //! making the reader drain it — applying every deferred hit to the
 //! policy costs as much as the inline promotion the read path exists
 //! to avoid). The ring therefore acts as a sampling buffer: the policy
-//! sees at most `capacity` hits per write-lock event, which under
+//! sees at most `capacity` hits per policy-lock event, which under
 //! skewed traffic captures the hot set — exactly the recency signal
 //! LRU promotion needs. A dropped record only loses one LRU-recency
 //! refresh and one unit of PAMA segment value; PAMA's window-based
@@ -30,7 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// One deferred hit: the key hash and the item's slot.
 pub(crate) type HitRecord = (u64, SlotRef);
 
-// Two records fill a 32-byte half line of the ring.
+// A ring slot is 24 B: the ring's 8 B sequence stamp plus this 16 B
+// record.
 const _: () = assert!(std::mem::size_of::<HitRecord>() <= 16);
 
 pub(crate) struct AccessLog {

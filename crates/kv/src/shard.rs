@@ -2,42 +2,70 @@
 //! memory accounting and eviction decisions, plus the live penalty
 //! estimator (the paper's GET-miss→SET gap, measured online).
 //!
-//! Concurrency model (see DESIGN.md): the mutable state lives in
-//! [`Shard`] behind a [`ShardCell`]'s `RwLock`. A cache-hit GET runs
-//! entirely under the *shared* read lock — one index probe, one arena
-//! read of the slot's record and bytes for the key check, the TTL, the
-//! flags, the CAS stamp and the value (handed to the caller's visitor
-//! in place, or copied out), a clock read only if the item has a TTL,
-//! and a hit count in the shard's own stripe of the band registry — and
-//! records the hit in the cell's lock-free [`AccessLog`] instead of
-//! promoting the item inline.
-//! Every path that takes the write lock (SET, DELETE, a GET miss, TTL
-//! sweeps, explicit flush) takes it through [`ShardCell::write`], which
-//! drains the log first, so deferred promotions are applied in recorded
-//! order before any state change. Every other thread that wants the
-//! shard waits out that drain, spinning before it sleeps (the
-//! `parking_lot` shim's lock), so the drain ([`Shard::apply_deferred`])
-//! keeps its hold short by prefetching the slot records of the hits
-//! ahead of the one it applies.
+//! Concurrency model (see DESIGN.md §6b): each shard's state is split in
+//! two halves, each behind its own lock.
+//!
+//! * **Data** ([`Data`]): the index, the slab bytes and each slot's
+//!   data record (lengths, expiry, flags, CAS stamp, band), which is
+//!   everything a GET hit reads. It sits behind an `RwLock`.
+//! * **The policy** ([`Shard`]): `Pama`, its slab ledger and each slot's
+//!   policy node (hash, links, penalty, band, tag), which is everything
+//!   a deferred hit touches, together with the miss windows, the
+//!   operation counters and the drain buffer. It sits behind a `Mutex`.
+//!
+//! The protocol:
+//!
+//! * Every path takes the policy lock before the data lock, and no path
+//!   takes the policy lock while it holds the data lock.
+//! * Data changes only while the policy lock is held, so a data read
+//!   under the policy lock is exact.
+//! * A cache-hit GET, `contains` and a `multi_get` hit take the data
+//!   read lock only: one index probe, one arena read of the slot's
+//!   record and bytes for the key check, the TTL, the flags, the CAS
+//!   stamp and the value (handed to the caller's visitor in place, or
+//!   copied out), a clock read only if the item has a TTL, and a hit
+//!   count in the shard's own stripe of the band registry. The hit is
+//!   recorded in the cell's lock-free [`AccessLog`] instead of being
+//!   promoted inline. A GET whose first `try_read` fails counts one
+//!   read-lock wait in its stripe.
+//! * Every other path takes the policy lock through [`ShardCell::lock`],
+//!   which drains the log first, so deferred promotions are applied in
+//!   recorded order before any decision. A drain
+//!   ([`Shard::apply_deferred`]) touches policy nodes only, so GETs keep
+//!   reading while it runs; it keeps its hold short by prefetching the
+//!   nodes of the hits ahead of the one it applies.
+//! * A GET miss takes the policy lock, drains, and probes again under
+//!   the data read lock; a hit found there is promoted inline, and a
+//!   miss makes its one policy request. An absent key's miss never
+//!   takes the data write lock.
+//! * SET, `add`, `touch`, DELETE, `multi_set`, `clear`, sweeps and a
+//!   lapsed or colliding entry take the data write lock only for the
+//!   steps that change data: a SET's byte and record write, a free, a
+//!   slab grant or a compaction.
+//!
+//! So a reader waits only while a writer changes data, and the writers
+//! and drains of a shard wait on each other's policy lock, spinning
+//! before they sleep (the `parking_lot` shim's locks).
+//!
 //! The read path itself never drains: applying a deferred hit to the
 //! policy costs as much as the inline promotion it replaced, so a
 //! reader-side drain would hand the saved cost right back. Instead the
 //! ring drops (and counts) hits once full — bounded-staleness recency:
-//! eviction and allocation decisions only happen under the write lock,
+//! eviction and allocation decisions only happen under the policy lock,
 //! and by the time one runs, every hit recorded before it (up to ring
 //! capacity) has been applied in order. In a single-threaded sequence
 //! whose read bursts fit the ring, the drained promotions land in
 //! exactly the order and counts inline promotion would produce.
 //!
-//! Each item has one record: its slab slot's ([`Slots`]), which the
-//! policy's LRU queues link directly, so the slot's node id is the
-//! item's policy handle. The policy is built over that store with
-//! [`Pama::with_store`]; it keeps no key index, and the store's
+//! Each slot has one data record and one policy node, which the
+//! policy's LRU queues link directly ([`Slots`]), so the slot's node id
+//! is the item's policy handle. The policy is built over that store
+//! with [`Pama::with_store`]; it keeps no key index, and the data's
 //! `hash → slot` index is the only per-key map of resident items. Each
 //! call makes the one policy request the simulator makes for it,
 //! addressed by that handle:
 //!
-//! * a GET hit is [`Pama::on_hit`] (deferred, or inline under the write
+//! * a GET hit is [`Pama::on_hit`] (deferred, or inline under the policy
 //!   lock; `touch` promotes the same way), and a record whose slot no
 //!   longer holds its key (the item left before the drain) is skipped;
 //! * a GET miss is [`Pama::on_miss`], given the handle of a lapsed or
@@ -52,18 +80,19 @@
 //!
 //! The store carries out each storage decision as the policy makes it
 //! (slot allocation and freeing, slab grants, and the compaction of a
-//! slab move, which relinks every moved record), keeping the index in
+//! slab move, which relinks every moved node), keeping the index in
 //! step. A SET also hands the policy a [`SlabStore`] observer
 //! ([`Storage`]) that counts evictions, grants and moves in the
 //! registry. The operation counters ([`ShardCounters`]) are plain
-//! integers the shard owns.
+//! integers the policy half owns.
 //!
-//! A key's penalty lives in the policy's records: its slot record or its
-//! ghost entry; open miss windows sit in a fixed table ([`MissWindow`]).
+//! A key's penalty lives in the policy's records: its slot's node or
+//! its ghost entry; open miss windows sit in a fixed table
+//! ([`MissWindow`]).
 
 use crate::log::{AccessLog, HitRecord};
 use crate::options::{CacheError, CacheValue, SetOptions, ValueRef};
-use crate::slots::{expired, Slots, NEVER};
+use crate::slots::{expired, Data, EntryState, Slots, NEVER};
 use crate::stats::{ShardCounters, SlabClassReport, SlabReport};
 use bytes::Bytes;
 use pama_core::cache::ItemMeta;
@@ -72,28 +101,28 @@ use pama_core::lru::NodeRef;
 use pama_core::policy::{Pama, PamaConfig, SlabStore};
 use pama_faults::BackendSim;
 use pama_metrics::MetricsRegistry;
-use pama_slab::{Record, SlotRef, MAX_KEY_LEN};
+use pama_slab::{SlotRef, MAX_KEY_LEN};
 use pama_trace::penalty::{DEFAULT_PENALTY, PENALTY_CAP};
 use pama_trace::Request;
 use pama_util::{SimDuration, SimTime};
-use parking_lot::{RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Capacity of each shard's deferred-hit ring: the most promotions the
-/// policy can owe between two write-lock events. A full drain of this
-/// size costs tens of microseconds — long enough to amortize the write
-/// lock, short enough not to stall the writer that triggers it.
+/// policy can owe between two policy-lock events. At 80–165 ns per
+/// deferred hit, a full drain takes 0.3–0.7 ms; the common drain, of the
+/// few hits logged since the last write, takes a few microseconds.
 const ACCESS_LOG_CAPACITY: usize = 4096;
 
 /// How many deferred hits ahead of the one being applied a drain
-/// prefetches the slot record of; a memory load takes about as long as
-/// this many promotions of cached records.
+/// prefetches the node of; a memory load takes about as long as this
+/// many promotions of cached nodes.
 const RECORD_AHEAD: usize = 8;
 
 /// How many deferred hits ahead a drain prefetches the queue
-/// neighbours' records of: half of [`RECORD_AHEAD`], so the record
-/// holding their ids has arrived.
+/// neighbours' nodes of: half of [`RECORD_AHEAD`], so the node holding
+/// their ids has arrived.
 const NEIGHBOURS_AHEAD: usize = 4;
 
 /// The expiry stamp of an item stored at `now` with `ttl`; saturates to
@@ -129,21 +158,16 @@ fn window_slot(h: u64) -> usize {
     (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - WINDOW_SLOTS.trailing_zeros())) as usize
 }
 
-/// What an immutable lookup found (drives the lock-upgrade decision).
-enum EntryState {
-    /// Present, key matches, not expired.
-    Live,
-    /// Present and key matches but past its TTL: needs a write lock to
-    /// drop.
-    Expired,
-    /// Absent, or a hash collision with a different key.
-    Absent,
-}
-
+/// The policy half of a shard, which the cell's policy lock guards,
+/// with a handle to the data half. Its methods run under the policy
+/// lock and take the data lock themselves, briefly: a read to look a
+/// key up, a write for each step that changes data.
 pub(crate) struct Shard {
-    /// The allocation policy, whose queues link the records of the
-    /// shard's slots: the arena and the index live in its store.
+    /// The allocation policy, whose queues link the nodes of the
+    /// shard's slots: the nodes live in its store.
     policy: Pama<Slots>,
+    /// The shard's data lock, shared with the cell and the store.
+    data: Arc<RwLock<Data>>,
     /// Open miss windows, allocated once and never resized or swept.
     windows: Box<[MissWindow]>,
     /// Shard geometry, kept so `set` can tell "can never fit"
@@ -162,7 +186,8 @@ pub(crate) struct Shard {
     /// of its own `stripe`.
     metrics: Arc<MetricsRegistry>,
     stripe: usize,
-    /// Operation counts, read with the slab report under the read lock.
+    /// Operation counts, read with the slab report under the policy
+    /// lock.
     counters: ShardCounters,
     /// Reused drain buffer for the access log, so a drain does not
     /// allocate.
@@ -210,9 +235,11 @@ impl Shard {
         // The shard drives inserts explicitly through `set`; the
         // policy must never phantom-fill on its own.
         cfg.demand_fill = false;
-        let slots = Slots::new(&cfg, Arc::clone(&metrics));
+        let data = Arc::new(RwLock::new(Data::new(&cfg, Arc::clone(&metrics), stripe)));
+        let slots = Slots::new(&cfg, Arc::clone(&data), Arc::clone(&metrics));
         Self {
             policy: Pama::with_store(cfg.clone(), pama, slots),
+            data,
             windows: vec![CLOSED; WINDOW_SLOTS].into_boxed_slice(),
             cfg,
             serial: 0,
@@ -229,7 +256,7 @@ impl Shard {
         self
     }
 
-    /// The store: the arena and the index.
+    /// The policy's store: the slots' nodes.
     #[inline]
     fn slots(&self) -> &Slots {
         self.policy.base_cache().store()
@@ -240,13 +267,10 @@ impl Shard {
         Tick { now, serial: self.serial }
     }
 
-    /// The slot stored under `h` and what it holds, if any.
-    #[inline]
-    fn lookup(&self, h: u64) -> Option<(SlotRef, &Record, &[u8], &[u8])> {
-        let slots = self.slots();
-        let slot = *slots.index.get(&h)?;
-        let (rec, k, v) = slots.arena.read(slot)?;
-        Some((slot, rec, k, v))
+    /// What `h` holds for `key` at `now`, read under a brief data read
+    /// lock that is released before this returns.
+    fn entry_state(&self, h: u64, key: &[u8], now: SimTime) -> EntryState {
+        self.data.read().entry_state(h, key, now)
     }
 
     /// The penalty of a SET of `h` whose replaced generation carried
@@ -281,7 +305,8 @@ impl Shard {
     /// Removes `h`'s item, which must exist, from the policy and the
     /// store with a DELETE request by its handle.
     fn drop_entry(&mut self, h: u64) {
-        let node = self.slots().index.get(&h).map(|&slot| self.slots().node(slot));
+        let slot = self.data.read().index.get(&h).copied();
+        let node = slot.map(|slot| self.slots().node(slot));
         let removed = self.policy.on_delete_at(h, node);
         debug_assert!(removed, "entry {h:#x} had no policy item");
     }
@@ -292,53 +317,8 @@ impl Shard {
         self.counters.expired += 1;
     }
 
-    /// The shared-lock hit path: lookup, key check, TTL check, and a
-    /// band hit count; the value is borrowed from the arena. No other
-    /// mutation — recency bookkeeping is the caller's job (via the
-    /// access log, with the item's slot returned here), and reading a
-    /// slot never touches the ledger. `now` is called only when the
-    /// item has a TTL.
-    #[inline]
-    pub fn read_hit_ref(
-        &self,
-        h: u64,
-        key: &[u8],
-        now: impl FnOnce() -> SimTime,
-    ) -> Option<(ValueRef<'_>, SlotRef)> {
-        let (slot, rec, k, value) = self.lookup(h)?;
-        if k != key || expired(rec, now) {
-            return None;
-        }
-        self.metrics.band(self.stripe, usize::from(rec.band)).hits.inc();
-        Some((ValueRef { value, flags: rec.flags, cas: rec.cas }, slot))
-    }
-
-    /// [`Self::read_hit_ref`] with the value copied out.
-    pub fn read_hit(
-        &self,
-        h: u64,
-        key: &[u8],
-        now: impl FnOnce() -> SimTime,
-    ) -> Option<(CacheValue, SlotRef)> {
-        self.read_hit_ref(h, key, now).map(|(v, slot)| (v.to_value(), slot))
-    }
-
-    /// Immutable classification of a key's state (for `contains`).
-    fn entry_state(&self, h: u64, key: &[u8], now: SimTime) -> EntryState {
-        match self.lookup(h) {
-            Some((_, rec, k, _)) if k == key => {
-                if expired(rec, || now) {
-                    EntryState::Expired
-                } else {
-                    EntryState::Live
-                }
-            }
-            _ => EntryState::Absent,
-        }
-    }
-
     /// Drops the item if it is still the same key and expired (the
-    /// state may have changed between a read-lock check and the write
+    /// state may have changed between a read-lock check and the policy
     /// lock this runs under).
     fn expire_if_dead(&mut self, h: u64, key: &[u8], now: SimTime) {
         if let EntryState::Expired = self.entry_state(h, key, now) {
@@ -346,37 +326,41 @@ impl Shard {
         }
     }
 
-    /// The write-lock GET, run after a read-lock miss. A hit here means
-    /// the key was written between the two locks; it promotes inline
-    /// through the policy. A miss (or collision or expiry) opens a
-    /// miss window / drives the backend.
+    /// The GET under the policy lock, run after a read-lock miss. A hit
+    /// here means the key was written between the two looks; it
+    /// promotes inline through the policy. A miss (or collision or
+    /// expiry) opens a miss window / drives the backend.
     pub fn get_locked(&mut self, h: u64, key: &[u8], now: SimTime) -> Option<CacheValue> {
         let tick = self.tick(now);
-        let mut stale = None;
-        if let Some((slot, rec, k, v)) = self.lookup(h) {
-            let node = self.slots().node(slot);
-            if k == key && !expired(rec, || now) {
-                let hit = CacheValue {
-                    value: Bytes::copy_from_slice(v),
-                    flags: rec.flags,
-                    cas: rec.cas,
-                };
-                let band = usize::from(rec.band);
-                // Keep the policy's recency bookkeeping in step, by
-                // the item's handle.
-                let current = self.policy.on_hit(h, node, tick);
+        let found = {
+            let data = self.data.read();
+            data.lookup(h).map(|(slot, rec, k, v)| {
+                let live = k == key && !expired(rec, || now);
+                let hit = live.then(|| {
+                    let value = Bytes::copy_from_slice(v);
+                    (CacheValue { value, flags: rec.flags, cas: rec.cas() }, rec.band)
+                });
+                (slot, k == key, hit)
+            })
+        };
+        let stale = match found {
+            Some((slot, _, Some((hit, band)))) => {
+                // Keep the policy's recency bookkeeping in step, by the
+                // item's handle.
+                let current = self.policy.on_hit(h, self.slots().node(slot), tick);
                 debug_assert!(current, "policy lost a stored key");
-                self.metrics.band(self.stripe, band).hits.inc();
+                self.metrics.band(self.stripe, usize::from(band)).hits.inc();
                 return Some(hit);
             }
             // Expired, or a hash collision with a different key: a miss,
             // whose one policy request also removes the stale item. Only
             // the former is a TTL lapse.
-            if k == key {
-                self.counters.expired += 1;
+            Some((slot, same_key, None)) => {
+                self.counters.expired += u64::from(same_key);
+                Some(self.slots().node(slot))
             }
-            stale = Some(node);
-        }
+            None => None,
+        };
         self.miss(h, now, stale);
         None
     }
@@ -449,18 +433,16 @@ impl Shard {
             });
         }
         let tick = self.tick(now);
-        let found = self.lookup(h).map(|(slot, rec, k, _)| {
-            let lapsed = k == key && expired(rec, || now);
-            (
-                self.slots().node(slot),
-                lapsed,
-                SimDuration::from_micros(u64::from(rec.penalty_us)),
-            )
-        });
+        let found = {
+            let data = self.data.read();
+            data.lookup(h).map(|(slot, rec, k, _)| (slot, k == key && expired(rec, || now)))
+        };
         let (resident, old) = match found {
-            Some((node, lapsed, penalty)) => {
+            Some((slot, lapsed)) => {
                 self.counters.expired += u64::from(lapsed);
-                (Some(node), Some(penalty))
+                let node = self.slots().nodes.get(slot).expect("an indexed slot has a node");
+                let penalty = SimDuration::from_micros(u64::from(node.penalty_us));
+                (Some(self.slots().node(slot)), Some(penalty))
             }
             None => (None, None),
         };
@@ -477,15 +459,14 @@ impl Shard {
         let Some(node) = self.policy.on_set_at(&req, tick, resident, &mut observer) else {
             return Err(self.refuse(key.len() + value.len()));
         };
-        let serial = self.serial;
-        let slots = self.policy.store_mut();
-        let slot = slots.slot(node);
-        let written = slots.arena.write(slot, key, value);
-        debug_assert!(written.is_ok(), "arena refused a ledger-approved write: {written:?}");
-        let rec = slots.arena.record_mut(slot).expect("the policy filed the item here");
-        rec.expires = expiry(now, opts.ttl);
+        let slot = self.slots().slot(node);
+        let band = self.slots().nodes.get(slot).expect("the policy filed the item here").band;
+        let mut data = self.data.write();
+        let rec = data.store(h, slot, key, value);
+        rec.band = band;
+        rec.set_expires(expiry(now, opts.ttl));
         rec.flags = opts.flags;
-        rec.cas = serial;
+        rec.set_cas(self.serial);
         Ok(())
     }
 
@@ -536,11 +517,14 @@ impl Shard {
         match self.entry_state(h, key, now) {
             EntryState::Live => {
                 let tick = self.tick(now);
-                let slots = self.policy.store_mut();
-                let slot = slots.index[&h];
-                slots.arena.record_mut(slot).expect("a live item").expires = expiry(now, ttl);
-                let node = slots.node(slot);
-                let current = self.policy.on_hit(h, node, tick);
+                let slot = {
+                    let mut data = self.data.write();
+                    let slot = data.index[&h];
+                    let rec = data.arena.record_mut(slot).expect("a live item");
+                    rec.set_expires(expiry(now, ttl));
+                    slot
+                };
+                let current = self.policy.on_hit(h, self.slots().node(slot), tick);
                 debug_assert!(current, "policy lost a touched key");
                 true
             }
@@ -557,7 +541,7 @@ impl Shard {
     /// leaves no ghost); open miss windows survive, so a refill after
     /// the flush still measures its gap.
     pub fn clear(&mut self) -> u64 {
-        let keys: Vec<u64> = self.slots().index.keys().copied().collect();
+        let keys: Vec<u64> = self.data.read().index.keys().copied().collect();
         let n = keys.len() as u64;
         for h in keys {
             self.drop_entry(h);
@@ -566,10 +550,11 @@ impl Shard {
     }
 
     /// Detailed slab-arena accounting for diagnostics and benchmarks.
-    /// Walks the record arrays; meant to be called at reporting
-    /// cadence, not per operation.
+    /// Walks the record arrays under the data read lock; meant to be
+    /// called at reporting cadence, not per operation.
     pub fn slab_report(&self) -> SlabReport {
-        let arena = &self.slots().arena;
+        let data = self.data.read();
+        let arena = &data.arena;
         let st = arena.stats();
         let mut occupancy_deciles = [0u64; 10];
         for fill in arena.slab_fills() {
@@ -630,13 +615,16 @@ impl Shard {
     }
 
     pub fn sweep_expired(&mut self, now: SimTime) -> usize {
-        let slots = self.slots();
-        let lapsed: Vec<u64> = slots
-            .index
-            .iter()
-            .filter(|&(_, &slot)| slots.arena.record(slot).is_some_and(|r| expired(r, || now)))
-            .map(|(&h, _)| h)
-            .collect();
+        let lapsed: Vec<u64> = {
+            let data = self.data.read();
+            data.index
+                .iter()
+                .filter(|&(_, &slot)| {
+                    data.arena.record(slot).is_some_and(|r| expired(r, || now))
+                })
+                .map(|(&h, _)| h)
+                .collect()
+        };
         for &h in &lapsed {
             self.drop_expired(h);
         }
@@ -648,24 +636,24 @@ impl Shard {
     /// PAMA value-window cadence match the inline design); a record
     /// whose slot no longer holds its key is skipped by the policy.
     ///
-    /// The batch runs under the write lock that every other thread of
-    /// the shard waits on, and each promotion reads and relinks slot
-    /// records scattered over the arena. So the loop is pipelined:
-    /// before it applies hit *i* it prefetches the record of hit
-    /// *i* + [`RECORD_AHEAD`] and, that record being loaded by now, the
-    /// queue neighbours' records of hit *i* + [`NEIGHBOURS_AHEAD`]. A
-    /// prefetch is only a hint, so the policy ends in the same state as
-    /// applying the records one at a time.
+    /// The batch runs under the policy lock, which the shard's writers
+    /// wait on, and touches only policy nodes, so readers never wait on
+    /// it. Each promotion reads and relinks nodes scattered over the
+    /// store, so the loop is pipelined: before it applies hit *i* it
+    /// prefetches the node of hit *i* + [`RECORD_AHEAD`] and, that node
+    /// being loaded by now, the queue neighbours' nodes of hit *i* +
+    /// [`NEIGHBOURS_AHEAD`]. A prefetch is only a hint, so the policy
+    /// ends in the same state as applying the records one at a time.
     pub fn apply_deferred(&mut self, hits: &[HitRecord], now: SimTime) {
         self.serial += hits.len() as u64;
         let tick = Tick { now, serial: self.serial };
         for (i, &(h, slot)) in hits.iter().enumerate() {
-            let arena = &self.slots().arena;
+            let nodes = &self.slots().nodes;
             if let Some(&(_, ahead)) = hits.get(i + RECORD_AHEAD) {
-                arena.prefetch(ahead);
+                nodes.prefetch(ahead);
             }
             if let Some(&(_, ahead)) = hits.get(i + NEIGHBOURS_AHEAD) {
-                arena.prefetch_neighbours(ahead);
+                nodes.prefetch_neighbours(ahead);
             }
             let node = self.slots().node(slot);
             self.policy.on_hit(h, node, tick);
@@ -685,20 +673,40 @@ impl Shard {
         self.hit_buf = hits;
     }
 
-    /// Cross-checks the records against the queues, the index and the
-    /// policy's ledger. Every queue must walk the same nodes forwards
-    /// and backwards; every live slot must be reached exactly once, by
-    /// the queue of its slab's class and its record's band; the index
-    /// must map each record's hash to its slot and hold nothing else.
-    /// The policy's counts, the arena's own full recount (free and live
-    /// slots cover every slab, aggregates match) and the per-class slab
-    /// counts of arena and ledger must agree too.
+    /// Cross-checks the nodes against the queues, the data records, the
+    /// index and the policy's ledger. Every queue must walk the same
+    /// nodes forwards and backwards; every live slot must have a live
+    /// node and a live record, and be reached exactly once, by the
+    /// queue of its slab's class and its node's band, which its record
+    /// must carry too; the index must map each node's hash to its slot
+    /// and hold nothing else. The policy's counts, the arena's own full
+    /// recount (records match their slabs, aggregates match), the slab
+    /// ledger's (free lists cover exactly the free nodes), each slab's
+    /// class in both halves, and the per-class slab counts of the slab
+    /// ledger and the policy's must agree too.
     pub fn check_consistency(&self) -> Result<(), String> {
         let cache = self.policy.base_cache();
         cache.check_invariants()?;
         let slots = cache.store();
-        let arena = &slots.arena;
+        let data = self.data.read();
+        let arena = &data.arena;
         arena.check()?;
+        slots.nodes.check()?;
+        for slab in 0..arena.stats().slabs as u32 {
+            let r = SlotRef { slab, slot: 0 };
+            let class = arena.slab_class(r).expect("a carved slab");
+            if slots.nodes.slab_class(r) != Some(class)
+                || slots.nodes.slots_in_slab(r) != arena.slots_per_slab(class)
+            {
+                return Err(format!("slab {slab}'s nodes are not carved for class {class}"));
+            }
+            for slot in 0..arena.slots_per_slab(class) as u32 {
+                let r = SlotRef { slab, slot };
+                if slots.nodes.get(r).is_some() != arena.record(r).is_some() {
+                    return Err(format!("slot {r:?} has a live node xor a live record"));
+                }
+            }
+        }
         let mut reached = 0usize;
         for class in 0..cache.num_classes() {
             let mut in_queue = std::collections::HashMap::new();
@@ -712,27 +720,33 @@ impl Shard {
                 }
             }
             for slot in arena.live_slots(class) {
-                let node = slots.node(slot);
+                let node = slots.nodes.get(slot).expect("checked live above");
                 let rec = arena.record(slot).expect("a live slot");
-                match in_queue.remove(&node) {
+                match in_queue.remove(&slots.node(slot)) {
                     None => {
                         return Err(format!(
                             "live slot {slot:?} is in no queue of class {class}"
                         ))
                     }
-                    Some(band) if band != usize::from(rec.band) => {
+                    Some(band) if band != usize::from(node.band) => {
                         return Err(format!(
                             "slot {slot:?} with band {} is linked into band {band}'s queue",
-                            rec.band
+                            node.band
+                        ))
+                    }
+                    Some(_) if rec.band != node.band => {
+                        return Err(format!(
+                            "slot {slot:?}: record band {} but node band {}",
+                            rec.band, node.band
                         ))
                     }
                     Some(_) => {}
                 }
-                if slots.index.get(&rec.hash) != Some(&slot) {
+                if data.index.get(&node.hash) != Some(&slot) {
                     return Err(format!(
                         "slot {slot:?} holds hash {:#x}, which the index maps to {:?}",
-                        rec.hash,
-                        slots.index.get(&rec.hash)
+                        node.hash,
+                        data.index.get(&node.hash)
                     ));
                 }
                 reached += 1;
@@ -743,15 +757,15 @@ impl Shard {
                 ));
             }
         }
-        if reached != slots.index.len() || reached != cache.len() {
+        if reached != data.index.len() || reached != cache.len() {
             return Err(format!(
                 "{reached} live slots, {} index entries, {} policy items",
-                slots.index.len(),
+                data.index.len(),
                 cache.len()
             ));
         }
         for class in 0..arena.num_classes() {
-            let physical = arena.class_slabs(class);
+            let physical = slots.nodes.class_slabs(class);
             let ledger = cache.class(class).slabs;
             if physical != ledger {
                 return Err(format!(
@@ -763,15 +777,16 @@ impl Shard {
     }
 }
 
-/// A shard plus its lock and deferred-hit log — the unit `PamaCache`
-/// holds one of per shard. Write-lock work is done on the [`Shard`]
-/// that [`ShardCell::write`] hands out; the cell's own methods are the
-/// ones that need its read lock or its log.
+/// A shard's two locks and its deferred-hit log — the unit `PamaCache`
+/// holds one of per shard. Policy-lock work is done on the [`Shard`]
+/// that [`ShardCell::lock`] hands out; the cell's own methods are the
+/// ones that read under the data lock or need the log.
 pub(crate) struct ShardCell {
-    inner: RwLock<Shard>,
+    policy: Mutex<Shard>,
+    data: Arc<RwLock<Data>>,
     log: AccessLog,
-    /// The shard's registry and its stripe, reachable without the lock
-    /// for latency timing.
+    /// The shard's registry and its stripe, reachable without a lock
+    /// for latency timing and read-lock waits.
     metrics: Arc<MetricsRegistry>,
     stripe: usize,
 }
@@ -779,30 +794,42 @@ pub(crate) struct ShardCell {
 impl ShardCell {
     pub fn new(shard: Shard) -> Self {
         Self {
+            data: Arc::clone(&shard.data),
             metrics: Arc::clone(&shard.metrics),
             stripe: shard.stripe,
-            inner: RwLock::new(shard),
+            policy: Mutex::new(shard),
             log: AccessLog::new(ACCESS_LOG_CAPACITY),
         }
     }
 
-    /// Takes the write lock and drains the access log into the shard
-    /// before handing it out. Every write-lock path goes through here,
-    /// so deferred promotions are always applied in recorded order
-    /// ahead of the mutation that follows.
-    pub fn write(&self, now: SimTime) -> RwLockWriteGuard<'_, Shard> {
-        let mut shard = self.inner.write();
+    /// Takes the policy lock and drains the access log into the shard
+    /// before handing it out. Every path but a read-lock hit goes
+    /// through here, so deferred promotions are always applied in
+    /// recorded order ahead of the request that follows.
+    pub fn lock(&self, now: SimTime) -> MutexGuard<'_, Shard> {
+        let mut shard = self.policy.lock();
         if !self.log.is_empty() {
             shard.drain_log(&self.log, now);
         }
         shard
     }
 
+    /// The data read lock, counting a wait in the shard's stripe when a
+    /// writer holds it or waits for it.
+    #[inline]
+    fn read(&self) -> RwLockReadGuard<'_, Data> {
+        self.data.try_read().unwrap_or_else(|| {
+            self.metrics.read_lock_waits(self.stripe).inc();
+            self.data.read()
+        })
+    }
+
     /// Single-key GET: a hit is handed to `f`, whose result is
     /// returned. `clock` is read only when needed: on a hit to an entry
-    /// with a TTL, and once before taking the write lock on a miss. A
-    /// read-lock hit runs `f` under the read lock on the arena's bytes;
-    /// the rare hit found under the write lock runs it on a copy.
+    /// with a TTL, and once before taking the policy lock on a miss. A
+    /// read-lock hit runs `f` under the data read lock on the arena's
+    /// bytes; the rare hit found under the policy lock runs it on a
+    /// copy.
     pub fn get<R>(
         &self,
         h: u64,
@@ -832,33 +859,32 @@ impl ShardCell {
         f: impl FnOnce(ValueRef<'_>) -> R,
     ) -> Option<R> {
         {
-            let shard = self.inner.read();
-            if let Some((value, slot)) = shard.read_hit_ref(h, key, &clock) {
+            let data = self.read();
+            if let Some((value, slot)) = data.read_hit_ref(h, key, &clock) {
                 self.log.record((h, slot));
                 return Some(f(value));
             }
         }
-        // Miss / collision / expiry: full path under the write lock.
+        // Miss / collision / expiry: full path under the policy lock.
         let now = clock();
-        let hit = self.write(now).get_locked(h, key, now);
+        let hit = self.lock(now).get_locked(h, key, now);
         hit.map(|v| f(v.as_ref()))
     }
 
     pub fn contains(&self, h: u64, key: &[u8], now: SimTime) -> bool {
-        let shard = self.inner.read();
-        match shard.entry_state(h, key, now) {
+        let state = self.data.read().entry_state(h, key, now);
+        match state {
             EntryState::Live => true,
             EntryState::Absent => false,
             EntryState::Expired => {
-                drop(shard);
-                self.write(now).expire_if_dead(h, key, now);
+                self.lock(now).expire_if_dead(h, key, now);
                 false
             }
         }
     }
 
     /// Batched GET for keys mapping to this shard: one read-lock pass
-    /// serves every hit; a single write-lock pass (if needed) handles
+    /// serves every hit; a single policy-lock pass (if needed) handles
     /// the misses.
     pub fn multi_get_group(
         &self,
@@ -869,9 +895,9 @@ impl ShardCell {
     ) {
         let mut misses: Vec<(usize, u64)> = Vec::new();
         {
-            let shard = self.inner.read();
+            let data = self.data.read();
             for &(i, h) in group {
-                match shard.read_hit(h, keys[i], || now) {
+                match data.read_hit(h, keys[i], || now) {
                     Some((value, slot)) => {
                         self.log.record((h, slot));
                         out[i] = Some(value);
@@ -881,7 +907,7 @@ impl ShardCell {
             }
         }
         if !misses.is_empty() {
-            let mut shard = self.write(now);
+            let mut shard = self.lock(now);
             for (i, h) in misses {
                 out[i] = shard.get_locked(h, keys[i], now);
             }
@@ -889,10 +915,10 @@ impl ShardCell {
     }
 
     /// The shard's operation counters and slab ledger, read together
-    /// under one read lock; `deferred_dropped` comes from the
-    /// lock-free log.
+    /// under the policy lock (and, for the ledger, the data read lock),
+    /// without a drain; `deferred_dropped` comes from the lock-free log.
     pub fn report(&self) -> (crate::stats::CacheStats, SlabReport) {
-        let shard = self.inner.read();
+        let shard = self.policy.lock();
         let mut stats = shard.counters.snapshot();
         stats.deferred_dropped = self.log.dropped();
         (stats, shard.slab_report())
@@ -922,7 +948,7 @@ mod tests {
     /// The policy's metadata for `h`, reached through its slot's
     /// handle (the policy has no key index to ask).
     fn meta(s: &Shard, h: u64) -> Option<pama_core::cache::ItemMeta> {
-        let slot = *s.slots().index.get(&h)?;
+        let slot = *s.data.read().index.get(&h)?;
         s.policy.base_cache().meta_at(s.slots().node(slot), h)
     }
 
@@ -1013,7 +1039,7 @@ mod tests {
         );
         assert!(s.get_locked(7, b"first", t(4)).is_none());
         // collisions never reach the read-hit fast path either
-        assert!(s.read_hit(7, b"first", || t(5)).is_none());
+        assert!(s.data.read().read_hit(7, b"first", || t(5)).is_none());
         assert_eq!(s.counters.snapshot().expired, 0, "a collision drop is not an expiry");
     }
 
@@ -1025,9 +1051,9 @@ mod tests {
             CacheConfig { total_bytes: 1 << 30, slab_bytes: 1 << 20, ..CacheConfig::default() };
         let mut s = Shard::new(cfg.clone(), PamaConfig::default(), registry_for(&cfg, 1), 0);
         assert!(
-            s.slots().index.capacity() < 64,
+            s.data.read().index.capacity() < 64,
             "empty shard reserved {}",
-            s.slots().index.capacity()
+            s.data.read().index.capacity()
         );
         // The miss-window table is the same fixed size for any geometry.
         assert_eq!(s.windows.len(), WINDOW_SLOTS);
@@ -1036,11 +1062,11 @@ mod tests {
         for i in 0..N {
             s.set(i, format!("k{i}").as_bytes(), b"v", &SetOptions::default(), t(i)).unwrap();
         }
-        assert_eq!(s.slots().index.len(), N as usize);
+        assert_eq!(s.data.read().index.len(), N as usize);
         assert!(
-            s.slots().index.capacity() < 4 * N as usize,
+            s.data.read().index.capacity() < 4 * N as usize,
             "capacity {}",
-            s.slots().index.capacity()
+            s.data.read().index.capacity()
         );
         assert_eq!(s.windows.len(), WINDOW_SLOTS);
     }
@@ -1056,10 +1082,13 @@ mod tests {
             reads.set(reads.get() + 1);
             t(ms)
         };
-        assert!(s.read_hit(1, b"plain", || clock(5)).is_some());
+        assert!(s.data.read().read_hit(1, b"plain", || clock(5)).is_some());
         assert_eq!(reads.get(), 0, "an entry without a TTL needs no clock");
-        assert!(s.read_hit(2, b"ttl", || clock(5)).is_some());
-        assert!(s.read_hit(2, b"ttl", || clock(10)).is_none(), "lapsed at exactly its expiry");
+        assert!(s.data.read().read_hit(2, b"ttl", || clock(5)).is_some());
+        assert!(
+            s.data.read().read_hit(2, b"ttl", || clock(10)).is_none(),
+            "lapsed at exactly its expiry"
+        );
         assert_eq!(reads.get(), 2);
         // A TTL too long to represent never expires rather than wrapping.
         s.set(
@@ -1070,7 +1099,7 @@ mod tests {
             t(9),
         )
         .unwrap();
-        assert!(s.read_hit(3, b"far", || t(u64::MAX / 2_000)).is_some());
+        assert!(s.data.read().read_hit(3, b"far", || t(u64::MAX / 2_000)).is_some());
     }
 
     #[test]
@@ -1085,7 +1114,7 @@ mod tests {
         assert!(s.metrics.snapshot().total_evictions() > 0);
         // store, arena and policy agree exactly
         assert_eq!(items as usize, s.policy.base_cache().len());
-        assert_eq!(items as usize, s.slots().index.len());
+        assert_eq!(items as usize, s.data.read().index.len());
         s.check_consistency().unwrap();
     }
 
@@ -1110,8 +1139,11 @@ mod tests {
         let mut hits = Vec::new();
         for i in 0..4u64 {
             assert!(inline.get_locked(i, format!("k{i}").as_bytes(), t(100 + i)).is_some());
-            let (_, slot) =
-                deferred.read_hit(i, format!("k{i}").as_bytes(), || t(100 + i)).unwrap();
+            let (_, slot) = deferred
+                .data
+                .read()
+                .read_hit(i, format!("k{i}").as_bytes(), || t(100 + i))
+                .unwrap();
             hits.push((i, slot));
         }
         deferred.apply_deferred(&hits, t(104));
@@ -1139,20 +1171,20 @@ mod tests {
     #[test]
     fn a_hit_recorded_on_an_evicted_item_promotes_nothing() {
         // A hit recorded, then its item evicted and the item's slot
-        // reused by another key before the drain — possible only when
-        // something mutates the shard between the record and the
-        // drain. The drain must skip the record, not promote whichever
-        // item now owns the slot.
+        // reused by another key before the drain — as when a reader logs
+        // the hit after a writer has drained under the policy lock and
+        // before that writer evicts the item. The drain must skip the
+        // record, not promote whichever item now owns the slot.
         let mut s = shard();
         let v = vec![0u8; 30_000];
         let key = |i: u64| format!("key{i}").into_bytes();
         s.set(0, &key(0), &v, &SetOptions::default(), t(0)).unwrap();
-        let (_, slot) = s.read_hit(0, &key(0), || t(1)).unwrap();
+        let (_, slot) = s.data.read().read_hit(0, &key(0), || t(1)).unwrap();
         let m = meta(&s, 0).unwrap();
         // Fill the class until key 0, the LRU item, is evicted; the SET
         // that evicts it takes its slot.
         let mut i = 1;
-        while s.slots().index.contains_key(&0) {
+        while s.data.read().index.contains_key(&0) {
             s.set(i, &key(i), &v, &SetOptions::default(), t(1 + i)).unwrap();
             i += 1;
         }
@@ -1163,7 +1195,7 @@ mod tests {
                 .map(|m| m.key)
                 .collect()
         };
-        let owner = s.slots().arena.record(slot).map(|r| r.hash);
+        let owner = s.slots().nodes.get(slot).map(|n| n.hash);
         assert!(owner.is_some_and(|k| k != 0), "slot not reused: {owner:?}");
         // Promote another item, so that promoting the node's new owner
         // would show in the order.
@@ -1193,12 +1225,12 @@ mod tests {
             let key = format!("churn{i}");
             assert!(s.get_locked(i, key.as_bytes(), t(i)).is_none());
             s.set(i, key.as_bytes(), &v, &SetOptions::default(), t(i)).unwrap();
-            capacity = capacity.max(s.slots().index.len());
+            capacity = capacity.max(s.data.read().index.len());
             i += 1;
         }
-        assert!((s.slots().index.len() as u64) < i / 5, "the stream never evicted");
+        assert!((s.data.read().index.len() as u64) < i / 5, "the stream never evicted");
         assert!(!s.policy.base_cache().is_indexed(), "the policy keeps a key index");
-        assert_eq!(s.policy.base_cache().len(), s.slots().index.len());
+        assert_eq!(s.policy.base_cache().len(), s.data.read().index.len());
         assert!(s.policy.ghost_len() > 0, "evictions left no ghosts");
         assert!(
             s.policy.ghost_len() <= s.policy.ghost_capacity(),
@@ -1216,7 +1248,7 @@ mod tests {
         let key = |i: u64| format!("key{i}").into_bytes();
         s.set(h, &key(h), &v, &SetOptions::new().penalty(penalty), t(0)).unwrap();
         let mut i = h + 1;
-        while s.slots().index.contains_key(&h) {
+        while s.data.read().index.contains_key(&h) {
             s.set(i, &key(i), &v, &SetOptions::new().penalty(penalty), t(i)).unwrap();
             i += 1;
         }
@@ -1301,12 +1333,12 @@ mod tests {
             let key = format!("gap{i}");
             assert!(s.get_locked(i, key.as_bytes(), t(2 * i)).is_none());
             s.set(i, key.as_bytes(), &v, &SetOptions::default(), t(2 * i + 1)).unwrap();
-            capacity = capacity.max(s.slots().index.len());
+            capacity = capacity.max(s.data.read().index.len());
             i += 1;
         }
         assert_eq!(s.counters.snapshot().measured_penalties, i);
-        let per_key = s.slots().index.capacity() + s.policy.ghost_len();
-        let bound = 2 * (s.slots().index.len() + s.policy.ghost_capacity());
+        let per_key = s.data.read().index.capacity() + s.policy.ghost_len();
+        let bound = 2 * (s.data.read().index.len() + s.policy.ghost_capacity());
         assert!(per_key <= bound, "{per_key} per-key slots after {i} keys, bound {bound}");
         assert_eq!(s.windows.len(), WINDOW_SLOTS);
         s.check_consistency().unwrap();
@@ -1339,7 +1371,7 @@ mod tests {
         // finds nothing to delete and counts the expiry instead.
         assert!(!s.delete(1, b"gone", t(20)));
         let st = s.counters.snapshot();
-        assert_eq!((st.deletes, st.expired, s.slots().index.len()), (0, 1, 0));
+        assert_eq!((st.deletes, st.expired, s.data.read().index.len()), (0, 1, 0));
         assert!(!s.delete(1, b"gone", t(21)), "the key stays absent");
         // A live key is deleted and counted as a delete.
         s.set(2, b"live", b"v", &ttl, t(30)).unwrap();
@@ -1349,7 +1381,10 @@ mod tests {
         s.set(3, b"again", b"old", &ttl, t(40)).unwrap();
         assert!(s.add(3, b"again", b"new", &SetOptions::default(), t(60)).unwrap());
         assert_eq!(s.counters.snapshot().expired, 2);
-        assert_eq!(s.read_hit(3, b"again", || t(61)).unwrap().0.value.as_ref(), b"new");
+        assert_eq!(
+            s.data.read().read_hit(3, b"again", || t(61)).unwrap().0.value.as_ref(),
+            b"new"
+        );
         s.check_consistency().unwrap();
     }
 
@@ -1374,7 +1409,7 @@ mod tests {
         assert_eq!(s.policy.rebuilds(), before + 2, "a colliding GET made two requests");
         // Both stale items left the store and the policy; only the lapse
         // is an expiry, and each GET is one miss.
-        assert_eq!((s.slots().index.len(), s.policy.base_cache().len()), (0, 0));
+        assert_eq!((s.data.read().index.len(), s.policy.base_cache().len()), (0, 0));
         assert_eq!(s.counters.expired, 1);
         assert_eq!(s.metrics.snapshot().total_misses(), 2);
         s.check_consistency().unwrap();
@@ -1384,8 +1419,8 @@ mod tests {
     fn visitor_get_sees_the_stored_hit_and_defers_it_once() {
         let cell = ShardCell::new(shard());
         let now = t(1);
-        cell.write(now).set(1, b"k", b"value", &SetOptions::new().flags(0xBEEF), now).unwrap();
-        cell.write(now)
+        cell.lock(now).set(1, b"k", b"value", &SetOptions::new().flags(0xBEEF), now).unwrap();
+        cell.lock(now)
             .set(2, b"ttl", b"v", &SetOptions::new().ttl(SimDuration::from_millis(10)), now)
             .unwrap();
         let hits = || cell.metrics.snapshot().total_hits();
@@ -1394,8 +1429,8 @@ mod tests {
         let seen = cell.get(1, b"k", || now, |v| (v.value.to_vec(), v.flags, v.cas)).unwrap();
         assert_eq!((hits(), deferred()), (1, 0), "one band hit, promotion still pending");
         assert!(!cell.log.is_empty(), "the hit was not logged for deferred promotion");
-        drop(cell.write(now));
-        assert_eq!(deferred(), 1, "the write-lock drain applies the logged hit");
+        drop(cell.lock(now));
+        assert_eq!(deferred(), 1, "the policy-lock drain applies the logged hit");
         let copied = cell.get(1, b"k", || now, |v| v.to_value()).unwrap();
         assert_eq!(seen, (copied.value.to_vec(), copied.flags, copied.cas));
         assert_eq!(seen.1, 0xBEEF);
@@ -1412,7 +1447,7 @@ mod tests {
     #[test]
     fn a_set_that_keeps_class_and_band_rewrites_its_own_slot() {
         let mut s = shard();
-        let slot = |s: &Shard| s.slots().index[&1];
+        let slot = |s: &Shard| s.data.read().index[&1];
         s.set(1, b"k", &[1u8; 100], &SetOptions::new().flags(7), t(0)).unwrap();
         let first = slot(&s);
         let slots_used = s.slab_report().live_items;
@@ -1420,7 +1455,7 @@ mod tests {
         // band: the same slot takes the new bytes, flags and CAS stamp.
         s.set(1, b"k", &[2u8; 110], &SetOptions::new().flags(9), t(1)).unwrap();
         assert_eq!(slot(&s), first, "an in-place SET moved");
-        let (v, _) = s.read_hit(1, b"k", || t(2)).unwrap();
+        let (v, _) = s.data.read().read_hit(1, b"k", || t(2)).unwrap();
         assert_eq!((v.value.as_ref(), v.flags, v.cas), (&[2u8; 110][..], 9, s.serial));
         assert_eq!(s.slab_report().live_items, slots_used);
         assert_eq!(s.slab_report().requested_bytes, 111);
@@ -1443,7 +1478,7 @@ mod tests {
         );
         // Nothing changed: the colliding item stays, and the policy saw
         // no request.
-        assert!(s.read_hit(5, b"short", || t(2)).is_some());
+        assert!(s.data.read().read_hit(5, b"short", || t(2)).is_some());
         assert_eq!((s.counters.rejected, s.policy.rebuilds(), s.serial), (1, 0, 1));
         s.check_consistency().unwrap();
     }
@@ -1493,7 +1528,8 @@ mod tests {
         let mut hits = Vec::new();
         for j in 0..1_200u64 {
             let id = if j % 3 == 0 { j % 40 + 1_100 } else { (j * 37) % 1_500 };
-            let found = shards.each_ref().map(|s| s.read_hit(id, &key(id), || t(2_000)));
+            let found =
+                shards.each_ref().map(|s| s.data.read().read_hit(id, &key(id), || t(2_000)));
             if let [Some((_, a)), Some((_, b))] = found {
                 assert_eq!(a, b, "the shards diverged");
                 hits.push((id, a));
@@ -1512,7 +1548,7 @@ mod tests {
                 if s.get_locked(id, &key(id), now).is_none() {
                     s.set(id, &key(id), &[2u8; 1_800], &large, now).unwrap();
                 }
-                let now_transfers = s.slots().arena.stats().transfers;
+                let now_transfers = s.data.read().arena.stats().transfers;
                 if step == 0 && now_transfers > transfers {
                     transfers = now_transfers;
                     moved_away.extend(s.policy.base_cache().relocated().iter().map(|m| m.0));
@@ -1523,7 +1559,8 @@ mod tests {
         let distinct: std::collections::HashSet<_> = hits.iter().map(|h| h.0).collect();
         assert!(distinct.len() < hits.len(), "no hit repeats");
         let slots = shards[0].slots();
-        let arena = &slots.arena;
+        let data = shards[0].data.read();
+        let arena = &data.arena;
         let freed = hits.iter().filter(|&&(_, r)| arena.record(r).is_none()).count();
         let moved = hits.iter().filter(|&&(_, r)| moved_away.contains(&slots.node(r))).count();
         let past_end = hits
@@ -1539,6 +1576,7 @@ mod tests {
         {
             assert!(n > 0, "no record names a {what} slot");
         }
+        drop(data);
 
         let [mut batched, mut single] = shards;
         let before = queues_with_tags(batched.policy.base_cache());
@@ -1635,7 +1673,7 @@ mod tests {
                     kv[q], simulated[q]
                 );
             }
-            let now_transfers = s.slots().arena.stats().transfers;
+            let now_transfers = s.data.read().arena.stats().transfers;
             if now_transfers > transfers {
                 transfers = now_transfers;
                 s.check_consistency().unwrap_or_else(|e| panic!("request {i}: {e}"));

@@ -1,15 +1,15 @@
 //! Cache-wide statistics.
 //!
 //! Every number has one owner. Each shard's [`ShardCounters`], plain
-//! integers changed under the shard's write lock, count operations
+//! integers changed under the shard's policy lock, count operations
 //! (sets, deletes, expiries, …); hits, misses and evictions live only in
 //! the cache's penalty-band registry; resident items and bytes and the
 //! arena gauges live only in each shard's slab arena.
 //! [`crate::PamaCache::report`] assembles [`CacheStats`] from all three:
 //! it sums the band cells into `hits`/`misses`/`evictions`, and takes
-//! each shard's read lock once to read its counters and build its slab
-//! ledger, from which it fills `items`, `live_bytes` and the arena
-//! fields.
+//! each shard's policy lock once to read its counters and, under its
+//! data read lock, build its slab ledger, from which it fills `items`,
+//! `live_bytes` and the arena fields.
 
 use pama_util::SimDuration;
 
@@ -174,7 +174,7 @@ impl Merge for CacheStats {
 
 /// Detailed slab-arena accounting, aggregated across shards into
 /// [`CacheReport::slabs`]. Unlike [`CacheStats`] this takes each
-/// shard's read lock and walks slab metadata, so poll it at reporting
+/// shard's data read lock and walks slab metadata, so poll it at reporting
 /// cadence (the `probe` binary prints it per window).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlabReport {
@@ -274,7 +274,7 @@ impl Merge for SlabReport {
 
 /// Per-shard operation counters: the [`CacheStats`] fields that
 /// neither the band registry nor the slab arena owns. Plain integers:
-/// the shard owns them and changes them only under its write lock. The
+/// the shard owns them and changes them only under its policy lock. The
 /// penalty mean is kept as (sum, count).
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {

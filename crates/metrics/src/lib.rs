@@ -231,13 +231,15 @@ pub struct BandCells {
     pub slab_moves: Counter,
 }
 
-/// One stripe's sampled latency histograms, aligned to a cache line so
-/// that different stripes' histograms never share one.
+/// One stripe's sampled latency histograms and lock-wait count,
+/// aligned to a cache line so that different stripes' cells never share
+/// one.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-struct LatencyCells {
+struct StripeCells {
     hit_us: AtomicHistogram,
     miss_us: AtomicHistogram,
+    read_lock_waits: Counter,
 }
 
 /// A plain-data copy of one band's counters plus its penalty range.
@@ -310,8 +312,9 @@ pub struct MetricsRegistry {
     /// Stripe-major band cells: stripe `s` owns
     /// `cells[s * bands .. (s + 1) * bands]`.
     cells: Vec<BandCells>,
-    /// Stripe `s`'s sampled hit and miss latency histograms.
-    latency: Vec<LatencyCells>,
+    /// Stripe `s`'s sampled hit and miss latency histograms and its
+    /// read-lock waits.
+    stripe_cells: Vec<StripeCells>,
     stripes: usize,
     /// Slabs granted from the free pool (class-level event; grants are
     /// not band-attributed because a fresh slab has no band yet).
@@ -342,7 +345,7 @@ impl MetricsRegistry {
         Self {
             band_bounds_us,
             cells,
-            latency: (0..stripes).map(|_| LatencyCells::default()).collect(),
+            stripe_cells: (0..stripes).map(|_| StripeCells::default()).collect(),
             stripes,
             slab_grants: Counter::default(),
             slab_move_us: AtomicHistogram::new(),
@@ -370,14 +373,22 @@ impl MetricsRegistry {
     /// 1/[`LATENCY_SAMPLE`]. The index clamps to the last stripe.
     #[inline]
     pub fn hit_latency_us(&self, stripe: usize) -> &AtomicHistogram {
-        &self.latency[stripe.min(self.stripes - 1)].hit_us
+        &self.stripe_cells[stripe.min(self.stripes - 1)].hit_us
     }
 
     /// Stripe `stripe`'s miss-path latency histogram, µs, sampled
     /// 1/[`LATENCY_SAMPLE`]. The index clamps to the last stripe.
     #[inline]
     pub fn miss_latency_us(&self, stripe: usize) -> &AtomicHistogram {
-        &self.latency[stripe.min(self.stripes - 1)].miss_us
+        &self.stripe_cells[stripe.min(self.stripes - 1)].miss_us
+    }
+
+    /// Stripe `stripe`'s count of GETs that found the shard's data lock
+    /// held or awaited by a writer on their first attempt, and so
+    /// waited for it. The index clamps to the last stripe.
+    #[inline]
+    pub fn read_lock_waits(&self, stripe: usize) -> &Counter {
+        &self.stripe_cells[stripe.min(self.stripes - 1)].read_lock_waits
     }
 
     /// Whether this operation should pay for latency timing: 1 in
@@ -420,9 +431,10 @@ impl MetricsRegistry {
         MetricsSnapshot {
             bands,
             slab_grants: self.slab_grants.get(),
-            hit_latency: HistogramSnapshot::sum(self.latency.iter().map(|l| &l.hit_us)),
-            miss_latency: HistogramSnapshot::sum(self.latency.iter().map(|l| &l.miss_us)),
+            hit_latency: HistogramSnapshot::sum(self.stripe_cells.iter().map(|l| &l.hit_us)),
+            miss_latency: HistogramSnapshot::sum(self.stripe_cells.iter().map(|l| &l.miss_us)),
             slab_move: self.slab_move_us.snapshot(),
+            read_lock_waits: self.stripe_cells.iter().map(|l| l.read_lock_waits.get()).sum(),
             arena_slabs: self.arena_slabs.get(),
             arena_free_slots: self.arena_free_slots.get(),
             arena_resident_bytes: self.arena_resident_bytes.get(),
@@ -443,6 +455,8 @@ pub struct MetricsSnapshot {
     pub miss_latency: HistogramSnapshot,
     /// Slab transfer duration.
     pub slab_move: HistogramSnapshot,
+    /// See [`MetricsRegistry::read_lock_waits`], summed over stripes.
+    pub read_lock_waits: u64,
     /// See [`MetricsRegistry::arena_slabs`].
     pub arena_slabs: u64,
     /// See [`MetricsRegistry::arena_free_slots`].
@@ -495,6 +509,7 @@ impl MetricsSnapshot {
             }
         }
         out.push(("pama_slab_grants_total".into(), self.slab_grants.to_string()));
+        out.push(("pama_read_lock_waits_total".into(), self.read_lock_waits.to_string()));
         out.push(("pama_arena_slabs".into(), self.arena_slabs.to_string()));
         out.push(("pama_arena_free_slots".into(), self.arena_free_slots.to_string()));
         out.push(("pama_arena_resident_bytes".into(), self.arena_resident_bytes.to_string()));
@@ -564,6 +579,9 @@ pub fn describe_family(family: &str) -> Option<(&'static str, &'static str)> {
             ("cross-class slab migrations by source band", "counter")
         }
         "pama_slab_grants_total" => ("slabs granted from the free pool", "counter"),
+        "pama_read_lock_waits_total" => {
+            ("GETs that waited for a shard's data lock held by a writer", "counter")
+        }
         "pama_arena_slabs" => ("slabs currently carved", "gauge"),
         "pama_arena_free_slots" => ("free slots across carved slabs", "gauge"),
         "pama_arena_resident_bytes" => ("arena-resident bytes", "gauge"),
@@ -684,8 +702,10 @@ mod tests {
             reg.band(stripe, 0).slab_moves.inc();
             reg.hit_latency_us(stripe).record(100);
             reg.miss_latency_us(stripe).record(1 << stripe);
+            reg.read_lock_waits(stripe).add(stripe as u64);
         }
         let snap = reg.snapshot();
+        assert_eq!(snap.read_lock_waits, 1 + 2 + 3);
         assert_eq!(snap.bands[1].hits, 1 + 2 + 3 + 4);
         assert_eq!((snap.bands[3].misses, snap.bands[3].penalty_cost_us), (4, 40));
         assert_eq!((snap.bands[4].evictions, snap.bands[0].slab_moves), (4, 4));
@@ -697,6 +717,7 @@ mod tests {
         flat.band(0, 3).penalty_cost_us.add(40);
         flat.band(0, 4).evictions.add(4);
         flat.band(0, 0).slab_moves.add(4);
+        flat.read_lock_waits(0).add(6);
         for stripe in 0..4 {
             flat.hit_latency_us(0).record(100);
             flat.miss_latency_us(0).record(1 << stripe);
@@ -769,7 +790,10 @@ mod tests {
         reg.band(0, 0).hits.inc();
         reg.hit_latency_us(0).record(100);
         reg.arena_slabs.set(9);
+        reg.read_lock_waits(0).inc();
         let text = reg.snapshot().render_prometheus();
+        assert!(text.contains("# TYPE pama_read_lock_waits_total counter"));
+        assert!(text.contains("pama_read_lock_waits_total 1"));
         assert!(text.contains("pama_band_hits_total{band=\"0\"} 1"));
         assert!(text.contains("# TYPE pama_band_hits_total counter"));
         assert!(text.contains("pama_arena_slabs 9"));

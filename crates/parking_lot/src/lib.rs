@@ -20,12 +20,14 @@
 //!    sleeps in the kernel until the holder wakes it.
 //!
 //! The budget is several times the common hold in `pama-kv`: a shard's
-//! write-lock drain of about 17 deferred hits takes about 3 µs, longer
+//! policy-lock drain of about 17 deferred hits takes about 3 µs, longer
 //! than the hundred-odd `pause`s `std` spins before it sleeps, so a
 //! waiter that only used `std` would mostly pay a kernel sleep and a
-//! wake-up. A rare long hold, such as a PAMA value-window rebuild
-//! (0.3–0.4 ms), outlasts the budget and its waiters sleep. A process
-//! limited to one CPU ([`std::thread::available_parallelism`], which
+//! wake-up. A rare long hold of the policy lock, such as a PAMA
+//! value-window rebuild (0.3–0.4 ms), outlasts the budget and its
+//! waiters, the shard's writers, sleep. A shard's data lock is held
+//! for less: a reader's hit, or a writer's record and byte write. A
+//! process limited to one CPU ([`std::thread::available_parallelism`], which
 //! reads the affinity mask, read once) skips straight to blocking: a
 //! spinning waiter there only delays the holder.
 

@@ -289,7 +289,7 @@ fn emit_stats(shared: &Shared, out: &mut Vec<u8>) {
     stat("rejected", c.rejected.to_string());
     // Bounded-staleness recency bookkeeping (see DESIGN.md §6): how
     // many GET hits were promoted via the deferred log, and how many
-    // the ring dropped because it filled between write-lock events.
+    // the ring dropped because it filled between policy-lock events.
     stat("deferred_hits", c.deferred_hits.to_string());
     stat("deferred_dropped", c.deferred_dropped.to_string());
     // Penalty-aware extensions: what makes this PAMA and not LRU.

@@ -407,6 +407,7 @@ fn stats_metrics_exposes_labelled_prometheus_families() {
         "pama_band_misses_total",
         "pama_band_penalty_cost_us_total",
         "pama_slab_grants_total",
+        "pama_read_lock_waits_total",
         "pama_arena_resident_bytes",
         "pama_hit_latency_us_count",
     ] {
