@@ -78,16 +78,28 @@ pub trait ItemStore: Links {
     /// times ignores it).
     fn touch(&mut self, n: NodeRef, now: SimTime);
 
+    /// The item [`free`](Self::free) just returned left by eviction: an
+    /// LRU replacement or a casualty of a slab move, not a request for
+    /// its own key.
+    fn evicted(&mut self, item: &ItemMeta);
+
     /// `class` took a slab from the free pool.
     fn slab_granted(&mut self, class: usize);
 
-    /// One slab of `src`, whose items the cache has already evicted down
-    /// to what the rest of the class holds, now belongs to `dst`. A
+    /// One slab of `src`, whose candidate slab was drawn from band
+    /// `src_band` and whose items the cache has already evicted down to
+    /// what the rest of the class holds, now belongs to `dst`. A
     /// physical store compacts the class to free one slab and re-carves
     /// it; for every node it moves, it moves the links and tag too,
     /// repoints the node's neighbours, and pushes `(old, new)` onto
     /// `moved` (the cache repoints its queue ends).
-    fn slab_moved(&mut self, src: usize, dst: usize, moved: &mut Vec<(NodeRef, NodeRef)>);
+    fn slab_moved(
+        &mut self,
+        src: usize,
+        src_band: usize,
+        dst: usize,
+        moved: &mut Vec<(NodeRef, NodeRef)>,
+    );
 }
 
 /// The simulator's store: item metadata in an arena, slabs as counts.
@@ -112,9 +124,11 @@ impl ItemStore for Arena<ItemMeta> {
         self.get_mut(n).last_access = now;
     }
 
+    fn evicted(&mut self, _: &ItemMeta) {}
+
     fn slab_granted(&mut self, _: usize) {}
 
-    fn slab_moved(&mut self, _: usize, _: usize, _: &mut Vec<(NodeRef, NodeRef)>) {}
+    fn slab_moved(&mut self, _: usize, _: usize, _: usize, _: &mut Vec<(NodeRef, NodeRef)>) {}
 }
 
 /// Per-class state: slab count and the subclass queues.
@@ -180,42 +194,7 @@ impl BaseCache {
     /// # Panics
     /// Panics when the config fails validation or `bands == 0`.
     pub fn new(cfg: CacheConfig, bands: usize) -> Self {
-        Self { index: Some(FastMap::default()), ..Self::unindexed(cfg, bands) }
-    }
-
-    /// [`new`](Self::new) without the key index (see
-    /// [`with_store`](Self::with_store)).
-    ///
-    /// # Panics
-    /// Panics when the config fails validation or `bands == 0`.
-    pub fn unindexed(cfg: CacheConfig, bands: usize) -> Self {
-        Self::with_store(cfg, bands, Arena::new())
-    }
-
-    /// Takes one slab away from `class`, evicting LRU items of `band`
-    /// (then, if that queue empties, of the fullest remaining band)
-    /// until a slab's worth of slots is free. The freed slab returns to
-    /// the pool. Evicted items are passed to `on_evict`. Only the
-    /// default store has a pool to return a slab to; a physical store's
-    /// slabs move with [`migrate_slab`](Self::migrate_slab).
-    ///
-    /// Returns `false` (changing nothing) when the class has no slab.
-    pub fn reclaim_slab_from(
-        &mut self,
-        class: usize,
-        band: usize,
-        on_evict: impl FnMut(ItemMeta),
-    ) -> bool {
-        self.reclaim(class, band, on_evict)
-    }
-
-    /// Total bytes of live item payloads (diagnostics), from the
-    /// lengths the default store keeps in its nodes.
-    pub fn live_bytes(&self) -> u64 {
-        (0..self.classes.len())
-            .flat_map(|c| (0..self.bands).flat_map(move |b| self.items(c, b)))
-            .map(|m| u64::from(m.key_size) + u64::from(m.value_size))
-            .sum()
+        Self { index: Some(FastMap::default()), ..Self::with_store(cfg, bands, Arena::new()) }
     }
 }
 
@@ -472,13 +451,15 @@ impl<S: ItemStore> BaseCache<S> {
         self.store.free(node)
     }
 
-    /// Evicts the LRU item of `(class, band)`, returning it.
+    /// Evicts the LRU item of `(class, band)`, reporting it to the store
+    /// ([`ItemStore::evicted`]), and returns it.
     pub fn evict_tail(&mut self, class: usize, band: usize) -> Option<ItemMeta> {
         let node = self.classes[class].queues[band].back()?;
         let meta = self.unlink(node);
         if let Some(ix) = &mut self.index {
             ix.remove(&meta.key);
         }
+        self.store.evicted(&meta);
         Some(meta)
     }
 
@@ -486,41 +467,6 @@ impl<S: ItemStore> BaseCache<S> {
     /// must not push, remove or reorder nodes.
     pub(crate) fn queue_and_store(&mut self, class: usize, band: usize) -> (&Queue, &mut S) {
         (&self.classes[class].queues[band], &mut self.store)
-    }
-
-    /// See [`reclaim_slab_from`](BaseCache::reclaim_slab_from).
-    fn reclaim(
-        &mut self,
-        class: usize,
-        band: usize,
-        mut on_evict: impl FnMut(ItemMeta),
-    ) -> bool {
-        if self.classes[class].slabs == 0 {
-            return false;
-        }
-        let spslab = self.classes[class].slots_per_slab;
-        while self.free_slots(class) < spslab {
-            let victim_band = if !self.classes[class].queues[band].is_empty() {
-                band
-            } else {
-                // fall back to the longest queue in the class
-                match (0..self.bands)
-                    .filter(|&b| !self.classes[class].queues[b].is_empty())
-                    .max_by_key(|&b| self.classes[class].queues[b].len())
-                {
-                    Some(b) => b,
-                    None => break, // class is empty; free_slots must now cover it
-                }
-            };
-            match self.evict_tail(class, victim_band) {
-                Some(m) => on_evict(m),
-                None => break,
-            }
-        }
-        debug_assert!(self.free_slots(class) >= spslab);
-        self.classes[class].slabs -= 1;
-        self.free_slabs += 1;
-        true
     }
 
     /// Grants one slab from the free pool to `class`. Returns `false`
@@ -536,28 +482,49 @@ impl<S: ItemStore> BaseCache<S> {
     }
 
     /// Moves one slab from `src` to `dst` class, evicting from
-    /// `src_band` as needed. Items evicted en route go to `on_evict`,
-    /// before the store moves the slab; the nodes its compaction moved
-    /// are then listed by [`relocated`](Self::relocated). Returns
+    /// `src_band` (then from the class's fullest band) as needed. Each
+    /// item evicted en route reaches the store and then `on_evict`,
+    /// before the store hears of the move; the nodes its compaction
+    /// moved are then listed by [`relocated`](Self::relocated). Returns
     /// `false` (no change) when `src` owns no slab.
     pub fn migrate_slab(
         &mut self,
         src: usize,
         src_band: usize,
         dst: usize,
-        on_evict: impl FnMut(ItemMeta),
+        mut on_evict: impl FnMut(ItemMeta),
     ) -> bool {
         self.relocated.clear();
-        if src == dst || !self.reclaim(src, src_band, on_evict) {
+        if src == dst || self.classes[src].slabs == 0 {
             return false;
         }
-        self.store.slab_moved(src, dst, &mut self.relocated);
+        let spslab = self.classes[src].slots_per_slab;
+        while self.free_slots(src) < spslab {
+            let victim_band = if !self.classes[src].queues[src_band].is_empty() {
+                src_band
+            } else {
+                // fall back to the longest queue in the class
+                match (0..self.bands)
+                    .filter(|&b| !self.classes[src].queues[b].is_empty())
+                    .max_by_key(|&b| self.classes[src].queues[b].len())
+                {
+                    Some(b) => b,
+                    None => break, // class is empty; free_slots must now cover it
+                }
+            };
+            match self.evict_tail(src, victim_band) {
+                Some(m) => on_evict(m),
+                None => break,
+            }
+        }
+        debug_assert!(self.free_slots(src) >= spslab);
+        self.classes[src].slabs -= 1;
+        self.store.slab_moved(src, src_band, dst, &mut self.relocated);
         for &(old, new) in &self.relocated {
             for q in &mut self.classes[src].queues {
                 q.relocated(old, new);
             }
         }
-        self.free_slabs -= 1;
         self.classes[dst].slabs += 1;
         true
     }
@@ -727,7 +694,7 @@ mod tests {
 
     #[test]
     fn unindexed_cache_is_addressed_by_handle() {
-        let mut c = BaseCache::unindexed(small_cfg(), 1);
+        let mut c = BaseCache::with_store(small_cfg(), 1, Arena::new());
         assert!(!c.is_indexed());
         let locs: Vec<NodeRef> =
             (1..=3).map(|k| c.insert(meta(k, 0)).node().unwrap()).collect();
@@ -779,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_slab_evicts_enough() {
+    fn migrate_slab_evicts_enough() {
         let mut cfg = small_cfg();
         cfg.total_bytes = 8 << 10; // 2 slabs
         let mut c = BaseCache::new(cfg, 1);
@@ -791,22 +758,14 @@ mod tests {
         }
         assert_eq!(c.class(5).slabs, 2);
         let mut evicted = Vec::new();
-        assert!(c.reclaim_slab_from(5, 0, |m| evicted.push(m.key)));
-        assert_eq!(c.class(5).slabs, 1);
-        assert_eq!(c.free_slabs(), 1);
+        assert!(c.migrate_slab(5, 0, 0, |m| evicted.push(m.key)));
+        assert_eq!((c.class(5).slabs, c.class(0).slabs, c.free_slabs()), (1, 1, 0));
         assert_eq!(evicted, vec![1, 2], "LRU items evicted first");
         c.check_invariants().unwrap();
     }
 
     #[test]
-    fn reclaim_from_empty_class_fails() {
-        let mut c = BaseCache::new(small_cfg(), 1);
-        assert!(!c.reclaim_slab_from(3, 0, |_| panic!("nothing to evict")));
-        c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn reclaim_partial_free_slots_evicts_fewer() {
+    fn migrate_slab_with_partial_free_slots_evicts_fewer() {
         let mut cfg = small_cfg();
         cfg.total_bytes = 4 << 10;
         let mut c = BaseCache::new(cfg, 1);
@@ -819,7 +778,7 @@ mod tests {
         c.insert(m2);
         c.remove(1);
         let mut evicted = 0;
-        assert!(c.reclaim_slab_from(5, 0, |_| evicted += 1));
+        assert!(c.migrate_slab(5, 0, 0, |_| evicted += 1));
         assert_eq!(evicted, 1, "only one eviction needed");
         c.check_invariants().unwrap();
     }
@@ -836,13 +795,13 @@ mod tests {
         assert_eq!(evicted, vec![1]);
         assert_eq!(c.class(0).slabs, 0);
         assert_eq!(c.class(3).slabs, 1);
-        assert!(!c.migrate_slab(2, 0, 3, |_| {}), "empty source");
+        assert!(!c.migrate_slab(2, 0, 3, |_| panic!("nothing to evict")), "empty source");
         assert!(!c.migrate_slab(3, 0, 3, |_| {}), "src == dst");
         c.check_invariants().unwrap();
     }
 
     #[test]
-    fn multi_band_reclaim_falls_back_to_fullest_queue() {
+    fn multi_band_migration_falls_back_to_fullest_queue() {
         let mut cfg = small_cfg();
         cfg.total_bytes = 4 << 10;
         let mut c = BaseCache::new(cfg, 3);
@@ -854,8 +813,8 @@ mod tests {
             c.insert(m);
         }
         let mut evicted = Vec::new();
-        // ask to reclaim by band 0 (empty) → falls back to band 2
-        assert!(c.reclaim_slab_from(5, 0, |m| evicted.push(m.key)));
+        // ask to evict from band 0 (empty) → falls back to band 2
+        assert!(c.migrate_slab(5, 0, 0, |m| evicted.push(m.key)));
         assert_eq!(evicted.len(), 2);
         c.check_invariants().unwrap();
     }
@@ -874,7 +833,6 @@ mod tests {
         assert_eq!(usage[0][0], 1);
         assert_eq!(usage[1][1], 1);
         assert_eq!(usage[1][0], 0);
-        assert_eq!(c.live_bytes(), 2 * 48);
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! drives requests through it and collects metrics. Policies own their
 //! [`crate::cache::BaseCache`] and perform demand-fill on GET misses
 //! when the config enables it (modelling the miss→SET pair a real
-//! client issues).
+//! client issues). Each storage decision a policy makes through its
+//! cache (an eviction, a slab grant, a slab move) reaches the cache's
+//! [`ItemStore`](crate::cache::ItemStore) once, as it is made: the
+//! simulator's store has no memory to move (the cache counts slabs),
+//! and pama-kv's carries each decision out on real slabs.
 
 pub mod facebook;
 pub mod global_lru;
@@ -51,36 +55,6 @@ pub struct GetOutcome {
 impl GetOutcome {
     /// A hit outcome.
     pub const HIT: GetOutcome = GetOutcome { hit: true, filled: true };
-}
-
-/// Where PAMA's storage decisions land, each called as the decision is
-/// made. The simulator models slabs as counts only and passes `()`; a
-/// physical store (pama-kv's slab arena) moves real memory in each call,
-/// keeping it in lockstep with the ledger: an eviction frees a slot, a
-/// grant carves a fresh slab, and a move compacts a slab and re-carves
-/// it for the receiving class. No method has a default body, so an
-/// implementor cannot silently skip a decision.
-pub trait SlabStore {
-    /// An item left cache residency (LRU eviction or migration
-    /// casualty). Its slot must be freed.
-    fn evicted(&mut self, item: &ItemMeta);
-
-    /// `class` took a slab from the free pool.
-    fn slab_granted(&mut self, class: usize);
-
-    /// A cross-class migration moved one slab from `src_class`, whose
-    /// candidate slab was drawn from `src_band`, to `dst_class`. Every
-    /// eviction the reclaim performed was reported before this call.
-    fn slab_moved(&mut self, src_class: usize, src_band: usize, dst_class: usize);
-}
-
-/// The simulator's store: slab counts only, no memory to move.
-impl SlabStore for () {
-    fn evicted(&mut self, _: &ItemMeta) {}
-
-    fn slab_granted(&mut self, _: usize) {}
-
-    fn slab_moved(&mut self, _: usize, _: usize, _: usize) {}
 }
 
 /// The interface every allocation scheme implements.

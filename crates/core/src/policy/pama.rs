@@ -23,8 +23,8 @@
 //! instead of summing penalties, and a single penalty band is used —
 //! turning the scheme into a purely locality/size-aware allocator.
 
-use super::{meta_for, GetOutcome, Policy, SlabStore};
-use crate::cache::{BaseCache, InsertOutcome, ItemMeta, ItemStore};
+use super::{meta_for, GetOutcome, Policy};
+use crate::cache::{BaseCache, ItemMeta, ItemStore};
 use crate::config::{CacheConfig, Tick};
 use crate::lru::{Arena, LruList, NodeRef};
 use crate::segments::{MembershipMode, SubclassTracker};
@@ -312,18 +312,6 @@ impl<S: ItemStore> Pama<S> {
         &self.cache
     }
 
-    /// The store, for what neither the cache nor the policy tracks: the
-    /// caller must leave nodes, their links and tags, and their items'
-    /// metadata alone (see [`BaseCache::store_mut`]).
-    pub fn store_mut(&mut self) -> &mut S {
-        self.cache.store_mut()
-    }
-
-    /// The PAMA tuning in effect.
-    pub fn pama_config(&self) -> &PamaConfig {
-        &self.pcfg
-    }
-
     /// Cross-class slab migrations performed so far.
     pub fn migrations(&self) -> u64 {
         self.migrations
@@ -398,7 +386,7 @@ impl<S: ItemStore> Pama<S> {
     /// non-empty queue (one eviction frees one compatible slot). A
     /// foreign subclass is eligible only when surrendering its
     /// candidate slab can actually free a physical slab:
-    /// `queue_len + class_free_slots ≥ slots_per_slab`.
+    /// `queue_len + free_slots(class) ≥ slots_per_slab`.
     fn cheapest_candidate(&self, req_class: usize) -> Option<(usize, usize, f64)> {
         let mut best: Option<(usize, usize, f64)> = None;
         for c in 0..self.cache.num_classes() {
@@ -426,7 +414,7 @@ impl<S: ItemStore> Pama<S> {
     /// The no-migration fallback: evict one item from the requesting
     /// class's least-valuable non-empty subclass. Returns `true` when a
     /// slot was freed.
-    fn evict_within_class(&mut self, class: usize, store: &mut impl SlabStore) -> bool {
+    fn evict_within_class(&mut self, class: usize) -> bool {
         let victim_band = (0..self.bands())
             .filter(|&b| !self.cache.class(class).queues[b].is_empty())
             .min_by(|&a, &b| {
@@ -441,7 +429,6 @@ impl<S: ItemStore> Pama<S> {
             return false;
         };
         if let Some(victim) = self.cache.evict_tail(class, b) {
-            store.evicted(&victim);
             self.ghost_push(class, b, &victim);
             true
         } else {
@@ -452,7 +439,7 @@ impl<S: ItemStore> Pama<S> {
     /// The §III allocation decision for an insert that found no free
     /// slot and no free slab. Returns whether a slot for `class` became
     /// available.
-    fn make_room(&mut self, class: usize, band: usize, store: &mut impl SlabStore) -> bool {
+    fn make_room(&mut self, class: usize, band: usize) -> bool {
         let Some((c_star, b_star, v_out)) = self.cheapest_candidate(class) else {
             return false;
         };
@@ -460,7 +447,6 @@ impl<S: ItemStore> Pama<S> {
             // Scenario 2 of the paper: the cheapest candidate lives in
             // the requesting class — replace one item, no migration.
             if let Some(victim) = self.cache.evict_tail(c_star, b_star) {
-                store.evicted(&victim);
                 self.ghost_push(c_star, b_star, &victim);
                 return true;
             }
@@ -469,11 +455,10 @@ impl<S: ItemStore> Pama<S> {
         let v_in = self.trackers[self.sub(class, band)].incoming();
         if v_in > v_out && self.accesses >= self.next_migration_at {
             // Migrate the cheapest candidate slab to the missing class,
-            // reporting and ghosting each casualty as it is evicted.
+            // ghosting each casualty as it is evicted.
             let bands = self.bands();
             let (trackers, ghosts) = (&mut self.trackers, &mut self.ghosts);
             let migrated = self.cache.migrate_slab(c_star, b_star, class, |m| {
-                store.evicted(&m);
                 let s = m.class as usize * bands + m.band as usize;
                 push_ghost(trackers, ghosts, s, &m);
             });
@@ -486,7 +471,6 @@ impl<S: ItemStore> Pama<S> {
                         t.relocate(moved);
                     }
                 }
-                store.slab_moved(c_star, b_star, class);
                 self.migrations += 1;
                 self.next_migration_at = self.accesses + self.pcfg.migration_cooldown;
                 return true;
@@ -496,7 +480,7 @@ impl<S: ItemStore> Pama<S> {
         }
         // Scenario 1: migration would not pay — replace within the
         // requesting class instead.
-        self.evict_within_class(class, store)
+        self.evict_within_class(class)
     }
 
     /// Insert with the PAMA decision procedure.
@@ -509,11 +493,11 @@ impl<S: ItemStore> Pama<S> {
     /// from evictions, and a slabless class never evicts).
     /// Returns the stored item's handle, or `None` when it could not
     /// be stored.
-    fn pama_insert(&mut self, meta: ItemMeta, store: &mut impl SlabStore) -> Option<NodeRef> {
+    fn pama_insert(&mut self, meta: ItemMeta) -> Option<NodeRef> {
         self.ghosts.remove(meta.key);
-        let stored = self.insert_tracked(meta, store).or_else(|| {
-            if self.make_room(meta.class as usize, meta.band as usize, store) {
-                self.insert_tracked(meta, store)
+        let stored = self.cache.insert(meta).node().or_else(|| {
+            if self.make_room(meta.class as usize, meta.band as usize) {
+                self.cache.insert(meta).node()
             } else {
                 None
             }
@@ -522,20 +506,6 @@ impl<S: ItemStore> Pama<S> {
             self.ghost_push(meta.class as usize, meta.band as usize, &meta);
         }
         stored
-    }
-
-    /// One `BaseCache::insert` attempt, reporting a grant to `store`
-    /// when the insert pulled a fresh slab from the free pool.
-    fn insert_tracked(
-        &mut self,
-        meta: ItemMeta,
-        store: &mut impl SlabStore,
-    ) -> Option<NodeRef> {
-        let outcome = self.cache.insert(meta);
-        if let InsertOutcome::StoredWithNewSlab(_) = outcome {
-            store.slab_granted(meta.class as usize);
-        }
-        outcome.node()
     }
 
     fn meta_with_band(&self, req: &Request, tick: Tick) -> Option<ItemMeta> {
@@ -594,14 +564,13 @@ impl<S: ItemStore> Pama<S> {
     /// one is inserted. A value no class can hold is not cached, and the
     /// resident item, now stale, is removed. Returns the stored item's
     /// handle, or `None` when it could not be cached (too large for any
-    /// class, or no room). Each storage decision is reported to `store`
-    /// as it is made.
+    /// class, or no room). Each storage decision reaches the cache's
+    /// store as it is made.
     pub fn on_set_at(
         &mut self,
         req: &Request,
         tick: Tick,
         resident: Option<NodeRef>,
-        store: &mut impl SlabStore,
     ) -> Option<NodeRef> {
         self.note_access();
         let meta = self.meta_with_band(req, tick);
@@ -618,7 +587,7 @@ impl<S: ItemStore> Pama<S> {
                 }
             }
         }
-        self.pama_insert(meta?, store)
+        self.pama_insert(meta?)
     }
 
     /// A DELETE of `key`, whose item, if resident, is at `resident`: the
@@ -705,16 +674,13 @@ impl Policy for Pama {
         }
         self.on_miss(req.key, None);
         let filled = self.cache.cfg().demand_fill
-            && self
-                .meta_with_band(req, tick)
-                .and_then(|meta| self.pama_insert(meta, &mut ()))
-                .is_some();
+            && self.meta_with_band(req, tick).and_then(|meta| self.pama_insert(meta)).is_some();
         GetOutcome { hit: false, filled }
     }
 
     fn on_set(&mut self, req: &Request, tick: Tick) {
         let resident = self.cache.lookup(req.key);
-        self.on_set_at(req, tick, resident, &mut ());
+        self.on_set_at(req, tick, resident);
     }
 
     fn on_delete(&mut self, req: &Request, _tick: Tick) {
@@ -730,6 +696,7 @@ impl Policy for Pama {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru::Links;
     use pama_util::SimTime;
 
     fn cfg() -> CacheConfig {
@@ -915,15 +882,15 @@ mod tests {
         let mut p = Pama::with_store(c, PamaConfig { value_window: 1, ..pcfg() }, Arena::new());
         assert!(!p.cache().is_indexed());
         let set = |k| get_set(k, 2000, 1000);
-        let loc1 = p.on_set_at(&set(1), tick(0), None, &mut ()).unwrap();
-        let loc2 = p.on_set_at(&set(2), tick(1), None, &mut ()).unwrap();
+        let loc1 = p.on_set_at(&set(1), tick(0), None).unwrap();
+        let loc2 = p.on_set_at(&set(2), tick(1), None).unwrap();
         assert!(p.on_delete_at(2, Some(loc2)));
         assert_eq!((p.cache().len(), p.ghost_len()), (1, 0), "a deleted item became a ghost");
         assert!(p.cache().meta_at(loc2, 2).is_none());
         // Key 1 is evicted into the ghost list by two more SETs. A DELETE
         // of the absent key removes nothing but forgets the ghost.
-        p.on_set_at(&set(3), tick(2), None, &mut ()).unwrap();
-        p.on_set_at(&set(4), tick(3), None, &mut ()).unwrap();
+        p.on_set_at(&set(3), tick(2), None).unwrap();
+        p.on_set_at(&set(4), tick(3), None).unwrap();
         assert!(p.cache().meta_at(loc1, 1).is_none(), "key 1 still resident");
         assert_eq!(p.ghost_len(), 1);
         let before = p.accesses;
@@ -974,11 +941,11 @@ mod tests {
     #[test]
     fn a_set_that_keeps_class_and_band_updates_in_place() {
         let mut p = Pama::with_store(cfg(), pcfg(), Arena::new());
-        let loc1 = p.on_set_at(&get_set(1, 40, 5), tick(0), None, &mut ()).unwrap();
-        p.on_set_at(&get_set(2, 40, 5), tick(1), None, &mut ()).unwrap();
+        let loc1 = p.on_set_at(&get_set(1, 40, 5), tick(0), None).unwrap();
+        p.on_set_at(&get_set(2, 40, 5), tick(1), None).unwrap();
         // 50 and 40 bytes share a class, 6 and 5 ms a band: the node
         // stays, takes the new sizes and moves to the front.
-        let again = p.on_set_at(&get_set(1, 50, 6), tick(2), Some(loc1), &mut ());
+        let again = p.on_set_at(&get_set(1, 50, 6), tick(2), Some(loc1));
         assert_eq!(again, Some(loc1));
         let m = p.cache().meta_at(loc1, 1).unwrap();
         assert_eq!((m.value_size, m.penalty), (50, SimDuration::from_millis(6)));
@@ -1043,7 +1010,7 @@ mod tests {
                 Some(loc) => assert!(by_handle.on_hit(key, loc, t)),
                 None => {
                     by_handle.on_miss(key, None);
-                    by_handle.on_set_at(&get_set(key, vs, penalty_ms), t, None, &mut ());
+                    by_handle.on_set_at(&get_set(key, vs, penalty_ms), t, None);
                 }
             }
         }
@@ -1061,14 +1028,17 @@ mod tests {
         by_handle.cache().check_invariants().unwrap();
     }
 
-    /// A [`SlabStore`] that checks the contract a physical store relies
-    /// on. It rebuilds per-class slab counts from grants and moves, and
-    /// lists the keys evicted during the current request. `live` holds
-    /// each class's resident items, set by the driver before a request
-    /// and lowered by each eviction, so a move can check that the
-    /// source class's survivors already fit in one slab fewer: the
-    /// migration's evictions came first.
+    /// An [`ItemStore`] over the simulator's arena that checks the
+    /// contract a physical store relies on. It rebuilds per-class slab
+    /// counts from grants and moves, checks that each reported eviction
+    /// is the item just freed, and lists the keys evicted during the
+    /// current request. `live` holds each class's resident items, set
+    /// by the driver before a request and lowered by each eviction, so a
+    /// move can check that the source class's survivors already fit in
+    /// one slab fewer: the migration's evictions came first.
     struct CheckingStore {
+        arena: Arena<ItemMeta>,
+        freed: Option<u64>,
         slabs: Vec<u32>,
         live: Vec<usize>,
         slots_per_slab: Vec<usize>,
@@ -1077,8 +1047,58 @@ mod tests {
         moves: u32,
     }
 
-    impl SlabStore for CheckingStore {
+    impl Links for CheckingStore {
+        fn prev(&self, n: u32) -> u32 {
+            self.arena.prev(n)
+        }
+        fn next(&self, n: u32) -> u32 {
+            self.arena.next(n)
+        }
+        fn set_prev(&mut self, n: u32, to: u32) {
+            self.arena.set_prev(n, to);
+        }
+        fn set_next(&mut self, n: u32, to: u32) {
+            self.arena.set_next(n, to);
+        }
+        fn tag(&self, n: u32) -> u8 {
+            self.arena.tag(n)
+        }
+        fn set_tag(&mut self, n: u32, tag: u8) {
+            self.arena.set_tag(n, tag);
+        }
+        fn clear_tag(&mut self, n: u32) {
+            self.arena.clear_tag(n);
+        }
+        fn is_live(&self, n: u32) -> bool {
+            self.arena.is_live(n)
+        }
+    }
+
+    impl ItemStore for CheckingStore {
+        fn alloc(&mut self, item: &ItemMeta) -> NodeRef {
+            ItemStore::alloc(&mut self.arena, item)
+        }
+
+        fn free(&mut self, n: NodeRef) -> ItemMeta {
+            let item = ItemStore::free(&mut self.arena, n);
+            self.freed = Some(item.key);
+            item
+        }
+
+        fn item(&self, n: NodeRef) -> Option<ItemMeta> {
+            ItemStore::item(&self.arena, n)
+        }
+
+        fn update(&mut self, n: NodeRef, item: &ItemMeta) {
+            ItemStore::update(&mut self.arena, n, item);
+        }
+
+        fn touch(&mut self, n: NodeRef, now: SimTime) {
+            ItemStore::touch(&mut self.arena, n, now);
+        }
+
         fn evicted(&mut self, item: &ItemMeta) {
+            assert_eq!(self.freed.take(), Some(item.key), "an eviction reported unfreed");
             self.evicted.push(item.key);
             self.live[item.class as usize] -= 1;
         }
@@ -1088,22 +1108,27 @@ mod tests {
             self.grants += 1;
         }
 
-        fn slab_moved(&mut self, src_class: usize, _src_band: usize, dst_class: usize) {
-            let (slabs, spslab) =
-                (self.slabs[src_class] as usize, self.slots_per_slab[src_class]);
-            assert!(slabs > 0, "class {src_class} gave up a slab it did not have");
+        fn slab_moved(
+            &mut self,
+            src: usize,
+            _src_band: usize,
+            dst: usize,
+            _moved: &mut Vec<(NodeRef, NodeRef)>,
+        ) {
+            let (slabs, spslab) = (self.slabs[src] as usize, self.slots_per_slab[src]);
+            assert!(slabs > 0, "class {src} gave up a slab it did not have");
             assert!(
-                self.live[src_class] <= (slabs - 1) * spslab,
-                "class {src_class} moved a slab before its evictions were reported"
+                self.live[src] <= (slabs - 1) * spslab,
+                "class {src} moved a slab before its evictions were reported"
             );
-            self.slabs[src_class] -= 1;
-            self.slabs[dst_class] += 1;
+            self.slabs[src] -= 1;
+            self.slabs[dst] += 1;
             self.moves += 1;
         }
     }
 
-    fn resident_keys(p: &Pama) -> std::collections::BTreeSet<u64> {
-        let cache = p.cache();
+    fn resident_keys<S: ItemStore>(p: &Pama<S>) -> std::collections::BTreeSet<u64> {
+        let cache = p.base_cache();
         (0..cache.num_classes())
             .flat_map(|c| (0..cache.bands()).flat_map(move |b| cache.items(c, b)))
             .map(|m| m.key)
@@ -1112,67 +1137,71 @@ mod tests {
 
     #[test]
     fn the_store_hears_every_storage_decision_in_order() {
-        // The kv store drives PAMA by handle; every seventh request for
-        // a resident key is a DELETE instead of a hit.
+        // The kv store drives PAMA by handle, keeping each resident key's
+        // handle itself; every seventh request for a resident key is a
+        // DELETE instead of a hit.
         let (c, pc) = mixed_config();
-        let mut p = Pama::with_config(c, pc);
-        let classes = p.cache().num_classes();
-        let mut store = CheckingStore {
+        let classes = c.num_classes();
+        let store = CheckingStore {
+            arena: Arena::new(),
+            freed: None,
             slabs: vec![0; classes],
             live: vec![0; classes],
-            slots_per_slab: (0..classes).map(|c| p.cache().class(c).slots_per_slab).collect(),
+            slots_per_slab: (0..classes).map(|class| c.slots_per_slab(class)).collect(),
             evicted: Vec::new(),
             grants: 0,
             moves: 0,
         };
-        let mut expected = std::collections::BTreeSet::new();
+        let mut p = Pama::with_store(c, pc, store);
+        let mut handles = std::collections::BTreeMap::new();
         let (mut evictions, mut deletes) = (0, 0);
         for (i, (key, vs, penalty_ms)) in mixed_stream().enumerate() {
             let t = tick(i as u64);
-            for (class, live) in store.live.iter_mut().enumerate() {
-                *live = p.cache().class(class).used_slots;
+            for class in 0..classes {
+                p.cache.store_mut().live[class] = p.cache.class(class).used_slots;
             }
-            match p.cache().lookup(key) {
+            match handles.get(&key).copied() {
                 Some(loc) if i % 7 == 0 => {
                     assert!(p.on_delete_at(key, Some(loc)));
-                    expected.remove(&key);
+                    handles.remove(&key);
                     deletes += 1;
                 }
                 Some(loc) => assert!(p.on_hit(key, loc, t)),
                 None => {
                     p.on_miss(key, None);
-                    let stored =
-                        p.on_set_at(&get_set(key, vs, penalty_ms), t, None, &mut store);
-                    for k in store.evicted.drain(..) {
+                    let stored = p.on_set_at(&get_set(key, vs, penalty_ms), t, None);
+                    for k in std::mem::take(&mut p.cache.store_mut().evicted) {
                         assert!(
-                            expected.remove(&k),
+                            handles.remove(&k).is_some(),
                             "key {k} reported evicted but not resident"
                         );
                         evictions += 1;
                     }
-                    if stored.is_some() {
-                        expected.insert(key);
+                    if let Some(loc) = stored {
+                        handles.insert(key, loc);
                     }
                 }
             }
+            let store = p.base_cache().store();
             assert!(store.evicted.is_empty(), "a hit or a delete evicted");
-            assert_eq!(store.slabs, p.cache().slab_allocation(), "step {i}: slab ledger");
-            assert_eq!(resident_keys(&p), expected, "step {i}: resident keys");
+            assert_eq!(store.slabs, p.base_cache().slab_allocation(), "step {i}: slab ledger");
+            assert!(resident_keys(&p).iter().eq(handles.keys()), "step {i}: resident keys");
         }
+        let store = p.base_cache().store();
         assert!(store.grants > 0 && store.moves > 0, "the stream must grant and move slabs");
         assert!(evictions > 0 && deletes > 0);
         assert_eq!(u64::from(store.moves), p.migrations());
-        p.cache().check_invariants().unwrap();
+        p.base_cache().check_invariants().unwrap();
     }
 
     #[test]
     fn on_set_at_returns_the_stored_handle() {
         let mut p = Pama::with_config(cfg(), pcfg());
-        let loc = p.on_set_at(&get_set(1, 40, 5), tick(0), None, &mut ()).unwrap();
+        let loc = p.on_set_at(&get_set(1, 40, 5), tick(0), None).unwrap();
         assert_eq!(p.cache().lookup(1), Some(loc));
         assert_eq!(p.cache().meta_at(loc, 1).unwrap().band, 1);
         // No class holds a 9000-byte item.
-        assert_eq!(p.on_set_at(&get_set(2, 9000, 5), tick(1), None, &mut ()), None);
+        assert_eq!(p.on_set_at(&get_set(2, 9000, 5), tick(1), None), None);
         // A stale handle counts the access but promotes nothing.
         p.on_delete(&Request::delete(SimTime::ZERO, 1, 8), tick(2));
         let before = p.accesses;

@@ -141,8 +141,9 @@ proptest! {
                 _ => {
                     let class = (key % cfg.num_classes() as u64) as usize;
                     let band = (key % 2) as usize;
+                    let dst = (class + 1) % cfg.num_classes();
                     if cache.class(class).slabs > 0 {
-                        cache.reclaim_slab_from(class, band, |_| {});
+                        cache.migrate_slab(class, band, dst, |_| {});
                     }
                 }
             }

@@ -81,10 +81,9 @@
 //! The store carries out each storage decision as the policy makes it
 //! (slot allocation and freeing, slab grants, and the compaction of a
 //! slab move, which relinks every moved node), keeping the index in
-//! step. A SET also hands the policy a [`SlabStore`] observer
-//! ([`Storage`]) that counts evictions, grants and moves in the
-//! registry. The operation counters ([`ShardCounters`]) are plain
-//! integers the policy half owns.
+//! step, and counts each eviction, grant and move in the shard's stripe
+//! of the registry, which the shard reaches through it. The operation
+//! counters ([`ShardCounters`]) are plain integers the policy half owns.
 //!
 //! A key's penalty lives in the policy's records: its slot's node or
 //! its ghost entry; open miss windows sit in a fixed table
@@ -95,10 +94,9 @@ use crate::options::{CacheError, CacheValue, SetOptions, ValueRef};
 use crate::slots::{expired, Data, EntryState, Slots, NEVER};
 use crate::stats::{ShardCounters, SlabClassReport, SlabReport};
 use bytes::Bytes;
-use pama_core::cache::ItemMeta;
 use pama_core::config::{CacheConfig, Tick};
 use pama_core::lru::NodeRef;
-use pama_core::policy::{Pama, PamaConfig, SlabStore};
+use pama_core::policy::{Pama, PamaConfig};
 use pama_faults::BackendSim;
 use pama_metrics::MetricsRegistry;
 use pama_slab::{SlotRef, MAX_KEY_LEN};
@@ -180,40 +178,12 @@ pub(crate) struct Shard {
     /// included — and a successful fetch's latency becomes the key's
     /// penalty (ground truth observed, not measured as a gap).
     backend: Option<BackendSim>,
-    /// Observability registry shared by every shard of the cache. Its
-    /// per-band cells are the only hit/miss/eviction counts: `report()`
-    /// sums them into the aggregates. This shard writes only the cells
-    /// of its own `stripe`.
-    metrics: Arc<MetricsRegistry>,
-    stripe: usize,
     /// Operation counts, read with the slab report under the policy
     /// lock.
     counters: ShardCounters,
     /// Reused drain buffer for the access log, so a drain does not
     /// allocate.
     hit_buf: Vec<HitRecord>,
-}
-
-/// The registry as the policy's [`SlabStore`] observer: each eviction,
-/// slab grant and slab move is counted as the policy makes it (the
-/// store itself frees, carves and compacts).
-struct Storage<'a> {
-    metrics: &'a MetricsRegistry,
-    stripe: usize,
-}
-
-impl SlabStore for Storage<'_> {
-    fn evicted(&mut self, item: &ItemMeta) {
-        self.metrics.band(self.stripe, item.band as usize).evictions.inc();
-    }
-
-    fn slab_granted(&mut self, _: usize) {
-        self.metrics.slab_grants.inc();
-    }
-
-    fn slab_moved(&mut self, _: usize, src_band: usize, _: usize) {
-        self.metrics.band(self.stripe, src_band).slab_moves.inc();
-    }
 }
 
 /// A registry whose bands mirror the config's penalty-band split, so
@@ -236,7 +206,7 @@ impl Shard {
         // policy must never phantom-fill on its own.
         cfg.demand_fill = false;
         let data = Arc::new(RwLock::new(Data::new(&cfg, Arc::clone(&metrics), stripe)));
-        let slots = Slots::new(&cfg, Arc::clone(&data), Arc::clone(&metrics));
+        let slots = Slots::new(&cfg, Arc::clone(&data), metrics, stripe);
         Self {
             policy: Pama::with_store(cfg.clone(), pama, slots),
             data,
@@ -244,8 +214,6 @@ impl Shard {
             cfg,
             serial: 0,
             backend: None,
-            metrics,
-            stripe,
             counters: ShardCounters::default(),
             hit_buf: Vec::new(),
         }
@@ -349,7 +317,7 @@ impl Shard {
                 // item's handle.
                 let current = self.policy.on_hit(h, self.slots().node(slot), tick);
                 debug_assert!(current, "policy lost a stored key");
-                self.metrics.band(self.stripe, usize::from(band)).hits.inc();
+                self.slots().band(usize::from(band)).hits.inc();
                 return Some(hit);
             }
             // Expired, or a hash collision with a different key: a miss,
@@ -403,7 +371,7 @@ impl Shard {
         // penalty-weighted miss cost — the paper's service-time
         // integrand.
         let penalty = window.known.unwrap_or(DEFAULT_PENALTY);
-        let cells = self.metrics.band(self.stripe, self.cfg.band_of(penalty));
+        let cells = self.slots().band(self.cfg.band_of(penalty));
         cells.misses.inc();
         cells.penalty_cost_us.add(penalty.as_micros());
     }
@@ -455,8 +423,7 @@ impl Shard {
         // exactly what frees the slot the item lands in. The bytes go to
         // the slot the policy filed the item in, so the arena and the
         // ledger can never disagree on it.
-        let mut observer = Storage { metrics: &self.metrics, stripe: self.stripe };
-        let Some(node) = self.policy.on_set_at(&req, tick, resident, &mut observer) else {
+        let Some(node) = self.policy.on_set_at(&req, tick, resident) else {
             return Err(self.refuse(key.len() + value.len()));
         };
         let slot = self.slots().slot(node);
@@ -795,8 +762,8 @@ impl ShardCell {
     pub fn new(shard: Shard) -> Self {
         Self {
             data: Arc::clone(&shard.data),
-            metrics: Arc::clone(&shard.metrics),
-            stripe: shard.stripe,
+            metrics: Arc::clone(&shard.slots().metrics),
+            stripe: shard.slots().stripe,
             policy: Mutex::new(shard),
             log: AccessLog::new(ACCESS_LOG_CAPACITY),
         }
@@ -1016,7 +983,7 @@ mod tests {
             .unwrap();
         assert!(s.get_locked(6, b"k6", t(180)).is_none());
         assert_eq!(
-            (s.counters.snapshot().expired, s.metrics.snapshot().total_misses()),
+            (s.counters.snapshot().expired, s.slots().metrics.snapshot().total_misses()),
             (2, 1)
         );
         // sweep path
@@ -1111,7 +1078,7 @@ mod tests {
         }
         let items = s.slab_report().live_items;
         assert!(items < 40, "1 MiB can't hold 200×30 KB: items {items}");
-        assert!(s.metrics.snapshot().total_evictions() > 0);
+        assert!(s.slots().metrics.snapshot().total_evictions() > 0);
         // store, arena and policy agree exactly
         assert_eq!(items as usize, s.policy.base_cache().len());
         assert_eq!(items as usize, s.data.read().index.len());
@@ -1262,9 +1229,9 @@ mod tests {
         ghost_with_penalty(&mut s, 0, two_s);
         let band = s.cfg.band_of(two_s);
         assert_ne!(band, s.cfg.band_of(DEFAULT_PENALTY));
-        let before = s.metrics.snapshot().bands[band].clone();
+        let before = s.slots().metrics.snapshot().bands[band].clone();
         assert!(s.get_locked(0, b"key0", t(1_000)).is_none());
-        let after = s.metrics.snapshot();
+        let after = s.slots().metrics.snapshot();
         assert_eq!(after.bands[band].misses, before.misses + 1);
         assert_eq!(after.bands[band].penalty_cost_us, before.penalty_cost_us + 2_000_000);
         assert_eq!(after.total_misses(), 1, "the miss was filed under another band too");
@@ -1291,9 +1258,9 @@ mod tests {
         // longer credit a slab, nor lend its penalty.
         assert!(!s.delete(0, b"key0", t(1_000)));
         assert_eq!(s.policy.ghost_penalty(0), None);
-        let before = s.metrics.snapshot();
+        let before = s.slots().metrics.snapshot();
         assert!(s.get_locked(0, b"key0", t(1_001)).is_none());
-        let after = s.metrics.snapshot();
+        let after = s.slots().metrics.snapshot();
         let band = s.cfg.band_of(DEFAULT_PENALTY);
         assert_ne!(band, s.cfg.band_of(two_s));
         assert_eq!(after.bands[band].misses, before.bands[band].misses + 1);
@@ -1411,7 +1378,7 @@ mod tests {
         // is an expiry, and each GET is one miss.
         assert_eq!((s.data.read().index.len(), s.policy.base_cache().len()), (0, 0));
         assert_eq!(s.counters.expired, 1);
-        assert_eq!(s.metrics.snapshot().total_misses(), 2);
+        assert_eq!(s.slots().metrics.snapshot().total_misses(), 2);
         s.check_consistency().unwrap();
     }
 

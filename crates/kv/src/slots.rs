@@ -13,7 +13,10 @@
 //! decision as the policy makes it, under a brief write lock: a free or
 //! an eviction clears the slot's data record and unmaps the hash, a
 //! slab grant carves the slab's bytes and records, and a compaction
-//! moves bytes and records with their nodes and repoints the index. An
+//! moves bytes and records with their nodes and repoints the index.
+//! `Slots` also counts each eviction (by band), slab grant and slab move
+//! (by donor band) in the shard's stripe of the registry, as it carries
+//! it out: the policy reports each decision to its store only. An
 //! allocation needs no data lock: it takes a free slot from the ledger,
 //! and the shard writes the item's bytes and record and maps its hash
 //! in one write lock afterwards ([`Data::store`]), so a reader never
@@ -23,7 +26,7 @@ use crate::options::{CacheValue, ValueRef};
 use pama_core::cache::{ItemMeta, ItemStore};
 use pama_core::config::CacheConfig;
 use pama_core::lru::{Links, NodeRef};
-use pama_metrics::MetricsRegistry;
+use pama_metrics::{BandCells, MetricsRegistry};
 use pama_slab::{Node, Nodes, Record, SlabArena, SlotRef};
 use pama_util::{FastMap, SimDuration, SimTime};
 use parking_lot::RwLock;
@@ -143,20 +146,29 @@ impl Data {
 pub(crate) struct Slots {
     pub nodes: Nodes,
     data: Arc<RwLock<Data>>,
-    /// For slab-move timing, the one storage step the store performs
-    /// on its own.
-    metrics: Arc<MetricsRegistry>,
+    /// The registry the shard counts in, and the shard's stripe of it.
+    /// The store counts each eviction, slab grant and slab move as it
+    /// carries it out, and times each slab move.
+    pub metrics: Arc<MetricsRegistry>,
+    pub stripe: usize,
 }
 
 impl Slots {
     /// An empty ledger for the geometry `cfg` of `data`'s arena, which
-    /// must be empty too.
+    /// must be empty too, counting in stripe `stripe` of `metrics`.
     pub fn new(
         cfg: &CacheConfig,
         data: Arc<RwLock<Data>>,
         metrics: Arc<MetricsRegistry>,
+        stripe: usize,
     ) -> Self {
-        Self { nodes: Nodes::new(cfg), data, metrics }
+        Self { nodes: Nodes::new(cfg), data, metrics, stripe }
+    }
+
+    /// The shard's cells of penalty band `band`.
+    #[inline]
+    pub fn band(&self, band: usize) -> &BandCells {
+        self.metrics.band(self.stripe, band)
     }
 
     /// The queue handle of slot `r`.
@@ -267,13 +279,28 @@ impl ItemStore for Slots {
 
     fn touch(&mut self, _: NodeRef, _: SimTime) {}
 
+    /// Counts the eviction in the item's band; [`Self::free`] has freed
+    /// its slot.
+    fn evicted(&mut self, item: &ItemMeta) {
+        self.band(item.band as usize).evictions.inc();
+    }
+
     fn slab_granted(&mut self, class: usize) {
         let carved =
             self.nodes.grant(class).and_then(|sid| self.data.write().arena.carve(sid, class));
         debug_assert!(carved.is_ok(), "slab grant drifted: {carved:?}");
+        self.metrics.slab_grants.inc();
     }
 
-    fn slab_moved(&mut self, src: usize, dst: usize, moved: &mut Vec<(NodeRef, NodeRef)>) {
+    /// Compacts `src` to free one slab and re-carves it for `dst`,
+    /// counting the move in the donor band `src_band`.
+    fn slab_moved(
+        &mut self,
+        src: usize,
+        src_band: usize,
+        dst: usize,
+        moved: &mut Vec<(NodeRef, NodeRef)>,
+    ) {
         let t0 = Instant::now();
         let mut data = self.data.write();
         let Data { arena, index, .. } = &mut *data;
@@ -292,5 +319,6 @@ impl ItemStore for Slots {
         debug_assert!(carved.is_ok(), "slab transfer drifted: {carved:?}");
         drop(data);
         self.metrics.slab_move_us.record(t0.elapsed().as_micros() as u64);
+        self.band(src_band).slab_moves.inc();
     }
 }

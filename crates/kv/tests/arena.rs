@@ -2,6 +2,7 @@
 //! accounting surfaces and — the point of the whole design — policy
 //! migrations moving *real* memory.
 
+use pama_core::config::CacheConfig;
 use pama_core::policy::PamaConfig;
 use pama_kv::{CacheBuilder, SetOptions};
 use pama_util::SimDuration;
@@ -91,4 +92,58 @@ fn policy_migration_moves_physical_slabs() {
     let slabs = cache.report().slabs.unwrap();
     assert_eq!(slabs.transfers, after.slab_transfers);
     assert_eq!(slabs.live_items, after.items);
+}
+
+/// The store counts each storage decision once, as it carries it out:
+/// every slab grant, every slab move under the band of the donor
+/// subclass, and every item that left without a request for its own
+/// key as an eviction. Cheap small items fill the cache, then expensive
+/// large ones take slabs from them, so every move has the small items'
+/// band as its donor.
+#[test]
+fn the_registry_counts_each_storage_decision_once() {
+    let cache = CacheBuilder::new()
+        .total_bytes(512 << 10)
+        .slab_bytes(32 << 10)
+        .shards(1)
+        .pama(PamaConfig { value_window: 64, migration_cooldown: 16, ..PamaConfig::default() })
+        .build();
+    let (cheap, dear) = (SimDuration::from_millis(1), SimDuration::from_secs(2));
+    // Requests that made their own key resident, and that made it leave.
+    let (mut entered, mut left) = (0u64, 0u64);
+    let mut set = |k: &[u8], value: &[u8], penalty| {
+        let was = cache.contains(k);
+        let _ = cache.set(k, value, &SetOptions::new().penalty(penalty));
+        let is = cache.contains(k);
+        entered += u64::from(!was && is);
+        left += u64::from(was && !is);
+    };
+    for i in 0..9_000u64 {
+        set(&key(i), &[1u8; 50], cheap);
+    }
+    let big = vec![2u8; 4_000];
+    for round in 0..100u64 {
+        for k in 0..16u64 {
+            let kb = key(1_000_000 + k);
+            if cache.get(&kb).is_none() {
+                set(&kb, &big, dear);
+            }
+        }
+        for k in 0..8u64 {
+            let _ = cache.get(&key(round * 8 + k));
+        }
+    }
+    cache.check_invariants().unwrap();
+    let report = cache.report();
+    let slabs = report.slabs.expect("the slab ledger is always reported");
+    let snap = cache.metrics().expect("the registry is always attached").snapshot();
+    assert_eq!(snap.slab_grants, slabs.slabs, "slab grants");
+    assert!(slabs.transfers > 0, "the stream must move slabs");
+    let moves: Vec<u64> = snap.bands.iter().map(|b| b.slab_moves).collect();
+    assert_eq!(moves.iter().sum::<u64>(), slabs.transfers, "slab moves by band: {moves:?}");
+    let donor = CacheConfig::default().band_of(cheap);
+    assert_ne!(donor, CacheConfig::default().band_of(dear));
+    assert_eq!(moves[donor], slabs.transfers, "moves filed under the donor band: {moves:?}");
+    assert!(report.cache.evictions > 0, "the stream must evict");
+    assert_eq!(report.cache.evictions, entered - left - report.cache.items, "evictions");
 }

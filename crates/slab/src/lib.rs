@@ -399,7 +399,6 @@ pub struct SlabFill {
 /// model; [`Nodes`] decides which slots and slabs each step uses.
 pub struct SlabArena {
     geo: Geometry,
-    ids: NodeIds,
     slabs: Vec<Slab>,
     stats: ArenaStats,
 }
@@ -407,15 +406,10 @@ pub struct SlabArena {
 impl SlabArena {
     /// Builds an empty arena with the config's geometry. No slab
     /// memory is allocated until [`carve`](Self::carve).
-    ///
-    /// # Panics
-    /// Panics when the geometry has more slots than a `u32` node id
-    /// can name (over 2^32 minimum-size slots).
     pub fn new(cfg: &CacheConfig) -> Self {
         let geo = Geometry::new(cfg);
         SlabArena {
             geo,
-            ids: NodeIds::new(cfg),
             slabs: Vec::new(),
             stats: ArenaStats {
                 max_slabs: geo.max_slabs as u64,
@@ -423,19 +417,6 @@ impl SlabArena {
                 ..ArenaStats::default()
             },
         }
-    }
-
-    /// The node id of slot `r`: the one `u32` that names it in node
-    /// links and queue handles.
-    #[inline]
-    pub fn node(&self, r: SlotRef) -> u32 {
-        self.ids.node(r)
-    }
-
-    /// The slot a node id names (see [`node`](Self::node)).
-    #[inline]
-    pub fn slot_ref(&self, node: u32) -> SlotRef {
-        self.ids.slot_ref(node)
     }
 
     /// Slot size of `class` in bytes.
@@ -818,8 +799,7 @@ pub struct Nodes {
 }
 
 impl Nodes {
-    /// An empty ledger for the geometry `cfg`, packing node ids as the
-    /// arena of the same geometry does.
+    /// An empty ledger for the geometry `cfg`.
     ///
     /// # Panics
     /// Panics when the geometry has more slots than a `u32` node id
@@ -834,7 +814,8 @@ impl Nodes {
         }
     }
 
-    /// The node-id packing shared with the arena.
+    /// The node-id packing: the one `u32` that names each slot in node
+    /// links and queue handles.
     #[inline]
     pub fn ids(&self) -> NodeIds {
         self.ids
@@ -843,13 +824,6 @@ impl Nodes {
     /// Slabs currently assigned to `class`.
     pub fn class_slabs(&self, class: usize) -> usize {
         self.classes.get(class).map_or(0, |c| c.slabs.len())
-    }
-
-    /// Free slots currently available in `class`.
-    pub fn class_free_slots(&self, class: usize) -> usize {
-        self.classes
-            .get(class)
-            .map_or(0, |c| c.slabs.iter().map(|&s| self.slabs[s as usize].free.len()).sum())
     }
 
     /// The class that slab `r.slab` is carved for; `None` for a slab
@@ -1426,7 +1400,7 @@ mod tests {
         assert_eq!(moves, 3);
         assert_eq!(p.nodes.class_slabs(0), 1);
         assert_eq!(p.nodes.class_slabs(2), 1);
-        assert_eq!(p.nodes.class_free_slots(2), p.arena.slots_per_slab(2));
+        assert_eq!(p.arena.class_stats()[2].free_slots, p.arena.slots_per_slab(2) as u64);
         let st = p.arena.stats();
         assert_eq!(st.transfers, 1);
         assert_eq!(st.slot_moves, 3);
@@ -1472,13 +1446,14 @@ mod tests {
         p.grant(0).unwrap();
         p.grant(0).unwrap();
         let per = p.arena.slots_per_slab(0);
+        let ids = p.nodes.ids();
         // One queue over every slot of both slabs, front to back in
         // insertion order, node i tagged i % 7.
         let mut q = Queue::new();
         let mut slots = Vec::new();
         for i in 0..(2 * per) as u32 {
             let r = p.insert(0, u64::from(i), &key(i), b"v").unwrap();
-            let n = NodeRef::new(p.arena.node(r));
+            let n = NodeRef::new(ids.node(r));
             q.push_back(&mut p.nodes, n);
             p.nodes.set_tag(n.index(), (i % 7) as u8);
             slots.push(r);
@@ -1490,7 +1465,7 @@ mod tests {
         for (i, &r) in slots.iter().enumerate() {
             let free = if r.slab == victim { !keep.contains(&i) } else { i < per + 3 };
             if free {
-                let n = NodeRef::new(p.arena.node(r));
+                let n = NodeRef::new(ids.node(r));
                 q.remove(&mut p.nodes, n);
                 p.remove(r).unwrap();
             }
@@ -1498,7 +1473,7 @@ mod tests {
         let order = |p: &Pair, q: &Queue| -> Vec<(u64, u8, Vec<u8>)> {
             q.iter(&p.nodes)
                 .map(|n| {
-                    let r = p.arena.slot_ref(n.index());
+                    let r = ids.slot_ref(n.index());
                     let key = p.arena.read(r).unwrap().1.to_vec();
                     (p.nodes.get(r).unwrap().hash, p.nodes.tag(n.index()), key)
                 })
@@ -1511,7 +1486,7 @@ mod tests {
         assert_eq!(moves.len(), 3);
         assert!(moves.windows(2).all(|w| w[0].0.slot < w[1].0.slot), "moves in slot order");
         for &(old, new) in &moves {
-            q.relocated(NodeRef::new(p.arena.node(old)), NodeRef::new(p.arena.node(new)));
+            q.relocated(NodeRef::new(ids.node(old)), NodeRef::new(ids.node(new)));
         }
         q.check_invariants(&p.nodes).unwrap();
         assert_eq!(order(&p, &q), before, "order, tags and bytes survive the move");
