@@ -22,14 +22,36 @@ struct Slot<T> {
     value: UnsafeCell<MaybeUninit<T>>,
 }
 
+/// A position counter alone on a pair of cache lines: producers write
+/// the tail and consumers the head, so sharing a line would make every
+/// push contend with every pop, and the adjacent-line prefetcher pulls
+/// lines in pairs.
+#[repr(align(128))]
+struct Padded(AtomicUsize);
+
+impl std::ops::Deref for Padded {
+    type Target = AtomicUsize;
+
+    fn deref(&self) -> &AtomicUsize {
+        &self.0
+    }
+}
+
 /// A bounded lock-free multi-producer multi-consumer queue.
+#[repr(C)]
 pub struct ArrayQueue<T> {
     /// Next position to pop from.
-    head: AtomicUsize,
+    head: Padded,
     /// Next position to push to.
-    tail: AtomicUsize,
+    tail: Padded,
     buf: Box<[Slot<T>]>,
 }
+
+const _: () = assert!(
+    std::mem::offset_of!(ArrayQueue<u64>, tail) - std::mem::offset_of!(ArrayQueue<u64>, head)
+        >= 128,
+    "the head and tail share a cache-line pair"
+);
 
 // SAFETY: values move between threads only through the sequence-stamp
 // protocol: a slot's value is written before the Release stamp store
@@ -52,7 +74,7 @@ impl<T> ArrayQueue<T> {
                 value: UnsafeCell::new(MaybeUninit::uninit()),
             })
             .collect();
-        Self { head: AtomicUsize::new(0), tail: AtomicUsize::new(0), buf }
+        Self { head: Padded(AtomicUsize::new(0)), tail: Padded(AtomicUsize::new(0)), buf }
     }
 
     /// Maximum number of elements the queue can hold.

@@ -24,19 +24,20 @@
 //! * **sharding** for concurrency: keys hash to independent shards,
 //!   each running its own PAMA instance;
 //! * a **read-mostly hot path**: each shard keeps its data (index,
-//!   bytes, per-slot data records) behind a shared read lock and its
-//!   PAMA policy (queues, slab ledger, per-slot policy nodes) behind a
-//!   separate policy lock. A cache-hit GET runs entirely under the data
-//!   read lock; LRU promotion and PAMA bookkeeping are recorded in a
-//!   per-shard lock-free log and applied in batches under the policy
-//!   lock alone, each straight to the item's slot node, which the
+//!   bytes, per-slot data records) behind a reader-striped read lock and
+//!   its PAMA policy (queues, slab ledger, per-slot policy nodes) behind
+//!   a separate policy lock. A cache-hit GET runs entirely under the
+//!   data read lock; LRU promotion and PAMA bookkeeping are recorded in
+//!   the shard's lock-free log, one ring per thread stripe, and applied
+//!   in batches under the policy lock alone, each straight to the item's slot node, which the
 //!   policy's LRU queues link, so GETs keep reading while a batch is
 //!   applied (see DESIGN.md, "Concurrency model"). A hit touches only
 //!   shard-local memory: one bucket of an index sized by the keys
 //!   actually resident (`hash → slot`, 16-byte buckets), one arena read
 //!   of the slot's 28-byte data record and bytes for the key check, the
-//!   TTL and the value copy, the shard's own stripe of band counters,
-//!   and the clock only when the item has a TTL.
+//!   TTL and the value copy, and the clock only when the item has a
+//!   TTL. The only lines it writes are its thread stripe's: its slot of
+//!   the read lock, its ring in the log and its band hit counter.
 //!   [`PamaCache::lookup_with`] hands the hit's bytes, as stored in the
 //!   arena, to a caller's visitor instead of copying them out;
 //! * **batched operations**: [`PamaCache::multi_get`] /
@@ -45,7 +46,8 @@
 //! * **per-penalty-band accounting**, always on: every cache carries a
 //!   lock-free [`MetricsRegistry`] with per-band hit, miss,
 //!   penalty-cost, eviction and slab-move counters, striped so each
-//!   shard writes its own cache lines. These are the only
+//!   thread's hits and each shard's policy decisions go to their own
+//!   cache lines. These are the only
 //!   hit/miss/eviction counts; [`PamaCache::report`] sums them (over
 //!   bands and stripes) into the aggregate [`CacheStats`].
 //!
@@ -177,7 +179,8 @@ impl CacheBuilder {
         };
         cfg.validate()?;
         self.pama.validate()?;
-        // One registry shared by every shard, one stripe per shard.
+        // One registry shared by every shard, one stripe per shard or
+        // per thread stripe, whichever are more.
         let metrics = shard::registry_for(&cfg, self.shards);
         let shards = (0..self.shards)
             .map(|i| {

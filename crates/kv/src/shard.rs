@@ -7,7 +7,11 @@
 //!
 //! * **Data** ([`Data`]): the index, the slab bytes and each slot's
 //!   data record (lengths, expiry, flags, CAS stamp, band), which is
-//!   everything a GET hit reads. It sits behind an `RwLock`.
+//!   everything a GET hit reads. It sits behind the `parking_lot` shim's
+//!   reader-striped [`RwLock`]: a reader counts itself in its thread
+//!   stripe's slot, a counter alone on its cache line, then checks the
+//!   writer flag, and a writer sets the flag and waits for every slot to
+//!   drain.
 //! * **The policy** ([`Shard`]): `Pama`, its slab ledger and each slot's
 //!   policy node (hash, links, penalty, band, tag), which is everything
 //!   a deferred hit touches, together with the miss windows, the
@@ -24,13 +28,17 @@
 //!   record and bytes for the key check, the TTL, the flags, the CAS
 //!   stamp and the value (handed to the caller's visitor in place, or
 //!   copied out), a clock read only if the item has a TTL, and a hit
-//!   count in the shard's own stripe of the band registry. The hit is
-//!   recorded in the cell's lock-free [`AccessLog`] instead of being
-//!   promoted inline. A GET whose first `try_read` fails counts one
-//!   read-lock wait in its stripe.
+//!   count in the calling thread's stripe of the band registry. The hit
+//!   is recorded in the thread stripe's ring of the cell's lock-free
+//!   [`AccessLog`] instead of being promoted inline. A GET whose first
+//!   `try_read` fails counts one read-lock wait in its thread's stripe.
+//!   So a hit writes only lines of its thread stripe
+//!   ([`parking_lot::thread_stripe`]): its reader slot, its ring's tail
+//!   and slot, and its hit counter.
 //! * Every other path takes the policy lock through [`ShardCell::lock`],
-//!   which drains the log first, so deferred promotions are applied in
-//!   recorded order before any decision. A drain
+//!   which drains the log first, one stripe's ring after another, so
+//!   each thread's deferred promotions are applied in the order it made
+//!   them before any decision. A drain
 //!   ([`Shard::apply_deferred`]) touches policy nodes only, so GETs keep
 //!   reading while it runs; it keeps its hold short by prefetching the
 //!   nodes of the hits ahead of the one it applies.
@@ -49,13 +57,14 @@
 //!
 //! The read path itself never drains: applying a deferred hit to the
 //! policy costs as much as the inline promotion it replaced, so a
-//! reader-side drain would hand the saved cost right back. Instead the
-//! ring drops (and counts) hits once full — bounded-staleness recency:
-//! eviction and allocation decisions only happen under the policy lock,
-//! and by the time one runs, every hit recorded before it (up to ring
-//! capacity) has been applied in order. In a single-threaded sequence
-//! whose read bursts fit the ring, the drained promotions land in
-//! exactly the order and counts inline promotion would produce.
+//! reader-side drain would hand the saved cost right back. Instead a
+//! stripe's ring drops (and counts) hits once full — bounded-staleness
+//! recency: eviction and allocation decisions only happen under the
+//! policy lock, and by the time one runs, every hit recorded before it
+//! (up to ring capacity per stripe) has been applied. In a
+//! single-threaded sequence whose read bursts fit the ring, the drained
+//! promotions land in exactly the order and counts inline promotion
+//! would produce.
 //!
 //! Each slot has one data record and one policy node, which the
 //! policy's LRU queues link directly ([`Slots`]), so the slot's node id
@@ -82,8 +91,10 @@
 //! (slot allocation and freeing, slab grants, and the compaction of a
 //! slab move, which relinks every moved node), keeping the index in
 //! step, and counts each eviction, grant and move in the shard's stripe
-//! of the registry, which the shard reaches through it. The operation
-//! counters ([`ShardCounters`]) are plain integers the policy half owns.
+//! of the registry, which the shard reaches through it: the policy's
+//! counts keep the shard's stripe, while a GET hit's go to its
+//! thread's. The operation counters ([`ShardCounters`]) are plain
+//! integers the policy half owns.
 //!
 //! A key's penalty lives in the policy's records: its slot's node or
 //! its ghost entry; open miss windows sit in a fixed table
@@ -107,10 +118,13 @@ use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Capacity of each shard's deferred-hit ring: the most promotions the
-/// policy can owe between two policy-lock events. At 80–165 ns per
-/// deferred hit, a full drain takes 0.3–0.7 ms; the common drain, of the
-/// few hits logged since the last write, takes a few microseconds.
+/// Capacity of each thread stripe's deferred-hit ring in a shard's
+/// [`AccessLog`]: the most promotions one stripe's threads can make the
+/// policy owe between two policy-lock events, so with S stripes
+/// ([`parking_lot::stripes`]) the policy can owe up to S × 4096. At
+/// 80–165 ns per deferred hit, a full ring's drain takes 0.3–0.7 ms; the
+/// common drain, of the few hits logged since the last write, takes a
+/// few microseconds.
 const ACCESS_LOG_CAPACITY: usize = 4096;
 
 /// How many deferred hits ahead of the one being applied a drain
@@ -187,10 +201,12 @@ pub(crate) struct Shard {
 }
 
 /// A registry whose bands mirror the config's penalty-band split, so
-/// `band_of` indices line up, with one stripe per shard.
+/// `band_of` indices line up, with a stripe for each shard and for each
+/// thread stripe ([`parking_lot::stripes`]), whichever are more: the
+/// policy's counts go to its shard's stripe, a GET hit's to its thread's.
 pub(crate) fn registry_for(cfg: &CacheConfig, shards: usize) -> Arc<MetricsRegistry> {
     let bounds = cfg.penalty_bands.iter().map(|d| d.as_micros()).collect();
-    Arc::new(MetricsRegistry::new(bounds, shards))
+    Arc::new(MetricsRegistry::new(bounds, shards.max(parking_lot::stripes())))
 }
 
 impl Shard {
@@ -205,7 +221,7 @@ impl Shard {
         // The shard drives inserts explicitly through `set`; the
         // policy must never phantom-fill on its own.
         cfg.demand_fill = false;
-        let data = Arc::new(RwLock::new(Data::new(&cfg, Arc::clone(&metrics), stripe)));
+        let data = Arc::new(RwLock::new(Data::new(&cfg, Arc::clone(&metrics))));
         let slots = Slots::new(&cfg, Arc::clone(&data), metrics, stripe);
         Self {
             policy: Pama::with_store(cfg.clone(), pama, slots),
@@ -752,8 +768,9 @@ pub(crate) struct ShardCell {
     policy: Mutex<Shard>,
     data: Arc<RwLock<Data>>,
     log: AccessLog,
-    /// The shard's registry and its stripe, reachable without a lock
-    /// for latency timing and read-lock waits.
+    /// The shard's registry, reachable without a lock for latency
+    /// timing and read-lock waits, and the shard's stripe of it, which
+    /// times misses (hits and waits go to the thread's stripe).
     metrics: Arc<MetricsRegistry>,
     stripe: usize,
 }
@@ -771,22 +788,21 @@ impl ShardCell {
 
     /// Takes the policy lock and drains the access log into the shard
     /// before handing it out. Every path but a read-lock hit goes
-    /// through here, so deferred promotions are always applied in
-    /// recorded order ahead of the request that follows.
+    /// through here, so each thread's deferred promotions are always
+    /// applied in the order it recorded them, ahead of the request that
+    /// follows.
     pub fn lock(&self, now: SimTime) -> MutexGuard<'_, Shard> {
         let mut shard = self.policy.lock();
-        if !self.log.is_empty() {
-            shard.drain_log(&self.log, now);
-        }
+        shard.drain_log(&self.log, now);
         shard
     }
 
-    /// The data read lock, counting a wait in the shard's stripe when a
+    /// The data read lock, counting a wait in the thread's stripe when a
     /// writer holds it or waits for it.
     #[inline]
     fn read(&self) -> RwLockReadGuard<'_, Data> {
         self.data.try_read().unwrap_or_else(|| {
-            self.metrics.read_lock_waits(self.stripe).inc();
+            self.metrics.read_lock_waits(parking_lot::thread_stripe()).inc();
             self.data.read()
         })
     }
@@ -811,7 +827,7 @@ impl ShardCell {
         if let Some(t0) = t0 {
             let us = t0.elapsed().as_micros() as u64;
             match &result {
-                Some(_) => self.metrics.hit_latency_us(self.stripe).record(us),
+                Some(_) => self.metrics.hit_latency_us(parking_lot::thread_stripe()).record(us),
                 None => self.metrics.miss_latency_us(self.stripe).record(us),
             }
         }
@@ -1380,6 +1396,71 @@ mod tests {
         assert_eq!(s.counters.expired, 1);
         assert_eq!(s.slots().metrics.snapshot().total_misses(), 2);
         s.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn hits_from_several_threads_all_reach_one_drain() {
+        let cell = ShardCell::new(shard());
+        let now = t(1);
+        cell.lock(now).set(1, b"k", b"value", &SetOptions::default(), now).unwrap();
+        // Threads on distinct stripes, each logging more than half a
+        // ring: one ring shared by all of them would drop hits. With a
+        // single stripe, two threads share its ring and log half each.
+        let stripes = parking_lot::stripes();
+        let recorders = stripes.max(2);
+        let per_thread =
+            if stripes > 1 { 3 * ACCESS_LOG_CAPACITY / 4 } else { ACCESS_LOG_CAPACITY / 2 };
+        let claimed = Mutex::new(vec![false; stripes]);
+        let mut recorded = 0;
+        for _ in 0..64 * recorders {
+            if recorded == recorders {
+                break;
+            }
+            let logged = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let stripe = parking_lot::thread_stripe();
+                    let mut claimed = claimed.lock();
+                    if stripes > 1 && std::mem::replace(&mut claimed[stripe], true) {
+                        return false;
+                    }
+                    drop(claimed);
+                    for _ in 0..per_thread {
+                        assert!(cell.get(1, b"k", || now, |v| v.value.len()).is_some());
+                    }
+                    true
+                })
+                .join()
+                .expect("recorder")
+            });
+            recorded += usize::from(logged);
+        }
+        assert_eq!(recorded, recorders, "no thread landed on some stripe");
+        let hits = (recorders * per_thread) as u64;
+        assert_eq!(cell.metrics.snapshot().total_hits(), hits);
+        drop(cell.lock(now));
+        let (stats, _) = cell.report();
+        assert_eq!((stats.deferred_hits, stats.deferred_dropped), (hits, 0));
+    }
+
+    #[test]
+    fn the_registry_sums_thread_stripes_beyond_the_shard_count() {
+        // One shard, yet a stripe of cells for every thread stripe.
+        let reg = registry_for(&shard().cfg, 1);
+        let stripes = parking_lot::stripes();
+        let cells: Vec<*const _> = (0..stripes).map(|s| reg.band(s, 0) as *const _).collect();
+        assert!(
+            cells.iter().enumerate().all(|(i, c)| !cells[..i].contains(c)),
+            "two thread stripes share band cells"
+        );
+        for stripe in 0..stripes {
+            reg.band(stripe, 0).hits.add(stripe as u64 + 1);
+            reg.hit_latency_us(stripe).record(10);
+            reg.read_lock_waits(stripe).inc();
+        }
+        let snap = reg.snapshot();
+        let n = stripes as u64;
+        assert_eq!(snap.total_hits(), n * (n + 1) / 2);
+        assert_eq!((snap.hit_latency.total, snap.read_lock_waits), (n, n));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! [`Data`] is what a reader needs: the slab arena — each slot's bytes
 //! and data record (lengths, expiry, flags, CAS stamp, band) — and the
-//! index from key hash to slot. It sits behind the shard's `RwLock`.
+//! index from key hash to slot. It sits behind the shard's
+//! reader-striped data lock.
 //!
 //! [`Slots`] is the node store ([`ItemStore`]) of the shard's PAMA
 //! policy and sits with it behind the shard's policy lock: the slab
@@ -56,22 +57,21 @@ pub(crate) enum EntryState {
 }
 
 /// The half of a shard that readers take: bytes, data records and the
-/// index, behind the shard's `RwLock`.
+/// index, behind the shard's reader-striped `RwLock`.
 pub(crate) struct Data {
     pub arena: SlabArena,
     /// Key hash → the slot of the item stored under it.
     pub index: FastMap<u64, SlotRef>,
-    /// The registry stripe a reader counts its hits in.
+    /// The registry a reader counts its hits in, in its thread's stripe.
     metrics: Arc<MetricsRegistry>,
-    stripe: usize,
 }
 
 impl Data {
-    /// An empty arena for the geometry `cfg` that counts hits in stripe
-    /// `stripe` of `metrics`. The index starts empty and grows with the
-    /// keys actually resident.
-    pub fn new(cfg: &CacheConfig, metrics: Arc<MetricsRegistry>, stripe: usize) -> Self {
-        Self { arena: SlabArena::new(cfg), index: FastMap::default(), metrics, stripe }
+    /// An empty arena for the geometry `cfg` that counts hits in
+    /// `metrics`. The index starts empty and grows with the keys
+    /// actually resident.
+    pub fn new(cfg: &CacheConfig, metrics: Arc<MetricsRegistry>) -> Self {
+        Self { arena: SlabArena::new(cfg), index: FastMap::default(), metrics }
     }
 
     /// The slot stored under `h` and what it holds, if any.
@@ -83,7 +83,9 @@ impl Data {
     }
 
     /// The hit path: lookup, key check, TTL check, and a band hit
-    /// count; the value is borrowed from the arena. No other mutation —
+    /// count in the calling thread's stripe
+    /// ([`parking_lot::thread_stripe`]); the value is borrowed from the
+    /// arena. No other mutation —
     /// recency bookkeeping is the caller's job (via the access log, with
     /// the item's slot returned here). `now` is called only when the
     /// item has a TTL.
@@ -98,7 +100,7 @@ impl Data {
         if k != key || expired(rec, now) {
             return None;
         }
-        self.metrics.band(self.stripe, usize::from(rec.band)).hits.inc();
+        self.metrics.band(parking_lot::thread_stripe(), usize::from(rec.band)).hits.inc();
         Some((ValueRef { value, flags: rec.flags, cas: rec.cas() }, slot))
     }
 

@@ -15,11 +15,14 @@
 //!
 //! The band cells and the sampled hit/miss latency histograms are
 //! **striped**: the registry holds one cache-line-aligned stripe of
-//! cells per writer (in `pama-kv`, per shard), each writer bumps only
-//! its own stripe, and [`MetricsRegistry::snapshot`] sums the stripes.
-//! Threads hitting different shards therefore never write the same
-//! cache line, while every snapshot — and so every rendering of it —
-//! reads exactly as an unstriped registry would.
+//! cells per writer, each writer bumps only its own stripe, and
+//! [`MetricsRegistry::snapshot`] sums the stripes. In `pama-kv` a GET
+//! hit counts in its thread's stripe (`parking_lot::thread_stripe`) and
+//! a policy decision in its shard's, so the registry has a stripe per
+//! shard or per thread stripe, whichever are more. Threads on different
+//! stripes therefore never write the same cache line to count a hit,
+//! whichever shards they hit, while every snapshot — and so every
+//! rendering of it — reads exactly as an unstriped registry would.
 //!
 //! Overhead budget (see DESIGN.md §8): band counters are one or two
 //! relaxed `fetch_add`s per operation on a writer-local line; latency
